@@ -21,6 +21,7 @@ from .bounds import (
     entropy_gap,
     ergodic_highsnr,
     leakage_pair,
+    legitimate_rate,
     noncoherent_bounds,
     partial_coherent_bounds,
     saturated_upper,
@@ -36,11 +37,9 @@ from .channel import (
     balanced_config,
     check_effective_distributions,
     exact_transmit_power,
-    received_signals,
     sample_realization,
     single_stream_view,
     transmit_signal,
-    transmit_signal_aff,
 )
 from .errors import AnleakError, ConfigError, DegenerateChannelError
 from .montecarlo import (
@@ -84,8 +83,6 @@ __all__ = [
     "ChannelRealization",
     "sample_realization",
     "transmit_signal",
-    "transmit_signal_aff",
-    "received_signals",
     "exact_transmit_power",
     "average_transmit_power",
     "DistributionReport",
@@ -113,6 +110,7 @@ __all__ = [
     "coherent_data_leakage",
     "partial_coherent_bounds",
     "leakage_pair",
+    "legitimate_rate",
     "secrecy_rates",
     "secrecy_from_config",
     # special

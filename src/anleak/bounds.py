@@ -51,6 +51,7 @@ __all__ = [
     "coherent_data_leakage",
     "partial_coherent_bounds",
     "leakage_pair",
+    "legitimate_rate",
     "secrecy_rates",
     "secrecy_from_config",
 ]
@@ -384,6 +385,11 @@ def leakage_pair(cfg: SystemConfig, mc: MonteCarlo) -> LeakagePair:
     )
 
 
+def legitimate_rate(cfg: SystemConfig, snr_l_db: float) -> float:
+    """Per-user rate ``log2(1 + M alpha2 SNR_L)`` of the zero-forced downlink, bits."""
+    return math.log2(1.0 + cfg.M * cfg.alpha2 * 10.0 ** (snr_l_db / 10.0))
+
+
 def secrecy_rates(
     cfg: SystemConfig,
     leakage_su: LeakagePair,
@@ -412,7 +418,7 @@ def secrecy_rates(
     ):
         raise ValueError("leakage_mu dimensions disagree with cfg")
     k, t, tp = cfg.K, cfg.T, cfg.t_prime
-    cap = math.log2(1.0 + cfg.M * cfg.alpha2 * 10.0 ** (snr_l_db / 10.0))
+    cap = legitimate_rate(cfg, snr_l_db)
     l_su_n = leakage_su.noncoherent.rate_at(snr_e_db, "upper")
     l_su_p = leakage_su.partial.rate_at(snr_e_db, "upper")
     l_mu_n = leakage_mu.noncoherent.rate_at(snr_e_db, "upper")

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateChannelError  # noqa: F401  (re-exported context)
 from .linalg import (
     CMatrix,
     null_space_basis,
@@ -43,8 +42,6 @@ __all__ = [
     "ChannelRealization",
     "sample_realization",
     "transmit_signal",
-    "transmit_signal_aff",
-    "received_signals",
     "exact_transmit_power",
     "average_transmit_power",
     "DistributionReport",
@@ -309,51 +306,6 @@ def transmit_signal(
     return x
 
 
-def transmit_signal_aff(
-    cfg: SystemConfig,
-    real: ChannelRealization,
-    symbols,
-    an_symbols,
-    rng: np.random.Generator,
-) -> CMatrix:
-    """Transmit with a fresh random unitary mixing the noise each symbol.
-
-    Each column ``t`` sends ``sqrt(beta2) * V @ A_t @ n_t`` with ``A_t``
-    an independent Haar-unitary ``N_J x N_J`` matrix.  The per-symbol
-    transmit covariance is identical to `transmit_signal`'s, but the noise
-    subspace coordinates are re-randomized every symbol.
-    """
-    s, n = _check_symbols(cfg, symbols, an_symbols)
-    x = math.sqrt(cfg.alpha2) * (real.precoder @ s)
-    if not cfg.N_J:
-        return x
-    mixed = np.empty_like(n)
-    for t in range(n.shape[1]):
-        mixed[:, t] = _haar_unitary(cfg.N_J, rng) @ n[:, t]
-    return x + math.sqrt(cfg.beta2) * (real.an_basis @ mixed)
-
-
-def received_signals(
-    cfg: SystemConfig,
-    real: ChannelRealization,
-    x,
-    rng: np.random.Generator,
-) -> tuple[CMatrix, CMatrix]:
-    """Propagate a transmit block to both receivers and add noise.
-
-    Returns the pair ``(y_user, y_eve)`` where ``y_user = h @ x + w`` with
-    ``w`` i.i.d. ``CN(0, sigma_w2)`` (drawn first) and ``y_eve = g @ x + z``
-    with ``z`` i.i.d. ``CN(0, sigma_z2)``.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[0] != cfg.M:
-        raise ValueError(f"x must be M x n with M={cfg.M}, got shape {x.shape}")
-    ncols = x.shape[1]
-    w = sample_gaussian(cfg.K, ncols, cfg.sigma_w2, rng)
-    z = sample_gaussian(cfg.N_E, ncols, cfg.sigma_z2, rng)
-    return real.h @ x + w, real.g @ x + z
-
-
 def exact_transmit_power(cfg: SystemConfig) -> float:
     """Exact mean transmit power per symbol.
 
@@ -517,14 +469,6 @@ def _ks_normal(standardized: np.ndarray) -> float:
     cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
     grid = np.arange(1, n + 1) / n
     return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n))))
-
-
-def _haar_unitary(n: int, rng: np.random.Generator) -> CMatrix:
-    """Haar-distributed unitary via phase-corrected QR of a Gaussian."""
-    z = sample_gaussian(n, n, 1.0, rng)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def _check_symbols(cfg, symbols, an_symbols):

@@ -9,7 +9,10 @@ Subcommands
     how many workers run the sampling.
 ``bounds``
     Evaluate every regime at a single configuration and print
-    ``key=value`` lines.
+    ``key=value`` lines after a ``# anleak bounds trials=N
+    trials_source=S seed=N`` header.  It reads the same point evaluator
+    as ``sweep``, so an inapplicable regime prints ``KEY_skipped=REASON``
+    with the sweep's reason code.
 ``plan``
     Antenna planning from carrier frequency and user speed.
 ``validate``
@@ -21,10 +24,12 @@ Config files are plain ``key=value`` lines (``#`` comments and blank
 lines ignored).  Recognized keys: the scenario fields ``M K N_E N_J T
 alpha2 beta2 snr_e_db snr_l_db``, the sweep fields ``axis values
 metrics``, and the run fields ``trials seed workers output``.  Command
-line flags override file values.  The default sweep trial count can also
-be set through the environment variable ``ANLEAK_TRIALS`` (lowest
-precedence); the chosen value and its source are echoed in the CSV's
-leading comment line.
+line flags override file values.  For ``sweep`` and ``bounds`` the trial
+count comes from ``--trials``, else the config file, else the environment
+variable ``ANLEAK_TRIALS``, else the command's default (2000 for
+``sweep``, 20000 for ``bounds``); the chosen value and its source are
+echoed in the leading comment line.  Bad trials, seed or workers values
+are rejected before any output.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .bounds import (
     LeakageBounds,
     entropy_gap,
     ergodic_highsnr,
+    legitimate_rate,
     noncoherent_bounds,
     partial_coherent_bounds,
     universal_upper,
@@ -259,6 +265,34 @@ def build_sweep_spec(
     if not metrics:
         raise ConfigError("key 'metrics': need at least one metric")
 
+    resolved_trials, source, resolved_seed, resolved_workers = _resolve_run_args(
+        entries, trials, seed, workers, DEFAULT_SWEEP_TRIALS
+    )
+    return SweepSpec(
+        cfg=cfg,
+        axis=axis,
+        values=values,
+        metrics=metrics,
+        trials=resolved_trials,
+        seed=resolved_seed,
+        workers=resolved_workers,
+        trials_source=source,
+    )
+
+
+def _resolve_run_args(
+    entries: dict[str, str],
+    trials: int | None,
+    seed: int | None,
+    workers: int | None,
+    default_trials: int,
+) -> tuple[int, str, int, int]:
+    """Resolve ``(trials, trials_source, seed, workers)`` for a command.
+
+    Each value comes from its flag, else the config file; trials then fall
+    back to ``ANLEAK_TRIALS`` and the command's default.  Invalid values
+    raise `ConfigError`.
+    """
     if trials is not None:
         resolved_trials, source = trials, "flag"
     elif "trials" in entries:
@@ -272,7 +306,7 @@ def build_sweep_spec(
             ) from exc
         source = f"env:{TRIALS_ENV_VAR}"
     else:
-        resolved_trials, source = DEFAULT_SWEEP_TRIALS, "default"
+        resolved_trials, source = default_trials, "default"
     if resolved_trials < 2:
         raise ConfigError(f"trials must be >= 2, got {resolved_trials}")
 
@@ -282,16 +316,7 @@ def build_sweep_spec(
     resolved_workers = workers if workers is not None else _get_int(entries, "workers", 1)
     if resolved_workers < 1:
         raise ConfigError(f"workers must be >= 1, got {resolved_workers}")
-    return SweepSpec(
-        cfg=cfg,
-        axis=axis,
-        values=values,
-        metrics=metrics,
-        trials=resolved_trials,
-        seed=resolved_seed,
-        workers=resolved_workers,
-        trials_source=source,
-    )
+    return resolved_trials, source, resolved_seed, resolved_workers
 
 
 # ---------------------------------------------------------------------------
@@ -299,51 +324,71 @@ def build_sweep_spec(
 # ---------------------------------------------------------------------------
 
 
+def _precondition(regime: str, cfg: SystemConfig) -> str:
+    """Reason code when a regime does not apply at ``cfg``, else ``""``.
+
+    ``regime`` is ``noncoh``, ``partial`` or ``universal``; the first
+    failed check names the code.
+    """
+    checks = {
+        "noncoh": (
+            (cfg.N_J == 0 or cfg.beta2 <= 0.0, "precondition:beta2=0"),
+            (cfg.T < cfg.mbar, "precondition:T<Mbar"),
+        ),
+        "partial": (
+            (cfg.N_E < cfg.mbar, "precondition:NE<Mbar"),
+            (cfg.t_prime < 1, "precondition:Tprime<1"),
+            (cfg.t_prime < cfg.N_J, "precondition:Tprime<NJ"),
+        ),
+        "universal": ((cfg.t_prime < 1, "precondition:Tprime<1"),),
+    }
+    return next((code for failed, code in checks[regime] if failed), "")
+
+
 class _Point:
-    """Caches the bound objects shared by several metrics at one point."""
+    """One configuration's regime bounds, each built at most once.
+
+    Both ``sweep`` and ``bounds`` evaluate through this class and
+    `evaluate_metric`, so they share one set of preconditions and codes.
+    """
 
     def __init__(self, cfg: SystemConfig, mc: MonteCarlo):
         self.cfg = cfg
         self.mc = mc
-        self._cache: dict[str, LeakageBounds] = {}
+        self._cache: dict[str, tuple[LeakageBounds | None, str]] = {}
 
-    def _bounds(self, name: str, builder, cfg) -> LeakageBounds:
+    def regime(self, name: str) -> tuple[LeakageBounds | None, str]:
+        """``(bounds, "")`` or ``(None, reason)`` for a regime.
+
+        ``name`` is ``noncoh``, ``noncoh_mu`` (the single-stream view,
+        under the parent's preconditions) or ``partial``.
+        """
         if name not in self._cache:
-            self._cache[name] = builder(cfg, self.mc)
+            self._cache[name] = self._build(name)
         return self._cache[name]
 
-    def noncoherent(self) -> LeakageBounds:
-        return self._bounds("noncoh", noncoherent_bounds, self.cfg)
-
-    def noncoherent_single(self) -> LeakageBounds:
-        return self._bounds(
-            "noncoh_mu", noncoherent_bounds, single_stream_view(self.cfg)
-        )
-
-    def partial(self) -> LeakageBounds:
-        return self._bounds("partial", partial_coherent_bounds, self.cfg)
-
-
-def _noncoh_reason(cfg: SystemConfig) -> str:
-    if cfg.N_J == 0 or cfg.beta2 <= 0.0:
-        return "precondition:beta2=0"
-    if cfg.T < cfg.mbar:
-        return "precondition:T<Mbar"
-    return ""
+    def _build(self, name: str) -> tuple[LeakageBounds | None, str]:
+        reason = _precondition("partial" if name == "partial" else "noncoh", self.cfg)
+        if reason:
+            return None, reason
+        if name == "partial":
+            return partial_coherent_bounds(self.cfg, self.mc), ""
+        cfg = self.cfg if name == "noncoh" else single_stream_view(self.cfg)
+        try:
+            return noncoherent_bounds(cfg, self.mc), ""
+        except ValueError:
+            return None, "bracket_inverted"
 
 
-def _partial_reason(cfg: SystemConfig) -> str:
-    if cfg.N_E < cfg.mbar:
-        return "precondition:NE<Mbar"
-    if cfg.t_prime < 1:
-        return "precondition:Tprime<1"
-    if cfg.t_prime < cfg.N_J:
-        return "precondition:Tprime<NJ"
-    return ""
-
-
-def _secrecy_cap(cfg: SystemConfig) -> float:
-    return math.log2(1.0 + cfg.M * cfg.alpha2 * 10.0 ** (cfg.snr_l_db / 10.0))
+# Regime behind each bound-derived metric.
+_METRIC_REGIMES = {
+    "noncoh_lb": "noncoh",
+    "noncoh_ub": "noncoh",
+    "partial_lb": "partial",
+    "partial_ub": "partial",
+    "secrecy_su": "noncoh",
+    "secrecy_mu": "noncoh_mu",
+}
 
 
 def evaluate_metric(point: _Point, metric: str) -> tuple[float | None, float | None, str]:
@@ -352,44 +397,25 @@ def evaluate_metric(point: _Point, metric: str) -> tuple[float | None, float | N
     if metric == "ergodic":
         est = point.mc.ergodic_leakage(cfg, cfg.sigma_z2)
         return est.mean, est.std_error, ""
-    if metric in ("noncoh_lb", "noncoh_ub"):
-        reason = _noncoh_reason(cfg)
-        if reason:
-            return None, None, reason
-        try:
-            b = point.noncoherent()
-        except ValueError:
-            return None, None, "bracket_inverted"
-        which = "lower" if metric == "noncoh_lb" else "upper"
-        return b.rate_at(cfg.snr_e_db, which), b.c_std_error, ""
-    if metric in ("partial_lb", "partial_ub"):
-        reason = _partial_reason(cfg)
-        if reason:
-            return None, None, reason
-        b = point.partial()
-        which = "lower" if metric == "partial_lb" else "upper"
-        return b.rate_at(cfg.snr_e_db, which), b.c_std_error, ""
     if metric == "universal":
-        if cfg.t_prime < 1:
-            return None, None, "precondition:Tprime<1"
+        reason = _precondition("universal", cfg)
+        if reason:
+            return None, None, reason
         est = universal_upper(cfg, cfg.snr_e_db, point.mc)
         return est.mean, est.std_error, ""
-    if metric in ("secrecy_su", "secrecy_mu"):
-        reason = _noncoh_reason(cfg)
-        if reason:
-            return None, None, reason
-        cap = _secrecy_cap(cfg)
-        try:
-            if metric == "secrecy_su":
-                b = point.noncoherent()
-                value = max(0.0, cfg.K * cap - b.rate_at(cfg.snr_e_db, "upper"))
-                return value, b.c_std_error, ""
-            b = point.noncoherent_single()
-        except ValueError:
-            return None, None, "bracket_inverted"
-        value = cfg.K * max(0.0, cap - b.rate_at(cfg.snr_e_db, "upper"))
-        return value, cfg.K * b.c_std_error, ""
-    raise ConfigError(f"unknown metric {metric!r}")
+    if metric not in _METRIC_REGIMES:
+        raise ConfigError(f"unknown metric {metric!r}")
+    b, reason = point.regime(_METRIC_REGIMES[metric])
+    if reason:
+        return None, None, reason
+    if metric.startswith("secrecy"):
+        cap = legitimate_rate(cfg, cfg.snr_l_db)
+        leak = b.rate_at(cfg.snr_e_db, "upper")
+        if metric == "secrecy_su":
+            return max(0.0, cfg.K * cap - leak), b.c_std_error, ""
+        return cfg.K * max(0.0, cap - leak), cfg.K * b.c_std_error, ""
+    which = "lower" if metric.endswith("_lb") else "upper"
+    return b.rate_at(cfg.snr_e_db, which), b.c_std_error, ""
 
 
 def _derive_config(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
@@ -628,73 +654,48 @@ def _cmd_sweep(args) -> int:
 def _cmd_bounds(args) -> int:
     entries = _apply_overrides(parse_config_file(args.config), args.set)
     cfg = build_system_config(entries)
-    trials = args.trials
-    if trials is None:
-        trials = (
-            _get_int(entries, "trials")
-            if "trials" in entries
-            else DEFAULT_POINT_TRIALS
-        )
-    seed = args.seed if args.seed is not None else _get_int(entries, "seed", 0)
-    workers = (
-        args.workers if args.workers is not None else _get_int(entries, "workers", 1)
+    trials, source, seed, workers = _resolve_run_args(
+        entries, args.trials, args.seed, args.workers, DEFAULT_POINT_TRIALS
     )
     mc = MonteCarlo(trials=trials, seed=seed, workers=workers)
-    out = sys.stdout
-    print(f"# config M={cfg.M} K={cfg.K} N_E={cfg.N_E} N_J={cfg.N_J} T={cfg.T}", file=out)
-    print(f"alpha2={cfg.alpha2:.9g}", file=out)
-    print(f"beta2={cfg.beta2:.9g}", file=out)
-    print(f"t_prime={cfg.t_prime}", file=out)
-    print(f"exact_transmit_power={exact_transmit_power(cfg):.9g}", file=out)
-
-    erg = ergodic_highsnr(cfg, mc)
-    print(f"ergodic_dof={erg.dof:.9g}", file=out)
-    print(f"ergodic_constant={erg.c_upper:.9g}", file=out)
-    est = mc.ergodic_leakage(cfg, cfg.sigma_z2)
-    print(f"ergodic_leakage={est.mean:.9g}", file=out)
-    print(f"ergodic_leakage_se={est.std_error:.9g}", file=out)
-
-    if not _noncoh_reason(cfg):
-        try:
-            b = noncoherent_bounds(cfg, mc)
-        except ValueError:
-            b = None
-            print("noncoh_skipped=bracket_inverted", file=out)
-        if b is not None:
-            print(f"noncoh_dof={b.dof:.9g}", file=out)
-            print(f"noncoh_c_lower={b.c_lower:.9g}", file=out)
-            print(f"noncoh_c_upper={b.c_upper:.9g}", file=out)
-            print(f"noncoh_c_se={b.c_std_error:.9g}", file=out)
-            print(f"noncoh_lb={b.rate_at(cfg.snr_e_db, 'lower'):.9g}", file=out)
-            print(f"noncoh_ub={b.rate_at(cfg.snr_e_db, 'upper'):.9g}", file=out)
-    else:
-        print(f"noncoh_skipped={_noncoh_reason(cfg)}", file=out)
-
-    if not _partial_reason(cfg):
-        p = partial_coherent_bounds(cfg, mc)
-        print(f"partial_dof={p.dof:.9g}", file=out)
-        print(f"partial_c_lower={p.c_lower:.9g}", file=out)
-        print(f"partial_c_upper={p.c_upper:.9g}", file=out)
-        print(f"partial_c_se={p.c_std_error:.9g}", file=out)
-        print(f"partial_lb={p.rate_at(cfg.snr_e_db, 'lower'):.9g}", file=out)
-        print(f"partial_ub={p.rate_at(cfg.snr_e_db, 'upper'):.9g}", file=out)
-    else:
-        print(f"partial_skipped={_partial_reason(cfg)}", file=out)
-
-    uni = universal_upper(cfg, cfg.snr_e_db, mc)
-    print(f"universal={uni.mean:.9g}", file=out)
-    print(f"universal_se={uni.std_error:.9g}", file=out)
-
     point = _Point(cfg, mc)
-    for metric in ("secrecy_su", "secrecy_mu"):
-        val, se, reason = evaluate_metric(point, metric)
-        if reason:
-            print(f"{metric}_skipped={reason}", file=out)
-        else:
-            print(f"{metric}={val:.9g}", file=out)
 
+    def report(metric: str, key: str = "", with_se: bool = False) -> None:
+        key = key or metric
+        value, se, reason = evaluate_metric(point, metric)
+        if reason:
+            print(f"{key}_skipped={reason}")
+            return
+        print(f"{key}={value:.9g}")
+        if with_se:
+            print(f"{key}_se={se:.9g}")
+
+    print(f"# anleak bounds trials={trials} trials_source={source} seed={seed}")
+    print(f"# config M={cfg.M} K={cfg.K} N_E={cfg.N_E} N_J={cfg.N_J} T={cfg.T}")
+    print(f"alpha2={cfg.alpha2:.9g}")
+    print(f"beta2={cfg.beta2:.9g}")
+    print(f"t_prime={cfg.t_prime}")
+    print(f"exact_transmit_power={exact_transmit_power(cfg):.9g}")
+    erg = ergodic_highsnr(cfg, mc)
+    print(f"ergodic_dof={erg.dof:.9g}")
+    print(f"ergodic_constant={erg.c_upper:.9g}")
+    report("ergodic", "ergodic_leakage", with_se=True)
+    for regime in ("noncoh", "partial"):
+        b, reason = point.regime(regime)
+        if reason:
+            print(f"{regime}_skipped={reason}")
+            continue
+        print(f"{regime}_dof={b.dof:.9g}")
+        print(f"{regime}_c_lower={b.c_lower:.9g}")
+        print(f"{regime}_c_upper={b.c_upper:.9g}")
+        print(f"{regime}_c_se={b.c_std_error:.9g}")
+        report(f"{regime}_lb")
+        report(f"{regime}_ub")
+    report("universal", with_se=True)
+    report("secrecy_su")
+    report("secrecy_mu")
     if cfg.mbar == cfg.M and abs(cfg.alpha2 - 1.0) <= 1e-9 and cfg.T >= cfg.M:
-        print(f"entropy_gap={entropy_gap(cfg):.9g}", file=out)
+        print(f"entropy_gap={entropy_gap(cfg):.9g}")
     return 0
 
 

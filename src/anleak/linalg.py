@@ -1,19 +1,13 @@
 """Complex matrix primitives with validation suited to channel math.
 
-Thin, contract-enforcing wrappers around LAPACK (via numpy): Hermitian
-eigenvalues, singular values through the smaller-side Gram matrix,
-null-space bases, the scaled zero-forcing pseudo-inverse, shifted PSD
-log-determinants, and Kronecker helpers.  Every public function validates
-shapes and finiteness up front so the numerical layers above can assume
-clean inputs.
+Thin, contract-enforcing wrappers around LAPACK (via numpy): complex
+Gaussian draws, squared singular values through the smaller-side Gram
+matrix, null-space bases and the scaled zero-forcing pseudo-inverse.  The
+null-space and pseudo-inverse builders validate shapes, finiteness and
+rank up front so the channel layer above can assume clean inputs.
 
-Tolerances
-----------
-* Hermitian symmetry: ``||A - A^H||_F <= 1e-12 * ||A||_F``.
-* Rank: a matrix counts as rank deficient when its smallest singular value
-  is at most ``1e-10`` times its largest.
-* PSD: eigenvalues may undershoot zero by ``1e-10`` (relative) and are
-  clipped before logs are taken.
+Rank tolerance: a matrix counts as rank deficient when its smallest
+singular value is at most ``1e-10`` times its largest.
 """
 
 from __future__ import annotations
@@ -28,22 +22,15 @@ from .errors import DegenerateChannelError
 __all__ = [
     "CMatrix",
     "sample_gaussian",
-    "hermitian_eigenvalues",
-    "singular_values",
     "squared_singular_values",
     "null_space_basis",
     "scaled_pseudo_inverse",
-    "logdet_psd_shifted",
-    "kron",
-    "kron_sum",
 ]
 
 #: Complex matrix alias (2-D complex128 ndarray).
 CMatrix = NDArray[np.complex128]
 
-_HERMITIAN_RTOL = 1e-12
 _RANK_RTOL = 1e-10
-_PSD_RTOL = 1e-10
 
 
 def _as_matrix(a, name: str = "matrix") -> CMatrix:
@@ -57,16 +44,6 @@ def _as_matrix(a, name: str = "matrix") -> CMatrix:
     if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
-
-
-def _check_hermitian(a: CMatrix, name: str = "matrix") -> CMatrix:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if a.size:
-        scale = np.linalg.norm(a)
-        if np.linalg.norm(a - a.conj().T) > _HERMITIAN_RTOL * max(scale, 1.0):
-            raise ValueError(f"{name} is not Hermitian within tolerance")
-    return a
 
 
 def sample_gaussian(
@@ -95,46 +72,6 @@ def sample_gaussian(
     scale = math.sqrt(variance / 2.0)
     z = rng.standard_normal((2, rows, cols))
     return scale * (z[0] + 1j * z[1])
-
-
-def hermitian_eigenvalues(a) -> NDArray[np.float64]:
-    """Eigenvalues of a Hermitian matrix, descending.
-
-    Parameters
-    ----------
-    a : array_like
-        Square matrix, Hermitian to relative tolerance 1e-12.
-
-    Returns
-    -------
-    ndarray
-        Real eigenvalues sorted from largest to smallest.
-    """
-    a = _check_hermitian(_as_matrix(a), "matrix")
-    if a.shape[0] == 0:
-        return np.zeros(0)
-    return np.linalg.eigvalsh(a)[::-1]
-
-
-def singular_values(a) -> NDArray[np.float64]:
-    """Singular values of a complex matrix, descending.
-
-    Computed as the square roots of the eigenvalues of the smaller-side
-    Gram matrix, which is both faster than a full SVD for the wide matrices
-    used here and numerically adequate at the package's tolerances.
-
-    Parameters
-    ----------
-    a : array_like
-        2-D matrix; either dimension may be zero.
-
-    Returns
-    -------
-    ndarray
-        ``min(a.shape)`` nonnegative values, largest first.
-    """
-    a = _as_matrix(a)
-    return np.sqrt(squared_singular_values(a))
 
 
 def squared_singular_values(a) -> NDArray[np.float64]:
@@ -207,56 +144,10 @@ def scaled_pseudo_inverse(h) -> CMatrix:
     return math.sqrt(m) * np.linalg.solve(gram, h).conj().T
 
 
-def logdet_psd_shifted(a, shift: float) -> float:
-    """``ln det(a + shift * I)`` for Hermitian PSD ``a`` and ``shift > 0``.
-
-    Evaluated through the eigenvalues so the result stays finite and
-    accurate even when ``a`` is singular and ``shift`` is tiny.  Returns
-    0.0 for the empty matrix.
-
-    Raises
-    ------
-    ValueError
-        If ``a`` is not Hermitian PSD (eigenvalues below the relative
-        tolerance) or ``shift`` is not strictly positive.
-    """
-    a = _check_hermitian(_as_matrix(a), "matrix")
-    shift = float(shift)
-    if not (math.isfinite(shift) and shift > 0.0):
-        raise ValueError(f"shift must be finite and > 0, got {shift!r}")
-    if a.shape[0] == 0:
-        return 0.0
-    w = np.linalg.eigvalsh(a)
-    if w[0] < -_PSD_RTOL * max(w[-1], 1.0):
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    return float(np.sum(np.log(w + shift)))
-
-
-def kron(a, b) -> CMatrix:
-    """Kronecker product of two complex matrices."""
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
-
-
-def kron_sum(a, b) -> CMatrix:
-    """Kronecker sum ``a (+) b = a x I + I x b`` of two square matrices.
-
-    Its eigenvalues are all pairwise sums of the eigenvalues of ``a``
-    and ``b``.
-    """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError(
-            f"kron_sum needs square matrices, got {a.shape} and {b.shape}"
-        )
-    return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)
-
-
 def _require_full_row_rank(h: CMatrix) -> None:
-    # The Gram-based singular_values() cannot resolve ratios below ~sqrt(eps),
-    # so the 1e-10 gate needs a genuine SVD; the guard only ever sees small
-    # k x m matrices, where that costs nothing.
+    # The Gram route of squared_singular_values() cannot resolve singular
+    # value ratios below ~sqrt(eps), so the 1e-10 gate needs a genuine SVD;
+    # the guard only ever sees small k x m matrices, where that costs nothing.
     s = np.linalg.svd(h, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= _RANK_RTOL * s[0]:
         raise DegenerateChannelError(

@@ -34,6 +34,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -183,15 +184,38 @@ def _check_run_args(trials: int, seed: int, workers: int) -> None:
         raise ValueError(f"need integer workers >= 1, got {workers!r}")
 
 
-def _collect(trials: int, batch_fn, workers: int) -> np.ndarray:
-    """Evaluate ``batch_fn(start, count)`` over fixed batches, in order."""
-    tasks = [(s, min(_BATCH, trials - s)) for s in range(0, trials, _BATCH)]
+def _run_trials(
+    tag: int, trials: int, seed: int, workers: int, draw, reduce
+) -> McEstimate:
+    """Draw seeded trials, reduce them batch by batch, summarize.
+
+    Trial ``i`` is ``draw(_trial_rng(seed, tag, i))``: one array or a tuple
+    of arrays.  Each batch of ``_BATCH`` trials is stacked array by array
+    (written straight into preallocated stacks, so a batch is held once),
+    ``reduce(*stacks)`` returns one value per trial, and the values are
+    concatenated in trial order; workers only partition the batches.
+    """
+
+    def batch(start: int) -> np.ndarray:
+        count = min(_BATCH, trials - start)
+        stacks = None
+        for j in range(count):
+            parts = draw(_trial_rng(seed, tag, start + j))
+            if not isinstance(parts, tuple):
+                parts = (parts,)
+            if stacks is None:
+                stacks = [np.empty((count,) + p.shape, dtype=p.dtype) for p in parts]
+            for stack, part in zip(stacks, parts):
+                stack[j] = part
+        return reduce(*stacks)
+
+    starts = range(0, trials, _BATCH)
     if workers == 1:
-        parts = [batch_fn(s, c) for s, c in tasks]
+        parts = [batch(s) for s in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda sc: batch_fn(*sc), tasks))
-    return np.concatenate(parts)
+            parts = list(pool.map(batch, starts))
+    return _summarize(np.concatenate(parts))
 
 
 def _summarize(values: np.ndarray) -> McEstimate:
@@ -242,9 +266,9 @@ def _log_sv_values(sq: np.ndarray, r: int) -> np.ndarray:
     return vals
 
 
-def _scaled_left(cfg: SystemConfig, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """Effective-channel draw: first K columns variance alpha2, rest beta2."""
-    z = sample_gaussian(rows, cfg.mbar, 1.0, rng)
+def _scaled_left(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """``N_E x (K + N_J)`` effective channel: K columns alpha2, the rest beta2."""
+    z = sample_gaussian(cfg.N_E, cfg.mbar, 1.0, rng)
     scales = np.concatenate(
         [
             np.full(cfg.K, math.sqrt(cfg.alpha2)),
@@ -281,72 +305,52 @@ def expected_log_sv_sum(
     _check_run_args(trials, seed, workers)
     if not isinstance(kind, SvKind):
         raise ValueError(f"kind must be an SvKind, got {kind!r}")
-    draw, shape, r = _product_sampler(kind, cfg)
+    draw, r = _product_sampler(kind, cfg)
     if r == 0:
         return McEstimate(0.0, 0.0, trials, 0)
-    tag = _KIND_TAGS[kind]
 
-    def batch(start: int, count: int) -> np.ndarray:
-        prods = np.empty((count,) + shape, dtype=np.complex128)
-        for i in range(count):
-            prods[i] = draw(_trial_rng(seed, tag, start + i))
+    def reduce(prods: np.ndarray) -> np.ndarray:
         return _log_sv_values(squared_singular_values(prods), r)
 
-    return _summarize(_collect(trials, batch, workers))
+    return _run_trials(_KIND_TAGS[kind], trials, seed, workers, draw, reduce)
 
 
 def _product_sampler(kind: SvKind, cfg: SystemConfig):
-    """Return ``(draw, product_shape, generic_rank)`` for a spectrum kind."""
+    """Return ``(draw, generic_rank)`` for a spectrum kind."""
     ne, k, nj, mbar, t, tp = cfg.N_E, cfg.K, cfg.N_J, cfg.mbar, cfg.T, cfg.t_prime
-    beta = math.sqrt(cfg.beta2)
 
     if kind is SvKind.JOINT:
         if t < mbar:
             raise ValueError(f"JOINT needs T >= K + N_J = {mbar}, got T={t}")
 
         def draw(rng):
-            left = _scaled_left(cfg, ne, rng)
-            return left @ _bartlett_factor(mbar, t, rng)
+            return _scaled_left(cfg, rng) @ _bartlett_factor(mbar, t, rng)
 
-        return draw, (ne, mbar), min(mbar, ne)
+        return draw, min(mbar, ne)
 
-    if kind is SvKind.AN_TAIL:
+    # Noise-part channel rows and Bartlett degrees of freedom per AN product.
+    an_blocks = {
+        SvKind.AN_TAIL: (ne, t - k, "T - K"),
+        SvKind.AN_EXCESS: (ne - k, tp, "t_prime"),
+        SvKind.AN_POST: (ne, tp, "t_prime"),
+    }
+    if kind in an_blocks:
+        rows, dof, dof_name = an_blocks[kind]
         if nj == 0:
-            return None, (ne, 0), 0
-        if t - k < nj:
-            raise ValueError(f"AN_TAIL needs T - K >= N_J = {nj}, got T - K = {t - k}")
+            return None, 0
+        if rows <= 0:
+            raise ValueError(f"{kind.name} needs N_E > K, got N_E={ne}, K={k}")
+        if dof < nj:
+            raise ValueError(
+                f"{kind.name} needs {dof_name} >= N_J = {nj}, got {dof_name} = {dof}"
+            )
+        beta = math.sqrt(cfg.beta2)
 
         def draw(rng):
-            left = beta * sample_gaussian(ne, nj, 1.0, rng)
-            return left @ _bartlett_factor(nj, t - k, rng)
+            left = beta * sample_gaussian(rows, nj, 1.0, rng)
+            return left @ _bartlett_factor(nj, dof, rng)
 
-        return draw, (ne, nj), min(nj, ne)
-
-    if kind is SvKind.AN_EXCESS:
-        if nj == 0:
-            return None, (max(ne - k, 0), 0), 0
-        if ne <= k:
-            raise ValueError(f"AN_EXCESS needs N_E > K, got N_E={ne}, K={k}")
-        if tp < nj:
-            raise ValueError(f"AN_EXCESS needs t_prime >= N_J = {nj}, got {tp}")
-
-        def draw(rng):
-            left = beta * sample_gaussian(ne - k, nj, 1.0, rng)
-            return left @ _bartlett_factor(nj, tp, rng)
-
-        return draw, (ne - k, nj), min(nj, ne - k)
-
-    if kind is SvKind.AN_POST:
-        if nj == 0:
-            return None, (ne, 0), 0
-        if tp < nj:
-            raise ValueError(f"AN_POST needs t_prime >= N_J = {nj}, got {tp}")
-
-        def draw(rng):
-            left = beta * sample_gaussian(ne, nj, 1.0, rng)
-            return left @ _bartlett_factor(nj, tp, rng)
-
-        return draw, (ne, nj), min(nj, ne)
+        return draw, min(nj, rows)
 
     if kind is SvKind.DATA:
         alpha = math.sqrt(cfg.alpha2)
@@ -354,18 +358,18 @@ def _product_sampler(kind: SvKind, cfg: SystemConfig):
         def draw(rng):
             return alpha * sample_gaussian(ne, k, 1.0, rng)
 
-        return draw, (ne, k), min(ne, k)
+        return draw, min(ne, k)
 
     if kind is SvKind.AN_INPUT:
         if nj == 0:
-            return None, (0, tp), 0
+            return None, 0
         if tp < 1:
             raise ValueError(f"AN_INPUT needs t_prime >= 1, got {tp}")
 
         def draw(rng):
             return sample_gaussian(nj, tp, 1.0, rng)
 
-        return draw, (nj, tp), min(nj, tp)
+        return draw, min(nj, tp)
 
     raise ValueError(f"unknown kind {kind!r}")
 
@@ -386,19 +390,15 @@ def ergodic_leakage(
     """
     _check_run_args(trials, seed, workers)
     s2 = _check_sigma(sigma_z2)
-    k = cfg.K
 
-    def batch(start: int, count: int) -> np.ndarray:
-        gbar = np.empty((count, cfg.N_E, cfg.mbar), dtype=np.complex128)
-        for i in range(count):
-            gbar[i] = _scaled_left(cfg, cfg.N_E, _trial_rng(seed, _TAG_ERGODIC, start + i))
-        sq_full = squared_singular_values(gbar)
-        sq_an = squared_singular_values(gbar[:, :, k:])
-        full = np.sum(np.log1p(sq_full / s2), axis=1)
+    def reduce(gbar: np.ndarray) -> np.ndarray:
+        full = np.sum(np.log1p(squared_singular_values(gbar) / s2), axis=1)
+        sq_an = squared_singular_values(gbar[:, :, cfg.K :])
         an = np.sum(np.log1p(sq_an / s2), axis=1) if sq_an.shape[1] else 0.0
         return (full - an) / _LN2
 
-    return _summarize(_collect(trials, batch, workers))
+    draw = partial(_scaled_left, cfg)
+    return _run_trials(_TAG_ERGODIC, trials, seed, workers, draw, reduce)
 
 
 def ergodic_constant(
@@ -418,20 +418,15 @@ def ergodic_constant(
     r_full = min(cfg.mbar, cfg.N_E)
     r_an = min(cfg.N_J, cfg.N_E)
 
-    def batch(start: int, count: int) -> np.ndarray:
-        gbar = np.empty((count, cfg.N_E, cfg.mbar), dtype=np.complex128)
-        for i in range(count):
-            gbar[i] = _scaled_left(
-                cfg, cfg.N_E, _trial_rng(seed, _TAG_ERGODIC_CONST, start + i)
-            )
+    def reduce(gbar: np.ndarray) -> np.ndarray:
         full = _log_sv_values(squared_singular_values(gbar), r_full)
         if r_an:
-            an = _log_sv_values(squared_singular_values(gbar[:, :, cfg.K :]), r_an)
-        else:
-            an = 0.0
-        return (full - an) / _LN2
+            sq_an = squared_singular_values(gbar[:, :, cfg.K :])
+            full = full - _log_sv_values(sq_an, r_an)
+        return full / _LN2
 
-    return _summarize(_collect(trials, batch, workers))
+    draw = partial(_scaled_left, cfg)
+    return _run_trials(_TAG_ERGODIC_CONST, trials, seed, workers, draw, reduce)
 
 
 def universal_constant(
@@ -461,23 +456,22 @@ def universal_constant(
     coeff = max(0.0, 1.0 - nj / tp)
     m_small = min(nj, tp)
 
-    def batch(start: int, count: int) -> np.ndarray:
-        g1 = np.empty((count, ne, k), dtype=np.complex128)
-        nfac = np.empty((count, m_small, m_small), dtype=np.complex128)
-        for i in range(count):
-            rng = _trial_rng(seed, _TAG_UNIVERSAL, start + i)
-            g1[i] = alpha * sample_gaussian(ne, k, 1.0, rng)
-            if m_small:
-                nfac[i] = _bartlett_factor(m_small, max(nj, tp), rng)
+    def draw(rng):
+        g1 = alpha * sample_gaussian(ne, k, 1.0, rng)
+        if not m_small:
+            return g1
+        return g1, _bartlett_factor(m_small, max(nj, tp), rng)
+
+    def reduce(g1: np.ndarray, nfac: np.ndarray | None = None) -> np.ndarray:
         sq_g = squared_singular_values(g1)
         vals = coeff * np.sum(np.log(sq_g + s2), axis=1)
-        if m_small:
+        if nfac is not None:
             sq_n = squared_singular_values(nfac)
             denom = cfg.beta2 * sq_n[:, :, None] + s2
             vals = vals + np.sum(np.log1p(sq_g[:, None, :] / denom), axis=(1, 2)) / tp
         return vals / _LN2
 
-    return _summarize(_collect(trials, batch, workers))
+    return _run_trials(_TAG_UNIVERSAL, trials, seed, workers, draw, reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +535,7 @@ def sv_split_check(
     reference = []
     for i in range(trials):
         rng = _trial_rng(seed, _TAG_SPLIT, i)
-        gbar = _scaled_left(cfg, ne, rng)
+        gbar = _scaled_left(cfg, rng)
         xbar = sample_gaussian(mbar, t, 1.0, rng)
         z = sample_gaussian(ne, t, s2, rng)
         prod = gbar @ xbar

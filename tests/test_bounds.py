@@ -336,3 +336,15 @@ def test_secrecy_from_config_is_reproducible():
     su = leakage_pair(cfg, mc)
     mu = leakage_pair(single_stream_view(cfg), mc)
     assert rates == secrecy_rates(cfg, su, mu, cfg.snr_e_db, cfg.snr_l_db)
+
+
+@pytest.mark.parametrize("snr_db", [-20.0, 30.0])
+def test_universal_bound_lies_below_the_known_channel_leakage(snr_db):
+    # The universal bound covers an eavesdropper that knows G1 and the AN
+    # symbols but not the AN channel.  It is no bound on the known-channel
+    # leakage: on the flagship dimensions with T = 64 it lies below it.
+    cfg = balanced_config(M=64, K=16, N_E=64, N_J=48, T=64)
+    uni = universal_upper(cfg, snr_db, MonteCarlo(trials=500, seed=0))
+    erg = ergodic_leakage(cfg, 10.0 ** (-snr_db / 10.0), trials=500, seed=0)
+    band = 4.0 * math.hypot(uni.std_error, erg.std_error)
+    assert erg.mean - uni.mean > band, (uni, erg, band)

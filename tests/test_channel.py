@@ -13,11 +13,9 @@ from anleak import (
     balanced_config,
     check_effective_distributions,
     exact_transmit_power,
-    received_signals,
     sample_realization,
     single_stream_view,
     transmit_signal,
-    transmit_signal_aff,
 )
 from anleak.linalg import sample_gaussian
 
@@ -178,39 +176,6 @@ def test_transmit_signal_validates_symbol_blocks(cfg, rng):
         transmit_signal(cfg, real, s[:3], sample_gaussian(12, 10, 1.0, rng))
     with pytest.raises(ValueError):
         transmit_signal(cfg, real, s, sample_gaussian(11, 10, 1.0, rng))
-
-
-def test_transmit_signal_aff_is_power_preserving(cfg, rng):
-    s = sample_gaussian(4, 16, 1.0, rng)
-    n = sample_gaussian(12, 16, 1.0, rng)
-    real = sample_realization(cfg, rng)
-    plain = transmit_signal(cfg, real, s, n)
-    mixed = transmit_signal_aff(cfg, real, s, n, rng)
-    assert mixed.shape == plain.shape
-    assert not np.allclose(mixed, plain)
-    # Users still see clean streams: the re-randomized noise stays in the
-    # null space.
-    assert real.h @ mixed == pytest.approx(math.sqrt(cfg.alpha2 * 16) * s, abs=1e-9)
-    # Unitary mixing cannot change any column's transmit power: the data
-    # and noise parts are orthogonal blocks and the mixer is norm-preserving.
-    assert np.linalg.norm(mixed, axis=0) == pytest.approx(
-        np.linalg.norm(plain, axis=0), rel=1e-10
-    )
-
-
-def test_received_signals_noise_floors(rng):
-    cfg = balanced_config(
-        M=16, K=4, N_E=8, N_J=12, T=48, snr_e_db=20.0, snr_l_db=10.0
-    )
-    real = sample_realization(cfg, rng)
-    x = np.zeros((16, 2000), dtype=np.complex128)
-    y_user, y_eve = received_signals(cfg, real, x, rng)
-    assert y_user.shape == (4, 2000)
-    assert y_eve.shape == (8, 2000)
-    assert np.mean(np.abs(y_user) ** 2) == pytest.approx(0.1, rel=0.05)
-    assert np.mean(np.abs(y_eve) ** 2) == pytest.approx(0.01, rel=0.05)
-    with pytest.raises(ValueError):
-        received_signals(cfg, real, np.zeros((15, 4)), rng)
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,41 @@ def test_bounds_command_prints_the_point(tmp_path, capsys):
     assert "entropy_gap" not in out  # not a fully-loaded unit-power point
 
 
+def test_bounds_header_names_the_trials_source_and_seed(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, make_entries(trials=None))
+    assert main(["bounds", path, "--trials", "150"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "# anleak bounds trials=150 trials_source=flag seed=1"
+    monkeypatch.setenv("ANLEAK_TRIALS", "120")
+    assert main(["bounds", path, "--seed", "4"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "# anleak bounds trials=120 trials_source=env:ANLEAK_TRIALS seed=4"
+
+
+def test_bounds_reports_a_short_block_like_the_sweep(tmp_path, capsys):
+    # T = 2 leaves t' = 0 post-training symbols; the sweep codes this
+    # point as precondition:Tprime<1, and bounds must not abort on it.
+    path = write_config(tmp_path, make_entries(T="2"))
+    assert main(["bounds", path, "--trials", "50"]) == 0
+    out = capsys.readouterr().out
+    assert "universal_skipped=precondition:Tprime<1" in out
+    assert "partial_skipped=precondition:NE<Mbar" in out
+    assert "secrecy_su_skipped=precondition:T<Mbar" in out
+    spec = build_sweep_spec(make_entries(T="2", metrics="universal"), trials=50)
+    assert run_sweep(spec)[0].reason == "precondition:Tprime<1"
+
+
+@pytest.mark.parametrize(
+    "flags", [["--trials", "1"], ["--seed", "-1"], ["--workers", "0"]]
+)
+def test_bounds_rejects_bad_run_args_before_printing(tmp_path, capsys, flags):
+    path = write_config(tmp_path, BASE)
+    assert main(["bounds", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_bounds_command_reports_gap_when_fully_loaded(tmp_path, capsys):
     entries = make_entries(M="6", K="2", N_E="3", N_J="4", T="12", alpha2="1.0")
     path = write_config(tmp_path, entries)

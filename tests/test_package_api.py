@@ -1,0 +1,40 @@
+"""Package hygiene: the helper modules export nothing the package never calls."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import anleak
+from anleak import channel, linalg
+
+SRC = Path(anleak.__file__).resolve().parent
+
+
+def _names_loaded_by_the_package() -> set[str]:
+    """Names read anywhere in ``src/anleak`` outside their own definition.
+
+    ``__init__.py`` is skipped, because re-exporting a name is not a use
+    of it, and so are reads inside the top-level ``def``/``class`` of the
+    same name, so recursion does not count either.
+    """
+    loaded = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)
+                    and node.id != own
+                ):
+                    loaded.add(node.id)
+    return loaded
+
+
+@pytest.mark.parametrize("module", [linalg, channel], ids=lambda m: m.__name__)
+def test_every_exported_helper_is_used_by_the_package(module):
+    unused = sorted(set(module.__all__) - _names_loaded_by_the_package())
+    assert not unused, f"{module.__name__} exports names nothing loads: {unused}"
