@@ -64,7 +64,6 @@ from .errors import ConfigError
 from .montecarlo import (
     MonteCarlo,
     SvKind,
-    ergodic_leakage,
     expected_log_sv_sum,
     sv_split_check,
 )
@@ -597,8 +596,9 @@ def _check_effective_distributions(seed: int, trials: int) -> CheckResult:
 
 def _check_ergodic_slope(seed: int, trials: int) -> CheckResult:
     cfg = balanced_config(M=64, K=16, N_E=64, N_J=48, T=320)
-    lo = ergodic_leakage(cfg, 10.0 ** (-4.0), trials=trials, seed=seed)
-    hi = ergodic_leakage(cfg, 10.0 ** (-4.3), trials=trials, seed=seed)
+    mc = MonteCarlo(trials=trials, seed=seed)  # one draw for both noise floors
+    lo = mc.ergodic_leakage(cfg, 10.0 ** (-4.0))
+    hi = mc.ergodic_leakage(cfg, 10.0 ** (-4.3))
     slope = (hi.mean - lo.mean) / (0.3 * math.log2(10.0))
     expected = min(max(cfg.N_E - cfg.N_J, 0), cfg.K)
     dev = abs(slope - expected)

@@ -20,9 +20,17 @@ approximation; it cuts the dominant matrix product from ``O(m^2 t)`` to
 ``O(m^3)``.  The split check below deliberately forms explicit products
 instead, so the two routes cross-validate.
 
-Trials whose required smallest singular value collapses below ``1e-14``
-of the largest (squared: ``1e-28``) are excluded from the mean and
-counted in ``McEstimate.excluded``.
+Squared singular values come from ``eigvalsh`` of the Gram matrix, which
+resolves them only to about ``n * eps`` of the largest (``n`` the matrix
+dimension, ``eps = 2.2e-16``); below that a value is roundoff.  Trials
+whose required smallest one falls below ``1e-12`` of the largest, above
+that floor for ``n`` up to a few thousand, are excluded from the mean and
+counted in ``McEstimate.excluded`` (a square ``64 x 64`` Gaussian block
+falls that low with probability about ``2e-8``).
+
+The SNR-dependent estimators draw per-batch spectra no noise floor enters,
+then evaluate a functional such as ``log1p(lambda / s2)`` on each batch;
+`MonteCarlo` caches the draws, so an SNR sweep samples each spectrum once.
 
 Units: ``expected_log_sv_sum`` returns nats (it is compared against
 digamma identities); the leakage-level estimators return bits.
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
@@ -55,7 +63,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _BATCH = 64
-_SQ_FLAG_RTOL = 1e-28  # squared-singular-value exclusion threshold (1e-14^2)
+_SQ_FLAG_RTOL = 1e-12  # relative squared-singular-value floor of the Gram route
 
 # Fixed stream tags: part of the determinism contract, never renumber.
 _TAG_ERGODIC = 7
@@ -137,23 +145,41 @@ _KIND_TAGS = {
 class MonteCarlo:
     """Bundle of sampling parameters reused across estimator calls.
 
-    Repeated calls with equal arguments return identical numbers, so the
-    bound assemblers can call these methods freely without caching.
+    An instance caches its draws for its lifetime: ``log_sv_sum`` keeps its
+    `McEstimate`, ``ergodic_leakage`` and ``universal_constant`` keep their
+    per-batch spectra and apply ``sigma_z2`` on each call.  A key is the
+    stream tag plus the inputs the draw reads (dimensions, Bartlett degrees
+    of freedom, powers), never the SNRs, ``M`` or ``workers``, so a hit
+    returns the module function's numbers.  ``ergodic_constant`` is drawn
+    once per command and not cached.
     """
 
     trials: int = 20000
     seed: int = 0
     workers: int = 1
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _memo(self, key: tuple, draw):
+        if key not in self._cache:
+            self._cache[key] = draw()
+        return self._cache[key]
 
     def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
-        return expected_log_sv_sum(
-            kind, cfg, trials=self.trials, seed=self.seed, workers=self.workers
+        inputs = _product_sampler(kind, cfg)[0]
+        return self._memo(
+            (_KIND_TAGS[kind], *inputs),
+            lambda: expected_log_sv_sum(
+                kind, cfg, trials=self.trials, seed=self.seed, workers=self.workers
+            ),
         )
 
     def ergodic_leakage(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
-        return ergodic_leakage(
-            cfg, sigma_z2, trials=self.trials, seed=self.seed, workers=self.workers
+        s2 = _check_sigma(sigma_z2)
+        spectra = self._memo(
+            (_TAG_ERGODIC, *_left_inputs(cfg)),
+            lambda: _ergodic_spectra(cfg, self.trials, self.seed, self.workers),
         )
+        return _summarize([_ergodic_values(s2, *b) for b in spectra])
 
     def ergodic_constant(self, cfg: SystemConfig) -> McEstimate:
         return ergodic_constant(
@@ -161,9 +187,14 @@ class MonteCarlo:
         )
 
     def universal_constant(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
-        return universal_constant(
-            cfg, sigma_z2, trials=self.trials, seed=self.seed, workers=self.workers
+        s2 = _check_sigma(sigma_z2)
+        # The draw reads the data-part channel and the t' noise block only.
+        inputs = (cfg.N_E, cfg.K, cfg.N_J, cfg.t_prime, cfg.alpha2)
+        spectra = self._memo(
+            (_TAG_UNIVERSAL, *inputs),
+            lambda: _universal_spectra(cfg, self.trials, self.seed, self.workers),
         )
+        return _summarize([_universal_values(cfg, s2, *b) for b in spectra])
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +215,14 @@ def _check_run_args(trials: int, seed: int, workers: int) -> None:
         raise ValueError(f"need integer workers >= 1, got {workers!r}")
 
 
-def _run_trials(
-    tag: int, trials: int, seed: int, workers: int, draw, reduce
-) -> McEstimate:
-    """Draw seeded trials, reduce them batch by batch, summarize.
+def _run_trials(tag: int, trials: int, seed: int, workers: int, draw, reduce) -> list:
+    """Draw seeded trials and reduce them batch by batch, in trial order.
 
     Trial ``i`` is ``draw(_trial_rng(seed, tag, i))``: one array or a tuple
     of arrays.  Each batch of ``_BATCH`` trials is stacked array by array
     (written straight into preallocated stacks, so a batch is held once),
-    ``reduce(*stacks)`` returns one value per trial, and the values are
-    concatenated in trial order; workers only partition the batches.
+    and the list of ``reduce(*stacks)`` results, per-trial values or
+    spectra, is returned; workers only partition the batches.
     """
 
     def batch(start: int) -> np.ndarray:
@@ -211,14 +240,14 @@ def _run_trials(
 
     starts = range(0, trials, _BATCH)
     if workers == 1:
-        parts = [batch(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(batch, starts))
-    return _summarize(np.concatenate(parts))
+        return [batch(s) for s in starts]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(batch, starts))
 
 
-def _summarize(values: np.ndarray) -> McEstimate:
+def _summarize(batches: list[np.ndarray]) -> McEstimate:
+    """Mean and standard error of per-batch trial values, NaNs excluded."""
+    values = np.concatenate(batches)
     bad = ~np.isfinite(values)
     excluded = int(bad.sum())
     vals = values[~bad]
@@ -278,6 +307,11 @@ def _scaled_left(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     return z * scales
 
 
+def _left_inputs(cfg: SystemConfig) -> tuple:
+    """The configuration fields `_scaled_left` reads."""
+    return cfg.N_E, cfg.K, cfg.N_J, cfg.alpha2, cfg.beta2
+
+
 # ---------------------------------------------------------------------------
 # Estimators
 # ---------------------------------------------------------------------------
@@ -305,18 +339,19 @@ def expected_log_sv_sum(
     _check_run_args(trials, seed, workers)
     if not isinstance(kind, SvKind):
         raise ValueError(f"kind must be an SvKind, got {kind!r}")
-    draw, r = _product_sampler(kind, cfg)
+    _, draw, r = _product_sampler(kind, cfg)
     if r == 0:
         return McEstimate(0.0, 0.0, trials, 0)
 
     def reduce(prods: np.ndarray) -> np.ndarray:
         return _log_sv_values(squared_singular_values(prods), r)
 
-    return _run_trials(_KIND_TAGS[kind], trials, seed, workers, draw, reduce)
+    return _summarize(_run_trials(_KIND_TAGS[kind], trials, seed, workers, draw, reduce))
 
 
 def _product_sampler(kind: SvKind, cfg: SystemConfig):
-    """Return ``(draw, generic_rank)`` for a spectrum kind."""
+    """Return ``(inputs, draw, generic_rank)``; ``inputs`` holds every value
+    ``draw`` and the rank read, so equal ``inputs`` mean equal spectra."""
     ne, k, nj, mbar, t, tp = cfg.N_E, cfg.K, cfg.N_J, cfg.mbar, cfg.T, cfg.t_prime
 
     if kind is SvKind.JOINT:
@@ -326,7 +361,7 @@ def _product_sampler(kind: SvKind, cfg: SystemConfig):
         def draw(rng):
             return _scaled_left(cfg, rng) @ _bartlett_factor(mbar, t, rng)
 
-        return draw, min(mbar, ne)
+        return (*_left_inputs(cfg), t), draw, min(mbar, ne)
 
     # Noise-part channel rows and Bartlett degrees of freedom per AN product.
     an_blocks = {
@@ -336,8 +371,9 @@ def _product_sampler(kind: SvKind, cfg: SystemConfig):
     }
     if kind in an_blocks:
         rows, dof, dof_name = an_blocks[kind]
+        inputs = (rows, nj, dof, cfg.beta2)
         if nj == 0:
-            return None, 0
+            return inputs, None, 0
         if rows <= 0:
             raise ValueError(f"{kind.name} needs N_E > K, got N_E={ne}, K={k}")
         if dof < nj:
@@ -350,7 +386,7 @@ def _product_sampler(kind: SvKind, cfg: SystemConfig):
             left = beta * sample_gaussian(rows, nj, 1.0, rng)
             return left @ _bartlett_factor(nj, dof, rng)
 
-        return draw, min(nj, rows)
+        return inputs, draw, min(nj, rows)
 
     if kind is SvKind.DATA:
         alpha = math.sqrt(cfg.alpha2)
@@ -358,18 +394,18 @@ def _product_sampler(kind: SvKind, cfg: SystemConfig):
         def draw(rng):
             return alpha * sample_gaussian(ne, k, 1.0, rng)
 
-        return draw, min(ne, k)
+        return (ne, k, cfg.alpha2), draw, min(ne, k)
 
     if kind is SvKind.AN_INPUT:
         if nj == 0:
-            return None, 0
+            return (nj, tp), None, 0
         if tp < 1:
             raise ValueError(f"AN_INPUT needs t_prime >= 1, got {tp}")
 
         def draw(rng):
             return sample_gaussian(nj, tp, 1.0, rng)
 
-        return draw, min(nj, tp)
+        return (nj, tp), draw, min(nj, tp)
 
     raise ValueError(f"unknown kind {kind!r}")
 
@@ -388,17 +424,27 @@ def ergodic_leakage(
     ``Gbar`` the ``N_E x (K + N_J)`` effective channel and ``G2`` its
     noise-part columns.  ``T`` plays no role here.
     """
-    _check_run_args(trials, seed, workers)
     s2 = _check_sigma(sigma_z2)
+    spectra = _ergodic_spectra(cfg, trials, seed, workers)
+    return _summarize([_ergodic_values(s2, *b) for b in spectra])
 
-    def reduce(gbar: np.ndarray) -> np.ndarray:
-        full = np.sum(np.log1p(squared_singular_values(gbar) / s2), axis=1)
-        sq_an = squared_singular_values(gbar[:, :, cfg.K :])
-        an = np.sum(np.log1p(sq_an / s2), axis=1) if sq_an.shape[1] else 0.0
-        return (full - an) / _LN2
+
+def _ergodic_spectra(cfg: SystemConfig, trials: int, seed: int, workers: int) -> list:
+    """Per-batch ``(sq_full, sq_an)``: squared singular values of ``Gbar`` and ``G2``."""
+    _check_run_args(trials, seed, workers)
+
+    def reduce(gbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return squared_singular_values(gbar), squared_singular_values(gbar[:, :, cfg.K :])
 
     draw = partial(_scaled_left, cfg)
     return _run_trials(_TAG_ERGODIC, trials, seed, workers, draw, reduce)
+
+
+def _ergodic_values(s2: float, sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
+    """Per-trial ergodic leakage in bits from one batch of spectra."""
+    full = np.sum(np.log1p(sq_full / s2), axis=1)
+    an = np.sum(np.log1p(sq_an / s2), axis=1) if sq_an.shape[1] else 0.0
+    return (full - an) / _LN2
 
 
 def ergodic_constant(
@@ -426,7 +472,7 @@ def ergodic_constant(
         return full / _LN2
 
     draw = partial(_scaled_left, cfg)
-    return _run_trials(_TAG_ERGODIC_CONST, trials, seed, workers, draw, reduce)
+    return _summarize(_run_trials(_TAG_ERGODIC_CONST, trials, seed, workers, draw, reduce))
 
 
 def universal_constant(
@@ -447,13 +493,19 @@ def universal_constant(
 
     The data-part channel is drawn before the noise-block factor.
     """
-    _check_run_args(trials, seed, workers)
     s2 = _check_sigma(sigma_z2)
+    spectra = _universal_spectra(cfg, trials, seed, workers)
+    return _summarize([_universal_values(cfg, s2, *b) for b in spectra])
+
+
+def _universal_spectra(cfg: SystemConfig, trials: int, seed: int, workers: int) -> list:
+    """Per-batch ``(sq_g, sq_n)``: squared singular values of ``G1`` and the
+    unit noise block (``sq_n`` is None when ``N_J = 0``)."""
+    _check_run_args(trials, seed, workers)
     ne, k, nj, tp = cfg.N_E, cfg.K, cfg.N_J, cfg.t_prime
     if tp < 1:
         raise ValueError(f"universal constant needs t_prime >= 1, got {tp}")
     alpha = math.sqrt(cfg.alpha2)
-    coeff = max(0.0, 1.0 - nj / tp)
     m_small = min(nj, tp)
 
     def draw(rng):
@@ -462,16 +514,23 @@ def universal_constant(
             return g1
         return g1, _bartlett_factor(m_small, max(nj, tp), rng)
 
-    def reduce(g1: np.ndarray, nfac: np.ndarray | None = None) -> np.ndarray:
-        sq_g = squared_singular_values(g1)
-        vals = coeff * np.sum(np.log(sq_g + s2), axis=1)
-        if nfac is not None:
-            sq_n = squared_singular_values(nfac)
-            denom = cfg.beta2 * sq_n[:, :, None] + s2
-            vals = vals + np.sum(np.log1p(sq_g[:, None, :] / denom), axis=(1, 2)) / tp
-        return vals / _LN2
+    def reduce(g1: np.ndarray, nfac: np.ndarray | None = None) -> tuple:
+        sq_n = None if nfac is None else squared_singular_values(nfac)
+        return squared_singular_values(g1), sq_n
 
     return _run_trials(_TAG_UNIVERSAL, trials, seed, workers, draw, reduce)
+
+
+def _universal_values(
+    cfg: SystemConfig, s2: float, sq_g: np.ndarray, sq_n: np.ndarray | None
+) -> np.ndarray:
+    """Per-trial universal constant in bits from one batch of spectra."""
+    tp = cfg.t_prime
+    vals = max(0.0, 1.0 - cfg.N_J / tp) * np.sum(np.log(sq_g + s2), axis=1)
+    if sq_n is not None:
+        denom = cfg.beta2 * sq_n[:, :, None] + s2
+        vals = vals + np.sum(np.log1p(sq_g[:, None, :] / denom), axis=(1, 2)) / tp
+    return vals / _LN2
 
 
 # ---------------------------------------------------------------------------

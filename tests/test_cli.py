@@ -283,12 +283,33 @@ def test_worker_count_never_changes_the_rows():
     assert one.getvalue() == four.getvalue()
 
 
+FLAGSHIP = {"M": "64", "K": "16", "N_E": "64", "N_J": "48", "T": "320"}
+
+
+def test_snr_sweep_draws_each_spectrum_once(draw_counts):
+    # No draw reads the SNR, so one MonteCarlo per sweep samples the
+    # flagship's six spectrum kinds (JOINT and AN_TAIL for the joint and the
+    # single-stream view, AN_EXCESS and AN_POST), the ergodic channel and
+    # the universal pair once, not once per point.
+    entries = {**FLAGSHIP, "axis": "snr_e_db", "values": "0,10,20,30,40"}
+    rows = run_sweep(build_sweep_spec(entries, trials=4))
+    assert len(rows) == 5 * len(METRICS)
+    assert draw_counts == {"log_sv": 6, "ergodic": 1, "universal": 1}
+
+
+def test_bounds_draws_each_spectrum_once(tmp_path, capsys, draw_counts):
+    path = write_config(tmp_path, FLAGSHIP)
+    assert main(["bounds", path, "--trials", "4"]) == 0
+    assert "universal=" in capsys.readouterr().out
+    assert draw_counts == {"log_sv": 6, "ergodic": 1, "universal": 1}
+
+
 # ---------------------------------------------------------------------------
 # Validation suite
 # ---------------------------------------------------------------------------
 
 
-def test_validation_passes_and_is_reproducible():
+def test_validation_passes_and_is_reproducible(draw_counts):
     report = run_validation(trials=300)
     names = [c.name for c in report.checks]
     assert names == [
@@ -302,6 +323,8 @@ def test_validation_passes_and_is_reproducible():
     ]
     assert report.passed, [c.detail for c in report.checks if not c.passed]
     assert run_validation(trials=300) == report
+    # The slope check reads both noise floors off one channel draw per run.
+    assert draw_counts["ergodic"] == 2
 
 
 def test_validation_rejects_tiny_runs():

@@ -1,7 +1,9 @@
 """Monte Carlo spectrum estimators against closed forms and direct sampling."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import exp1
@@ -21,7 +23,7 @@ from anleak import (
     universal_constant,
 )
 from anleak.linalg import sample_gaussian, squared_singular_values
-from anleak.montecarlo import _log_sv_values
+from anleak.montecarlo import _log_sv_values, _summarize
 
 ONE_STREAM = SystemConfig(M=2, K=1, N_E=1, N_J=0, T=2, alpha2=1.0, beta2=0.0)
 
@@ -178,6 +180,82 @@ def test_monte_carlo_bundle_forwards_parameters():
     )
 
 
+# ---------------------------------------------------------------------------
+# MonteCarlo's draw cache
+# ---------------------------------------------------------------------------
+
+# Valid for every SvKind and for the universal constant (T >= K + N_J,
+# t' >= N_J, N_E > K), with unequal powers so neither drops out of a key.
+CACHE_CFG = SystemConfig(M=8, K=2, N_E=4, N_J=3, T=12, alpha2=1.5, beta2=0.7)
+CACHE_RUN = dict(trials=150, seed=4)  # three batches, the last one short
+
+
+def _through(mc, cfg, s2):
+    """Every cached estimate of ``mc`` at ``cfg`` and noise floor ``s2``."""
+    out = {kind: mc.log_sv_sum(kind, cfg) for kind in SvKind}
+    out["ergodic"] = mc.ergodic_leakage(cfg, s2)
+    out["universal"] = mc.universal_constant(cfg, s2)
+    return out
+
+
+def _uncached(cfg, s2, workers):
+    out = {
+        kind: expected_log_sv_sum(kind, cfg, workers=workers, **CACHE_RUN)
+        for kind in SvKind
+    }
+    out["ergodic"] = ergodic_leakage(cfg, s2, workers=workers, **CACHE_RUN)
+    out["universal"] = universal_constant(cfg, s2, workers=workers, **CACHE_RUN)
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cached_estimates_equal_the_module_functions(workers):
+    mc = MonteCarlo(workers=workers, **CACHE_RUN)
+    first = _through(mc, CACHE_CFG, 1.0)
+    assert first == _uncached(CACHE_CFG, 1.0, workers)
+    assert _through(mc, CACHE_CFG, 1.0) == first
+    snrs = (-20.0, 10.0, 40.0)
+    for order in (snrs, snrs[::-1]):
+        mc = MonteCarlo(workers=workers, **CACHE_RUN)
+        for snr in order:
+            cfg = dataclasses.replace(CACHE_CFG, snr_e_db=snr)
+            assert _through(mc, cfg, cfg.sigma_z2) == _uncached(
+                cfg, cfg.sigma_z2, workers
+            )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(N_E=5),
+        dict(K=1),
+        dict(N_J=2),
+        dict(T=14),
+        dict(t_prime_override=7),
+        dict(alpha2=1.2),
+        dict(beta2=0.9),
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_cache_key_covers_every_field_a_draw_reads(change):
+    # A field missing from a key would hand back the first configuration's
+    # numbers for the second.
+    mc = MonteCarlo(**CACHE_RUN)
+    before = _through(mc, CACHE_CFG, 1.0)
+    cfg = dataclasses.replace(CACHE_CFG, **change)
+    after = _through(mc, cfg, 1.0)
+    assert after == _through(MonteCarlo(**CACHE_RUN), cfg, 1.0)
+    assert after != before
+
+
+def test_snr_changes_reuse_the_cached_draws(draw_counts):
+    mc = MonteCarlo(**CACHE_RUN)
+    for snr_e, snr_l in ((30.0, 30.0), (-20.0, 30.0), (40.0, 10.0)):
+        cfg = dataclasses.replace(CACHE_CFG, snr_e_db=snr_e, snr_l_db=snr_l)
+        _through(mc, cfg, cfg.sigma_z2)
+    assert draw_counts == {"log_sv": len(SvKind), "ergodic": 1, "universal": 1}
+
+
 def test_rank_zero_spectra_short_circuit():
     cfg = balanced_config(M=8, K=2, N_E=3, N_J=0, T=16)
     for kind in (SvKind.AN_TAIL, SvKind.AN_POST, SvKind.AN_EXCESS, SvKind.AN_INPUT):
@@ -229,6 +307,20 @@ def test_degenerate_rows_become_nan():
     assert vals[0] == pytest.approx(math.log(4.0))
     assert math.isnan(vals[1])
     assert vals[2] == pytest.approx(math.log(2.0))
+
+
+def test_roundoff_level_spectra_are_excluded():
+    # This product is exact in floating point and its true squared
+    # singular-value ratio is 3.1e-33, far below what the Gram route
+    # resolves: it returns roundoff for the small value, not zero, and that
+    # roundoff must be excluded rather than averaged as a log.
+    near = np.array([[1.0, 0.0], [1.0, 1.0]]) @ np.array([[1.0, 1.0], [0.0, 2.0**-52]])
+    true = mpmath.svd_r(mpmath.matrix(near.tolist()), compute_uv=False)
+    assert float((true[1] / true[0]) ** 2) < 1e-32
+    sq = squared_singular_values(np.stack([np.eye(2), near, 2.0 * np.eye(2)]))
+    assert 0.0 < sq[1, 1] / sq[1, 0] < 1e-12
+    est = _summarize([_log_sv_values(sq, 2)])
+    assert (est.trials, est.excluded) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
