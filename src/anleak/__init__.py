@@ -41,7 +41,7 @@ from .channel import (
     single_stream_view,
     transmit_signal,
 )
-from .errors import AnleakError, ConfigError, DegenerateChannelError
+from .errors import AnleakError, ConfigError, DegenerateChannelError, NotApplicable
 from .montecarlo import (
     McEstimate,
     MonteCarlo,
@@ -76,6 +76,7 @@ __all__ = [
     "AnleakError",
     "ConfigError",
     "DegenerateChannelError",
+    "NotApplicable",
     # channel
     "SystemConfig",
     "balanced_config",

@@ -21,6 +21,9 @@ below (8.55 vs 8.78 bits at ``T = 64`` and -20 dB on the flagship
 dimensions).  It tends to the known-channel data-part rate only in the
 limit of low eavesdropper SNR.
 
+Every applicability rule lives in one table, `_RULES`; a bound whose rule
+fails at a configuration raises `NotApplicable` carrying the rule's code.
+
 The sampled expectation terms shared by an upper/lower constant pair are
 estimated from the *same* draws, so the pair's gap is deterministic and
 the ``c_lower <= c_upper`` invariant holds exactly, not just on average.
@@ -35,6 +38,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .channel import SystemConfig, single_stream_view
+from .errors import NotApplicable
 from .montecarlo import McEstimate, MonteCarlo, SvKind
 from .special import EULER_GAMMA, digamma, log_grassmann_volume
 
@@ -52,6 +56,9 @@ __all__ = [
     "partial_coherent_bounds",
     "leakage_pair",
     "legitimate_rate",
+    "require_applicable",
+    "joint_secrecy",
+    "stream_secrecy",
     "secrecy_rates",
     "secrecy_from_config",
 ]
@@ -59,6 +66,35 @@ __all__ = [
 _LN2 = math.log(2.0)
 _LN_PI_E = math.log(math.pi) + 1.0
 _BALANCE_TOL = 1e-9
+
+# Applicability rules, checked in order so the first failure names the code:
+# (reason code, fails(cfg), what is needed, formatted with the config as c).
+_TPRIME = ("precondition:Tprime<1", lambda c: c.t_prime < 1, "t' >= 1, got {c.t_prime}")
+_LOADED = (
+    ("precondition:Mbar!=M", lambda c: c.mbar != c.M, "K + N_J = M = {c.M}, got {c.mbar}"),
+    (
+        "precondition:power!=1",
+        lambda c: abs(c.alpha2 - 1.0) > _BALANCE_TOL
+        or (c.N_J and abs(c.beta2 - 1.0) > _BALANCE_TOL),
+        "unit powers alpha2 = beta2 = 1",
+    ),
+)
+_NOISE = ("precondition:beta2=0", lambda c: not c.N_J or c.beta2 <= 0.0, "N_J >= 1, beta2 > 0")
+_RULES = {
+    "noncoherent": (
+        _NOISE,
+        ("precondition:T<Mbar", lambda c: c.T < c.mbar, "T >= K + N_J = {c.mbar}, got {c.T}"),
+    ),
+    "saturated_fallback": (_NOISE,),  # noncoherent_bounds(..., saturated_fallback=True)
+    "partial": (
+        ("precondition:NE<Mbar", lambda c: c.N_E < c.mbar, "N_E >= {c.mbar}, got {c.N_E}"),
+        _TPRIME,
+        ("precondition:Tprime<NJ", lambda c: c.t_prime < c.N_J, "t' >= N_J, got {c.t_prime}"),
+    ),
+    "universal": (_TPRIME,),
+    "entropy_gap": (*_LOADED, ("precondition:T<M", lambda c: c.T < c.M, "T >= M, got {c.T}")),
+    "saturated_upper": (*_LOADED, ("precondition:T!=M", lambda c: c.T != c.M, "T = M, got {c.T}")),
+}
 
 
 @dataclass(frozen=True)
@@ -90,8 +126,9 @@ class LeakageBounds:
             raise ValueError("constants must be finite")
         tol = 1e-9 * max(1.0, abs(self.c_upper))
         if self.c_lower > self.c_upper + tol:
-            raise ValueError(
-                f"c_lower={self.c_lower!r} exceeds c_upper={self.c_upper!r}"
+            raise NotApplicable(
+                "bracket_inverted",
+                f"c_lower={self.c_lower!r} exceeds c_upper={self.c_upper!r}",
             )
         if self.c_std_error < 0:
             raise ValueError("c_std_error must be >= 0")
@@ -141,6 +178,16 @@ class SecrecyRates:
 # ---------------------------------------------------------------------------
 
 
+def require_applicable(regime: str, cfg: SystemConfig) -> None:
+    """Raise `NotApplicable` at the first rule of ``regime`` (``noncoherent``,
+    ``partial``, ``universal``, ``entropy_gap``, ``saturated_upper``) that
+    ``cfg`` fails; the bounds check themselves, so call this only to test
+    a configuration without evaluating at it."""
+    for code, fails, need in _RULES[regime]:
+        if fails(cfg):
+            raise NotApplicable(code, f"{regime} needs {need.format(c=cfg)}")
+
+
 def ergodic_highsnr(cfg: SystemConfig, mc: MonteCarlo) -> LeakageBounds:
     """High-SNR expansion of the known-channel (ergodic) leakage."""
     c = mc.ergodic_constant(cfg)
@@ -176,38 +223,27 @@ def noncoherent_bounds(
 
     Raises
     ------
-    ValueError
-        If ``beta2`` is zero (the regime's premise needs an active noise
-        subspace), ``T < K + N_J`` without the fallback, or the power
-        ratio ``alpha2/beta2`` is so extreme that the two relaxations
-        cross and no longer bracket anything.
+    NotApplicable
+        ``precondition:beta2=0`` if there is no noise subspace (the
+        regime's premise needs one), ``precondition:T<Mbar`` if
+        ``T < K + N_J`` without the fallback, ``bracket_inverted`` if the
+        power ratio ``alpha2/beta2`` is so extreme that the two
+        relaxations cross and no longer bracket anything.
     """
     ne, k, nj, mbar, t = cfg.N_E, cfg.K, cfg.N_J, cfg.mbar, cfg.T
-    if cfg.beta2 <= 0.0 or nj == 0:
-        raise ValueError("noncoherent bounds need N_J >= 1 and beta2 > 0")
+    require_applicable("saturated_fallback" if saturated_fallback else "noncoherent", cfg)
     if cfg.beta2 != 1.0:
         norm = replace(cfg, alpha2=cfg.alpha2 / cfg.beta2, beta2=1.0)
         base = noncoherent_bounds(norm, mc, saturated_fallback=saturated_fallback)
         shift = base.dof * math.log2(cfg.beta2)
-        return LeakageBounds(
-            dof=base.dof,
-            c_lower=base.c_lower + shift,
-            c_upper=base.c_upper + shift,
-            regime="noncoherent",
-            cfg=cfg,
-            c_std_error=base.c_std_error,
+        return replace(
+            base, c_lower=base.c_lower + shift, c_upper=base.c_upper + shift, cfg=cfg
         )
     if t < mbar:
-        if not saturated_fallback:
-            raise ValueError(
-                f"noncoherent bounds need T >= K + N_J = {mbar}, got T={t}; "
-                "pass saturated_fallback=True for the zero-dof bound"
-            )
-        exact = ne * math.log(t) - (ne / t) * _psi_sum(t, t)
         return LeakageBounds(
             dof=0.0,
             c_lower=0.0,
-            c_upper=exact / _LN2,
+            c_upper=_saturated_pair(ne, t).exact,
             regime="noncoherent",
             cfg=cfg,
         )
@@ -261,10 +297,8 @@ def entropy_gap(cfg: SystemConfig) -> float:
 
     Decreases toward zero as ``T`` grows at fixed dimensions.
     """
-    _require_fully_loaded(cfg, "entropy_gap")
+    require_applicable("entropy_gap", cfg)
     ne, k, nj, m, t = cfg.N_E, cfg.K, cfg.N_J, cfg.M, cfg.T
-    if t < m:
-        raise ValueError(f"entropy_gap needs T >= M = {m}, got T={t}")
     gap = (ne / t) * (m * math.log(t) - _psi_sum(t, m))
     if nj:
         gap += (ne / t) * (nj * math.log(t - k) - _psi_sum(t - k, nj))
@@ -278,11 +312,7 @@ def saturated_upper(cfg: SystemConfig) -> SaturatedBound:
     and its relaxation ``N_E log2(e^gamma T)``; they agree only at
     ``T = 1`` and the exact form is always the smaller.
     """
-    _require_fully_loaded(cfg, "saturated_upper")
-    if cfg.T != cfg.M:
-        raise ValueError(
-            f"saturated_upper needs T = M = {cfg.M}, got T={cfg.T}"
-        )
+    require_applicable("saturated_upper", cfg)
     return _saturated_pair(cfg.N_E, cfg.T)
 
 
@@ -296,8 +326,9 @@ def universal_upper(cfg: SystemConfig, snr_e_db: float, mc: MonteCarlo) -> McEst
     it does not bound the known-channel `ergodic_leakage`.  It never
     exceeds `coherent_data_leakage` (strictly below when ``N_J beta2 > 0``)
     and reaches it only in the low-SNR limit, the gap closing like
-    ``K N_E alpha2 beta2 N_J / (sigma^4 ln 2)``.
+    ``K N_E alpha2 beta2 N_J / (sigma^4 ln 2)``.  Needs ``t' >= 1``.
     """
+    require_applicable("universal", cfg)
     s2 = 10.0 ** (-snr_e_db / 10.0)
     c = mc.universal_constant(cfg, s2)
     slope = min(cfg.N_E, cfg.K) * max(0.0, 1.0 - cfg.N_J / cfg.t_prime)
@@ -324,16 +355,8 @@ def partial_coherent_bounds(cfg: SystemConfig, mc: MonteCarlo) -> LeakageBounds:
     training and faces ``t_prime`` artificial-noise symbols per block.
     Requires ``N_E >= K + N_J`` and ``t_prime >= max(N_J, 1)``.
     """
+    require_applicable("partial", cfg)
     ne, k, nj, tp = cfg.N_E, cfg.K, cfg.N_J, cfg.t_prime
-    if ne < cfg.mbar:
-        raise ValueError(
-            f"partial-coherent bounds need N_E >= K + N_J = {cfg.mbar}, got N_E={ne}"
-        )
-    if tp < max(nj, 1):
-        raise ValueError(
-            f"partial-coherent bounds need t_prime >= max(N_J, 1) = "
-            f"{max(nj, 1)}, got t_prime={tp}"
-        )
     w = 1.0 - nj / tp
     if nj:
         e_excess = mc.log_sv_sum(SvKind.AN_EXCESS, cfg)
@@ -390,6 +413,17 @@ def legitimate_rate(cfg: SystemConfig, snr_l_db: float) -> float:
     return math.log2(1.0 + cfg.M * cfg.alpha2 * 10.0 ** (snr_l_db / 10.0))
 
 
+def joint_secrecy(cfg: SystemConfig, leak: LeakageBounds, snr_e_db, snr_l_db) -> float:
+    """Secrecy sum rate ``(K C - L)^+`` of the block as one joint codeword:
+    ``C`` is `legitimate_rate`, ``L`` the leakage at its upper constant."""
+    return max(0.0, cfg.K * legitimate_rate(cfg, snr_l_db) - leak.rate_at(snr_e_db))
+
+
+def stream_secrecy(cfg: SystemConfig, leak: LeakageBounds, snr_e_db, snr_l_db) -> float:
+    """Per-user secrecy rate ``(C - L)^+``, ``L`` a single-stream leakage."""
+    return max(0.0, legitimate_rate(cfg, snr_l_db) - leak.rate_at(snr_e_db))
+
+
 def secrecy_rates(
     cfg: SystemConfig,
     leakage_su: LeakagePair,
@@ -410,24 +444,15 @@ def secrecy_rates(
     mu_cfg = leakage_mu.noncoherent.cfg
     if mu_cfg.K != 1:
         raise ValueError("leakage_mu must be a single-stream view (K = 1)")
-    if (mu_cfg.M, mu_cfg.N_E, mu_cfg.N_J, mu_cfg.T) != (
-        cfg.M,
-        cfg.N_E,
-        cfg.N_J,
-        cfg.T,
-    ):
+    if (mu_cfg.M, mu_cfg.N_E, mu_cfg.N_J, mu_cfg.T) != (cfg.M, cfg.N_E, cfg.N_J, cfg.T):
         raise ValueError("leakage_mu dimensions disagree with cfg")
     k, t, tp = cfg.K, cfg.T, cfg.t_prime
-    cap = legitimate_rate(cfg, snr_l_db)
-    l_su_n = leakage_su.noncoherent.rate_at(snr_e_db, "upper")
-    l_su_p = leakage_su.partial.rate_at(snr_e_db, "upper")
-    l_mu_n = leakage_mu.noncoherent.rate_at(snr_e_db, "upper")
-    l_mu_p = leakage_mu.partial.rate_at(snr_e_db, "upper")
+    snrs = snr_e_db, snr_l_db
     return SecrecyRates(
-        su_noncoherent=max(0.0, k * cap - l_su_n),
-        su_partial=(tp / t) * max(0.0, k * cap - l_su_p),
-        mu_noncoherent=k * max(0.0, cap - l_mu_n),
-        mu_partial=(k * tp / t) * max(0.0, cap - l_mu_p),
+        su_noncoherent=joint_secrecy(cfg, leakage_su.noncoherent, *snrs),
+        su_partial=(tp / t) * joint_secrecy(cfg, leakage_su.partial, *snrs),
+        mu_noncoherent=k * stream_secrecy(cfg, leakage_mu.noncoherent, *snrs),
+        mu_partial=(k * tp / t) * stream_secrecy(cfg, leakage_mu.partial, *snrs),
     )
 
 
@@ -463,12 +488,3 @@ def _saturated_pair(ne: int, t: int) -> SaturatedBound:
     exact = ne * math.log(t) - (ne / t) * _psi_sum(t, t)
     relaxed = ne * (EULER_GAMMA + math.log(t))
     return SaturatedBound(exact=exact / _LN2, relaxed=relaxed / _LN2)
-
-
-def _require_fully_loaded(cfg: SystemConfig, name: str) -> None:
-    if cfg.mbar != cfg.M:
-        raise ValueError(f"{name} needs K + N_J = M, got {cfg.mbar} != {cfg.M}")
-    if abs(cfg.alpha2 - 1.0) > _BALANCE_TOL or (
-        cfg.N_J and abs(cfg.beta2 - 1.0) > _BALANCE_TOL
-    ):
-        raise ValueError(f"{name} needs unit powers alpha2 = beta2 = 1")

@@ -11,8 +11,8 @@ Subcommands
     Evaluate every regime at a single configuration and print
     ``key=value`` lines after a ``# anleak bounds trials=N
     trials_source=S seed=N`` header.  It reads the same point evaluator
-    as ``sweep``, so an inapplicable regime prints ``KEY_skipped=REASON``
-    with the sweep's reason code.
+    as ``sweep``, so a regime whose rule fails prints ``KEY_skipped=CODE``
+    with the code of the `NotApplicable` that `anleak.bounds` raised.
 ``plan``
     Antenna planning from carrier frequency and user speed.
 ``validate``
@@ -35,6 +35,8 @@ are rejected before any output.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import math
 import os
 import sys
@@ -44,12 +46,13 @@ import numpy as np
 
 from . import special
 from .bounds import (
-    LeakageBounds,
     entropy_gap,
     ergodic_highsnr,
-    legitimate_rate,
+    joint_secrecy,
     noncoherent_bounds,
     partial_coherent_bounds,
+    require_applicable,
+    stream_secrecy,
     universal_upper,
 )
 from .channel import (
@@ -60,7 +63,7 @@ from .channel import (
     exact_transmit_power,
     single_stream_view,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NotApplicable
 from .montecarlo import (
     MonteCarlo,
     SvKind,
@@ -323,68 +326,44 @@ def _resolve_run_args(
 # ---------------------------------------------------------------------------
 
 
-def _precondition(regime: str, cfg: SystemConfig) -> str:
-    """Reason code when a regime does not apply at ``cfg``, else ``""``.
-
-    ``regime`` is ``noncoh``, ``partial`` or ``universal``; the first
-    failed check names the code.
-    """
-    checks = {
-        "noncoh": (
-            (cfg.N_J == 0 or cfg.beta2 <= 0.0, "precondition:beta2=0"),
-            (cfg.T < cfg.mbar, "precondition:T<Mbar"),
-        ),
-        "partial": (
-            (cfg.N_E < cfg.mbar, "precondition:NE<Mbar"),
-            (cfg.t_prime < 1, "precondition:Tprime<1"),
-            (cfg.t_prime < cfg.N_J, "precondition:Tprime<NJ"),
-        ),
-        "universal": ((cfg.t_prime < 1, "precondition:Tprime<1"),),
-    }
-    return next((code for failed, code in checks[regime] if failed), "")
-
-
 class _Point:
-    """One configuration's regime bounds, each built at most once.
+    """One configuration's regime results, each built at most once.
 
     Both ``sweep`` and ``bounds`` evaluate through this class and
-    `evaluate_metric`, so they share one set of preconditions and codes.
+    `evaluate_metric`; a regime that does not apply keeps the reason code
+    of the `NotApplicable` its `anleak.bounds` function raised.
     """
 
     def __init__(self, cfg: SystemConfig, mc: MonteCarlo):
         self.cfg = cfg
         self.mc = mc
-        self._cache: dict[str, tuple[LeakageBounds | None, str]] = {}
+        self.regime = functools.cache(self._build)
 
-    def regime(self, name: str) -> tuple[LeakageBounds | None, str]:
-        """``(bounds, "")`` or ``(None, reason)`` for a regime.
-
-        ``name`` is ``noncoh``, ``noncoh_mu`` (the single-stream view,
-        under the parent's preconditions) or ``partial``.
-        """
-        if name not in self._cache:
-            self._cache[name] = self._build(name)
-        return self._cache[name]
-
-    def _build(self, name: str) -> tuple[LeakageBounds | None, str]:
-        reason = _precondition("partial" if name == "partial" else "noncoh", self.cfg)
-        if reason:
-            return None, reason
-        if name == "partial":
-            return partial_coherent_bounds(self.cfg, self.mc), ""
-        cfg = self.cfg if name == "noncoh" else single_stream_view(self.cfg)
+    def _build(self, name: str) -> tuple:
+        """``(result, "")`` or ``(None, reason)`` for ``noncoh``, ``noncoh_mu``
+        (the single-stream view, under the parent's rules) or ``partial``,
+        whose results are `LeakageBounds`, or ``universal`` (`McEstimate`)."""
+        cfg, mc = self.cfg, self.mc
         try:
-            return noncoherent_bounds(cfg, self.mc), ""
-        except ValueError:
-            return None, "bracket_inverted"
+            if name == "partial":
+                return partial_coherent_bounds(cfg, mc), ""
+            if name == "universal":
+                return universal_upper(cfg, cfg.snr_e_db, mc), ""
+            if name == "noncoh_mu":
+                require_applicable("noncoherent", cfg)
+                cfg = single_stream_view(cfg)
+            return noncoherent_bounds(cfg, mc), ""
+        except NotApplicable as exc:
+            return None, exc.code
 
 
-# Regime behind each bound-derived metric.
+# Regime behind each metric but ``ergodic``.
 _METRIC_REGIMES = {
     "noncoh_lb": "noncoh",
     "noncoh_ub": "noncoh",
     "partial_lb": "partial",
     "partial_ub": "partial",
+    "universal": "universal",
     "secrecy_su": "noncoh",
     "secrecy_mu": "noncoh_mu",
 }
@@ -396,23 +375,18 @@ def evaluate_metric(point: _Point, metric: str) -> tuple[float | None, float | N
     if metric == "ergodic":
         est = point.mc.ergodic_leakage(cfg, cfg.sigma_z2)
         return est.mean, est.std_error, ""
-    if metric == "universal":
-        reason = _precondition("universal", cfg)
-        if reason:
-            return None, None, reason
-        est = universal_upper(cfg, cfg.snr_e_db, point.mc)
-        return est.mean, est.std_error, ""
     if metric not in _METRIC_REGIMES:
         raise ConfigError(f"unknown metric {metric!r}")
     b, reason = point.regime(_METRIC_REGIMES[metric])
     if reason:
         return None, None, reason
-    if metric.startswith("secrecy"):
-        cap = legitimate_rate(cfg, cfg.snr_l_db)
-        leak = b.rate_at(cfg.snr_e_db, "upper")
-        if metric == "secrecy_su":
-            return max(0.0, cfg.K * cap - leak), b.c_std_error, ""
-        return cfg.K * max(0.0, cap - leak), cfg.K * b.c_std_error, ""
+    if metric == "universal":
+        return b.mean, b.std_error, ""
+    snrs = cfg.snr_e_db, cfg.snr_l_db
+    if metric == "secrecy_su":
+        return joint_secrecy(cfg, b, *snrs), b.c_std_error, ""
+    if metric == "secrecy_mu":
+        return cfg.K * stream_secrecy(cfg, b, *snrs), cfg.K * b.c_std_error, ""
     which = "lower" if metric.endswith("_lb") else "upper"
     return b.rate_at(cfg.snr_e_db, which), b.c_std_error, ""
 
@@ -694,7 +668,7 @@ def _cmd_bounds(args) -> int:
     report("universal", with_se=True)
     report("secrecy_su")
     report("secrecy_mu")
-    if cfg.mbar == cfg.M and abs(cfg.alpha2 - 1.0) <= 1e-9 and cfg.T >= cfg.M:
+    with contextlib.suppress(NotApplicable):
         print(f"entropy_gap={entropy_gap(cfg):.9g}")
     return 0
 
@@ -732,24 +706,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="evaluate metrics along an axis, write CSV")
-    p_sweep.add_argument("config", help="key=value config file")
-    p_sweep.add_argument("--trials", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--workers", type=int, default=None)
-    p_sweep.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
-    p_sweep.add_argument(
+    run = argparse.ArgumentParser(add_help=False)  # shared by sweep and bounds
+    run.add_argument("config", help="key=value config file")
+    run.add_argument("--trials", type=int, default=None)
+    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--workers", type=int, default=None)
+    run.add_argument(
         "--set", action="append", metavar="KEY=VALUE", help="override a config entry"
     )
+
+    p_sweep = sub.add_parser(
+        "sweep", parents=[run], help="evaluate metrics along an axis, write CSV"
+    )
+    p_sweep.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_bounds = sub.add_parser("bounds", help="single-point evaluation of all regimes")
-    p_bounds.add_argument("config", help="key=value config file")
-    p_bounds.add_argument("--trials", type=int, default=None)
-    p_bounds.add_argument("--seed", type=int, default=None)
-    p_bounds.add_argument("--workers", type=int, default=None)
-    p_bounds.add_argument(
-        "--set", action="append", metavar="KEY=VALUE", help="override a config entry"
+    p_bounds = sub.add_parser(
+        "bounds", parents=[run], help="single-point evaluation of all regimes"
     )
     p_bounds.set_defaults(func=_cmd_bounds)
 
@@ -775,9 +748,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

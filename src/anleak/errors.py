@@ -9,6 +9,15 @@ class ConfigError(AnleakError):
     """A configuration file or CLI parameter set is malformed or inconsistent."""
 
 
+class NotApplicable(AnleakError, ValueError):
+    """A bound does not apply at a configuration; ``code`` is the stable
+    reason code that ``anleak sweep`` and ``anleak bounds`` print."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 class DegenerateChannelError(AnleakError):
     """A sampled or supplied channel matrix is numerically rank deficient.
 

@@ -28,9 +28,10 @@ that floor for ``n`` up to a few thousand, are excluded from the mean and
 counted in ``McEstimate.excluded`` (a square ``64 x 64`` Gaussian block
 falls that low with probability about ``2e-8``).
 
-The SNR-dependent estimators draw per-batch spectra no noise floor enters,
-then evaluate a functional such as ``log1p(lambda / s2)`` on each batch;
-`MonteCarlo` caches the draws, so an SNR sweep samples each spectrum once.
+The SNR-dependent estimators draw per-batch spectra no noise floor enters
+and evaluate a functional such as ``log1p(lambda / s2)`` on each batch.
+The module functions reduce each batch to per-trial values as it is drawn;
+`MonteCarlo` keeps the spectra instead, so an SNR sweep samples each once.
 
 Units: ``expected_log_sv_sum`` returns nats (it is compared against
 digamma identities); the leakage-level estimators return bits.
@@ -425,16 +426,17 @@ def ergodic_leakage(
     noise-part columns.  ``T`` plays no role here.
     """
     s2 = _check_sigma(sigma_z2)
-    spectra = _ergodic_spectra(cfg, trials, seed, workers)
-    return _summarize([_ergodic_values(s2, *b) for b in spectra])
+    return _summarize(_ergodic_spectra(cfg, trials, seed, workers, s2))
 
 
-def _ergodic_spectra(cfg: SystemConfig, trials: int, seed: int, workers: int) -> list:
-    """Per-batch ``(sq_full, sq_an)``: squared singular values of ``Gbar`` and ``G2``."""
+def _ergodic_spectra(cfg: SystemConfig, trials: int, seed: int, workers: int, s2=None) -> list:
+    """Per-batch ``(sq_full, sq_an)``, the squared singular values of ``Gbar``
+    and ``G2``, or with ``s2`` their per-trial leakage in bits."""
     _check_run_args(trials, seed, workers)
 
-    def reduce(gbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return squared_singular_values(gbar), squared_singular_values(gbar[:, :, cfg.K :])
+    def reduce(gbar: np.ndarray):
+        sq = squared_singular_values(gbar), squared_singular_values(gbar[:, :, cfg.K :])
+        return sq if s2 is None else _ergodic_values(s2, *sq)
 
     draw = partial(_scaled_left, cfg)
     return _run_trials(_TAG_ERGODIC, trials, seed, workers, draw, reduce)
@@ -494,13 +496,13 @@ def universal_constant(
     The data-part channel is drawn before the noise-block factor.
     """
     s2 = _check_sigma(sigma_z2)
-    spectra = _universal_spectra(cfg, trials, seed, workers)
-    return _summarize([_universal_values(cfg, s2, *b) for b in spectra])
+    return _summarize(_universal_spectra(cfg, trials, seed, workers, s2))
 
 
-def _universal_spectra(cfg: SystemConfig, trials: int, seed: int, workers: int) -> list:
-    """Per-batch ``(sq_g, sq_n)``: squared singular values of ``G1`` and the
-    unit noise block (``sq_n`` is None when ``N_J = 0``)."""
+def _universal_spectra(cfg: SystemConfig, trials: int, seed: int, workers: int, s2=None) -> list:
+    """Per-batch ``(sq_g, sq_n)``, the squared singular values of ``G1`` and the
+    unit noise block (``sq_n`` None when ``N_J = 0``), or with ``s2`` the
+    per-trial constant in bits."""
     _check_run_args(trials, seed, workers)
     ne, k, nj, tp = cfg.N_E, cfg.K, cfg.N_J, cfg.t_prime
     if tp < 1:
@@ -514,9 +516,11 @@ def _universal_spectra(cfg: SystemConfig, trials: int, seed: int, workers: int) 
             return g1
         return g1, _bartlett_factor(m_small, max(nj, tp), rng)
 
-    def reduce(g1: np.ndarray, nfac: np.ndarray | None = None) -> tuple:
+    def reduce(g1: np.ndarray, nfac: np.ndarray | None = None):
         sq_n = None if nfac is None else squared_singular_values(nfac)
-        return squared_singular_values(g1), sq_n
+        if s2 is None:
+            return squared_singular_values(g1), sq_n
+        return _universal_values(cfg, s2, squared_singular_values(g1), sq_n)
 
     return _run_trials(_TAG_UNIVERSAL, trials, seed, workers, draw, reduce)
 

@@ -106,8 +106,9 @@ def test_criterion_02_single_stream_ergodic_oracle():
 
 
 def test_criterion_03_ergodic_slope_self_consistency():
-    lo = ergodic_leakage(FLAGSHIP, 10.0 ** (-4.0), trials=20000, seed=0)
-    hi = ergodic_leakage(FLAGSHIP, 10.0 ** (-4.3), trials=20000, seed=0)
+    mc = MonteCarlo(trials=20000, seed=0)  # one draw for both noise floors
+    lo = mc.ergodic_leakage(FLAGSHIP, 10.0 ** (-4.0))
+    hi = mc.ergodic_leakage(FLAGSHIP, 10.0 ** (-4.3))
     slope = (hi.mean - lo.mean) / (0.3 * LOG2_10)
     dev = abs(slope - 16.0)
     ok = dev <= 0.15

@@ -9,6 +9,7 @@ from anleak import (
     LeakageBounds,
     LeakagePair,
     MonteCarlo,
+    NotApplicable,
     SvKind,
     SystemConfig,
     balanced_config,
@@ -39,6 +40,13 @@ def _psi_sum(t, m):
 @pytest.fixture
 def mc():
     return MonteCarlo(trials=200, seed=0)
+
+
+def _code(call, *args, **kwargs):
+    """Reason code of the `NotApplicable` that ``call`` raises."""
+    with pytest.raises(NotApplicable) as exc:
+        call(*args, **kwargs)
+    return exc.value.code
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +137,22 @@ def test_entropy_gap_formula_and_monotonicity():
 
 
 def test_entropy_gap_preconditions():
-    with pytest.raises(ValueError):
-        entropy_gap(balanced_config(M=8, K=2, N_E=3, N_J=4, T=16))  # not fully loaded
-    with pytest.raises(ValueError):
-        entropy_gap(SystemConfig(6, 2, 3, 4, 12, 0.5, 1.25))  # non-unit powers
-    with pytest.raises(ValueError):
-        entropy_gap(SystemConfig(6, 2, 3, 4, 5, 1.0, 1.0))  # T < M
+    not_full = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16)
+    assert _code(entropy_gap, not_full) == "precondition:Mbar!=M"
+    non_unit = SystemConfig(6, 2, 3, 4, 12, 0.5, 1.25)
+    assert _code(entropy_gap, non_unit) == "precondition:power!=1"
+    short = SystemConfig(6, 2, 3, 4, 5, 1.0, 1.0)
+    assert _code(entropy_gap, short) == "precondition:T<M"
 
 
 def test_noncoherent_preconditions(mc):
-    with pytest.raises(ValueError):
-        noncoherent_bounds(balanced_config(M=8, K=2, N_E=3, N_J=0, T=16), mc)
-    with pytest.raises(ValueError):
-        noncoherent_bounds(balanced_config(M=8, K=2, N_E=3, N_J=4, T=5), mc)
+    no_noise = balanced_config(M=8, K=2, N_E=3, N_J=0, T=16)
+    assert _code(noncoherent_bounds, no_noise, mc) == "precondition:beta2=0"
+    short = balanced_config(M=8, K=2, N_E=3, N_J=4, T=5)
+    assert _code(noncoherent_bounds, short, mc) == "precondition:T<Mbar"
+    # The fallback lifts the block-length rule only.
+    fallback = _code(noncoherent_bounds, no_noise, mc, saturated_fallback=True)
+    assert fallback == "precondition:beta2=0"
 
 
 def test_noncoherent_noise_power_rescaling_is_exact(mc):
@@ -161,8 +172,8 @@ def test_noncoherent_noise_power_rescaling_is_exact(mc):
 def test_noncoherent_refuses_crossed_constants(mc):
     # At an extreme data-to-noise power ratio the two relaxations cross
     # and no longer bracket anything; that must be an error, not a pair.
-    with pytest.raises(ValueError):
-        noncoherent_bounds(SystemConfig(6, 2, 3, 4, 12, 64.0, 1.0), mc)
+    crossed = SystemConfig(6, 2, 3, 4, 12, 64.0, 1.0)
+    assert _code(noncoherent_bounds, crossed, mc) == "bracket_inverted"
 
 
 def test_noncoherent_fallback_is_saturated_cap(mc):
@@ -183,10 +194,10 @@ def test_saturated_upper_ordering_and_equality_point():
     # The two forms touch only at a single-symbol block.
     tight = _saturated_pair(3, 1)
     assert tight.exact == pytest.approx(tight.relaxed, rel=1e-15)
-    with pytest.raises(ValueError):
-        saturated_upper(SystemConfig(4, 1, 2, 3, 8, 1.0, 1.0))  # T != M
-    with pytest.raises(ValueError):
-        saturated_upper(balanced_config(M=4, K=1, N_E=2, N_J=2, T=4))  # not full
+    long_block = SystemConfig(4, 1, 2, 3, 8, 1.0, 1.0)
+    assert _code(saturated_upper, long_block) == "precondition:T!=M"
+    not_full = balanced_config(M=4, K=1, N_E=2, N_J=2, T=4)
+    assert _code(saturated_upper, not_full) == "precondition:Mbar!=M"
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +223,13 @@ def test_partial_without_noise_is_deterministic(mc):
 
 
 def test_partial_preconditions(mc):
-    with pytest.raises(ValueError):
-        partial_coherent_bounds(balanced_config(M=8, K=2, N_E=7, N_J=6, T=20), mc)
-    with pytest.raises(ValueError):
-        partial_coherent_bounds(balanced_config(M=8, K=2, N_E=10, N_J=6, T=7), mc)
+    few_antennas = balanced_config(M=8, K=2, N_E=7, N_J=6, T=20)
+    assert _code(partial_coherent_bounds, few_antennas, mc) == "precondition:NE<Mbar"
+    no_symbols = balanced_config(M=8, K=2, N_E=10, N_J=6, T=2)  # t' = 0
+    assert _code(partial_coherent_bounds, no_symbols, mc) == "precondition:Tprime<1"
+    short = balanced_config(M=8, K=2, N_E=10, N_J=6, T=7)  # t' = 5 < N_J
+    assert _code(partial_coherent_bounds, short, mc) == "precondition:Tprime<NJ"
+    assert _code(universal_upper, no_symbols, 30.0, mc) == "precondition:Tprime<1"
 
 
 # ---------------------------------------------------------------------------

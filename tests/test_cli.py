@@ -1,12 +1,16 @@
 """CLI contract: config parsing, sweep CSV, self-checks, exit codes."""
 
+import contextlib
 import dataclasses
 import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import anleak.cli
 from anleak import ConfigError
 from anleak.cli import (
     AXES,
@@ -228,6 +232,18 @@ def test_crossed_bounds_get_a_reason_code():
     )
     rows = run_sweep(spec)
     assert [r.reason for r in rows] == ["bracket_inverted", "bracket_inverted"]
+
+
+def test_unexpected_errors_are_not_reason_codes(monkeypatch):
+    # Only NotApplicable carries a reason code; any other ValueError from a
+    # bound (a failed estimate, say) is a fault and must surface.
+    def broken(cfg, mc, **kwargs):
+        raise ValueError("only 1 valid trials after excluding 49")
+
+    monkeypatch.setattr(anleak.cli, "noncoherent_bounds", broken)
+    spec = build_sweep_spec(make_entries(values="30", metrics="noncoh_ub", trials="50"))
+    with pytest.raises(ValueError, match="only 1 valid trials"):
+        run_sweep(spec)
 
 
 def test_unbuildable_point_is_flagged_not_fatal():
@@ -453,6 +469,80 @@ def test_bounds_command_reports_gap_when_fully_loaded(tmp_path, capsys):
     path = write_config(tmp_path, entries)
     assert main(["bounds", path, "--trials", "150"]) == 0
     assert "entropy_gap=" in capsys.readouterr().out
+
+
+# alpha2 lies within 1e-9 of 1 but the balanced beta2 = 0.999999997 does not.
+OFF_UNIT_BETA2 = {
+    "M": "4", "K": "3", "N_E": "2", "N_J": "1", "T": "8", "alpha2": "1.0000000009"
+}
+
+
+def test_bounds_omits_the_gap_when_beta2_is_off_unit(tmp_path, capsys):
+    # The closed-form gap needs both powers at 1, so it is left out.
+    path = write_config(tmp_path, OFF_UNIT_BETA2)
+    assert main(["bounds", path, "--trials", "50"]) == 0
+    out = capsys.readouterr().out
+    assert "beta2=0.999999997" in out
+    assert "entropy_gap" not in out
+
+
+@st.composite
+def small_configs(draw):
+    """Config entries for ``M <= 8`` that `build_system_config` accepts."""
+    m = draw(st.integers(2, 8))
+    k = draw(st.integers(1, m - 1))
+    nj = draw(st.integers(0, m - k))
+    entries = {"M": m, "K": k, "N_E": draw(st.integers(1, 10)), "N_J": nj,
+               "T": draw(st.integers(1, 3 * m))}
+    if nj:
+        power = draw(st.sampled_from(["balanced", "unit", "fraction"]))
+        if power == "unit":
+            entries["alpha2"] = 1.0
+        elif power == "fraction":
+            entries["alpha2"] = draw(st.floats(0.02, 0.98)) * m / k
+    entries = {key: str(value) for key, value in entries.items()}
+    try:
+        build_system_config(entries)
+    except ConfigError:
+        assume(False)
+    return entries
+
+
+_BOUNDS_KEYS = {
+    "noncoh": "noncoh_ub",
+    "partial": "partial_ub",
+    "universal": "universal",
+    "secrecy_su": "secrecy_su",
+    "secrecy_mu": "secrecy_mu",
+}
+
+
+@settings(max_examples=100)
+@example(entries=OFF_UNIT_BETA2)
+@given(entries=small_configs())
+def test_bounds_prints_the_sweep_reason_codes(entries, tmp_path_factory):
+    path = write_config(tmp_path_factory.mktemp("point"), entries)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bounds", path, "--trials", "20"]) == 0
+    printed = dict(
+        line.split("=", 1) for line in out.getvalue().splitlines() if "=" in line
+        and not line.startswith("#")
+    )
+    spec = build_sweep_spec(
+        {**entries, "axis": "snr_e_db", "values": "30",
+         "metrics": ",".join(_BOUNDS_KEYS.values())},
+        trials=20,
+    )
+    reasons = {row.metric: row.reason for row in run_sweep(spec)}
+    for key, metric in _BOUNDS_KEYS.items():
+        value_key = f"{key}_dof" if key in ("noncoh", "partial") else key
+        if reasons[metric]:
+            assert printed.get(f"{key}_skipped") == reasons[metric]
+            assert value_key not in printed
+        else:
+            assert f"{key}_skipped" not in printed
+            float(printed[value_key])
 
 
 def test_plan_command_subprocess():

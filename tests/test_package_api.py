@@ -1,4 +1,5 @@
-"""Package hygiene: the helper modules export nothing the package never calls."""
+"""Package hygiene: the helper modules export nothing the package never calls,
+and only `anleak.bounds` spells a reason code."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,22 @@ def _names_loaded_by_the_package() -> set[str]:
 def test_every_exported_helper_is_used_by_the_package(module):
     unused = sorted(set(module.__all__) - _names_loaded_by_the_package())
     assert not unused, f"{module.__name__} exports names nothing loads: {unused}"
+
+
+def _is_reason_code(value) -> bool:
+    return isinstance(value, str) and (
+        value.startswith("precondition:") or value == "bracket_inverted"
+    )
+
+
+def test_reason_codes_are_spelled_only_in_bounds():
+    # bounds.py owns every applicability rule; a code written anywhere else
+    # is a second copy of a rule that can drift from the first.
+    stray = [
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "bounds.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and _is_reason_code(node.value)
+    ]
+    assert not stray, f"reason codes outside bounds.py: {stray}"
