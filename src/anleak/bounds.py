@@ -40,7 +40,7 @@ from typing import NamedTuple
 from .channel import SystemConfig, single_stream_view
 from .errors import NotApplicable
 from .montecarlo import McEstimate, MonteCarlo, SvKind
-from .special import EULER_GAMMA, digamma, log_grassmann_volume
+from .special import EULER_GAMMA, expected_logdet_wishart, log_grassmann_volume
 
 __all__ = [
     "LeakageBounds",
@@ -259,7 +259,7 @@ def noncoherent_bounds(
     )
     d = (
         w * (e_joint.mean - e_tail.mean)
-        - (ne / t) * _psi_sum(t, k)
+        - (ne / t) * expected_logdet_wishart(k, t)
         + log_vol / t
         - slope_units * w * _LN_PI_E
         - (k * ne / t) * (_LN_PI_E + math.log(cfg.alpha2))
@@ -267,12 +267,12 @@ def noncoherent_bounds(
     c_upper = (ne / t) * (
         k * (_LN_PI_E + math.log(t))
         + nj * math.log(t / cfg.beta2)
-        - (_psi_sum(t, mbar) - _psi_sum(t, k))
+        - (expected_logdet_wishart(mbar, t) - expected_logdet_wishart(k, t))
     ) + d
     c_lower = (ne / t) * (
         k * (_LN_PI_E + math.log(cfg.alpha2))
         + nj * math.log(cfg.beta2 / (t - k))
-        + _psi_sum(t, mbar)
+        + expected_logdet_wishart(mbar, t)
     ) + d
     se = w * math.hypot(e_joint.std_error, e_tail.std_error)
     return LeakageBounds(
@@ -299,9 +299,9 @@ def entropy_gap(cfg: SystemConfig) -> float:
     """
     require_applicable("entropy_gap", cfg)
     ne, k, nj, m, t = cfg.N_E, cfg.K, cfg.N_J, cfg.M, cfg.T
-    gap = (ne / t) * (m * math.log(t) - _psi_sum(t, m))
+    gap = (ne / t) * (m * math.log(t) - expected_logdet_wishart(m, t))
     if nj:
-        gap += (ne / t) * (nj * math.log(t - k) - _psi_sum(t - k, nj))
+        gap += (ne / t) * (nj * math.log(t - k) - expected_logdet_wishart(nj, t - k))
     return gap / _LN2
 
 
@@ -368,11 +368,11 @@ def partial_coherent_bounds(cfg: SystemConfig, mc: MonteCarlo) -> LeakageBounds:
         se = 0.0
     d = (
         w * (sampled - k * _LN_PI_E)
-        + _psi_sum(ne, k)
+        + expected_logdet_wishart(k, ne)
         + k * (_LN_PI_E + math.log(cfg.alpha2))
     )
     if nj:
-        psi_tp = _psi_sum(tp, nj)
+        psi_tp = expected_logdet_wishart(nj, tp)
         c_upper = (
             nj * ne * math.log(tp)
             - k * nj * (_LN_PI_E + math.log(tp * cfg.beta2))
@@ -479,12 +479,7 @@ def secrecy_from_config(
 # ---------------------------------------------------------------------------
 
 
-def _psi_sum(t: int, m: int) -> float:
-    """``sum_{i=1}^{m} psi(t - i + 1)`` in nats."""
-    return math.fsum(digamma(t - i + 1) for i in range(1, m + 1))
-
-
 def _saturated_pair(ne: int, t: int) -> SaturatedBound:
-    exact = ne * math.log(t) - (ne / t) * _psi_sum(t, t)
+    exact = ne * math.log(t) - (ne / t) * expected_logdet_wishart(t, t)
     relaxed = ne * (EULER_GAMMA + math.log(t))
     return SaturatedBound(exact=exact / _LN2, relaxed=relaxed / _LN2)

@@ -28,10 +28,12 @@ that floor for ``n`` up to a few thousand, are excluded from the mean and
 counted in ``McEstimate.excluded`` (a square ``64 x 64`` Gaussian block
 falls that low with probability about ``2e-8``).
 
-The SNR-dependent estimators draw per-batch spectra no noise floor enters
-and evaluate a functional such as ``log1p(lambda / s2)`` on each batch.
-The module functions reduce each batch to per-trial values as it is drawn;
-`MonteCarlo` keeps the spectra instead, so an SNR sweep samples each once.
+A draw is a stream tag plus a tuple of plain arguments, mostly those of
+the one product sampler `_product`.  Estimators evaluate a functional such
+as ``log1p(lambda / s2)`` on the spectra of each batch, which no noise
+floor enters.  The module functions reduce each batch to per-trial values
+as it is drawn; `MonteCarlo` keeps the spectra under ``(tag, args)``
+instead, so an SNR sweep samples each once.
 
 Units: ``expected_log_sv_sum`` returns nats (it is compared against
 digamma identities); the leakage-level estimators return bits.
@@ -121,25 +123,32 @@ class SvKind(Enum):
       times a unit block of ``t_prime`` symbols.
     * ``DATA`` — the effective data channel alone (``N_E x K``, variance
       ``alpha2``).
-    * ``AN_INPUT`` — the unit noise block alone (``N_J x t_prime``).
+
+    A member's value is its stream tag, part of the determinism contract:
+    never renumber.  Tag 6 is retired; it drew the unit noise block alone.
     """
 
-    JOINT = "joint"
-    AN_TAIL = "an_tail"
-    AN_EXCESS = "an_excess"
-    AN_POST = "an_post"
-    DATA = "data"
-    AN_INPUT = "an_input"
+    JOINT = 1
+    AN_TAIL = 2
+    AN_EXCESS = 3
+    AN_POST = 4
+    DATA = 5
 
 
-_KIND_TAGS = {
-    SvKind.JOINT: 1,
-    SvKind.AN_TAIL: 2,
-    SvKind.AN_EXCESS: 3,
-    SvKind.AN_POST: 4,
-    SvKind.DATA: 5,
-    SvKind.AN_INPUT: 6,
+# Each kind's `_product` arguments ``(rows, k, alpha2, nj, beta2, dof)``.
+_SV_ARGS = {
+    SvKind.JOINT: lambda c: (c.N_E, c.K, c.alpha2, c.N_J, c.beta2, c.T),
+    SvKind.AN_TAIL: lambda c: (c.N_E, 0, 0.0, c.N_J, c.beta2, c.T - c.K),
+    SvKind.AN_EXCESS: lambda c: (c.N_E - c.K, 0, 0.0, c.N_J, c.beta2, c.t_prime),
+    SvKind.AN_POST: lambda c: (c.N_E, 0, 0.0, c.N_J, c.beta2, c.t_prime),
+    SvKind.DATA: lambda c: (c.N_E, c.K, c.alpha2, 0, 0.0, None),
 }
+
+
+def _sv_args(kind: SvKind, cfg: SystemConfig) -> tuple:
+    if not isinstance(kind, SvKind):
+        raise ValueError(f"kind must be an SvKind, got {kind!r}")
+    return _SV_ARGS[kind](cfg)
 
 
 @dataclass(frozen=True)
@@ -149,10 +158,10 @@ class MonteCarlo:
     An instance caches its draws for its lifetime: ``log_sv_sum`` keeps its
     `McEstimate`, ``ergodic_leakage`` and ``universal_constant`` keep their
     per-batch spectra and apply ``sigma_z2`` on each call.  A key is the
-    stream tag plus the inputs the draw reads (dimensions, Bartlett degrees
-    of freedom, powers), never the SNRs, ``M`` or ``workers``, so a hit
-    returns the module function's numbers.  ``ergodic_constant`` is drawn
-    once per command and not cached.
+    stream tag plus the argument tuple the draw itself is called with, so
+    it holds every value the draw reads and never the SNRs, ``M`` or
+    ``workers``; a hit returns the module function's numbers.
+    ``ergodic_constant`` is drawn once per command and not cached.
     """
 
     trials: int = 20000
@@ -160,42 +169,33 @@ class MonteCarlo:
     workers: int = 1
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _memo(self, key: tuple, draw):
+    @property
+    def _run(self) -> tuple:
+        return self.trials, self.seed, self.workers
+
+    def _memo(self, tag: int, args: tuple, compute):
+        key = (tag, args)
         if key not in self._cache:
-            self._cache[key] = draw()
+            self._cache[key] = compute()
         return self._cache[key]
 
+    def _estimate(self, tag: int, draw, args: tuple, spectra, values) -> McEstimate:
+        compute = partial(_run_trials, tag, draw, args, spectra, *self._run)
+        return _summarize([values(*b) for b in self._memo(tag, args, compute)])
+
     def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
-        inputs = _product_sampler(kind, cfg)[0]
-        return self._memo(
-            (_KIND_TAGS[kind], *inputs),
-            lambda: expected_log_sv_sum(
-                kind, cfg, trials=self.trials, seed=self.seed, workers=self.workers
-            ),
-        )
+        args = _sv_args(kind, cfg)
+        compute = partial(expected_log_sv_sum, kind, cfg, *self._run)
+        return self._memo(kind.value, args, compute)
 
     def ergodic_leakage(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
-        s2 = _check_sigma(sigma_z2)
-        spectra = self._memo(
-            (_TAG_ERGODIC, *_left_inputs(cfg)),
-            lambda: _ergodic_spectra(cfg, self.trials, self.seed, self.workers),
-        )
-        return _summarize([_ergodic_values(s2, *b) for b in spectra])
+        return self._estimate(*_ergodic(cfg, _check_sigma(sigma_z2)))
 
     def ergodic_constant(self, cfg: SystemConfig) -> McEstimate:
-        return ergodic_constant(
-            cfg, trials=self.trials, seed=self.seed, workers=self.workers
-        )
+        return ergodic_constant(cfg, *self._run)
 
     def universal_constant(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
-        s2 = _check_sigma(sigma_z2)
-        # The draw reads the data-part channel and the t' noise block only.
-        inputs = (cfg.N_E, cfg.K, cfg.N_J, cfg.t_prime, cfg.alpha2)
-        spectra = self._memo(
-            (_TAG_UNIVERSAL, *inputs),
-            lambda: _universal_spectra(cfg, self.trials, self.seed, self.workers),
-        )
-        return _summarize([_universal_values(cfg, s2, *b) for b in spectra])
+        return self._estimate(*_universal(cfg, _check_sigma(sigma_z2)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +216,24 @@ def _check_run_args(trials: int, seed: int, workers: int) -> None:
         raise ValueError(f"need integer workers >= 1, got {workers!r}")
 
 
-def _run_trials(tag: int, trials: int, seed: int, workers: int, draw, reduce) -> list:
+def _run_trials(
+    tag: int, draw, args: tuple, reduce, trials: int, seed: int, workers: int
+) -> list:
     """Draw seeded trials and reduce them batch by batch, in trial order.
 
-    Trial ``i`` is ``draw(_trial_rng(seed, tag, i))``: one array or a tuple
-    of arrays.  Each batch of ``_BATCH`` trials is stacked array by array
-    (written straight into preallocated stacks, so a batch is held once),
-    and the list of ``reduce(*stacks)`` results, per-trial values or
+    Trial ``i`` is ``draw(*args, _trial_rng(seed, tag, i))``: one array or
+    a tuple of arrays.  Each batch of ``_BATCH`` trials is stacked array by
+    array (written straight into preallocated stacks, so a batch is held
+    once), and the list of ``reduce(*stacks)`` results, per-trial values or
     spectra, is returned; workers only partition the batches.
     """
+    _check_run_args(trials, seed, workers)
 
     def batch(start: int) -> np.ndarray:
         count = min(_BATCH, trials - start)
         stacks = None
         for j in range(count):
-            parts = draw(_trial_rng(seed, tag, start + j))
+            parts = draw(*args, _trial_rng(seed, tag, start + j))
             if not isinstance(parts, tuple):
                 parts = (parts,)
             if stacks is None:
@@ -265,6 +268,23 @@ def _summarize(batches: list[np.ndarray]) -> McEstimate:
     )
 
 
+def _estimate(
+    tag: int, draw, args: tuple, spectra, values, trials: int, seed: int, workers: int
+) -> McEstimate:
+    """Mean of ``values(*spectra(*batch))`` over the draws ``draw(*args, rng)``,
+    each batch reduced to per-trial values as it is drawn."""
+
+    def reduce(*stacks: np.ndarray) -> np.ndarray:
+        return values(*spectra(*stacks))
+
+    return _summarize(_run_trials(tag, draw, args, reduce, trials, seed, workers))
+
+
+def _spectra(*stacks: np.ndarray) -> tuple:
+    """Squared singular values of each stacked part of a batch."""
+    return tuple(squared_singular_values(stack) for stack in stacks)
+
+
 def _bartlett_factor(m: int, dof: int, rng: np.random.Generator) -> np.ndarray:
     """Lower-triangular ``A`` with ``A A^H`` complex-Wishart(m, dof).
 
@@ -282,6 +302,24 @@ def _bartlett_factor(m: int, dof: int, rng: np.random.Generator) -> np.ndarray:
     return a
 
 
+def _product(
+    rows: int,
+    k: int,
+    alpha2: float,
+    nj: int,
+    beta2: float,
+    dof: int | None,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``rows x (k + nj)`` CN(0, 1) block, its first ``k`` columns scaled by
+    ``sqrt(alpha2)`` and the other ``nj`` by ``sqrt(beta2)``; unless ``dof``
+    is None, times the `_bartlett_factor` of a unit block of ``dof`` symbols.
+    """
+    scales = np.repeat([math.sqrt(alpha2), math.sqrt(beta2)], [k, nj])
+    left = sample_gaussian(rows, k + nj, 1.0, rng) * scales
+    return left if dof is None else left @ _bartlett_factor(k + nj, dof, rng)
+
+
 def _log_sv_values(sq: np.ndarray, r: int) -> np.ndarray:
     """Per-trial ``sum log`` of the top ``r`` squared singular values.
 
@@ -294,23 +332,6 @@ def _log_sv_values(sq: np.ndarray, r: int) -> np.ndarray:
         vals = np.sum(np.log(top), axis=1)
     vals[bad] = np.nan
     return vals
-
-
-def _scaled_left(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """``N_E x (K + N_J)`` effective channel: K columns alpha2, the rest beta2."""
-    z = sample_gaussian(cfg.N_E, cfg.mbar, 1.0, rng)
-    scales = np.concatenate(
-        [
-            np.full(cfg.K, math.sqrt(cfg.alpha2)),
-            np.full(cfg.N_J, math.sqrt(cfg.beta2)),
-        ]
-    )
-    return z * scales
-
-
-def _left_inputs(cfg: SystemConfig) -> tuple:
-    """The configuration fields `_scaled_left` reads."""
-    return cfg.N_E, cfg.K, cfg.N_J, cfg.alpha2, cfg.beta2
 
 
 # ---------------------------------------------------------------------------
@@ -338,77 +359,29 @@ def expected_log_sv_sum(
         ``AN_EXCESS``/``AN_POST``, ``N_E > K`` for ``AN_EXCESS``).
     """
     _check_run_args(trials, seed, workers)
-    if not isinstance(kind, SvKind):
-        raise ValueError(f"kind must be an SvKind, got {kind!r}")
-    _, draw, r = _product_sampler(kind, cfg)
-    if r == 0:
+    args = _sv_args(kind, cfg)
+    rows, k, _, nj, _, dof = args
+    cols = k + nj
+    if cols == 0:
         return McEstimate(0.0, 0.0, trials, 0)
+    if rows < 1 or (dof is not None and dof < cols):
+        raise ValueError(
+            f"{kind.name} needs rows >= 1 and a unit block of >= {cols} symbols, "
+            f"got {rows} rows and {dof} symbols"
+        )
+    values = partial(_log_sv_values, r=min(rows, cols))
+    return _estimate(kind.value, _product, args, _spectra, values, trials, seed, workers)
 
-    def reduce(prods: np.ndarray) -> np.ndarray:
-        return _log_sv_values(squared_singular_values(prods), r)
 
-    return _summarize(_run_trials(_KIND_TAGS[kind], trials, seed, workers, draw, reduce))
+def _gbar_args(cfg: SystemConfig) -> tuple:
+    """`_product` arguments of the ``N_E x (K + N_J)`` effective channel alone."""
+    return cfg.N_E, cfg.K, cfg.alpha2, cfg.N_J, cfg.beta2, None
 
 
-def _product_sampler(kind: SvKind, cfg: SystemConfig):
-    """Return ``(inputs, draw, generic_rank)``; ``inputs`` holds every value
-    ``draw`` and the rank read, so equal ``inputs`` mean equal spectra."""
-    ne, k, nj, mbar, t, tp = cfg.N_E, cfg.K, cfg.N_J, cfg.mbar, cfg.T, cfg.t_prime
-
-    if kind is SvKind.JOINT:
-        if t < mbar:
-            raise ValueError(f"JOINT needs T >= K + N_J = {mbar}, got T={t}")
-
-        def draw(rng):
-            return _scaled_left(cfg, rng) @ _bartlett_factor(mbar, t, rng)
-
-        return (*_left_inputs(cfg), t), draw, min(mbar, ne)
-
-    # Noise-part channel rows and Bartlett degrees of freedom per AN product.
-    an_blocks = {
-        SvKind.AN_TAIL: (ne, t - k, "T - K"),
-        SvKind.AN_EXCESS: (ne - k, tp, "t_prime"),
-        SvKind.AN_POST: (ne, tp, "t_prime"),
-    }
-    if kind in an_blocks:
-        rows, dof, dof_name = an_blocks[kind]
-        inputs = (rows, nj, dof, cfg.beta2)
-        if nj == 0:
-            return inputs, None, 0
-        if rows <= 0:
-            raise ValueError(f"{kind.name} needs N_E > K, got N_E={ne}, K={k}")
-        if dof < nj:
-            raise ValueError(
-                f"{kind.name} needs {dof_name} >= N_J = {nj}, got {dof_name} = {dof}"
-            )
-        beta = math.sqrt(cfg.beta2)
-
-        def draw(rng):
-            left = beta * sample_gaussian(rows, nj, 1.0, rng)
-            return left @ _bartlett_factor(nj, dof, rng)
-
-        return inputs, draw, min(nj, rows)
-
-    if kind is SvKind.DATA:
-        alpha = math.sqrt(cfg.alpha2)
-
-        def draw(rng):
-            return alpha * sample_gaussian(ne, k, 1.0, rng)
-
-        return (ne, k, cfg.alpha2), draw, min(ne, k)
-
-    if kind is SvKind.AN_INPUT:
-        if nj == 0:
-            return (nj, tp), None, 0
-        if tp < 1:
-            raise ValueError(f"AN_INPUT needs t_prime >= 1, got {tp}")
-
-        def draw(rng):
-            return sample_gaussian(nj, tp, 1.0, rng)
-
-        return (nj, tp), draw, min(nj, tp)
-
-    raise ValueError(f"unknown kind {kind!r}")
+def _gbar_spectra(k: int, gbar: np.ndarray) -> tuple:
+    """Per-batch ``(sq_full, sq_an)``, the squared singular values of ``Gbar``
+    and of ``G2``, its noise-part columns from column ``k`` on."""
+    return squared_singular_values(gbar), squared_singular_values(gbar[:, :, k:])
 
 
 def ergodic_leakage(
@@ -425,21 +398,13 @@ def ergodic_leakage(
     ``Gbar`` the ``N_E x (K + N_J)`` effective channel and ``G2`` its
     noise-part columns.  ``T`` plays no role here.
     """
-    s2 = _check_sigma(sigma_z2)
-    return _summarize(_ergodic_spectra(cfg, trials, seed, workers, s2))
+    return _estimate(*_ergodic(cfg, _check_sigma(sigma_z2)), trials, seed, workers)
 
 
-def _ergodic_spectra(cfg: SystemConfig, trials: int, seed: int, workers: int, s2=None) -> list:
-    """Per-batch ``(sq_full, sq_an)``, the squared singular values of ``Gbar``
-    and ``G2``, or with ``s2`` their per-trial leakage in bits."""
-    _check_run_args(trials, seed, workers)
-
-    def reduce(gbar: np.ndarray):
-        sq = squared_singular_values(gbar), squared_singular_values(gbar[:, :, cfg.K :])
-        return sq if s2 is None else _ergodic_values(s2, *sq)
-
-    draw = partial(_scaled_left, cfg)
-    return _run_trials(_TAG_ERGODIC, trials, seed, workers, draw, reduce)
+def _ergodic(cfg: SystemConfig, s2: float) -> tuple:
+    """``(tag, draw, args, spectra, values)`` of the ergodic leakage."""
+    spectra = partial(_gbar_spectra, cfg.K)
+    return _TAG_ERGODIC, _product, _gbar_args(cfg), spectra, partial(_ergodic_values, s2)
 
 
 def _ergodic_values(s2: float, sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
@@ -462,19 +427,18 @@ def ergodic_constant(
     from one realization, so the difference is estimated at its natural
     (low) variance.
     """
-    _check_run_args(trials, seed, workers)
     r_full = min(cfg.mbar, cfg.N_E)
     r_an = min(cfg.N_J, cfg.N_E)
 
-    def reduce(gbar: np.ndarray) -> np.ndarray:
-        full = _log_sv_values(squared_singular_values(gbar), r_full)
+    def values(sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
+        full = _log_sv_values(sq_full, r_full)
         if r_an:
-            sq_an = squared_singular_values(gbar[:, :, cfg.K :])
             full = full - _log_sv_values(sq_an, r_an)
         return full / _LN2
 
-    draw = partial(_scaled_left, cfg)
-    return _summarize(_run_trials(_TAG_ERGODIC_CONST, trials, seed, workers, draw, reduce))
+    spectra = partial(_gbar_spectra, cfg.K)
+    args = _gbar_args(cfg)
+    return _estimate(_TAG_ERGODIC_CONST, _product, args, spectra, values, trials, seed, workers)
 
 
 def universal_constant(
@@ -495,40 +459,30 @@ def universal_constant(
 
     The data-part channel is drawn before the noise-block factor.
     """
-    s2 = _check_sigma(sigma_z2)
-    return _summarize(_universal_spectra(cfg, trials, seed, workers, s2))
+    return _estimate(*_universal(cfg, _check_sigma(sigma_z2)), trials, seed, workers)
 
 
-def _universal_spectra(cfg: SystemConfig, trials: int, seed: int, workers: int, s2=None) -> list:
-    """Per-batch ``(sq_g, sq_n)``, the squared singular values of ``G1`` and the
-    unit noise block (``sq_n`` None when ``N_J = 0``), or with ``s2`` the
-    per-trial constant in bits."""
-    _check_run_args(trials, seed, workers)
-    ne, k, nj, tp = cfg.N_E, cfg.K, cfg.N_J, cfg.t_prime
+def _universal(cfg: SystemConfig, s2: float) -> tuple:
+    """``(tag, draw, args, spectra, values)`` of the universal constant; the
+    noise factor's args are its size and degrees of freedom."""
+    nj, tp = cfg.N_J, cfg.t_prime
     if tp < 1:
         raise ValueError(f"universal constant needs t_prime >= 1, got {tp}")
-    alpha = math.sqrt(cfg.alpha2)
-    m_small = min(nj, tp)
+    args = _sv_args(SvKind.DATA, cfg), (min(nj, tp), max(nj, tp))
+    return _TAG_UNIVERSAL, _universal_draw, args, _spectra, partial(_universal_values, cfg, s2)
 
-    def draw(rng):
-        g1 = alpha * sample_gaussian(ne, k, 1.0, rng)
-        if not m_small:
-            return g1
-        return g1, _bartlett_factor(m_small, max(nj, tp), rng)
 
-    def reduce(g1: np.ndarray, nfac: np.ndarray | None = None):
-        sq_n = None if nfac is None else squared_singular_values(nfac)
-        if s2 is None:
-            return squared_singular_values(g1), sq_n
-        return _universal_values(cfg, s2, squared_singular_values(g1), sq_n)
-
-    return _run_trials(_TAG_UNIVERSAL, trials, seed, workers, draw, reduce)
+def _universal_draw(data: tuple, noise: tuple, rng: np.random.Generator):
+    """The data-part channel, then the noise block's factor unless it is empty."""
+    g1 = _product(*data, rng)
+    return (g1, _bartlett_factor(*noise, rng)) if noise[0] else g1
 
 
 def _universal_values(
-    cfg: SystemConfig, s2: float, sq_g: np.ndarray, sq_n: np.ndarray | None
+    cfg: SystemConfig, s2: float, sq_g: np.ndarray, sq_n: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per-trial universal constant in bits from one batch of spectra."""
+    """Per-trial universal constant in bits from one batch of spectra (no
+    ``sq_n`` when ``N_J = 0``)."""
     tp = cfg.t_prime
     vals = max(0.0, 1.0 - cfg.N_J / tp) * np.sum(np.log(sq_g + s2), axis=1)
     if sq_n is not None:
@@ -598,7 +552,7 @@ def sv_split_check(
     reference = []
     for i in range(trials):
         rng = _trial_rng(seed, _TAG_SPLIT, i)
-        gbar = _scaled_left(cfg, rng)
+        gbar = _product(*_gbar_args(cfg), rng)
         xbar = sample_gaussian(mbar, t, 1.0, rng)
         z = sample_gaussian(ne, t, s2, rng)
         prod = gbar @ xbar

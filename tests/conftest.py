@@ -20,24 +20,22 @@ def rng():
 
 @pytest.fixture
 def draw_counts(monkeypatch):
-    """Count the spectrum draws made through `anleak.montecarlo`.
+    """Count `MonteCarlo` cache misses, the draws a shared instance makes.
 
-    Keys: ``log_sv`` (`expected_log_sv_sum` calls), ``ergodic`` and
-    ``universal`` (the per-batch spectra behind `ergodic_leakage` and
-    `universal_constant`).
+    Keys name the stream: ``log_sv`` (an `SvKind` tag, through
+    `expected_log_sv_sum`), ``ergodic`` and ``universal`` (the per-batch
+    spectra behind `ergodic_leakage` and `universal_constant`).
     """
     counts = collections.Counter()
+    streams = {kind.value: "log_sv" for kind in montecarlo.SvKind}
+    streams[montecarlo._TAG_ERGODIC] = "ergodic"
+    streams[montecarlo._TAG_UNIVERSAL] = "universal"
+    memo = montecarlo.MonteCarlo._memo
 
-    def counted(key, name):
-        original = getattr(montecarlo, name)
+    def counted(self, tag, args, compute):
+        if (tag, args) not in self._cache:
+            counts[streams[tag]] += 1
+        return memo(self, tag, args, compute)
 
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, name, wrapper)
-
-    counted("log_sv", "expected_log_sv_sum")
-    counted("ergodic", "_ergodic_spectra")
-    counted("universal", "_universal_spectra")
+    monkeypatch.setattr(montecarlo.MonteCarlo, "_memo", counted)
     return counts

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -73,12 +74,6 @@ def test_joint_spectrum_single_entry_oracle():
     # with two complex degrees of freedom: -gamma + psi(2) = 1 - 2 gamma.
     est = expected_log_sv_sum(SvKind.JOINT, ONE_STREAM, trials=20000, seed=0)
     assert abs(est.mean - (1.0 - 2.0 * EULER_GAMMA)) <= 4.0 * est.std_error
-
-
-def test_an_input_matches_wishart_logdet():
-    cfg = balanced_config(M=3, K=1, N_E=1, N_J=2, T=6)  # unit 2 x 5 block
-    est = expected_log_sv_sum(SvKind.AN_INPUT, cfg, trials=20000, seed=0)
-    assert abs(est.mean - expected_logdet_wishart(2, 5)) <= 4.0 * est.std_error
 
 
 def test_data_spectrum_scales_with_power():
@@ -160,6 +155,9 @@ def test_worker_count_is_invisible():
     a = expected_log_sv_sum(SvKind.JOINT, cfg, trials=600, seed=5, workers=1)
     b = expected_log_sv_sum(SvKind.JOINT, cfg, trials=600, seed=5, workers=4)
     assert a == b
+    for estimate in (partial(universal_constant, sigma_z2=0.1), ergodic_constant):
+        serial = estimate(cfg, trials=600, seed=5, workers=1)
+        assert estimate(cfg, trials=600, seed=5, workers=3) == serial
 
 
 def test_seed_selects_the_stream():
@@ -258,7 +256,7 @@ def test_snr_changes_reuse_the_cached_draws(draw_counts):
 
 def test_rank_zero_spectra_short_circuit():
     cfg = balanced_config(M=8, K=2, N_E=3, N_J=0, T=16)
-    for kind in (SvKind.AN_TAIL, SvKind.AN_POST, SvKind.AN_EXCESS, SvKind.AN_INPUT):
+    for kind in (SvKind.AN_TAIL, SvKind.AN_POST, SvKind.AN_EXCESS):
         est = expected_log_sv_sum(kind, cfg, trials=250, seed=0)
         assert est == McEstimate(0.0, 0.0, 250, 0)
 
@@ -271,7 +269,6 @@ def test_rank_zero_spectra_short_circuit():
         (SvKind.AN_EXCESS, balanced_config(M=8, K=3, N_E=3, N_J=4, T=32)),
         (SvKind.AN_EXCESS, balanced_config(M=8, K=2, N_E=6, N_J=4, T=5)),
         (SvKind.AN_POST, balanced_config(M=8, K=2, N_E=3, N_J=4, T=5)),
-        (SvKind.AN_INPUT, SystemConfig(3, 2, 2, 1, 2, 1.0, 1.0)),
     ],
 )
 def test_block_length_preconditions(kind, cfg):
@@ -289,6 +286,8 @@ def test_run_argument_validation():
         expected_log_sv_sum(SvKind.DATA, cfg, trials=100, workers=0)
     with pytest.raises(ValueError):
         expected_log_sv_sum("data", cfg, trials=100)
+    with pytest.raises(ValueError):
+        MonteCarlo(trials=100).log_sv_sum("data", cfg)
     with pytest.raises(ValueError):
         ergodic_leakage(cfg, 0.0, trials=100)
     with pytest.raises(ValueError):
