@@ -5,7 +5,8 @@ can extract from a zero-forcing downlink that fills its spare spatial
 dimensions with artificial noise.  See the individual modules:
 
 * :mod:`anleak.channel` — system configuration and channel sampling;
-* :mod:`anleak.montecarlo` — deterministic sampled estimators;
+* :mod:`anleak.montecarlo` — deterministic sampled estimators, and
+  `ExactFirst`, which computes the ones with a known law in closed form;
 * :mod:`anleak.bounds` — closed-form high-SNR bounds and secrecy rates;
 * :mod:`anleak.special` — digamma / manifold-volume building blocks;
 * :mod:`anleak.planner` — antenna counts that saturate coherence blocks;
@@ -43,6 +44,7 @@ from .channel import (
 )
 from .errors import AnleakError, ConfigError, DegenerateChannelError, NotApplicable
 from .montecarlo import (
+    ExactFirst,
     McEstimate,
     MonteCarlo,
     SplitCheckReport,
@@ -91,6 +93,7 @@ __all__ = [
     # montecarlo
     "McEstimate",
     "MonteCarlo",
+    "ExactFirst",
     "SvKind",
     "expected_log_sv_sum",
     "ergodic_leakage",

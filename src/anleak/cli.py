@@ -65,6 +65,7 @@ from .channel import (
 )
 from .errors import ConfigError, NotApplicable
 from .montecarlo import (
+    ExactFirst,
     MonteCarlo,
     SvKind,
     expected_log_sv_sum,
@@ -334,7 +335,7 @@ class _Point:
     of the `NotApplicable` its `anleak.bounds` function raised.
     """
 
-    def __init__(self, cfg: SystemConfig, mc: MonteCarlo):
+    def __init__(self, cfg: SystemConfig, mc: ExactFirst):
         self.cfg = cfg
         self.mc = mc
         self.regime = functools.cache(self._build)
@@ -418,7 +419,9 @@ def _derive_config(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every (axis value, metric) cell, in the given order."""
-    mc = MonteCarlo(trials=spec.trials, seed=spec.seed, workers=spec.workers)
+    mc = ExactFirst(
+        MonteCarlo(trials=spec.trials, seed=spec.seed, workers=spec.workers)
+    )
     rows: list[SweepRow] = []
     for value in spec.values:
         try:
@@ -631,7 +634,7 @@ def _cmd_bounds(args) -> int:
     trials, source, seed, workers = _resolve_run_args(
         entries, args.trials, args.seed, args.workers, DEFAULT_POINT_TRIALS
     )
-    mc = MonteCarlo(trials=trials, seed=seed, workers=workers)
+    mc = ExactFirst(MonteCarlo(trials=trials, seed=seed, workers=workers))
     point = _Point(cfg, mc)
 
     def report(metric: str, key: str = "", with_se: bool = False) -> None:

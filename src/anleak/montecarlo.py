@@ -1,7 +1,7 @@
 """Deterministic Monte Carlo estimators for leakage quantities.
 
-Every estimator here reduces to sample means of functionals of random
-matrix spectra.  Determinism contract: a result depends only on the
+Every sampled estimator here reduces to sample means of functionals of
+random matrix spectra.  Determinism contract: a result depends only on the
 arguments ``(..., trials, seed)`` — never on the worker count.  This is
 achieved by giving every trial its own generator seeded from
 ``(seed, stream_tag, trial_index)``, evaluating trials in fixed-size
@@ -35,6 +35,12 @@ floor enters.  The module functions reduce each batch to per-trial values
 as it is drawn; `MonteCarlo` keeps the spectra under ``(tag, args)``
 instead, so an SNR sweep samples each once.
 
+Where a high-SNR expectation has a known law, a digamma sum (see
+`_log_sv_law`), `ExactFirst` answers in closed form with standard error 0
+and asks its `MonteCarlo` for the rest; ``sweep`` and ``bounds`` use it.
+`MonteCarlo` and the module functions always sample, so they stay the
+cross-check of every closed form.
+
 Units: ``expected_log_sv_sum`` returns nats (it is compared against
 digamma identities); the leakage-level estimators return bits.
 """
@@ -51,11 +57,13 @@ import numpy as np
 
 from .channel import SystemConfig
 from .linalg import sample_gaussian, squared_singular_values
+from .special import expected_logdet_wishart
 
 __all__ = [
     "McEstimate",
     "SvKind",
     "MonteCarlo",
+    "ExactFirst",
     "expected_log_sv_sum",
     "ergodic_leakage",
     "ergodic_constant",
@@ -151,6 +159,50 @@ def _sv_args(kind: SvKind, cfg: SystemConfig) -> tuple:
     return _SV_ARGS[kind](cfg)
 
 
+def _sv_rank(kind: SvKind, args: tuple) -> int:
+    """Generic rank ``min(rows, cols)`` of a kind's `_product` draw; raises
+    `ValueError` when it has columns but no rows or too short a unit block."""
+    rows, k, _, nj, _, dof = args
+    cols = k + nj
+    if cols == 0:
+        return 0
+    if rows < 1 or (dof is not None and dof < cols):
+        raise ValueError(
+            f"{kind.name} needs rows >= 1 and a unit block of >= {cols} symbols, "
+            f"got {rows} rows and {dof} symbols"
+        )
+    return min(rows, cols)
+
+
+def _log_sv_law(
+    rows: int, k: int, alpha2: float, nj: int, beta2: float, dof: int | None
+) -> float | None:
+    """``E sum ln lambda^2`` of a `_product` draw in nats, or None if unknown.
+
+    The draw is ``Z D A`` with ``Z`` a ``rows x m`` CN(0, 1) block,
+    ``m = k + nj``, ``D`` the diagonal of column scales and ``A A^H`` a
+    complex Wishart ``W_m(dof)``.  For ``rows >= m`` the determinant splits
+    into ``det D^2 det(Z^H Z) det(A A^H)``; for ``rows < m`` with one power
+    ``d^2`` the LQ split of ``Z`` gives ``d^(2 rows)`` times a
+    ``W_rows(m)`` and a ``W_rows(dof)`` determinant (Goodman 1963).  Two
+    distinct powers on a wide block have no such law.
+    """
+    m = k + nj
+
+    def logdet(p: int, t: int | None) -> float:
+        return 0.0 if t is None else expected_logdet_wishart(p, t)
+
+    if m == 0:
+        return 0.0
+    if rows >= m:
+        scale = sum(n * math.log(d2) for n, d2 in ((k, alpha2), (nj, beta2)) if n)
+        return scale + logdet(m, rows) + logdet(m, dof)
+    if k == 0 or nj == 0 or alpha2 == beta2:
+        d2 = alpha2 if k else beta2
+        return rows * math.log(d2) + logdet(rows, m) + logdet(rows, dof)
+    return None
+
+
 @dataclass(frozen=True)
 class MonteCarlo:
     """Bundle of sampling parameters reused across estimator calls.
@@ -196,6 +248,43 @@ class MonteCarlo:
 
     def universal_constant(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
         return self._estimate(*_universal(cfg, _check_sigma(sigma_z2)))
+
+
+@dataclass(frozen=True)
+class ExactFirst:
+    """`MonteCarlo`'s estimators, in closed form wherever the law is known.
+
+    ``log_sv_sum`` and ``ergodic_constant`` come from `_log_sv_law` as
+    ``McEstimate(mean, 0.0, trials, 0)`` unless a spectrum has two distinct
+    powers on fewer rows than columns; that draw, ``ergodic_leakage`` and
+    ``universal_constant`` are ``mc``'s sampled answers.
+    """
+
+    mc: MonteCarlo
+
+    def _exact(self, mean: float) -> McEstimate:
+        _check_run_args(*self.mc._run)
+        return McEstimate(mean, 0.0, self.mc.trials, 0)
+
+    def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
+        args = _sv_args(kind, cfg)
+        _sv_rank(kind, args)
+        mean = _log_sv_law(*args)
+        return self.mc.log_sv_sum(kind, cfg) if mean is None else self._exact(mean)
+
+    def ergodic_leakage(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
+        return self.mc.ergodic_leakage(cfg, sigma_z2)
+
+    def ergodic_constant(self, cfg: SystemConfig) -> McEstimate:
+        full = _log_sv_law(*_gbar_args(cfg))
+        if full is None:
+            return self.mc.ergodic_constant(cfg)
+        # G2 has one power, so its law is always known.
+        an = _log_sv_law(cfg.N_E, 0, 0.0, cfg.N_J, cfg.beta2, None)
+        return self._exact((full - an) / _LN2)
+
+    def universal_constant(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
+        return self.mc.universal_constant(cfg, sigma_z2)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +449,10 @@ def expected_log_sv_sum(
     """
     _check_run_args(trials, seed, workers)
     args = _sv_args(kind, cfg)
-    rows, k, _, nj, _, dof = args
-    cols = k + nj
-    if cols == 0:
+    rank = _sv_rank(kind, args)
+    if rank == 0:
         return McEstimate(0.0, 0.0, trials, 0)
-    if rows < 1 or (dof is not None and dof < cols):
-        raise ValueError(
-            f"{kind.name} needs rows >= 1 and a unit block of >= {cols} symbols, "
-            f"got {rows} rows and {dof} symbols"
-        )
-    values = partial(_log_sv_values, r=min(rows, cols))
+    values = partial(_log_sv_values, r=rank)
     return _estimate(kind.value, _product, args, _spectra, values, trials, seed, workers)
 
 

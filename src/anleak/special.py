@@ -20,6 +20,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 
 __all__ = [
@@ -84,8 +85,7 @@ def digamma(x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"digamma requires x > 0, got {x!r}")
     if x.is_integer() and x <= _HARMONIC_LIMIT:
-        n = int(x)
-        return -EULER_GAMMA + math.fsum(1.0 / p for p in range(1, n))
+        return _digamma_int(int(x))
     shift = 0.0
     while x < _PSI_CUTOFF:
         shift -= 1.0 / x
@@ -97,6 +97,13 @@ def digamma(x: float) -> float:
         series += coeff * power
         power *= inv2
     return shift + math.log(x) - 0.5 / x - series
+
+
+@functools.cache
+def _digamma_int(n: int) -> float:
+    """``psi(n)`` by its harmonic sum; cached, as the bounds ask for the
+    same few hundred integers again at every point."""
+    return -EULER_GAMMA + math.fsum(1.0 / p for p in range(1, n))
 
 
 def log_stiefel_volume(t: int, m: int) -> LogVolume:

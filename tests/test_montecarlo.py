@@ -11,6 +11,7 @@ from scipy.special import exp1
 
 from anleak import (
     EULER_GAMMA,
+    ExactFirst,
     McEstimate,
     MonteCarlo,
     SvKind,
@@ -320,6 +321,64 @@ def test_roundoff_level_spectra_are_excluded():
     assert 0.0 < sq[1, 1] / sq[1, 0] < 1e-12
     est = _summarize([_log_sv_values(sq, 2)])
     assert (est.trials, est.excluded) == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# ExactFirst: closed forms against the sampled estimators
+# ---------------------------------------------------------------------------
+
+EXACT_CFGS = {
+    # rows >= K + N_J for every kind, at unequal powers (DATA: dof None).
+    "tall-unequal": SystemConfig(M=8, K=2, N_E=6, N_J=3, T=12, alpha2=1.5, beta2=0.7),
+    # rows < K + N_J for JOINT, AN_TAIL, AN_EXCESS, AN_POST and Gbar, at one power.
+    "wide-equal": SystemConfig(M=8, K=2, N_E=3, N_J=4, T=12, alpha2=1.3, beta2=1.3),
+    # No noise columns: rank-zero AN kinds, and a wide DATA block (N_E < K).
+    "no-noise": SystemConfig(M=8, K=4, N_E=2, N_J=0, T=12, alpha2=1.7, beta2=0.0),
+}
+# JOINT and Gbar with two powers on fewer rows than columns: sampled.
+WIDE_UNEQUAL = SystemConfig(M=8, K=2, N_E=3, N_J=4, T=12, alpha2=1.5, beta2=0.7)
+EXACT_RUN = dict(trials=4000, seed=2)
+
+
+@pytest.mark.parametrize("name", list(EXACT_CFGS))
+def test_exact_values_agree_with_sampling(name):
+    cfg = EXACT_CFGS[name]
+    exact = ExactFirst(MonteCarlo(**EXACT_RUN))
+    pairs = [
+        (exact.log_sv_sum(kind, cfg), expected_log_sv_sum(kind, cfg, **EXACT_RUN))
+        for kind in SvKind
+    ]
+    pairs.append((exact.ergodic_constant(cfg), ergodic_constant(cfg, **EXACT_RUN)))
+    for law, sampled in pairs:
+        assert (law.std_error, law.trials, law.excluded) == (0.0, 4000, 0)
+        assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (law, sampled)
+
+
+def test_exact_first_samples_what_has_no_known_law():
+    mc = MonteCarlo(**EXACT_RUN)
+    exact = ExactFirst(mc)
+    cfg = WIDE_UNEQUAL
+    assert exact.log_sv_sum(SvKind.JOINT, cfg) == mc.log_sv_sum(SvKind.JOINT, cfg)
+    assert exact.log_sv_sum(SvKind.JOINT, cfg).std_error > 0.0
+    assert exact.ergodic_constant(cfg) == mc.ergodic_constant(cfg)
+    assert exact.ergodic_leakage(cfg, 0.1) == mc.ergodic_leakage(cfg, 0.1)
+    assert exact.universal_constant(cfg, 0.1) == mc.universal_constant(cfg, 0.1)
+    assert exact.log_sv_sum(SvKind.AN_TAIL, cfg).std_error == 0.0
+
+
+@pytest.mark.parametrize(
+    ("kind", "cfg"),
+    [
+        (SvKind.JOINT, balanced_config(M=8, K=2, N_E=3, N_J=4, T=5)),  # T < K + N_J
+        (SvKind.AN_EXCESS, balanced_config(M=8, K=3, N_E=3, N_J=4, T=32)),  # no rows
+    ],
+)
+def test_exact_first_rejects_what_sampling_rejects(kind, cfg):
+    with pytest.raises(ValueError) as sampled:
+        expected_log_sv_sum(kind, cfg, trials=100, seed=0)
+    with pytest.raises(ValueError) as exact:
+        ExactFirst(MonteCarlo(trials=100)).log_sv_sum(kind, cfg)
+    assert str(exact.value) == str(sampled.value)
 
 
 # ---------------------------------------------------------------------------
