@@ -5,8 +5,8 @@ can extract from a zero-forcing downlink that fills its spare spatial
 dimensions with artificial noise.  See the individual modules:
 
 * :mod:`anleak.channel` — system configuration and channel sampling;
-* :mod:`anleak.montecarlo` — deterministic sampled estimators, and
-  `ExactFirst`, which computes the ones with a known law in closed form;
+* :mod:`anleak.montecarlo` — deterministic sampled estimators (`MonteCarlo`)
+  and its subclass `ExactFirst`, which computes those with a known law exactly;
 * :mod:`anleak.bounds` — closed-form high-SNR bounds and secrecy rates;
 * :mod:`anleak.special` — digamma / manifold-volume building blocks;
 * :mod:`anleak.planner` — antenna counts that saturate coherence blocks;

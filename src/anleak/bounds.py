@@ -104,8 +104,8 @@ class LeakageBounds:
     ``c_lower``/``c_upper`` bracket the constant term in bits; for the
     ergodic regime they coincide.  ``c_std_error`` is the Monte Carlo
     standard error of the sampled part, shared by both constants; 0 when
-    every term is exact (an `ExactFirst` estimator computes each
-    expectation whose law is known).
+    every term is exact, as with an `ExactFirst`, the `MonteCarlo` that
+    computes each expectation whose law is known in closed form.
     """
 
     dof: float

@@ -36,10 +36,10 @@ as it is drawn; `MonteCarlo` keeps the spectra under ``(tag, args)``
 instead, so an SNR sweep samples each once.
 
 Where a high-SNR expectation has a known law, a digamma sum (see
-`_log_sv_law`), `ExactFirst` answers in closed form with standard error 0
-and asks its `MonteCarlo` for the rest; ``sweep`` and ``bounds`` use it.
-`MonteCarlo` and the module functions always sample, so they stay the
-cross-check of every closed form.
+`_log_sv_law`), the `MonteCarlo` subclass `ExactFirst` answers in closed
+form with standard error 0 and samples the rest as its parent does;
+``sweep`` and ``bounds`` use it.  A plain `MonteCarlo` and the module
+functions always sample, so they stay the cross-check of every closed form.
 
 Units: ``expected_log_sv_sum`` returns nats (it is compared against
 digamma identities); the leakage-level estimators return bits.
@@ -207,6 +207,7 @@ def _log_sv_law(
 class MonteCarlo:
     """Bundle of sampling parameters reused across estimator calls.
 
+    ``trials``, ``seed`` and ``workers`` are checked once, at construction.
     An instance caches its draws for its lifetime: ``log_sv_sum`` keeps its
     `McEstimate`, ``ergodic_leakage`` and ``universal_constant`` keep their
     per-batch spectra and apply ``sigma_z2`` on each call.  A key is the
@@ -220,6 +221,9 @@ class MonteCarlo:
     seed: int = 0
     workers: int = 1
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_run_args(*self._run)
 
     @property
     def _run(self) -> tuple:
@@ -250,41 +254,30 @@ class MonteCarlo:
         return self._estimate(*_universal(cfg, _check_sigma(sigma_z2)))
 
 
-@dataclass(frozen=True)
-class ExactFirst:
-    """`MonteCarlo`'s estimators, in closed form wherever the law is known.
+class ExactFirst(MonteCarlo):
+    """A `MonteCarlo` that answers in closed form wherever the law is known.
 
     ``log_sv_sum`` and ``ergodic_constant`` come from `_log_sv_law` as
     ``McEstimate(mean, 0.0, trials, 0)`` unless a spectrum has two distinct
     powers on fewer rows than columns; that draw, ``ergodic_leakage`` and
-    ``universal_constant`` are ``mc``'s sampled answers.
+    ``universal_constant`` are the sampled answers of `MonteCarlo`.
     """
-
-    mc: MonteCarlo
-
-    def _exact(self, mean: float) -> McEstimate:
-        _check_run_args(*self.mc._run)
-        return McEstimate(mean, 0.0, self.mc.trials, 0)
 
     def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
         args = _sv_args(kind, cfg)
         _sv_rank(kind, args)
         mean = _log_sv_law(*args)
-        return self.mc.log_sv_sum(kind, cfg) if mean is None else self._exact(mean)
-
-    def ergodic_leakage(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
-        return self.mc.ergodic_leakage(cfg, sigma_z2)
+        if mean is None:
+            return super().log_sv_sum(kind, cfg)
+        return McEstimate(mean, 0.0, self.trials, 0)
 
     def ergodic_constant(self, cfg: SystemConfig) -> McEstimate:
         full = _log_sv_law(*_gbar_args(cfg))
         if full is None:
-            return self.mc.ergodic_constant(cfg)
+            return super().ergodic_constant(cfg)
         # G2 has one power, so its law is always known.
         an = _log_sv_law(cfg.N_E, 0, 0.0, cfg.N_J, cfg.beta2, None)
-        return self._exact((full - an) / _LN2)
-
-    def universal_constant(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
-        return self.mc.universal_constant(cfg, sigma_z2)
+        return McEstimate((full - an) / _LN2, 0.0, self.trials, 0)
 
 
 # ---------------------------------------------------------------------------

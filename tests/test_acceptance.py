@@ -135,7 +135,7 @@ def test_criterion_04_wishart_identity():
 
 
 def test_criterion_05_bound_ordering_and_gap_shrinkage():
-    mc = ExactFirst(MonteCarlo(trials=20000, seed=0))
+    mc = ExactFirst(trials=20000, seed=0)
     gaps = {}
     ordered = True
     for t_over_m in (1, 2, 3, 5, 7):
@@ -237,7 +237,7 @@ def test_criterion_08_spectrum_split_at_tiny_noise():
 
 def test_criterion_09_single_user_beats_multi_user():
     cfg = dataclasses.replace(FLAGSHIP, T=448)
-    mc = ExactFirst(MonteCarlo(trials=20000, seed=0))
+    mc = ExactFirst(trials=20000, seed=0)
     su = leakage_pair(cfg, mc)
     mu = leakage_pair(single_stream_view(cfg), mc)
     # Conservative widening: push the joint-codeword leakage up by 3 SE and

@@ -405,6 +405,8 @@ def test_bad_override_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, BASE)
     assert main(["sweep", path, "--set", "bogus=1"]) == 2
     assert "unknown key" in capsys.readouterr().err
+    assert main(["sweep", path, "--set", "novalue"]) == 2
+    assert "expected key=value" in capsys.readouterr().err
 
 
 def test_sweep_command_writes_csv(tmp_path):

@@ -293,6 +293,15 @@ def test_run_argument_validation():
         ergodic_leakage(cfg, 0.0, trials=100)
     with pytest.raises(ValueError):
         universal_constant(cfg, -1.0, trials=100)
+    # An estimator object rejects its run arguments when it is built.
+    for bad in (
+        partial(MonteCarlo, trials=1),
+        partial(ExactFirst, seed=-1),
+        partial(MonteCarlo, workers=0),
+        partial(ExactFirst, trials=2.5),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_degenerate_rows_become_nan():
@@ -343,7 +352,7 @@ EXACT_RUN = dict(trials=4000, seed=2)
 @pytest.mark.parametrize("name", list(EXACT_CFGS))
 def test_exact_values_agree_with_sampling(name):
     cfg = EXACT_CFGS[name]
-    exact = ExactFirst(MonteCarlo(**EXACT_RUN))
+    exact = ExactFirst(**EXACT_RUN)
     pairs = [
         (exact.log_sv_sum(kind, cfg), expected_log_sv_sum(kind, cfg, **EXACT_RUN))
         for kind in SvKind
@@ -356,7 +365,7 @@ def test_exact_values_agree_with_sampling(name):
 
 def test_exact_first_samples_what_has_no_known_law():
     mc = MonteCarlo(**EXACT_RUN)
-    exact = ExactFirst(mc)
+    exact = ExactFirst(**EXACT_RUN)
     cfg = WIDE_UNEQUAL
     assert exact.log_sv_sum(SvKind.JOINT, cfg) == mc.log_sv_sum(SvKind.JOINT, cfg)
     assert exact.log_sv_sum(SvKind.JOINT, cfg).std_error > 0.0
@@ -377,7 +386,7 @@ def test_exact_first_rejects_what_sampling_rejects(kind, cfg):
     with pytest.raises(ValueError) as sampled:
         expected_log_sv_sum(kind, cfg, trials=100, seed=0)
     with pytest.raises(ValueError) as exact:
-        ExactFirst(MonteCarlo(trials=100)).log_sv_sum(kind, cfg)
+        ExactFirst(trials=100).log_sv_sum(kind, cfg)
     assert str(exact.value) == str(sampled.value)
 
 
