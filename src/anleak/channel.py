@@ -34,6 +34,7 @@ from .linalg import (
     sample_gaussian,
     scaled_pseudo_inverse,
 )
+from .montecarlo import _TAG_DISTRIBUTIONS, _TAG_TRANSMIT_POWER, _check_run_args, _trial_rng
 
 __all__ = [
     "SystemConfig",
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 _BALANCE_RTOL = 1e-9
+_POWER_BLOCK_LEN = 16  # symbols per trial of `average_transmit_power`
 
 
 @dataclass(frozen=True)
@@ -320,19 +322,19 @@ def average_transmit_power(
     cfg: SystemConfig,
     trials: int = 1000,
     seed: int = 0,
-    block_len: int = 16,
 ) -> tuple[float, float]:
-    """Monte Carlo mean transmit power per symbol, with its std error."""
-    if trials < 2:
-        raise ValueError(f"need trials >= 2, got {trials}")
+    """Monte Carlo mean transmit power per symbol over blocks of
+    ``_POWER_BLOCK_LEN`` symbols, with its std error: the sampled route to
+    `exact_transmit_power`.  ``trials`` and ``seed`` obey the run rule."""
+    _check_run_args(trials, seed)
     vals = np.empty(trials)
     for i in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 101, i)))
+        rng = _trial_rng(seed, _TAG_TRANSMIT_POWER, i)
         real = sample_realization(cfg, rng)
-        s = sample_gaussian(cfg.K, block_len, 1.0, rng)
-        n = sample_gaussian(cfg.N_J, block_len, 1.0, rng)
+        s = sample_gaussian(cfg.K, _POWER_BLOCK_LEN, 1.0, rng)
+        n = sample_gaussian(cfg.N_J, _POWER_BLOCK_LEN, 1.0, rng)
         x = transmit_signal(cfg, real, s, n)
-        vals[i] = np.linalg.norm(x) ** 2 / block_len
+        vals[i] = np.linalg.norm(x) ** 2 / _POWER_BLOCK_LEN
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
 
 
@@ -398,7 +400,7 @@ def check_effective_distributions(
 ) -> DistributionReport:
     """Sample realizations and test the effective-channel claims.
 
-    Checks performed over ``trials`` independent realizations:
+    Checks over ``trials >= 100`` realizations (``seed`` obeys the run rule):
 
     * per-entry variance of the noise part equals ``beta2`` (exact claim);
     * per-entry variance of the data part equals the finite-antenna value
@@ -411,6 +413,7 @@ def check_effective_distributions(
       (one-sample Kolmogorov-Smirnov against the normal CDF, threshold
       ``1.63 / sqrt(trials)``, about the 1% level).
     """
+    _check_run_args(trials, seed)
     if trials < 100:
         raise ValueError(f"need trials >= 100, got {trials}")
     ne, k, nj = cfg.N_E, cfg.K, cfg.N_J
@@ -421,7 +424,7 @@ def check_effective_distributions(
     data_sq_sum = 0.0
     an_sq_sum = 0.0
     for i in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 100, i)))
+        rng = _trial_rng(seed, _TAG_DISTRIBUTIONS, i)
         real = sample_realization(cfg, rng)
         data_sq_sum += float(np.sum(np.abs(real.g_data) ** 2))
         an_sq_sum += float(np.sum(np.abs(real.g_an) ** 2))

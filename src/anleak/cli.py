@@ -68,6 +68,7 @@ from .montecarlo import (
     ExactFirst,
     MonteCarlo,
     SvKind,
+    _check_run_args,
     expected_log_sv_sum,
     sv_split_check,
 )
@@ -298,8 +299,8 @@ def _resolve_run_args(
     """Resolve ``(trials, trials_source, seed, workers)`` for a command.
 
     Each value comes from its flag, else the config file; trials then fall
-    back to ``ANLEAK_TRIALS`` and the command's default.  Invalid values
-    raise `ConfigError`.
+    back to ``ANLEAK_TRIALS`` and the command's default.  Values that break
+    `montecarlo`'s run rule raise its message as a `ConfigError`.
     """
     if trials is not None:
         resolved_trials, source = trials, "flag"
@@ -315,15 +316,12 @@ def _resolve_run_args(
         source = f"env:{TRIALS_ENV_VAR}"
     else:
         resolved_trials, source = default_trials, "default"
-    if resolved_trials < 2:
-        raise ConfigError(f"trials must be >= 2, got {resolved_trials}")
-
     resolved_seed = seed if seed is not None else _get_int(entries, "seed", 0)
-    if resolved_seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {resolved_seed}")
     resolved_workers = workers if workers is not None else _get_int(entries, "workers", 1)
-    if resolved_workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {resolved_workers}")
+    try:
+        _check_run_args(resolved_trials, resolved_seed, resolved_workers)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return resolved_trials, source, resolved_seed, resolved_workers
 
 
@@ -401,24 +399,15 @@ def _derive_config(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
     if axis == "snr_e_db":
         return replace(cfg, snr_e_db=value)
     if axis == "T_gamma":
-        t = round(value * cfg.M)
-        if t < 1:
-            raise ValueError(f"T_gamma={value} gives T={t} < 1")
-        return replace(cfg, T=t)
+        return replace(cfg, T=round(value * cfg.M))  # SystemConfig rejects T < 1
     if axis == "N_E":
         return replace(cfg, N_E=int(value))
     if axis == "N_J":
         nj = int(value)
-        return balanced_config(
-            M=cfg.M,
-            K=cfg.K,
-            N_E=cfg.N_E,
-            N_J=nj,
-            T=cfg.T,
-            alpha2=cfg.alpha2 if nj else None,
-            snr_e_db=cfg.snr_e_db,
-            snr_l_db=cfg.snr_l_db,
-        )
+        # A base without noise spends all power on data: no split to keep.
+        alpha2 = cfg.alpha2 if nj and cfg.N_J else None
+        snrs = dict(snr_e_db=cfg.snr_e_db, snr_l_db=cfg.snr_l_db)
+        return balanced_config(cfg.M, cfg.K, cfg.N_E, nj, cfg.T, alpha2=alpha2, **snrs)
     raise ConfigError(f"unknown axis {axis!r}")
 
 

@@ -2,11 +2,12 @@
 
 Every sampled estimator here reduces to sample means of functionals of
 random matrix spectra.  Determinism contract: a result depends only on the
-arguments ``(..., trials, seed)`` — never on the worker count.  This is
-achieved by giving every trial its own generator seeded from
-``(seed, stream_tag, trial_index)``, evaluating trials in fixed-size
-batches, and reducing the per-trial values in trial order; workers only
-partition batches, so 1 and 8 workers produce bit-identical numbers.
+arguments ``(..., trials, seed)`` — never on the worker count.  This
+module owns it for the package: `_check_run_args` judges ``trials``,
+``seed`` and ``workers``, and `_trial_rng` seeds every trial, here and in
+`anleak.channel`, from ``(seed, stream_tag, trial_index)``.  Trials run in
+fixed-size batches and reduce in trial order; workers only partition
+batches, so 1 and 8 workers produce bit-identical numbers.
 
 Sampling notes
 --------------
@@ -52,12 +53,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import SystemConfig
 from .linalg import sample_gaussian, squared_singular_values
 from .special import expected_logdet_wishart
+
+if TYPE_CHECKING:  # channel imports this module's run rule and generator
+    from .channel import SystemConfig
 
 __all__ = [
     "McEstimate",
@@ -76,11 +80,14 @@ _LN2 = math.log(2.0)
 _BATCH = 64
 _SQ_FLAG_RTOL = 1e-12  # relative squared-singular-value floor of the Gram route
 
-# Fixed stream tags: part of the determinism contract, never renumber.
+# Every stream tag of the package: part of the determinism contract, never
+# renumber.  1-5 are the `SvKind` values and 6 is retired.
 _TAG_ERGODIC = 7
 _TAG_ERGODIC_CONST = 8
 _TAG_UNIVERSAL = 9
 _TAG_SPLIT = 10
+_TAG_DISTRIBUTIONS = 100  # channel.check_effective_distributions
+_TAG_TRANSMIT_POWER = 101  # channel.average_transmit_power
 
 
 @dataclass(frozen=True)
@@ -289,13 +296,14 @@ def _trial_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, tag, index)))
 
 
-def _check_run_args(trials: int, seed: int, workers: int) -> None:
-    if not isinstance(trials, int) or trials < 2:
-        raise ValueError(f"need integer trials >= 2, got {trials!r}")
-    if not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"need integer seed >= 0, got {seed!r}")
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"need integer workers >= 1, got {workers!r}")
+def _check_run_args(trials: int, seed: int, workers: int = 1) -> None:
+    """The package's one run rule: integer ``trials >= 2``, ``seed >= 0``, ``workers >= 1``."""
+    rules = (("trials", trials, 2), ("seed", seed, 0), ("workers", workers, 1))
+    for name, value, low in rules:
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _run_trials(
@@ -614,8 +622,7 @@ def sv_split_check(
     Forms explicit products (no factorization shortcuts), so this check
     also cross-validates the sampling used by the estimators above.
     """
-    if trials < 2:
-        raise ValueError(f"need trials >= 2, got {trials}")
+    _check_run_args(trials, seed)
     s2 = _check_sigma(sigma_z2)
     ne, mbar, t = cfg.N_E, cfg.mbar, cfg.T
     if t < mbar:

@@ -201,6 +201,8 @@ def test_average_transmit_power_rejects_tiny_runs():
     cfg = balanced_config(M=12, K=3, N_E=2, N_J=4, T=8)
     with pytest.raises(ValueError):
         average_transmit_power(cfg, trials=1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        average_transmit_power(cfg, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +253,5 @@ def test_distribution_report_flags_bad_stats():
 def test_effective_distributions_rejects_tiny_runs(cfg):
     with pytest.raises(ValueError):
         check_effective_distributions(cfg, trials=50)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        check_effective_distributions(cfg, seed=-1)

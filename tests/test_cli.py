@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import anleak.cli
-from anleak import ConfigError
+from anleak import ConfigError, MonteCarlo
 from anleak.cli import (
     AXES,
     METRICS,
@@ -148,8 +148,16 @@ def test_bad_env_trials_is_a_config_error(monkeypatch):
 )
 def test_spec_validation_errors(overrides, match, monkeypatch):
     monkeypatch.delenv("ANLEAK_TRIALS", raising=False)
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(ConfigError, match=match) as err:
         build_sweep_spec(make_entries(**overrides))
+    run_args = {k: int(v) for k, v in overrides.items() if k in ("trials", "seed", "workers")}
+    if run_args:  # a bad run argument reads as the estimator's own rule says
+        with pytest.raises(ValueError) as rule:
+            MonteCarlo(**run_args)
+        assert str(err.value) == str(rule.value)
+        with pytest.raises(ConfigError) as flag_err:  # the same value as a flag
+            build_sweep_spec(make_entries(), **run_args)
+        assert str(flag_err.value) == str(rule.value)
 
 
 def test_metrics_default_to_all(monkeypatch):
@@ -204,6 +212,18 @@ def test_no_noise_reason_code():
     rows = _rows_by_metric(run_sweep(spec), 0)
     assert rows["noncoh_lb"].reason == "precondition:beta2=0"
     assert rows["ergodic"].reason == ""
+
+
+def test_nj_sweep_does_not_depend_on_base_noise():
+    # A base with N_J = 0 has alpha2 = M/K and no power left for noise; the
+    # points with noise must re-balance as if the base had noise.
+    def rows(base_nj):
+        entries = make_entries(N_J=base_nj, axis="N_J", values="0,2,6", metrics=None)
+        return run_sweep(build_sweep_spec(entries, trials=50, seed=0))
+
+    from_none = rows(0)
+    assert all(r.reason != "invalid_config" for r in from_none)
+    assert from_none == rows(6)
 
 
 def test_no_excess_block_reason_code():

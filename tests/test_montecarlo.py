@@ -21,6 +21,7 @@ from anleak import (
     ergodic_leakage,
     expected_log_sv_sum,
     expected_logdet_wishart,
+    montecarlo,
     sv_split_check,
     universal_constant,
 )
@@ -302,6 +303,12 @@ def test_run_argument_validation():
     ):
         with pytest.raises(ValueError):
             bad()
+    # Every stream tag of the package is distinct, and tag 6 stays retired.
+    tags = [kind.value for kind in SvKind]
+    tags += [v for name, v in vars(montecarlo).items() if name.startswith("_TAG_")]
+    assert len(set(tags)) == len(tags) > len(SvKind)
+    assert 6 not in tags
+    assert (montecarlo._TAG_DISTRIBUTIONS, montecarlo._TAG_TRANSMIT_POWER) == (100, 101)
 
 
 def test_degenerate_rows_become_nan():
@@ -432,3 +439,7 @@ def test_sv_split_argument_validation():
         sv_split_check(long_cfg, 0.0, trials=50, seed=0)
     with pytest.raises(ValueError):
         sv_split_check(long_cfg, 1e-8, trials=1, seed=0)
+    with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
+        sv_split_check(long_cfg, 1e-8, trials=2.5, seed=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sv_split_check(long_cfg, 1e-8, trials=50, seed=-1)
