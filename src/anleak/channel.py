@@ -34,7 +34,8 @@ from .linalg import (
     sample_gaussian,
     scaled_pseudo_inverse,
 )
-from .montecarlo import _TAG_DISTRIBUTIONS, _TAG_TRANSMIT_POWER, _check_run_args, _trial_rng
+from .montecarlo import _TAG_DISTRIBUTIONS, _TAG_TRANSMIT_POWER, _check_run_args
+from .montecarlo import _stacked, _summarize
 
 __all__ = [
     "SystemConfig",
@@ -325,17 +326,17 @@ def average_transmit_power(
 ) -> tuple[float, float]:
     """Monte Carlo mean transmit power per symbol over blocks of
     ``_POWER_BLOCK_LEN`` symbols, with its std error: the sampled route to
-    `exact_transmit_power`.  ``trials`` and ``seed`` obey the run rule."""
-    _check_run_args(trials, seed)
-    vals = np.empty(trials)
-    for i in range(trials):
-        rng = _trial_rng(seed, _TAG_TRANSMIT_POWER, i)
-        real = sample_realization(cfg, rng)
-        s = sample_gaussian(cfg.K, _POWER_BLOCK_LEN, 1.0, rng)
-        n = sample_gaussian(cfg.N_J, _POWER_BLOCK_LEN, 1.0, rng)
-        x = transmit_signal(cfg, real, s, n)
-        vals[i] = np.linalg.norm(x) ** 2 / _POWER_BLOCK_LEN
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
+    `exact_transmit_power`, one `_power_draw` per trial of `_run_trials`."""
+    est = _summarize(_stacked(_TAG_TRANSMIT_POWER, _power_draw, (cfg,), trials, seed))
+    return est.mean, est.std_error
+
+
+def _power_draw(cfg: SystemConfig, rng: np.random.Generator) -> np.float64:
+    """One trial's transmit power per symbol: a realization, then symbols."""
+    real = sample_realization(cfg, rng)
+    s = sample_gaussian(cfg.K, _POWER_BLOCK_LEN, 1.0, rng)
+    n = sample_gaussian(cfg.N_J, _POWER_BLOCK_LEN, 1.0, rng)
+    return np.linalg.norm(transmit_signal(cfg, real, s, n)) ** 2 / _POWER_BLOCK_LEN
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +401,7 @@ def check_effective_distributions(
 ) -> DistributionReport:
     """Sample realizations and test the effective-channel claims.
 
-    Checks over ``trials >= 100`` realizations (``seed`` obeys the run rule):
+    Checks over ``trials >= 100`` realizations, each a `_probe_draw` (``seed`` obeys the run rule):
 
     * per-entry variance of the noise part equals ``beta2`` (exact claim);
     * per-entry variance of the data part equals the finite-antenna value
@@ -413,23 +414,11 @@ def check_effective_distributions(
       (one-sample Kolmogorov-Smirnov against the normal CDF, threshold
       ``1.63 / sqrt(trials)``, about the 1% level).
     """
-    _check_run_args(trials, seed)
-    if trials < 100:
-        raise ValueError(f"need trials >= 100, got {trials}")
+    _check_distribution_run(trials, seed)
     ne, k, nj = cfg.N_E, cfg.K, cfg.N_J
-    data_rows, data_cols = min(2, ne), min(2, k)
-    an_cols = min(2, nj)
-    data_probe = np.empty((trials, data_rows * data_cols), dtype=np.complex128)
-    an_probe = np.empty((trials, data_rows * an_cols), dtype=np.complex128)
-    data_sq_sum = 0.0
-    an_sq_sum = 0.0
-    for i in range(trials):
-        rng = _trial_rng(seed, _TAG_DISTRIBUTIONS, i)
-        real = sample_realization(cfg, rng)
-        data_sq_sum += float(np.sum(np.abs(real.g_data) ** 2))
-        an_sq_sum += float(np.sum(np.abs(real.g_an) ** 2))
-        data_probe[i] = real.g_data[:data_rows, :data_cols].ravel()
-        an_probe[i] = real.g_an[:data_rows, :an_cols].ravel()
+    sums, data_probe, an_probe = _stacked(_TAG_DISTRIBUTIONS, _probe_draw, (cfg,), trials, seed)
+    # Add the per-trial sums in trial order, as a running total would.
+    data_sq_sum, an_sq_sum = np.cumsum(sums, axis=0)[-1].tolist()
 
     g_data_var = data_sq_sum / (trials * ne * k)
     g_an_var = an_sq_sum / (trials * ne * nj) if nj else 0.0
@@ -463,6 +452,20 @@ def check_effective_distributions(
         ks_stat=ks,
         ks_threshold=1.63 / math.sqrt(trials),
     )
+
+
+def _check_distribution_run(trials: int, seed: int) -> None:
+    """`check_effective_distributions`'s run rule: the package's, then ``trials >= 100``."""
+    _check_run_args(trials, seed)
+    if trials < 100:
+        raise ValueError(f"need trials >= 100, got {trials}")
+
+
+def _probe_draw(cfg: SystemConfig, rng: np.random.Generator) -> tuple:
+    """A realization's ``[sum |g_data|^2, sum |g_an|^2]``, then each part's top-left 2 x 2."""
+    real = sample_realization(cfg, rng)
+    sums = np.array([np.sum(np.abs(g) ** 2) for g in (real.g_data, real.g_an)])
+    return sums, real.g_data[:2, :2].ravel(), real.g_an[:2, :2].ravel()
 
 
 def _ks_normal(standardized: np.ndarray) -> float:

@@ -57,6 +57,7 @@ from .bounds import (
 )
 from .channel import (
     SystemConfig,
+    _check_distribution_run,
     average_transmit_power,
     balanced_config,
     check_effective_distributions,
@@ -481,8 +482,7 @@ def run_validation(seed: int = 0, trials: int | None = None) -> ValidationReport
     N-sigma band, so reduced-trial runs stay meaningful.
     """
     base = 4000 if trials is None else trials
-    if base < 100:
-        raise ValueError(f"need trials >= 100, got {base}")
+    _check_distribution_run(base, seed)  # before any sampled check
     scale = base / 4000.0
     checks = [
         _check_digamma_recurrence(),
@@ -508,16 +508,11 @@ def _check_digamma_recurrence() -> CheckResult:
 
 
 def _check_volume_symmetry() -> CheckResult:
-    dev = 0.0
-    for t in (2, 3, 5, 8, 13, 21, 64):
-        for m in range(0, t + 1):
-            dev = max(
-                dev,
-                abs(
-                    special.log_grassmann_volume(t, m)
-                    - special.log_grassmann_volume(t, t - m)
-                ),
-            )
+    dev = max(
+        abs(special.log_grassmann_volume(t, m) - special.log_grassmann_volume(t, t - m))
+        for t in (2, 3, 5, 8, 13, 21, 64)
+        for m in range(t + 1)
+    )
     frozen = abs(special.log_stiefel_volume(1, 1) - math.log(2 * math.pi))
     ok = dev <= 1e-10 and frozen <= 1e-12
     return CheckResult(
@@ -606,12 +601,12 @@ def _cmd_sweep(args) -> int:
     spec = build_sweep_spec(
         entries, trials=args.trials, seed=args.seed, workers=args.workers
     )
-    rows = run_sweep(spec)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            write_sweep_csv(spec, rows, fh)
-    else:
-        write_sweep_csv(spec, rows, sys.stdout)
+    try:  # before sampling, so a bad path costs no sweep
+        fh = open(args.output, "w", encoding="utf-8", newline="") if args.output else None
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.output!r}: {exc}") from exc
+    with fh or contextlib.nullcontext(sys.stdout) as out:
+        write_sweep_csv(spec, run_sweep(spec), out)
     return 0
 
 

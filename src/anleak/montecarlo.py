@@ -4,10 +4,10 @@ Every sampled estimator here reduces to sample means of functionals of
 random matrix spectra.  Determinism contract: a result depends only on the
 arguments ``(..., trials, seed)`` — never on the worker count.  This
 module owns it for the package: `_check_run_args` judges ``trials``,
-``seed`` and ``workers``, and `_trial_rng` seeds every trial, here and in
-`anleak.channel`, from ``(seed, stream_tag, trial_index)``.  Trials run in
-fixed-size batches and reduce in trial order; workers only partition
-batches, so 1 and 8 workers produce bit-identical numbers.
+``seed`` and ``workers``, and every seeded draw of the package goes through
+`_run_trials`, which seeds trial ``i`` from ``(seed, stream_tag, i)``.
+Trials run in fixed-size batches and reduce in trial order; workers only
+partition batches, so 1 and 8 workers produce bit-identical numbers.
 
 Sampling notes
 --------------
@@ -60,7 +60,7 @@ import numpy as np
 from .linalg import sample_gaussian, squared_singular_values
 from .special import expected_logdet_wishart
 
-if TYPE_CHECKING:  # channel imports this module's run rule and generator
+if TYPE_CHECKING:  # channel imports this module's run rule and trial loop
     from .channel import SystemConfig
 
 __all__ = [
@@ -312,10 +312,10 @@ def _run_trials(
     """Draw seeded trials and reduce them batch by batch, in trial order.
 
     Trial ``i`` is ``draw(*args, _trial_rng(seed, tag, i))``: one array or
-    a tuple of arrays.  Each batch of ``_BATCH`` trials is stacked array by
-    array (written straight into preallocated stacks, so a batch is held
-    once), and the list of ``reduce(*stacks)`` results, per-trial values or
-    spectra, is returned; workers only partition the batches.
+    a tuple of arrays, 0-d ones too.  Each batch of ``_BATCH`` trials is
+    stacked array by array (written straight into preallocated stacks, so a
+    batch is held once), and the list of ``reduce(*stacks)`` results,
+    per-trial values or spectra, is returned; workers only partition them.
     """
     _check_run_args(trials, seed, workers)
 
@@ -337,6 +337,12 @@ def _run_trials(
         return [batch(s) for s in starts]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(batch, starts))
+
+
+def _stacked(tag: int, draw, args: tuple, trials: int, seed: int) -> tuple:
+    """Each part of the trials ``draw(*args, rng)``, stacked in trial order."""
+    batches = _run_trials(tag, draw, args, lambda *stacks: stacks, trials, seed, 1)
+    return tuple(np.concatenate(part) for part in zip(*batches))
 
 
 def _summarize(batches: list[np.ndarray]) -> McEstimate:
@@ -620,36 +626,18 @@ def sv_split_check(
     """Compare spectra of noisy and noiseless channel-block products.
 
     Forms explicit products (no factorization shortcuts), so this check
-    also cross-validates the sampling used by the estimators above.
+    also cross-validates the sampling used by the estimators above.  Each
+    trial is one `_split_draw`, drawn through `_run_trials`.
     """
-    _check_run_args(trials, seed)
     s2 = _check_sigma(sigma_z2)
     ne, mbar, t = cfg.N_E, cfg.mbar, cfg.T
     if t < mbar:
         raise ValueError(f"split check needs T >= K + N_J = {mbar}, got T={t}")
-    xi = min(mbar, ne, t)
-    omega = min(ne, t)
-    noise_scale = math.sqrt(s2)
-    top_devs = []
-    trailing = []
-    reference = []
-    for i in range(trials):
-        rng = _trial_rng(seed, _TAG_SPLIT, i)
-        gbar = _product(*_gbar_args(cfg), rng)
-        xbar = sample_gaussian(mbar, t, 1.0, rng)
-        z = sample_gaussian(ne, t, s2, rng)
-        prod = gbar @ xbar
-        sp = np.sqrt(squared_singular_values(prod))
-        sy = np.sqrt(squared_singular_values(prod + z))
-        top_devs.append(np.abs(sy[:xi] - sp[:xi]) / sp[:xi])
-        if omega > xi:
-            trailing.append(sy[xi:omega])
-            ref = noise_scale * sample_gaussian(ne - xi, t - xi, 1.0, rng)
-            reference.append(np.sqrt(squared_singular_values(ref)))
-    devs = np.concatenate(top_devs)
-    if omega > xi:
-        tail = np.concatenate(trailing)
-        ref = np.concatenate(reference)
+    xi, omega = min(mbar, ne, t), min(ne, t)
+    parts = _stacked(_TAG_SPLIT, _split_draw, (cfg, s2, xi, omega), trials, seed)
+    devs, *trailing = (part.ravel() for part in parts)  # pooled over trials
+    if trailing:
+        tail, ref = trailing
         energy = float(np.sum(tail**2) / (trials * s2 * (ne - xi) * (t - xi)))
         ks = _two_sample_ks(tail, ref)
     else:
@@ -664,6 +652,20 @@ def sv_split_check(
         trailing_energy_ratio=energy,
         trailing_ks=ks,
     )
+
+
+def _split_draw(cfg: SystemConfig, s2: float, xi: int, omega: int, rng: np.random.Generator):
+    """One trial: the top-``xi`` deviations, then any trailing and reference values."""
+    ne, t = cfg.N_E, cfg.T
+    prod = _product(*_gbar_args(cfg), rng) @ sample_gaussian(cfg.mbar, t, 1.0, rng)
+    z = sample_gaussian(ne, t, s2, rng)
+    sp = np.sqrt(squared_singular_values(prod))
+    sy = np.sqrt(squared_singular_values(prod + z))
+    devs = np.abs(sy[:xi] - sp[:xi]) / sp[:xi]
+    if omega == xi:
+        return (devs,)
+    ref = math.sqrt(s2) * sample_gaussian(ne - xi, t - xi, 1.0, rng)
+    return devs, sy[xi:omega], np.sqrt(squared_singular_values(ref))
 
 
 def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:

@@ -13,6 +13,7 @@ from anleak import (
     balanced_config,
     check_effective_distributions,
     exact_transmit_power,
+    montecarlo,
     sample_realization,
     single_stream_view,
     transmit_signal,
@@ -197,6 +198,22 @@ def test_transmit_power_approaches_antenna_budget():
     assert exact / cfg.M == pytest.approx(1.0, abs=0.005)
 
 
+def test_average_transmit_power_keeps_its_stream_across_batch_edges():
+    # Reference: a plain per-trial loop on the same generators.  130 trials
+    # span two full 64-trial batches of `_run_trials` and a partial one.
+    cfg = balanced_config(M=12, K=3, N_E=2, N_J=4, T=8)
+    trials, seed = 130, 2
+    vals = np.empty(trials)
+    for i in range(trials):
+        rng = montecarlo._trial_rng(seed, montecarlo._TAG_TRANSMIT_POWER, i)
+        real = sample_realization(cfg, rng)
+        s = sample_gaussian(cfg.K, 16, 1.0, rng)
+        n = sample_gaussian(cfg.N_J, 16, 1.0, rng)
+        vals[i] = np.linalg.norm(transmit_signal(cfg, real, s, n)) ** 2 / 16
+    expected = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
+    assert average_transmit_power(cfg, trials=trials, seed=seed) == expected
+
+
 def test_average_transmit_power_rejects_tiny_runs():
     cfg = balanced_config(M=12, K=3, N_E=2, N_J=4, T=8)
     with pytest.raises(ValueError):
@@ -248,6 +265,21 @@ def test_distribution_report_flags_bad_stats():
 
     bad_ks = DistributionReport(**{**good, "ks_stat": 0.2})
     assert any("KS" in f for f in bad_ks.failures)
+
+
+def test_effective_distributions_add_variances_in_trial_order(cfg):
+    # Reference: a running total over the realizations in trial order; a
+    # pairwise sum would differ in the last bits.
+    trials, seed = 130, 1
+    data_sq_sum = an_sq_sum = 0.0
+    for i in range(trials):
+        rng = montecarlo._trial_rng(seed, montecarlo._TAG_DISTRIBUTIONS, i)
+        real = sample_realization(cfg, rng)
+        data_sq_sum += float(np.sum(np.abs(real.g_data) ** 2))
+        an_sq_sum += float(np.sum(np.abs(real.g_an) ** 2))
+    report = check_effective_distributions(cfg, trials=trials, seed=seed)
+    assert report.g_data_var == data_sq_sum / (trials * cfg.N_E * cfg.K)
+    assert report.g_an_var == an_sq_sum / (trials * cfg.N_E * cfg.N_J)
 
 
 def test_effective_distributions_rejects_tiny_runs(cfg):

@@ -381,6 +381,21 @@ def test_validation_rejects_tiny_runs():
         run_validation(trials=50)
 
 
+def test_validation_states_the_distribution_trials_rule_once(monkeypatch):
+    cfg = build_system_config(FLAGSHIP)
+    with pytest.raises(ValueError) as lib:
+        anleak.channel.check_effective_distributions(cfg, trials=50)
+
+    def no_draws(*args):
+        raise AssertionError("a sampled check ran before the trials rule")
+
+    # Every seeded draw of the package seeds its trials here.
+    monkeypatch.setattr(anleak.montecarlo, "_trial_rng", no_draws)
+    with pytest.raises(ValueError) as cli:
+        run_validation(trials=50)
+    assert str(cli.value) == str(lib.value) == "need trials >= 100, got 50"
+
+
 def test_validation_catches_a_biased_digamma(monkeypatch):
     import anleak.special
 
@@ -427,6 +442,16 @@ def test_bad_override_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
     assert main(["sweep", path, "--set", "novalue"]) == 2
     assert "expected key=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing/dir/out.csv", "."], ids=["no-dir", "is-dir"])
+def test_sweep_rejects_an_unwritable_output_before_sampling(
+    target, tmp_path, capsys, draw_counts
+):
+    path = write_config(tmp_path, BASE)
+    assert main(["sweep", path, "-o", str(tmp_path / target)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert not draw_counts
 
 
 def test_sweep_command_writes_csv(tmp_path):

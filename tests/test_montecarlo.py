@@ -430,6 +430,39 @@ def test_sv_split_without_trailing_part():
     assert report.trailing_ks == 0.0
 
 
+def test_sv_split_keeps_its_stream_across_batch_edges():
+    # Reference: a plain per-trial loop on the same generators.  70 trials
+    # span a full 64-trial batch of `_run_trials` and a partial one.
+    cfg = balanced_config(M=8, K=2, N_E=6, N_J=2, T=12)
+    s2, trials, seed = 1e-3, 70, 3
+    xi, omega = 4, 6
+    top_devs, trailing, reference = [], [], []
+    for i in range(trials):
+        rng = montecarlo._trial_rng(seed, montecarlo._TAG_SPLIT, i)
+        gbar = montecarlo._product(*montecarlo._gbar_args(cfg), rng)
+        prod = gbar @ sample_gaussian(cfg.mbar, cfg.T, 1.0, rng)
+        z = sample_gaussian(cfg.N_E, cfg.T, s2, rng)
+        sp = np.sqrt(squared_singular_values(prod))
+        sy = np.sqrt(squared_singular_values(prod + z))
+        top_devs.append(np.abs(sy[:xi] - sp[:xi]) / sp[:xi])
+        trailing.append(sy[xi:omega])
+        ref = math.sqrt(s2) * sample_gaussian(cfg.N_E - xi, cfg.T - xi, 1.0, rng)
+        reference.append(np.sqrt(squared_singular_values(ref)))
+    devs, tail = np.concatenate(top_devs), np.concatenate(trailing)
+    expected = montecarlo.SplitCheckReport(
+        trials=trials,
+        xi=xi,
+        omega=omega,
+        top_rel_dev_median=float(np.median(devs)),
+        top_rel_dev_max=float(np.max(devs)),
+        trailing_energy_ratio=float(
+            np.sum(tail**2) / (trials * s2 * (cfg.N_E - xi) * (cfg.T - xi))
+        ),
+        trailing_ks=montecarlo._two_sample_ks(tail, np.concatenate(reference)),
+    )
+    assert sv_split_check(cfg, s2, trials=trials, seed=seed) == expected
+
+
 def test_sv_split_argument_validation():
     cfg = balanced_config(M=8, K=2, N_E=4, N_J=2, T=3)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Package hygiene: the helper modules export nothing the package never calls,
-and only `anleak.bounds` spells a reason code."""
+only `anleak.bounds` spells a reason code, and every seeded trial is drawn
+by `montecarlo._run_trials`."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,36 @@ def test_reason_codes_are_spelled_only_in_bounds():
         if isinstance(node, ast.Constant) and _is_reason_code(node.value)
     ]
     assert not stray, f"reason codes outside bounds.py: {stray}"
+
+
+def _reads(names: set[str]) -> list[tuple[str, int, str, tuple[str, ...]]]:
+    """``(file, line, name, enclosing defs)`` of every read of ``names`` in
+    ``src/anleak``, bare or as an attribute."""
+    found = []
+
+    def visit(node, path, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in names and isinstance(getattr(node, "ctx", None), ast.Load):
+            found.append((path.name, node.lineno, name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, ())
+    return found
+
+
+def test_every_seeded_trial_goes_through_the_one_trial_loop():
+    # `_run_trials` is the package's only trial loop, and `_trial_rng` its
+    # only way to build a generator, so a stream change is made in one place.
+    owners = {
+        "_trial_rng": "_run_trials",
+        "SeedSequence": "_trial_rng",
+        "default_rng": "_trial_rng",
+    }
+    reads = _reads(set(owners))
+    stray = [hit for hit in reads if owners[hit[2]] not in hit[3]]
+    assert not stray, f"seeded draws outside their owner: {stray}"
+    assert {hit[2] for hit in reads} == set(owners)
