@@ -322,7 +322,8 @@ def universal_upper(cfg: SystemConfig, snr_e_db: float, mc: MonteCarlo) -> McEst
     """Coherence-free leakage upper bound at a given eavesdropper SNR, bits.
 
     ``min(N_E, K) (1 - N_J/t')^+ log2(SNR) + c(sigma^2)`` with the
-    constant sampled at ``sigma^2 = 10**(-snr/10)``.  Covers an
+    constant ``mc.universal_constant`` at ``sigma^2 = 10**(-snr/10)``:
+    exact for an `ExactFirst`, sampled for a plain `MonteCarlo`.  Covers an
     eavesdropper that knows ``G1`` and the artificial-noise symbols but not
     the artificial-noise channel (so also the blind and partial regimes);
     it does not bound the known-channel `ergodic_leakage`.  It never

@@ -36,11 +36,13 @@ floor enters.  The module functions reduce each batch to per-trial values
 as it is drawn; `MonteCarlo` keeps the spectra under ``(tag, args)``
 instead, so an SNR sweep samples each once.
 
-Where a high-SNR expectation has a known law, a digamma sum (see
-`_log_sv_law`), the `MonteCarlo` subclass `ExactFirst` answers in closed
-form with standard error 0 and samples the rest as its parent does;
-``sweep`` and ``bounds`` use it.  A plain `MonteCarlo` and the module
-functions always sample, so they stay the cross-check of every closed form.
+The `MonteCarlo` subclass `ExactFirst`, which ``sweep`` and ``bounds``
+use, answers from known laws with standard error 0: every high-SNR
+log-determinant (digamma sums, plus a Jacobi-ensemble mean for two powers
+on a wide block; see `_log_sv_law`) and the universal constant (a 2-D
+quadrature over two Laguerre densities, `_universal_law`).  It samples only
+the ergodic leakage.  A plain `MonteCarlo` and the module functions always
+sample, so they stay the cross-check of every law.
 
 Units: ``expected_log_sv_sum`` returns nats (it is compared against
 digamma identities); the leakage-level estimators return bits.
@@ -57,6 +59,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .laws import jacobi_mean, laguerre_nodes
 from .linalg import sample_gaussian, squared_singular_values
 from .special import expected_logdet_wishart
 
@@ -77,7 +80,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_BATCH = 64
+_BATCH = 16  # trials per batch; no result depends on it, peak memory does
+_LAW_ROWS = 128  # noise nodes per chunk of `_universal_law`'s 2-D sum
 _SQ_FLAG_RTOL = 1e-12  # relative squared-singular-value floor of the Gram route
 
 # Every stream tag of the package: part of the determinism contract, never
@@ -183,16 +187,21 @@ def _sv_rank(kind: SvKind, args: tuple) -> int:
 
 def _log_sv_law(
     rows: int, k: int, alpha2: float, nj: int, beta2: float, dof: int | None
-) -> float | None:
-    """``E sum ln lambda^2`` of a `_product` draw in nats, or None if unknown.
+) -> float:
+    """``E sum ln lambda^2`` of a `_product` draw in nats.
 
     The draw is ``Z D A`` with ``Z`` a ``rows x m`` CN(0, 1) block,
     ``m = k + nj``, ``D`` the diagonal of column scales and ``A A^H`` a
     complex Wishart ``W_m(dof)``.  For ``rows >= m`` the determinant splits
-    into ``det D^2 det(Z^H Z) det(A A^H)``; for ``rows < m`` with one power
-    ``d^2`` the LQ split of ``Z`` gives ``d^(2 rows)`` times a
-    ``W_rows(m)`` and a ``W_rows(dof)`` determinant (Goodman 1963).  Two
-    distinct powers on a wide block have no such law.
+    into ``det D^2 det(Z^H Z) det(A A^H)``; for ``rows < m`` the LQ split
+    of ``Z D`` leaves a ``W_rows(dof)`` determinant (Goodman 1963) times
+    ``det(alpha2 W1 + beta2 W2)``, ``W1``/``W2`` the Gram matrices of the
+    two column groups.  With one power ``d^2`` that is ``d^(2 rows)`` times
+    a ``W_rows(m)``; with two it is ``det S det(beta2 + (alpha2 - beta2) B)``
+    for ``S = W1 + W2 ~ W_rows(m)`` and ``B = S^-1/2 W1 S^-1/2`` an
+    independent matrix-variate beta (Olkin & Rubin 1964).  ``B`` has
+    ``(rows - nj)^+`` eigenvalues 1, ``(rows - k)^+`` eigenvalues 0 and the
+    other ``q`` a Jacobi ensemble, averaged by `laws.jacobi_mean`.
     """
     m = k + nj
 
@@ -207,7 +216,15 @@ def _log_sv_law(
     if k == 0 or nj == 0 or alpha2 == beta2:
         d2 = alpha2 if k else beta2
         return rows * math.log(d2) + logdet(rows, m) + logdet(rows, dof)
-    return None
+    q = min(rows, k) + min(rows, nj) - rows
+    ends = (rows - nj) * math.log(alpha2) if rows > nj else 0.0
+    ends += (rows - k) * math.log(beta2) if rows > k else 0.0
+
+    def log_mix(x: np.ndarray) -> np.ndarray:
+        return np.log(beta2 + (alpha2 - beta2) * x)
+
+    beta_part = jacobi_mean(q, abs(rows - nj), abs(rows - k), log_mix)
+    return ends + beta_part + logdet(rows, m) + logdet(rows, dof)
 
 
 @dataclass(frozen=True)
@@ -262,29 +279,28 @@ class MonteCarlo:
 
 
 class ExactFirst(MonteCarlo):
-    """A `MonteCarlo` that answers in closed form wherever the law is known.
+    """A `MonteCarlo` that answers from a known law wherever there is one.
 
-    ``log_sv_sum`` and ``ergodic_constant`` come from `_log_sv_law` as
-    ``McEstimate(mean, 0.0, trials, 0)`` unless a spectrum has two distinct
-    powers on fewer rows than columns; that draw, ``ergodic_leakage`` and
-    ``universal_constant`` are the sampled answers of `MonteCarlo`.
+    ``log_sv_sum`` and ``ergodic_constant`` come from `_log_sv_law` and
+    ``universal_constant`` from `_universal_law`, each as
+    ``McEstimate(mean, 0.0, trials, 0)``; only ``ergodic_leakage`` is the
+    sampled answer of `MonteCarlo`.
     """
 
     def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
         args = _sv_args(kind, cfg)
         _sv_rank(kind, args)
-        mean = _log_sv_law(*args)
-        if mean is None:
-            return super().log_sv_sum(kind, cfg)
-        return McEstimate(mean, 0.0, self.trials, 0)
+        return McEstimate(_log_sv_law(*args), 0.0, self.trials, 0)
 
     def ergodic_constant(self, cfg: SystemConfig) -> McEstimate:
         full = _log_sv_law(*_gbar_args(cfg))
-        if full is None:
-            return super().ergodic_constant(cfg)
-        # G2 has one power, so its law is always known.
         an = _log_sv_law(cfg.N_E, 0, 0.0, cfg.N_J, cfg.beta2, None)
         return McEstimate((full - an) / _LN2, 0.0, self.trials, 0)
+
+    def universal_constant(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
+        s2 = _check_sigma(sigma_z2)
+        _universal(cfg, s2)  # the sampled path's checks
+        return McEstimate(_universal_law(cfg, s2), 0.0, self.trials, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +595,28 @@ def _universal_values(
         denom = cfg.beta2 * sq_n[:, :, None] + s2
         vals = vals + np.sum(np.log1p(sq_g[:, None, :] / denom), axis=(1, 2)) / tp
     return vals / _LN2
+
+
+def _universal_law(cfg: SystemConfig, s2: float) -> float:
+    """The universal constant in bits, by quadrature.
+
+    ``G1`` and the noise block are independent, so the mean of the
+    per-trial double sum of `_universal_values` is a 2-D integral over the
+    product of their one-point densities (`laws.laguerre_nodes`), taken
+    ``_LAW_ROWS`` noise nodes at a time.
+    """
+    rows, k = cfg.N_E, cfg.K
+    x, wx = laguerre_nodes(min(rows, k), max(rows, k))
+    g = cfg.alpha2 * x
+    nj, tp = cfg.N_J, cfg.t_prime
+    total = max(0.0, 1.0 - nj / tp) * float(wx @ np.log(g + s2))
+    if nj:
+        y, wy = laguerre_nodes(min(nj, tp), max(nj, tp))
+        denom = cfg.beta2 * y + s2
+        for start in range(0, y.size, _LAW_ROWS):
+            part = slice(start, start + _LAW_ROWS)
+            total += float(wy[part] @ (np.log1p(g / denom[part, None]) @ wx)) / tp
+    return total / _LN2
 
 
 # ---------------------------------------------------------------------------

@@ -199,10 +199,10 @@ def test_transmit_power_approaches_antenna_budget():
 
 
 def test_average_transmit_power_keeps_its_stream_across_batch_edges():
-    # Reference: a plain per-trial loop on the same generators.  130 trials
-    # span two full 64-trial batches of `_run_trials` and a partial one.
+    # Reference: a plain per-trial loop on the same generators.  The trials
+    # span two full batches of `_run_trials` and a partial one.
     cfg = balanced_config(M=12, K=3, N_E=2, N_J=4, T=8)
-    trials, seed = 130, 2
+    trials, seed = 2 * montecarlo._BATCH + 2, 2
     vals = np.empty(trials)
     for i in range(trials):
         rng = montecarlo._trial_rng(seed, montecarlo._TAG_TRANSMIT_POWER, i)

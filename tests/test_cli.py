@@ -324,24 +324,24 @@ FLAGSHIP = {"M": "64", "K": "16", "N_E": "64", "N_J": "48", "T": "320"}
 
 def test_snr_sweep_draws_each_spectrum_once(draw_counts):
     # No draw reads the SNR, so one MonteCarlo per sweep samples the ergodic
-    # channel and the universal pair once, not once per point.  The
-    # flagship's six log-spectrum expectations have closed forms and draw
+    # channel once, not once per point.  The flagship's log-spectrum
+    # expectations and its universal constant have exact laws and draw
     # nothing.
     entries = {**FLAGSHIP, "axis": "snr_e_db", "values": "0,10,20,30,40"}
     rows = run_sweep(build_sweep_spec(entries, trials=4))
     assert len(rows) == 5 * len(METRICS)
-    assert draw_counts == {"ergodic": 1, "universal": 1}
+    assert draw_counts == {"ergodic": 1}
 
 
 @pytest.mark.parametrize(
     ("entries", "expected"),
     [
-        (FLAGSHIP, {"ergodic": 1, "universal": 1}),
+        (FLAGSHIP, {"ergodic": 1}),
         # N_E < K + N_J at unequal powers: JOINT of the joint and of the
-        # single-stream view has no closed form and is sampled.
+        # single-stream view follow the Jacobi law and are not sampled.
         (
             {"M": "64", "K": "8", "N_E": "32", "N_J": "40", "T": "192", "alpha2": "2"},
-            {"log_sv": 2, "ergodic": 1, "universal": 1},
+            {"ergodic": 1},
         ),
     ],
     ids=["flagship", "wide-unequal"],

@@ -187,7 +187,8 @@ def test_monte_carlo_bundle_forwards_parameters():
 # Valid for every SvKind and for the universal constant (T >= K + N_J,
 # t' >= N_J, N_E > K), with unequal powers so neither drops out of a key.
 CACHE_CFG = SystemConfig(M=8, K=2, N_E=4, N_J=3, T=12, alpha2=1.5, beta2=0.7)
-CACHE_RUN = dict(trials=150, seed=4)  # three batches, the last one short
+# Two full batches of `_run_trials` and a short one.
+CACHE_RUN = dict(trials=2 * montecarlo._BATCH + 6, seed=4)
 
 
 def _through(mc, cfg, s2):
@@ -350,9 +351,10 @@ EXACT_CFGS = {
     "wide-equal": SystemConfig(M=8, K=2, N_E=3, N_J=4, T=12, alpha2=1.3, beta2=1.3),
     # No noise columns: rank-zero AN kinds, and a wide DATA block (N_E < K).
     "no-noise": SystemConfig(M=8, K=4, N_E=2, N_J=0, T=12, alpha2=1.7, beta2=0.0),
+    # JOINT and Gbar with two powers on fewer rows than columns: the Jacobi law.
+    "wide-unequal": SystemConfig(M=8, K=2, N_E=3, N_J=4, T=12, alpha2=1.5, beta2=0.7),
 }
-# JOINT and Gbar with two powers on fewer rows than columns: sampled.
-WIDE_UNEQUAL = SystemConfig(M=8, K=2, N_E=3, N_J=4, T=12, alpha2=1.5, beta2=0.7)
+WIDE_UNEQUAL = EXACT_CFGS["wide-unequal"]
 EXACT_RUN = dict(trials=4000, seed=2)
 
 
@@ -371,15 +373,50 @@ def test_exact_values_agree_with_sampling(name):
 
 
 def test_exact_first_samples_what_has_no_known_law():
+    # Only the ergodic leakage is sampled.  The two-power wide JOINT, the
+    # ergodic constant and the universal constant are exact: SE 0, and
+    # within 4 SE of a plain MonteCarlo.
     mc = MonteCarlo(**EXACT_RUN)
     exact = ExactFirst(**EXACT_RUN)
     cfg = WIDE_UNEQUAL
-    assert exact.log_sv_sum(SvKind.JOINT, cfg) == mc.log_sv_sum(SvKind.JOINT, cfg)
-    assert exact.log_sv_sum(SvKind.JOINT, cfg).std_error > 0.0
-    assert exact.ergodic_constant(cfg) == mc.ergodic_constant(cfg)
     assert exact.ergodic_leakage(cfg, 0.1) == mc.ergodic_leakage(cfg, 0.1)
-    assert exact.universal_constant(cfg, 0.1) == mc.universal_constant(cfg, 0.1)
+    pairs = [
+        (exact.log_sv_sum(SvKind.JOINT, cfg), mc.log_sv_sum(SvKind.JOINT, cfg)),
+        (exact.ergodic_constant(cfg), mc.ergodic_constant(cfg)),
+        (exact.universal_constant(cfg, 0.1), mc.universal_constant(cfg, 0.1)),
+    ]
+    for law, sampled in pairs:
+        assert law.std_error == 0.0
+        assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (law, sampled)
     assert exact.log_sv_sum(SvKind.AN_TAIL, cfg).std_error == 0.0
+
+
+UNIVERSAL_CFGS = {
+    **EXACT_CFGS,
+    # Square data block (N_E = K) and square noise block (N_J = t').
+    "square": SystemConfig(M=8, K=2, N_E=2, N_J=4, T=6, alpha2=1.5, beta2=0.7),
+}
+
+
+@pytest.mark.parametrize("name", list(UNIVERSAL_CFGS))
+def test_exact_universal_constant_agrees_with_sampling(name):
+    cfg = UNIVERSAL_CFGS[name]
+    exact = ExactFirst(**EXACT_RUN)
+    for s2 in (10.0, 1.0, 1e-2, 1e-4):
+        law = exact.universal_constant(cfg, s2)
+        sampled = universal_constant(cfg, s2, **EXACT_RUN)
+        assert (law.std_error, law.trials, law.excluded) == (0.0, 4000, 0)
+        assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (s2, law, sampled)
+
+
+def test_exact_universal_constant_rejects_what_sampling_rejects():
+    short = SystemConfig(M=8, K=2, N_E=3, N_J=4, T=2, alpha2=1.5, beta2=0.7)  # t' = 0
+    for cfg, s2 in ((short, 1.0), (WIDE_UNEQUAL, 0.0), (WIDE_UNEQUAL, math.nan)):
+        with pytest.raises(ValueError) as sampled:
+            universal_constant(cfg, s2, trials=100)
+        with pytest.raises(ValueError) as exact:
+            ExactFirst(trials=100).universal_constant(cfg, s2)
+        assert str(exact.value) == str(sampled.value)
 
 
 @pytest.mark.parametrize(
@@ -431,10 +468,10 @@ def test_sv_split_without_trailing_part():
 
 
 def test_sv_split_keeps_its_stream_across_batch_edges():
-    # Reference: a plain per-trial loop on the same generators.  70 trials
-    # span a full 64-trial batch of `_run_trials` and a partial one.
+    # Reference: a plain per-trial loop on the same generators.  The trials
+    # span a full batch of `_run_trials` and a partial one.
     cfg = balanced_config(M=8, K=2, N_E=6, N_J=2, T=12)
-    s2, trials, seed = 1e-3, 70, 3
+    s2, trials, seed = 1e-3, montecarlo._BATCH + 6, 3
     xi, omega = 4, 6
     top_devs, trailing, reference = [], [], []
     for i in range(trials):

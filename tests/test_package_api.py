@@ -1,14 +1,17 @@
 """Package hygiene: the helper modules export nothing the package never calls,
-only `anleak.bounds` spells a reason code, and every seeded trial is drawn
-by `montecarlo._run_trials`."""
+only `anleak.bounds` spells a reason code, every seeded trial is drawn by
+`montecarlo._run_trials`, and the CLI imports no test-only library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import anleak
-from anleak import channel, linalg, planner, special
+from anleak import channel, laws, linalg, planner, special
 
 SRC = Path(anleak.__file__).resolve().parent
 
@@ -46,7 +49,7 @@ def _names_loaded_by_the_package() -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "module", [linalg, channel, special, planner], ids=lambda m: m.__name__
+    "module", [linalg, channel, special, laws, planner], ids=lambda m: m.__name__
 )
 def test_every_exported_helper_is_used_by_the_package(module):
     unused = sorted(set(module.__all__) - _names_loaded_by_the_package())
@@ -103,3 +106,15 @@ def test_every_seeded_trial_goes_through_the_one_trial_loop():
     stray = [hit for hit in reads if owners[hit[2]] not in hit[3]]
     assert not stray, f"seeded draws outside their owner: {stray}"
     assert {hit[2] for hit in reads} == set(owners)
+
+
+def test_the_cli_imports_no_oracle_library():
+    # scipy and mpmath are test extras that serve as oracles; the package
+    # depends on numpy alone, and loading either would slow every start-up.
+    code = "import sys, anleak.cli; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]", done.stdout
