@@ -1,20 +1,22 @@
 """Exact eigenvalue laws behind the finite-SNR and two-power constants.
 
-Two laws of complex Gaussian spectra, evaluated with numpy alone; the
+Two laws of complex Gaussian spectra, evaluated with numpy alone as
+Gauss-Legendre nodes and weights for their one-point densities; the
 expectations built on them stay within 1e-9 bits of scipy and mpmath
 quadrature (``tests/test_laws.py``):
 
-* `laguerre_nodes` — the one-point density ``rho = sum_{k<m} phi_k^2`` of
-  the Laguerre unitary ensemble, the eigenvalues of ``H H^H`` for an
-  ``m x n`` CN(0, 1) block ``H`` with ``m <= n`` (Telatar 1999).  The
-  ``phi_k`` are the orthonormal Laguerre functions of order ``n - m``,
-  built by their normalised three-term recurrence, and ``rho`` is
-  integrated by Gauss-Legendre in ``x = v^2``, so the hard edge at 0 and a
-  functional's log singularity just below it are smooth in ``v``.
-* `jacobi_mean` — ``E sum_i f(x_i)`` over a Jacobi unitary ensemble on
-  [0, 1], as ``sum_{k<q} [f(J)]_kk`` with ``J`` the truncated recurrence
-  matrix of its orthonormal polynomials (Golub & Welsch 1969).  The
-  truncation grows until two sizes agree.
+* `laguerre_nodes` — the Laguerre unitary ensemble, the eigenvalues of
+  ``H H^H`` for an ``m x n`` CN(0, 1) block ``H`` with ``m <= n``
+  (Telatar 1999).
+* `jacobi_nodes` — the Jacobi unitary ensemble on [0, 1], the eigenvalues
+  of a complex matrix-variate beta (Olkin & Rubin 1964).
+
+Both densities are ``rho = sum_{k<m} phi_k^2`` over the first ``m``
+orthonormal functions ``phi_k = p_k sqrt(w)`` of the ensemble's weight
+``w``, built by their normalised three-term recurrence, and both are
+integrated by Gauss-Legendre in ``x = v^2``, with the segment at ``v = 0``
+graded geometrically, so the hard edge at 0 and a functional's log
+singularity just below it are smooth in ``v``.
 
 Neither fixes a unit: callers integrate their own functionals, in nats.
 """
@@ -26,16 +28,13 @@ import math
 
 import numpy as np
 
-__all__ = ["laguerre_nodes", "jacobi_mean"]
+__all__ = ["laguerre_nodes", "jacobi_nodes"]
 
-_SEGMENTS = 16  # Gauss-Legendre segments in v = sqrt(x) per 64 rows of m
+_SEGMENTS = 16  # Gauss-Legendre segments in v = sqrt(x) per 64 rows
 _NODES = 64  # nodes per segment
 _GRADED = 12  # geometric pieces, ratio 4, that replace a first segment at v = 0
 _NEGLIGIBLE = 1e-18  # nodes weighing less, relative to the heaviest, are dropped
 _EDGE_MARGIN = 8.0  # singular-value margin beyond the bulk: density below e^-64
-_JACOBI_EXTRA = 80  # first truncation beyond the q rows a mean reads
-_JACOBI_MAX_EXTRA = 2560
-_JACOBI_TOL = 1e-13
 
 
 @functools.cache
@@ -56,40 +55,82 @@ def laguerre_nodes(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    a = n - m
     lo = max(0.0, math.sqrt(n) - math.sqrt(m) - _EDGE_MARGIN)
     hi = math.sqrt(n) + math.sqrt(m) + _EDGE_MARGIN
-    edges = np.linspace(lo, hi, _SEGMENTS * -(-m // 64) + 1)
-    if lo == 0.0:  # hard edge in range: grade the first segment toward 0
+    v, dv = _rule(lo, hi, m)
+    x = v * v
+    k = np.arange(m, dtype=float)
+    half_log_w = 0.5 * (a * np.log(x) - x - math.lgamma(a + 1.0))
+    rho = _density(x, half_log_w, 2.0 * k + 1.0 + a, np.sqrt(k * (k + a)))
+    return _nodes(x, rho * 2.0 * v * dv)
+
+
+@functools.cache
+def jacobi_nodes(q: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``x`` and weights ``w`` with ``E sum_i f(x_i) = w @ f(x)``.
+
+    ``x_i`` are ``q`` eigenvalues on [0, 1] with joint density
+    proportional to ``prod x_i^b (1 - x_i)^a |Delta(x)|^2``, ``q >= 1`` and
+    integers ``a, b >= 0``; ``w`` sums to ``q``.  The density is a
+    polynomial, so the rule in ``v = sqrt(x)`` (16 segments of 64 nodes,
+    16 more for every 64 of ``q + max(a, b)``) integrates it exactly; the
+    first segment is graded toward ``x = 0`` as in `laguerre_nodes`, so
+    ``f`` may have a log singularity as close as about 1e-17 below 0.  A
+    singularity just above 1 is moved below 0 by ``x -> 1 - x``, which
+    swaps ``a`` and ``b``.  Nodes weighing under 1e-18 of the heaviest are
+    dropped.  The arrays are cached and read-only.
+    """
+    if q < 1 or a < 0 or b < 0:
+        raise ValueError(f"need q >= 1 and a, b >= 0, got q={q}, a={a}, b={b}")
+    v, dv = _rule(0.0, 1.0, q + max(a, b))
+    x = v * v
+    k = np.arange(q, dtype=float)
+    s = 2.0 * k + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centre = 0.5 + 0.5 * (b * b - a * a) / (s * (s + 2.0))
+        step = np.sqrt(k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    centre[0] = (b + 1.0) / (a + b + 2.0)
+    step[0] = 0.0
+    log_beta = math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+    half_log_w = 0.5 * (b * np.log(x) + a * np.log1p(-x) - log_beta)
+    return _nodes(x, _density(x, half_log_w, centre, step) * 2.0 * v * dv)
+
+
+def _rule(lo: float, hi: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre points ``v`` and weights ``dv`` over ``lo <= v <= hi``:
+    16 segments of 64 nodes per 64 ``rows``, and a first segment that
+    starts at ``v = 0`` split into 12 geometric pieces toward 0."""
+    edges = np.linspace(lo, hi, _SEGMENTS * -(-rows // 64) + 1)
+    if lo == 0.0:
         edges = np.concatenate(([0.0], edges[1] * 4.0 ** -np.arange(_GRADED, 0, -1), edges[1:]))
     t, tw = np.polynomial.legendre.leggauss(_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     v, dv = (edges[:-1, None] + half * (t + 1.0)).ravel(), (half * tw).ravel()
-    x = v * v
-    w = _laguerre_density(m, n - m, x) * 2.0 * v * dv
-    keep = w > _NEGLIGIBLE * w.max()
-    x, w = x[keep], w[keep]
-    for arr in (x, w):
-        arr.flags.writeable = False
-    return x, w
+    return v, dv
 
 
-def _laguerre_density(m: int, a: int, x: np.ndarray) -> np.ndarray:
-    """``sum_{k<m} phi_k(x)^2`` for the orthonormal Laguerre functions of
-    order ``a``, ``phi_k = p_k(x) sqrt(x^a e^-x)``.
+def _density(
+    x: np.ndarray, half_log_w: np.ndarray, centre: np.ndarray, step: np.ndarray
+) -> np.ndarray:
+    """``sum_{k<m} w p_k(x)^2`` for the polynomials orthonormal under the
+    probability weight ``w``, by their recurrence
+    ``step[k+1] p_{k+1} = (x - centre[k]) p_k - step[k] p_{k-1}``, ``p_0 = 1``.
 
-    The recurrence runs on ``p_k`` with a per-node log scale, rescaled at
-    every step, so neither the polynomials nor the weight over- or
-    underflow where the density matters.
+    ``m = len(step)``; ``step[0]`` is unused.  The recurrence runs with a
+    per-node log scale, rescaled at every step, so neither the polynomials
+    nor the weight over- or underflow where the density matters.
     """
-    log_w = 0.5 * (a * np.log(x) - x - math.lgamma(a + 1.0))
+    log_w = half_log_w.copy()
     prev = np.zeros_like(x)
     cur = np.ones_like(x)
     rho = np.zeros_like(x)
+    m = len(step)
     for k in range(m):
         rho += (cur * np.exp(log_w)) ** 2
-        nxt = ((2 * k + 1 + a - x) * cur - math.sqrt(k * (k + a)) * prev) / math.sqrt(
-            (k + 1) * (k + a + 1)
-        )
+        if k + 1 == m:
+            break
+        nxt = ((x - centre[k]) * cur - step[k] * prev) / step[k + 1]
         scale = np.maximum(np.abs(cur), np.abs(nxt))
         scale[scale == 0.0] = 1.0
         prev, cur = cur / scale, nxt / scale
@@ -97,42 +138,10 @@ def _laguerre_density(m: int, a: int, x: np.ndarray) -> np.ndarray:
     return rho
 
 
-def jacobi_mean(q: int, a: int, b: int, f) -> float:
-    """``E sum_{i<q} f(x_i)`` for ``q`` eigenvalues on [0, 1] with joint
-    density proportional to ``prod x_i^b (1 - x_i)^a |Delta(x)|^2``.
-
-    ``f`` maps an array to an array and must be analytic on [0, 1].  The
-    recurrence matrix is truncated at ``q + E`` rows, with ``E`` doubled
-    from 80 until two sizes agree to 1e-13 (relative above 1); a
-    `ValueError` reports a singularity of ``f`` too close to [0, 1] for
-    ``E = 2560``.
-    """
-    if q < 1 or a < 0 or b < 0:
-        raise ValueError(f"need q >= 1 and a, b >= 0, got q={q}, a={a}, b={b}")
-    extra = _JACOBI_EXTRA
-    last = _golub_welsch(q, a, b, f, q + extra)
-    while extra < _JACOBI_MAX_EXTRA:
-        extra *= 2
-        value = _golub_welsch(q, a, b, f, q + extra)
-        if abs(value - last) <= _JACOBI_TOL * max(1.0, abs(value)):
-            return value
-        last = value
-    raise ValueError(
-        f"Jacobi mean did not settle to {_JACOBI_TOL} by {q + extra} rows "
-        f"(q={q}, a={a}, b={b}): f is near-singular on [0, 1]"
-    )
-
-
-def _golub_welsch(q: int, a: int, b: int, f, size: int) -> float:
-    """``sum_{k<q} [f(J)]_kk`` for the ``size x size`` recurrence matrix of
-    the orthonormal Jacobi polynomials, moved from [-1, 1] to [0, 1]."""
-    k = np.arange(size, dtype=float)
-    s = 2.0 * k + a + b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diag = (b * b - a * a) / (s * (s + 2.0))
-    diag[0] = (b - a) / (a + b + 2.0)
-    k, s = k[1:], s[1:]
-    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
-    jac = np.diag(0.5 * (1.0 + diag)) + np.diag(0.5 * off, 1) + np.diag(0.5 * off, -1)
-    nodes, vecs = np.linalg.eigh(jac)
-    return float(f(nodes) @ np.sum(vecs[:q] ** 2, axis=0))
+def _nodes(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop nodes weighing under 1e-18 of the heaviest; freeze the rest."""
+    keep = w > _NEGLIGIBLE * w.max()
+    x, w = x[keep], w[keep]
+    for arr in (x, w):
+        arr.flags.writeable = False
+    return x, w

@@ -51,6 +51,7 @@ digamma identities); the leakage-level estimators return bits.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -59,7 +60,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .laws import jacobi_mean, laguerre_nodes
+from .laws import jacobi_nodes, laguerre_nodes
 from .linalg import sample_gaussian, squared_singular_values
 from .special import expected_logdet_wishart
 
@@ -201,7 +202,8 @@ def _log_sv_law(
     for ``S = W1 + W2 ~ W_rows(m)`` and ``B = S^-1/2 W1 S^-1/2`` an
     independent matrix-variate beta (Olkin & Rubin 1964).  ``B`` has
     ``(rows - nj)^+`` eigenvalues 1, ``(rows - k)^+`` eigenvalues 0 and the
-    other ``q`` a Jacobi ensemble, averaged by `laws.jacobi_mean`.
+    other ``q`` a Jacobi ensemble, integrated over `laws.jacobi_nodes`
+    from the end nearer the branch point of ``ln det``.
     """
     m = k + nj
 
@@ -219,12 +221,12 @@ def _log_sv_law(
     q = min(rows, k) + min(rows, nj) - rows
     ends = (rows - nj) * math.log(alpha2) if rows > nj else 0.0
     ends += (rows - k) * math.log(beta2) if rows > k else 0.0
-
-    def log_mix(x: np.ndarray) -> np.ndarray:
-        return np.log(beta2 + (alpha2 - beta2) * x)
-
-    beta_part = jacobi_mean(q, abs(rows - nj), abs(rows - k), log_mix)
-    return ends + beta_part + logdet(rows, m) + logdet(rows, dof)
+    # ln(lo + (hi - lo) y) with y the eigenvalue weight on the larger power,
+    # whose branch point -lo / (hi - lo) lies below y = 0, where the nodes
+    # are graded.  Each power is paired with its weight's exponent at 0.
+    (lo, b_lo), (hi, b_hi) = sorted(((alpha2, abs(rows - k)), (beta2, abs(rows - nj))))
+    y, w = jacobi_nodes(q, b_lo, b_hi)
+    return ends + float(w @ np.log(lo + (hi - lo) * y)) + logdet(rows, m) + logdet(rows, dof)
 
 
 @dataclass(frozen=True)
@@ -329,11 +331,13 @@ def _run_trials(
 
     Trial ``i`` is ``draw(*args, _trial_rng(seed, tag, i))``: one array or
     a tuple of arrays, 0-d ones too.  Each batch of ``_BATCH`` trials is
-    stacked array by array (written straight into preallocated stacks, so a
-    batch is held once), and the list of ``reduce(*stacks)`` results,
+    stacked array by array, and the list of ``reduce(*stacks)`` results,
     per-trial values or spectra, is returned; workers only partition them.
+    Every batch of a worker thread is written into the same stacks, so
+    ``reduce`` must return new arrays, never the stacks or views of them.
     """
     _check_run_args(trials, seed, workers)
+    local = threading.local()  # each worker thread's stacks, reused per batch
 
     def batch(start: int) -> np.ndarray:
         count = min(_BATCH, trials - start)
@@ -343,7 +347,10 @@ def _run_trials(
             if not isinstance(parts, tuple):
                 parts = (parts,)
             if stacks is None:
-                stacks = [np.empty((count,) + p.shape, dtype=p.dtype) for p in parts]
+                if not hasattr(local, "stacks"):
+                    size = min(_BATCH, trials)
+                    local.stacks = [np.empty((size,) + p.shape, dtype=p.dtype) for p in parts]
+                stacks = [stack[:count] for stack in local.stacks]
             for stack, part in zip(stacks, parts):
                 stack[j] = part
         return reduce(*stacks)
@@ -357,7 +364,11 @@ def _run_trials(
 
 def _stacked(tag: int, draw, args: tuple, trials: int, seed: int) -> tuple:
     """Each part of the trials ``draw(*args, rng)``, stacked in trial order."""
-    batches = _run_trials(tag, draw, args, lambda *stacks: stacks, trials, seed, 1)
+
+    def copies(*stacks: np.ndarray) -> tuple:  # the stacks are reused per batch
+        return tuple(stack.copy() for stack in stacks)
+
+    batches = _run_trials(tag, draw, args, copies, trials, seed, 1)
     return tuple(np.concatenate(part) for part in zip(*batches))
 
 

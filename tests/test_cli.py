@@ -531,6 +531,18 @@ def test_bounds_command_reports_gap_when_fully_loaded(tmp_path, capsys):
     assert "entropy_gap=" in capsys.readouterr().out
 
 
+def test_bounds_answers_exactly_at_a_near_singular_power_ratio(tmp_path, capsys):
+    # alpha2 just below M / K leaves beta2 = 2e-6, a 2e6 power ratio on a
+    # wide eavesdropper block: the two-power law must still answer.
+    entries = make_entries(M="8", K="2", N_E="3", N_J="4", T="12", alpha2="3.999996")
+    path = write_config(tmp_path, entries)
+    assert main(["bounds", path, "--trials", "50"]) == 0
+    out = capsys.readouterr().out
+    assert "beta2=2e-06" in out
+    assert "universal_se=0\n" in out
+    float(out.split("ergodic_constant=")[1].split()[0])
+
+
 # alpha2 lies within 1e-9 of 1 but the balanced beta2 = 0.999999997 does not.
 OFF_UNIT_BETA2 = {
     "M": "4", "K": "3", "N_E": "2", "N_J": "1", "T": "8", "alpha2": "1.0000000009"

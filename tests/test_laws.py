@@ -13,8 +13,8 @@ import pytest
 from scipy import integrate
 from scipy.special import eval_genlaguerre, exp1, gammaln
 
-from anleak import ExactFirst, SvKind, SystemConfig, expected_log_sv_sum, laws
-from anleak.laws import jacobi_mean, laguerre_nodes
+from anleak import ExactFirst, SvKind, SystemConfig, ergodic_constant, expected_log_sv_sum
+from anleak.laws import jacobi_nodes, laguerre_nodes
 from anleak.montecarlo import _universal_law
 
 STATED_ERROR = 1e-9 * math.log(2.0)  # 1e-9 bits, in nats
@@ -106,9 +106,10 @@ def test_universal_law_matches_scipy_quadrature(m, s2):
     assert abs(_universal_law(cfg, s2) * math.log(2.0) - oracle) <= STATED_ERROR
 
 
-def _jacobi_oracle(q, a, b, f):
+def _jacobi_oracle(q, a, b, f, near):
     """``E sum f(x_i)`` over the Jacobi ensemble by 30-digit mpmath quadrature
-    of its one-point density ``w sum_k P_k^2 / h_k``."""
+    of its one-point density ``w sum_k P_k^2 / h_k``, split at the scale
+    ``near`` of a singularity of ``f`` below 0."""
     with mpmath.workdps(30):
 
         def weight(x):
@@ -117,8 +118,8 @@ def _jacobi_oracle(q, a, b, f):
         def poly(k, x):
             return mpmath.jacobi(k, a, b, 2 * x - 1)
 
-        cuts = [0, mpmath.mpf("1e-6"), mpmath.mpf("1e-3"), 0.5]
-        cuts += [1 - c for c in cuts[::-1]]
+        cuts = sorted({0, *(mpmath.mpf(c) for c in (near, 10 * near, 100 * near, 1e-3) if c < 0.5)})
+        cuts += [0.5, 1 - mpmath.mpf("1e-3"), 1]
         norms = [mpmath.quad(lambda x: poly(k, x) ** 2 * weight(x), cuts) for k in range(q)]
         return float(
             mpmath.quad(
@@ -128,36 +129,50 @@ def _jacobi_oracle(q, a, b, f):
         )
 
 
-@pytest.mark.parametrize(
-    ("alpha", "beta", "q", "a", "b"),
-    [
-        (1.0, 1000.0, 2, 1, 1),
-        (1.0, 1000.0, 3, 0, 1),  # exponent 0 at x = 1, next to the branch point
-        (1000.0, 1.0, 3, 0, 0),  # branch point next to x = 0
-        (2.0, 1.2, 8, 8, 24),  # sweep-ne's N_E = 32 point
-    ],
-)
-def test_jacobi_mean_matches_mpmath_at_extreme_power_ratios(alpha, beta, q, a, b):
-    law = jacobi_mean(q, a, b, lambda x: np.log(beta + (alpha - beta) * x))
-    oracle = _jacobi_oracle(q, a, b, lambda x: mpmath.log(beta + (alpha - beta) * x))
+# (lo, hi, q, a, b): ln(lo + (hi - lo) x) has its branch point at
+# -lo / (hi - lo), about lo / hi below x = 0.
+JACOBI_CASES = [
+    (1.0, 1000.0, 2, 1, 1),
+    (1.0, 1000.0, 3, 1, 0),  # exponent 0 at x = 0, next to the branch point
+    (1.0, 1000.0, 3, 0, 0),
+    (1e-6, 1.0, 3, 2, 0),  # a 1e-6 power ratio with exponent 0 at x = 0
+    (1e-12, 1.0, 1, 0, 0),
+    (1e-300, 1.0, 4, 1, 0),  # branch point far inside the first node's scale
+    (1.2, 2.0, 8, 8, 24),  # sweep-ne's N_E = 32 point
+]
+
+
+@pytest.mark.parametrize(("lo", "hi", "q", "a", "b"), JACOBI_CASES)
+def test_jacobi_nodes_match_mpmath_at_extreme_power_ratios(lo, hi, q, a, b):
+    x, w = jacobi_nodes(q, a, b)
+    law = float(w @ np.log(lo + (hi - lo) * x))
+    oracle = _jacobi_oracle(q, a, b, lambda t: mpmath.log(lo + (hi - lo) * t), lo / hi)
     assert abs(law - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
 
-def test_jacobi_mean_refuses_a_truncation_that_does_not_settle(monkeypatch):
-    # A 1e-9 power ratio puts the branch point 1e-9 from x = 1; the cap is
-    # lowered so the refusal comes after two truncations, not six.
-    monkeypatch.setattr(laws, "_JACOBI_MAX_EXTRA", 160)
-    with pytest.raises(ValueError, match="did not settle"):
-        jacobi_mean(1, 0, 0, lambda x: np.log(1.0 + (1e-9 - 1.0) * x))
-    with pytest.raises(ValueError):
-        jacobi_mean(0, 0, 0, np.log1p)
+def test_jacobi_nodes_weights_and_argument_checks():
+    for q, a, b in [(1, 0, 0), (3, 1, 0), (8, 8, 24), (64, 0, 64), (32, 64, 64)]:
+        x, w = jacobi_nodes(q, a, b)
+        assert abs(w.sum() - q) <= 1e-13 * q**2
+        assert 0.0 < x.min() and x.max() < 1.0 and not w.flags.writeable
+    for q, a, b in [(0, 0, 0), (1, -1, 0), (1, 0, -1)]:
+        with pytest.raises(ValueError):
+            jacobi_nodes(q, a, b)
 
 
-@pytest.mark.parametrize("ratio", [1e-3, 1e3], ids=["1:1000", "1000:1"])
-def test_two_power_law_agrees_with_sampling_at_a_thousandfold_ratio(ratio):
-    # Wide JOINT (N_E < K + N_J) with alpha2 : beta2 at 1:1000 and 1000:1.
+@pytest.mark.parametrize(
+    "ratio", [1e-3, 1e3, 1e-6, 1e6], ids=["1:1000", "1000:1", "1:1e6", "1e6:1"]
+)
+def test_two_power_law_agrees_with_sampling_at_extreme_ratios(ratio):
+    # The wide JOINT and Gbar laws through ExactFirst (N_E < K + N_J) with
+    # alpha2 : beta2 far from 1, so the branch point of ln det sits about
+    # min(ratio, 1 / ratio) from an end of the Jacobi support.
     cfg = SystemConfig(M=8, K=2, N_E=3, N_J=4, T=12, alpha2=ratio, beta2=1.0)
-    law = ExactFirst(trials=4000).log_sv_sum(SvKind.JOINT, cfg)
-    sampled = expected_log_sv_sum(SvKind.JOINT, cfg, trials=4000, seed=2)
-    assert law.std_error == 0.0
-    assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (law, sampled)
+    exact = ExactFirst(trials=4000, seed=2)
+    pairs = [
+        (exact.log_sv_sum(SvKind.JOINT, cfg), expected_log_sv_sum(SvKind.JOINT, cfg, 4000, 2)),
+        (exact.ergodic_constant(cfg), ergodic_constant(cfg, 4000, 2)),
+    ]
+    for law, sampled in pairs:
+        assert law.std_error == 0.0
+        assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (law, sampled)

@@ -353,6 +353,9 @@ EXACT_CFGS = {
     "no-noise": SystemConfig(M=8, K=4, N_E=2, N_J=0, T=12, alpha2=1.7, beta2=0.0),
     # JOINT and Gbar with two powers on fewer rows than columns: the Jacobi law.
     "wide-unequal": SystemConfig(M=8, K=2, N_E=3, N_J=4, T=12, alpha2=1.5, beta2=0.7),
+    # The same with N_J < N_E < K + N_J: N_E - N_J eigenvalues of the beta
+    # matrix sit at 1, and the Jacobi exponents swap ends.
+    "wide-unequal-few-noise": SystemConfig(M=8, K=4, N_E=5, N_J=3, T=12, alpha2=1.5, beta2=0.7),
 }
 WIDE_UNEQUAL = EXACT_CFGS["wide-unequal"]
 EXACT_RUN = dict(trials=4000, seed=2)
