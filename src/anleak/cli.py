@@ -664,10 +664,11 @@ def _cmd_plan(args) -> int:
         speed_mps=args.speed_mps,
         symbol_duration_s=args.symbol_duration_s,
     )
+    antennas = required_antennas(params)  # raises before anything is printed
     print(f"doppler_hz={doppler_shift(params):.9g}")
     print(f"coherence_time_s={coherence_time(params):.9g}")
     print(f"coherence_symbols={coherence_symbols(params):.9g}")
-    print(f"required_antennas={required_antennas(params)}")
+    print(f"required_antennas={antennas}")
     return 0
 
 

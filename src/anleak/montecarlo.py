@@ -33,8 +33,9 @@ A draw is a stream tag plus a tuple of plain arguments, mostly those of
 the one product sampler `_product`.  Estimators evaluate a functional such
 as ``log1p(lambda / s2)`` on the spectra of each batch, which no noise
 floor enters.  The module functions reduce each batch to per-trial values
-as it is drawn; `MonteCarlo` keeps the spectra under ``(tag, args)``
-instead, so an SNR sweep samples each once.
+as it is drawn.  `MonteCarlo` calls them but keeps the ergodic spectra:
+sweeps along ``snr_e_db`` or ``T_gamma`` (the draw reads neither) and
+``validate``'s ergodic-slope check re-read them.
 
 The `MonteCarlo` subclass `ExactFirst`, which ``sweep`` and ``bounds``
 use, answers from known laws with standard error 0: every high-SNR
@@ -234,13 +235,13 @@ class MonteCarlo:
     """Bundle of sampling parameters reused across estimator calls.
 
     ``trials``, ``seed`` and ``workers`` are checked once, at construction.
-    An instance caches its draws for its lifetime: ``log_sv_sum`` keeps its
-    `McEstimate`, ``ergodic_leakage`` and ``universal_constant`` keep their
-    per-batch spectra and apply ``sigma_z2`` on each call.  A key is the
-    stream tag plus the argument tuple the draw itself is called with, so
-    it holds every value the draw reads and never the SNRs, ``M`` or
-    ``workers``; a hit returns the module function's numbers.
-    ``ergodic_constant`` is drawn once per command and not cached.
+    Each estimator is its module function with these three; only
+    ``ergodic_leakage`` keeps its draw, the per-batch ``(sq_full, sq_an)``,
+    for the instance's lifetime and applies ``sigma_z2`` on each call, so
+    a sweep along ``snr_e_db`` or ``T_gamma`` draws it once.  The key is
+    the draw's own argument tuple, so it holds every value the draw reads
+    and never the SNRs, ``T``, ``M`` or ``workers``; a hit returns the
+    module function's numbers.
     """
 
     trials: int = 20000
@@ -255,29 +256,20 @@ class MonteCarlo:
     def _run(self) -> tuple:
         return self.trials, self.seed, self.workers
 
-    def _memo(self, tag: int, args: tuple, compute):
-        key = (tag, args)
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    def _estimate(self, tag: int, draw, args: tuple, spectra, values) -> McEstimate:
-        compute = partial(_run_trials, tag, draw, args, spectra, *self._run)
-        return _summarize([values(*b) for b in self._memo(tag, args, compute)])
-
     def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
-        args = _sv_args(kind, cfg)
-        compute = partial(expected_log_sv_sum, kind, cfg, *self._run)
-        return self._memo(kind.value, args, compute)
+        return expected_log_sv_sum(kind, cfg, *self._run)
 
     def ergodic_leakage(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
-        return self._estimate(*_ergodic(cfg, _check_sigma(sigma_z2)))
+        tag, draw, args, spectra, values = _ergodic(cfg, _check_sigma(sigma_z2))
+        if args not in self._cache:
+            self._cache[args] = _run_trials(tag, draw, args, spectra, *self._run)
+        return _summarize([values(*b) for b in self._cache[args]])
 
     def ergodic_constant(self, cfg: SystemConfig) -> McEstimate:
         return ergodic_constant(cfg, *self._run)
 
     def universal_constant(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
-        return self._estimate(*_universal(cfg, _check_sigma(sigma_z2)))
+        return universal_constant(cfg, sigma_z2, *self._run)
 
 
 class ExactFirst(MonteCarlo):

@@ -54,24 +54,30 @@ class DeploymentParams:
 
     def __post_init__(self) -> None:
         for name in ("carrier_hz", "speed_mps", "symbol_duration_s"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+            _positive(name, getattr(self, name))
+
+
+def _positive(name: str, value: float) -> float:
+    """``value`` if finite and > 0, else `ValueError`: valid inputs can still
+    under- or overflow a step of the Doppler chain."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
 
 
 def doppler_shift(params: DeploymentParams) -> float:
     """Maximum Doppler shift ``v * f_c / c`` in Hz."""
-    return params.speed_mps * params.carrier_hz / SPEED_OF_LIGHT
+    return _positive("Doppler shift", params.speed_mps * params.carrier_hz / SPEED_OF_LIGHT)
 
 
 def coherence_time(params: DeploymentParams) -> float:
     """Channel coherence time ``0.423 / f_D`` in seconds."""
-    return _COHERENCE_FACTOR / doppler_shift(params)
+    return _positive("coherence time", _COHERENCE_FACTOR / doppler_shift(params))
 
 
 def coherence_symbols(params: DeploymentParams) -> float:
     """Coherence block length in symbols (not rounded)."""
-    return coherence_time(params) / params.symbol_duration_s
+    return _positive("coherence block", coherence_time(params) / params.symbol_duration_s)
 
 
 def required_antennas(params: DeploymentParams) -> int:

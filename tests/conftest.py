@@ -20,22 +20,27 @@ def rng():
 
 @pytest.fixture
 def draw_counts(monkeypatch):
-    """Count `MonteCarlo` cache misses, the draws a shared instance makes.
+    """Count the seeded draws a test makes: `montecarlo._run_trials` calls.
 
-    Keys name the stream: ``log_sv`` (an `SvKind` tag, through
-    `expected_log_sv_sum`), ``ergodic`` and ``universal`` (the per-batch
-    spectra behind `ergodic_leakage` and `universal_constant`).
+    Keys name the stream tag: ``log_sv`` (any `SvKind`, through
+    `expected_log_sv_sum`), ``ergodic``, ``ergodic_constant``,
+    ``universal``, ``split``, ``distributions`` and ``transmit_power``.
     """
     counts = collections.Counter()
     streams = {kind.value: "log_sv" for kind in montecarlo.SvKind}
-    streams[montecarlo._TAG_ERGODIC] = "ergodic"
-    streams[montecarlo._TAG_UNIVERSAL] = "universal"
-    memo = montecarlo.MonteCarlo._memo
+    streams.update({
+        montecarlo._TAG_ERGODIC: "ergodic",
+        montecarlo._TAG_ERGODIC_CONST: "ergodic_constant",
+        montecarlo._TAG_UNIVERSAL: "universal",
+        montecarlo._TAG_SPLIT: "split",
+        montecarlo._TAG_DISTRIBUTIONS: "distributions",
+        montecarlo._TAG_TRANSMIT_POWER: "transmit_power",
+    })
+    run_trials = montecarlo._run_trials
 
-    def counted(self, tag, args, compute):
-        if (tag, args) not in self._cache:
-            counts[streams[tag]] += 1
-        return memo(self, tag, args, compute)
+    def counted(tag, *args):
+        counts[streams[tag]] += 1
+        return run_trials(tag, *args)
 
-    monkeypatch.setattr(montecarlo.MonteCarlo, "_memo", counted)
+    monkeypatch.setattr(montecarlo, "_run_trials", counted)
     return counts

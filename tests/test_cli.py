@@ -333,6 +333,17 @@ def test_snr_sweep_draws_each_spectrum_once(draw_counts):
     assert draw_counts == {"ergodic": 1}
 
 
+def test_block_length_sweep_rereads_the_ergodic_draw(draw_counts):
+    # The ergodic draw does not read T, so a T_gamma sweep draws it once and
+    # its ergodic cells agree at every block length.
+    entries = {**FLAGSHIP, "axis": "T_gamma", "values": "1.5,2,5,10"}
+    rows = run_sweep(build_sweep_spec(entries, trials=4))
+    assert len(rows) == 4 * len(METRICS)
+    assert draw_counts == {"ergodic": 1}
+    ergodic = {(row.value, row.std_error) for row in rows if row.metric == "ergodic"}
+    assert len(ergodic) == 1
+
+
 @pytest.mark.parametrize(
     ("entries", "expected"),
     [
@@ -627,6 +638,22 @@ def test_plan_command_subprocess():
     )
     assert proc.returncode == 0
     assert "required_antennas=135" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--carrier-hz", "1e-300", "--speed-mps", "1e-30"],
+        ["--carrier-hz", "1e9", "--speed-mps", "1", "--symbol-duration-s", "1e-320"],
+        ["--carrier-hz", "1e300", "--speed-mps", "1e300"],
+    ],
+    ids=["doppler-underflow", "block-overflow", "doppler-overflow"],
+)
+def test_plan_rejects_inputs_that_overflow_the_doppler_chain(argv, capsys):
+    assert main(["plan", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: ")
 
 
 def test_sweep_subprocess_is_worker_invariant(tmp_path):

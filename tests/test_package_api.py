@@ -1,6 +1,7 @@
-"""Package hygiene: the helper modules export nothing the package never calls,
-only `anleak.bounds` spells a reason code, every seeded trial is drawn by
-`montecarlo._run_trials`, and the CLI imports no test-only library."""
+"""Package hygiene: the modules export nothing the package never calls but
+a commented allowlist, only `anleak.bounds` spells a reason code, every
+seeded trial is drawn by `montecarlo._run_trials`, and the CLI imports no
+test-only library."""
 
 import ast
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import anleak
-from anleak import channel, laws, linalg, planner, special
+from anleak import bounds, channel, laws, linalg, montecarlo, planner, special
 
 SRC = Path(anleak.__file__).resolve().parent
 
@@ -48,12 +49,30 @@ def _names_loaded_by_the_package() -> set[str]:
     return loaded
 
 
+# Exports the package never loads, each kept on purpose.
+NEVER_LOADED = {
+    # The sampled reference of `MonteCarlo.ergodic_leakage`, which keeps its
+    # draw instead; the layer tracer of perfbench wraps it by name.
+    "montecarlo.ergodic_leakage",
+    # Paper results offered to callers; the README quick start calls
+    # `secrecy_from_config`.
+    "bounds.coherent_data_leakage",
+    "bounds.saturated_upper",
+    "bounds.secrecy_from_config",
+}
+
+
 @pytest.mark.parametrize(
-    "module", [linalg, channel, special, laws, planner], ids=lambda m: m.__name__
+    "module",
+    [linalg, channel, special, laws, planner, montecarlo, bounds],
+    ids=lambda m: m.__name__,
 )
 def test_every_exported_helper_is_used_by_the_package(module):
-    unused = sorted(set(module.__all__) - _names_loaded_by_the_package())
-    assert not unused, f"{module.__name__} exports names nothing loads: {unused}"
+    short = module.__name__.rpartition(".")[2]
+    unused = set(module.__all__) - _names_loaded_by_the_package()
+    # An allowed name that is loaded after all, or no longer exported, fails too.
+    allowed = {name for name in NEVER_LOADED if name.startswith(short + ".")}
+    assert {f"{short}.{name}" for name in unused} == allowed
 
 
 def _is_reason_code(value) -> bool:

@@ -74,6 +74,25 @@ def test_parameter_validation():
             DeploymentParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    ("params", "step"),
+    [
+        (DeploymentParams(1e-300, 1e-30), doppler_shift),
+        (DeploymentParams(1e300, 1e300), doppler_shift),
+        (DeploymentParams(1e-300, 1e-10), coherence_time),
+        (DeploymentParams(1e9, 1.0, symbol_duration_s=1e-320), coherence_symbols),
+    ],
+    ids=["doppler-zero", "doppler-inf", "time-inf", "block-inf"],
+)
+def test_a_chain_step_out_of_range_raises(params, step):
+    # Each input is finite and positive, yet one step of the chain leaves
+    # (0, inf); that step and every later one raise ValueError.
+    chain = (doppler_shift, coherence_time, coherence_symbols, required_antennas)
+    for later in chain[chain.index(step):]:
+        with pytest.raises(ValueError):
+            later(params)
+
+
 def test_default_symbol_duration_is_extended_prefix_lte():
     assert DEFAULT_SYMBOL_DURATION == pytest.approx(72.4e-6)
     p = DeploymentParams(10e9, 1.3)
