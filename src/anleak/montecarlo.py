@@ -42,8 +42,10 @@ use, answers from known laws with standard error 0: every high-SNR
 log-determinant (digamma sums, plus a Jacobi-ensemble mean for two powers
 on a wide block; see `_log_sv_law`) and the universal constant (a 2-D
 quadrature over two Laguerre densities, `_universal_law`).  It samples only
-the ergodic leakage.  A plain `MonteCarlo` and the module functions always
-sample, so they stay the cross-check of every law.
+the ergodic leakage, from the same kept draw, and regresses each trial on
+two controls whose means those laws give exactly (control variates,
+Glasserman 2003, ch. 4).  A plain `MonteCarlo` and the module functions
+always sample plainly, so they stay the cross-check of every law.
 
 Units: ``expected_log_sv_sum`` returns nats (it is compared against
 digamma identities); the leakage-level estimators return bits.
@@ -260,10 +262,15 @@ class MonteCarlo:
         return expected_log_sv_sum(kind, cfg, *self._run)
 
     def ergodic_leakage(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
-        tag, draw, args, spectra, values = _ergodic(cfg, _check_sigma(sigma_z2))
+        s2 = _check_sigma(sigma_z2)
+        return _summarize([_ergodic_values(s2, *b) for b in self._ergodic_spectra(cfg)])
+
+    def _ergodic_spectra(self, cfg: SystemConfig) -> list:
+        """The kept per-batch ``(sq_full, sq_an)`` of the ergodic draw."""
+        tag, draw, args, spectra = _ergodic(cfg)
         if args not in self._cache:
             self._cache[args] = _run_trials(tag, draw, args, spectra, *self._run)
-        return _summarize([values(*b) for b in self._cache[args]])
+        return self._cache[args]
 
     def ergodic_constant(self, cfg: SystemConfig) -> McEstimate:
         return ergodic_constant(cfg, *self._run)
@@ -277,8 +284,8 @@ class ExactFirst(MonteCarlo):
 
     ``log_sv_sum`` and ``ergodic_constant`` come from `_log_sv_law` and
     ``universal_constant`` from `_universal_law`, each as
-    ``McEstimate(mean, 0.0, trials, 0)``; only ``ergodic_leakage`` is the
-    sampled answer of `MonteCarlo`.
+    ``McEstimate(mean, 0.0, trials, 0)``.  Only ``ergodic_leakage`` is
+    sampled: from `MonteCarlo`'s kept draw, with control variates.
     """
 
     def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
@@ -295,6 +302,33 @@ class ExactFirst(MonteCarlo):
         s2 = _check_sigma(sigma_z2)
         _universal(cfg, s2)  # the sampled path's checks
         return McEstimate(_universal_law(cfg, s2), 0.0, self.trials, 0)
+
+    def ergodic_leakage(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
+        """The ergodic leakage, each trial regressed on two exact-mean controls.
+
+        The controls are the trial's `ergodic_constant` functional, whose
+        mean is ``self.ergodic_constant``, and ``|G1|_F^2``, the trace of
+        ``Gbar Gbar^H`` less that of ``G2 G2^H``, whose mean is
+        ``N_E K alpha2``.  The coefficients are the least-squares fit on
+        the centred controls over the valid trials, in trial order, and the
+        standard error is the residual one with ``n - 3`` degrees of
+        freedom.  Trials the log-determinant guard drops are counted in
+        ``excluded``; with fewer than 4 valid trials left this is the plain
+        `MonteCarlo` answer.
+        """
+        s2 = _check_sigma(sigma_z2)
+        batches = self._ergodic_spectra(cfg)
+        leak = np.concatenate([_ergodic_values(s2, *b) for b in batches])
+        controls = np.concatenate([_ergodic_controls(cfg, *b) for b in batches])
+        controls -= (self.ergodic_constant(cfg).mean, cfg.N_E * cfg.K * cfg.alpha2)
+        valid = np.isfinite(leak) & np.isfinite(controls).all(axis=1)
+        if valid.sum() < controls.shape[1] + 2:
+            return super().ergodic_leakage(cfg, s2)
+        x, y = controls[valid], leak[valid]
+        x -= x.mean(axis=0)
+        coef = np.linalg.solve(x.T @ x, x.T @ (y - y.mean()))  # least-squares normal equations
+        leak -= controls @ coef
+        return _summarize([leak], fitted=coef.size)
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +398,24 @@ def _stacked(tag: int, draw, args: tuple, trials: int, seed: int) -> tuple:
     return tuple(np.concatenate(part) for part in zip(*batches))
 
 
-def _summarize(batches: list[np.ndarray]) -> McEstimate:
-    """Mean and standard error of per-batch trial values, NaNs excluded."""
+def _summarize(batches: list[np.ndarray], fitted: int = 0) -> McEstimate:
+    """Mean and standard error of per-batch trial values, NaNs excluded.
+
+    Each of ``fitted`` coefficients fitted to the values (control-variate
+    slopes) costs the standard error one more degree of freedom.
+    """
     values = np.concatenate(batches)
     bad = ~np.isfinite(values)
     excluded = int(bad.sum())
     vals = values[~bad]
-    if vals.size < 2:
+    if vals.size < fitted + 2:
         raise ValueError(
             f"only {vals.size} valid trials after excluding {excluded}; "
             "cannot form an estimate"
         )
     return McEstimate(
         mean=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / math.sqrt(vals.size)),
+        std_error=float(vals.std(ddof=fitted + 1) / math.sqrt(vals.size)),
         trials=int(vals.size),
         excluded=excluded,
     )
@@ -507,13 +545,13 @@ def ergodic_leakage(
     ``Gbar`` the ``N_E x (K + N_J)`` effective channel and ``G2`` its
     noise-part columns.  ``T`` plays no role here.
     """
-    return _estimate(*_ergodic(cfg, _check_sigma(sigma_z2)), trials, seed, workers)
+    values = partial(_ergodic_values, _check_sigma(sigma_z2))
+    return _estimate(*_ergodic(cfg), values, trials, seed, workers)
 
 
-def _ergodic(cfg: SystemConfig, s2: float) -> tuple:
-    """``(tag, draw, args, spectra, values)`` of the ergodic leakage."""
-    spectra = partial(_gbar_spectra, cfg.K)
-    return _TAG_ERGODIC, _product, _gbar_args(cfg), spectra, partial(_ergodic_values, s2)
+def _ergodic(cfg: SystemConfig) -> tuple:
+    """``(tag, draw, args, spectra)`` of the ergodic leakage's draw."""
+    return _TAG_ERGODIC, _product, _gbar_args(cfg), partial(_gbar_spectra, cfg.K)
 
 
 def _ergodic_values(s2: float, sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
@@ -521,6 +559,13 @@ def _ergodic_values(s2: float, sq_full: np.ndarray, sq_an: np.ndarray) -> np.nda
     full = np.sum(np.log1p(sq_full / s2), axis=1)
     an = np.sum(np.log1p(sq_an / s2), axis=1) if sq_an.shape[1] else 0.0
     return (full - an) / _LN2
+
+
+def _ergodic_controls(cfg: SystemConfig, sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
+    """Per-trial ``(ergodic constant functional, |G1|_F^2)`` of one batch,
+    the control variates of `ExactFirst.ergodic_leakage`."""
+    g1 = np.sum(sq_full, axis=1) - np.sum(sq_an, axis=1)
+    return np.column_stack([_ergodic_constant_values(cfg, sq_full, sq_an), g1])
 
 
 def ergodic_constant(
@@ -536,18 +581,21 @@ def ergodic_constant(
     from one realization, so the difference is estimated at its natural
     (low) variance.
     """
-    r_full = min(cfg.mbar, cfg.N_E)
+    _, draw, args, spectra = _ergodic(cfg)  # the same draw on its own stream
+    values = partial(_ergodic_constant_values, cfg)
+    return _estimate(_TAG_ERGODIC_CONST, draw, args, spectra, values, trials, seed, workers)
+
+
+def _ergodic_constant_values(
+    cfg: SystemConfig, sq_full: np.ndarray, sq_an: np.ndarray
+) -> np.ndarray:
+    """Per-trial ``sum ln lambda^2(Gbar) - sum ln lambda^2(G2)`` in bits over
+    the generic ranks; NaN where the degeneracy guard trips."""
+    full = _log_sv_values(sq_full, min(cfg.mbar, cfg.N_E))
     r_an = min(cfg.N_J, cfg.N_E)
-
-    def values(sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
-        full = _log_sv_values(sq_full, r_full)
-        if r_an:
-            full = full - _log_sv_values(sq_an, r_an)
-        return full / _LN2
-
-    spectra = partial(_gbar_spectra, cfg.K)
-    args = _gbar_args(cfg)
-    return _estimate(_TAG_ERGODIC_CONST, _product, args, spectra, values, trials, seed, workers)
+    if r_an:
+        full = full - _log_sv_values(sq_an, r_an)
+    return full / _LN2
 
 
 def universal_constant(

@@ -160,6 +160,9 @@ def test_worker_count_is_invisible():
     for estimate in (partial(universal_constant, sigma_z2=0.1), ergodic_constant):
         serial = estimate(cfg, trials=600, seed=5, workers=1)
         assert estimate(cfg, trials=600, seed=5, workers=3) == serial
+    # The control-variate fit runs on the trials in trial order.
+    fits = [ExactFirst(trials=600, seed=5, workers=w).ergodic_leakage(cfg, 0.1) for w in (1, 3)]
+    assert fits[0] == fits[1]
 
 
 def test_seed_selects_the_stream():
@@ -327,6 +330,16 @@ def test_degenerate_rows_become_nan():
     assert vals[2] == pytest.approx(math.log(2.0))
 
 
+def test_fitted_parameters_cost_degrees_of_freedom():
+    vals = np.array([1.0, 2.0, 4.0, 8.0, np.nan])
+    for fitted in (0, 2):
+        est = _summarize([vals[:2], vals[2:]], fitted=fitted)
+        se = float(np.std(vals[:4], ddof=fitted + 1) / 2.0)
+        assert est == McEstimate(3.75, se, 4, 1)
+    with pytest.raises(ValueError, match="only 4 valid trials"):
+        _summarize([vals], fitted=3)
+
+
 def test_roundoff_level_spectra_are_excluded():
     # This product is exact in floating point and its true squared
     # singular-value ratio is 3.1e-33, far below what the Gram route
@@ -377,13 +390,16 @@ def test_exact_values_agree_with_sampling(name):
 
 
 def test_exact_first_samples_what_has_no_known_law():
-    # Only the ergodic leakage is sampled.  The two-power wide JOINT, the
-    # ergodic constant and the universal constant are exact: SE 0, and
-    # within 4 SE of a plain MonteCarlo.
+    # Only the ergodic leakage is sampled, with control variates: within
+    # 4 SE of a plain MonteCarlo, at a smaller SE.  The two-power wide
+    # JOINT, the ergodic constant and the universal constant are exact: SE
+    # 0, and within 4 SE of a plain MonteCarlo.
     mc = MonteCarlo(**EXACT_RUN)
     exact = ExactFirst(**EXACT_RUN)
     cfg = WIDE_UNEQUAL
-    assert exact.ergodic_leakage(cfg, 0.1) == mc.ergodic_leakage(cfg, 0.1)
+    fitted, plain = exact.ergodic_leakage(cfg, 0.1), mc.ergodic_leakage(cfg, 0.1)
+    assert abs(fitted.mean - plain.mean) <= 4.0 * math.hypot(fitted.std_error, plain.std_error)
+    assert 0.0 < fitted.std_error < plain.std_error
     pairs = [
         (exact.log_sv_sum(SvKind.JOINT, cfg), mc.log_sv_sum(SvKind.JOINT, cfg)),
         (exact.ergodic_constant(cfg), mc.ergodic_constant(cfg)),
@@ -393,6 +409,74 @@ def test_exact_first_samples_what_has_no_known_law():
         assert law.std_error == 0.0
         assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (law, sampled)
     assert exact.log_sv_sum(SvKind.AN_TAIL, cfg).std_error == 0.0
+
+
+@pytest.mark.parametrize("name", list(EXACT_CFGS))
+def test_exact_first_ergodic_leakage_agrees_with_sampling(name):
+    # Each configuration and its data-only view (no noise columns), from
+    # the noise-dominated regime to high SNR.
+    exact, plain = ExactFirst(**EXACT_RUN), MonteCarlo(**EXACT_RUN)
+    cfg = EXACT_CFGS[name]
+    for view in (cfg, dataclasses.replace(cfg, N_J=0, beta2=0.0)):
+        for s2 in (100.0, 1.0, 1e-2, 1e-5):
+            fitted, sampled = exact.ergodic_leakage(view, s2), plain.ergodic_leakage(view, s2)
+            band = 4.0 * math.hypot(fitted.std_error, sampled.std_error)
+            assert abs(fitted.mean - sampled.mean) <= band, (view, s2, fitted, sampled)
+            assert 0.0 < fitted.std_error < sampled.std_error
+            assert (fitted.trials, fitted.excluded) == (4000, 0)
+
+
+def test_exact_first_ergodic_leakage_is_the_regression_intercept():
+    # The fit in another form: least squares with an intercept on the
+    # controls less their exact means.  The estimate is the intercept and
+    # its SE the residual one with n - 3 degrees of freedom.
+    cfg, s2 = WIDE_UNEQUAL, 0.1
+    exact = ExactFirst(trials=montecarlo._BATCH + 6, seed=7)
+    est = exact.ergodic_leakage(cfg, s2)
+    batches = exact._cache[montecarlo._gbar_args(cfg)]
+    sq_full, sq_an = (np.concatenate(part) for part in zip(*batches))
+    leak = montecarlo._ergodic_values(s2, sq_full, sq_an)
+    logdet = montecarlo._ergodic_constant_values(cfg, sq_full, sq_an)
+    g1 = np.sum(sq_full, axis=1) - np.sum(sq_an, axis=1)
+    design = np.column_stack([
+        np.ones(leak.size),
+        logdet - exact.ergodic_constant(cfg).mean,
+        g1 - cfg.N_E * cfg.K * cfg.alpha2,
+    ])
+    coef, ssr, _, _ = np.linalg.lstsq(design, leak, rcond=None)
+    n = leak.size
+    assert est.mean == pytest.approx(coef[0], rel=1e-10)
+    assert est.std_error == pytest.approx(math.sqrt(ssr[0] / (n - 3) / n), rel=1e-8)
+
+
+@pytest.mark.parametrize("trials", [2, 3, 4])
+def test_exact_first_ergodic_leakage_at_tiny_trial_counts(trials):
+    # Two fitted slopes and a mean need 4 trials; with fewer, the answer is
+    # the plain sample mean, never a standard error of 0.
+    fitted = ExactFirst(trials=trials, seed=0).ergodic_leakage(WIDE_UNEQUAL, 0.1)
+    plain = MonteCarlo(trials=trials, seed=0).ergodic_leakage(WIDE_UNEQUAL, 0.1)
+    assert fitted.std_error > 0.0
+    assert (fitted == plain) is (trials < 4)
+
+
+def test_exact_first_drops_trials_the_control_guard_flags():
+    cfg = WIDE_UNEQUAL
+    exact = ExactFirst(trials=montecarlo._BATCH + 6, seed=1)
+    clean = exact.ergodic_leakage(cfg, 0.1)
+    # Zero the smallest noise-part value of trial 3: its log-determinant
+    # control is then undefined, though its leakage is not.
+    sq_an = exact._cache[montecarlo._gbar_args(cfg)][0][1]
+    sq_an[3, -1] = 0.0
+    flagged = exact.ergodic_leakage(cfg, 0.1)
+    assert (flagged.trials, flagged.excluded) == (clean.trials - 1, 1)
+
+
+def test_exact_first_snr_sweep_draws_the_ergodic_channel_once(draw_counts):
+    exact = ExactFirst(**CACHE_RUN)
+    for snr in (-20.0, 10.0, 40.0):
+        cfg = dataclasses.replace(CACHE_CFG, snr_e_db=snr)
+        _through(exact, cfg, cfg.sigma_z2)
+    assert draw_counts == {"ergodic": 1}
 
 
 UNIVERSAL_CFGS = {
