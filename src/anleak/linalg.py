@@ -120,6 +120,12 @@ def null_space_basis(h, n: int) -> CMatrix:
     if not 0 <= n <= m - k:
         raise ValueError(f"need 0 <= n <= {m - k}, got n={n}")
     _require_full_row_rank(h)
+    return _null_basis(h, n)
+
+
+def _null_basis(h: CMatrix, n: int) -> CMatrix:
+    """`null_space_basis` of an ``h`` that has already passed its checks."""
+    k = h.shape[0]
     q, _ = np.linalg.qr(h.conj().T, mode="complete")
     return np.ascontiguousarray(q[:, k : k + n])
 

@@ -8,6 +8,9 @@ module owns it for the package: `_check_run_args` judges ``trials``,
 `_run_trials`, which seeds trial ``i`` from ``(seed, stream_tag, i)``.
 Trials run in fixed-size batches and reduce in trial order; workers only
 partition batches, so 1 and 8 workers produce bit-identical numbers.
+This module also owns the package's threads: `_in_order` is its one pool,
+used by `_run_trials` when ``workers > 1`` and by ``validate`` for its
+sampled checks, and numpy's bundled OpenBLAS runs one thread while it does.
 
 Sampling notes
 --------------
@@ -53,7 +56,10 @@ digamma identities); the leakage-level estimators return bits.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -384,8 +390,97 @@ def _run_trials(
     starts = range(0, trials, _BATCH)
     if workers == 1:
         return [batch(s) for s in starts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(batch, starts))
+    return _in_order(batch, starts, workers)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(fn, items, workers: int, start=None) -> list:
+    """``[fn(item) for item in items]`` on a pool of ``workers`` threads.
+
+    The package's one thread pool.  Items are submitted in ``start`` order
+    (indices into ``items``; default their own order), but results, and
+    the first exception raised, follow the order of ``items``.  While the
+    pool runs, numpy's bundled OpenBLAS is held to one thread
+    (`_one_blas_thread`), so the pool's threads do not each spawn a BLAS
+    team on the same cores.
+    """
+    items = list(items)
+    order = range(len(items)) if start is None else start
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {i: pool.submit(fn, items[i]) for i in order}
+        return [futures[i].result() for i in range(len(items))]
+
+
+@functools.cache
+def _openblas():
+    """`_find_openblas`'s answer, looked up once per process."""
+    return _find_openblas()
+
+
+def _find_openblas():
+    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or
+    None where numpy uses another BLAS or the library cannot be loaded.
+
+    numpy's wheels ship OpenBLAS in ``numpy.libs`` (``numpy/.dylibs`` on
+    macOS): ``scipy_openblas64_`` with ``scipy_openblas_*_num_threads64_``
+    since numpy 2, ``openblas64_`` with ``openblas_*_num_threads64_`` before.
+    Loading it again by path returns the copy numpy already loaded.
+    """
+    import ctypes  # here, not at import: only a pool needs it
+    import glob
+
+    here = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(here, os.pardir, "numpy.libs", "*openblas*"))
+    paths += glob.glob(os.path.join(here, ".dylibs", "*openblas*"))
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            put = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+# Process-wide, as the OpenBLAS thread count they guard is: the holds now
+# open, and the count to restore when the last one closes.
+_blas_lock = threading.Lock()
+_blas_hold = {"open": 0, "restore": None}
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread; on leaving the last of
+    any nested or concurrent holds, restore the count the first one found.
+    Does nothing where `_openblas` finds no such library."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _blas_lock:
+        if _blas_hold["open"] == 0:
+            _blas_hold["restore"] = get()
+            put(1)
+        _blas_hold["open"] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_hold["open"] -= 1
+            if _blas_hold["open"] == 0:
+                put(_blas_hold["restore"])
 
 
 def _stacked(tag: int, draw, args: tuple, trials: int, seed: int) -> tuple:

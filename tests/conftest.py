@@ -1,6 +1,7 @@
 """Shared fixtures for the anleak test suite."""
 
 import collections
+import threading
 
 import numpy as np
 import pytest
@@ -37,9 +38,11 @@ def draw_counts(monkeypatch):
         montecarlo._TAG_TRANSMIT_POWER: "transmit_power",
     })
     run_trials = montecarlo._run_trials
+    lock = threading.Lock()  # `validate` draws its streams on a thread pool
 
     def counted(tag, *args):
-        counts[streams[tag]] += 1
+        with lock:
+            counts[streams[tag]] += 1
         return run_trials(tag, *args)
 
     monkeypatch.setattr(montecarlo, "_run_trials", counted)

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from anleak import (
+    DegenerateChannelError,
     DistributionReport,
     SystemConfig,
     average_transmit_power,
     balanced_config,
+    channel,
     check_effective_distributions,
     exact_transmit_power,
+    linalg,
     montecarlo,
     sample_realization,
     single_stream_view,
@@ -155,6 +158,36 @@ def test_realization_determinism(cfg):
     b = sample_realization(cfg, np.random.default_rng(7))
     assert np.array_equal(a.h, b.h)
     assert np.array_equal(a.g_an, b.g_an)
+
+
+def test_realization_checks_h_once_and_builds_what_the_public_builders_do(cfg, monkeypatch):
+    checks = []
+    require = linalg._require_full_row_rank
+
+    def counted(h):
+        checks.append(h.shape)
+        return require(h)
+
+    monkeypatch.setattr(linalg, "_require_full_row_rank", counted)
+    real = sample_realization(cfg, np.random.default_rng(11))
+    assert checks == [(cfg.K, cfg.M)]
+    # Rebuilt through the public, fully checked builders: the same arrays.
+    assert np.array_equal(real.precoder, linalg.scaled_pseudo_inverse(real.h))
+    assert np.array_equal(real.an_basis, linalg.null_space_basis(real.h, cfg.N_J))
+    assert np.array_equal(real.g_data, math.sqrt(cfg.alpha2) * (real.g @ real.precoder))
+    assert np.array_equal(real.g_an, math.sqrt(cfg.beta2) * (real.g @ real.an_basis))
+
+
+def test_realization_rejects_a_rank_deficient_user_channel(cfg, monkeypatch):
+    def deficient_h(rows, cols, variance, rng):
+        z = sample_gaussian(rows, cols, variance, rng)
+        if rows == cfg.K:  # h is drawn first: make its last row repeat the first
+            z[-1] = z[0]
+        return z
+
+    monkeypatch.setattr(channel, "sample_gaussian", deficient_h)
+    with pytest.raises(DegenerateChannelError, match="rank deficient"):
+        sample_realization(cfg, np.random.default_rng(11))
 
 
 def test_transmit_signal_reaches_users_cleanly(cfg, rng):

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -369,22 +370,73 @@ def test_bounds_draws_each_spectrum_once(entries, expected, tmp_path, capsys, dr
 # ---------------------------------------------------------------------------
 
 
+VALIDATION_CHECKS = [
+    "digamma-recurrence",
+    "grassmann-symmetry",
+    "wishart-identity",
+    "transmit-power",
+    "effective-distributions",
+    "ergodic-slope",
+    "sv-split",
+]
+
+
 def test_validation_passes_and_is_reproducible(draw_counts):
     report = run_validation(trials=300)
     names = [c.name for c in report.checks]
-    assert names == [
-        "digamma-recurrence",
-        "grassmann-symmetry",
-        "wishart-identity",
-        "transmit-power",
-        "effective-distributions",
-        "ergodic-slope",
-        "sv-split",
-    ]
+    assert names == VALIDATION_CHECKS
     assert report.passed, [c.detail for c in report.checks if not c.passed]
     assert run_validation(trials=300) == report
     # The slope check reads both noise floors off one channel draw per run.
     assert draw_counts["ergodic"] == 2
+
+
+def test_validation_does_not_depend_on_the_pool_size(monkeypatch, draw_counts):
+    pools = []
+    in_order = anleak.cli._in_order
+
+    def spy(fn, items, workers, start=None):
+        pools.append(workers)
+        return in_order(fn, items, workers, start)
+
+    monkeypatch.setattr(anleak.cli, "_in_order", spy)
+    reports = []
+    for cores in (1, 3):
+        monkeypatch.setattr(anleak.cli, "_usable_cores", lambda: cores)
+        reports.append(run_validation(trials=300))
+    assert pools == [1, 3]
+    assert reports[0] == reports[1]
+    assert [c.name for c in reports[1].checks] == VALIDATION_CHECKS
+    # Each sampled check draws its own stream once per run.
+    streams = ("log_sv", "transmit_power", "distributions", "ergodic", "split")
+    assert draw_counts == {stream: 2 for stream in streams}
+
+
+def test_validation_raises_the_first_failing_check_in_report_order(monkeypatch):
+    slope_failed = threading.Event()
+
+    def power(seed, trials):
+        assert slope_failed.wait(timeout=30)
+        raise RuntimeError("transmit-power broke")
+
+    def slope(seed, trials):
+        slope_failed.set()
+        raise RuntimeError("ergodic-slope broke")
+
+    def passing(name):
+        return lambda seed, trials: anleak.cli.CheckResult(name, True, "")
+
+    # The slope check starts first and fails first, but the power check
+    # comes first in the report, so its error is the one raised.
+    monkeypatch.setattr(anleak.cli, "_check_power_identity", power)
+    monkeypatch.setattr(anleak.cli, "_check_ergodic_slope", slope)
+    for name in ("wishart_identity", "effective_distributions", "sv_split"):
+        monkeypatch.setattr(anleak.cli, f"_check_{name}", passing(name))
+    for cores in (1, 2):
+        slope_failed.clear()
+        monkeypatch.setattr(anleak.cli, "_usable_cores", lambda: cores)
+        with pytest.raises(RuntimeError, match="transmit-power"):
+            run_validation(trials=300)
 
 
 def test_validation_rejects_tiny_runs():

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 from functools import partial
 
 import mpmath
@@ -26,7 +28,7 @@ from anleak import (
     universal_constant,
 )
 from anleak.linalg import sample_gaussian, squared_singular_values
-from anleak.montecarlo import _log_sv_values, _summarize
+from anleak.montecarlo import _in_order, _log_sv_values, _summarize
 
 ONE_STREAM = SystemConfig(M=2, K=1, N_E=1, N_J=0, T=2, alpha2=1.0, beta2=0.0)
 
@@ -163,6 +165,98 @@ def test_worker_count_is_invisible():
     # The control-variate fit runs on the trials in trial order.
     fits = [ExactFirst(trials=600, seed=5, workers=w).ergodic_leakage(cfg, 0.1) for w in (1, 3)]
     assert fits[0] == fits[1]
+
+
+@pytest.fixture
+def fresh_blas_lookup():
+    """Forget the process's OpenBLAS lookup before and after the test."""
+    montecarlo._openblas.cache_clear()
+    yield
+    montecarlo._openblas.cache_clear()
+
+
+@pytest.fixture
+def openblas():
+    """``(get, set)`` of numpy's bundled OpenBLAS thread count, set to 2 for
+    the test (a count a hold must change) and restored after it."""
+    blas = montecarlo._openblas()
+    if blas is None:
+        pytest.skip("numpy does not use a bundled OpenBLAS here")
+    get, put = blas
+    before = get()
+    put(2)
+    yield get, put
+    put(before)
+
+
+def test_the_pool_holds_openblas_to_one_thread_and_restores_it(openblas):
+    get, _ = openblas
+    assert _in_order(lambda _: get(), range(4), 2) == [1, 1, 1, 1]
+    assert get() == 2
+    with pytest.raises(ZeroDivisionError):
+        _in_order(lambda x: 1 / x, [1, 0, 2], 2)
+    assert get() == 2
+    with montecarlo._one_blas_thread():  # a nested hold restores nothing
+        assert _in_order(lambda _: get(), range(2), 2) == [1, 1]
+        assert get() == 1
+    assert get() == 2
+
+
+def test_concurrent_pools_restore_openblas_when_the_last_one_ends(openblas):
+    get, _ = openblas
+    seen = []
+
+    def pool_reads():
+        seen.extend(_in_order(lambda _: get(), range(4), 3))
+
+    threads = [threading.Thread(target=pool_reads) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)  # interleave the holds' bookkeeping
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [1] * 24
+    assert get() == 2  # a lost update would restore 1, or nothing
+
+
+def test_a_missing_openblas_is_a_silent_no_op(monkeypatch, fresh_blas_lookup):
+    monkeypatch.setattr(montecarlo, "_find_openblas", lambda: None)
+    assert _in_order(abs, [-1, 2, -3], 2) == [1, 2, 3]
+    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16)
+    serial = ergodic_leakage(cfg, 0.1, trials=100, seed=5, workers=1)
+    assert ergodic_leakage(cfg, 0.1, trials=100, seed=5, workers=2) == serial
+
+
+def test_openblas_is_looked_up_once_per_process(monkeypatch, fresh_blas_lookup):
+    calls = []
+    find = montecarlo._find_openblas
+    monkeypatch.setattr(montecarlo, "_find_openblas", lambda: calls.append(1) or find())
+    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16)
+    ergodic_leakage(cfg, 0.1, trials=100, seed=5, workers=1)
+    assert calls == []  # one worker runs no pool and never looks
+    for _ in range(3):
+        ergodic_leakage(cfg, 0.1, trials=100, seed=5, workers=2)
+        _in_order(abs, [-1, 2], 2)
+    assert calls == [1]
+
+
+def test_the_pool_keeps_item_order_whatever_the_start_order():
+    assert _in_order(str, [3, 1, 2], 2, start=(2, 0, 1)) == ["3", "1", "2"]
+    calls = []
+
+    def fail(x):
+        calls.append(x)
+        raise ValueError(str(x))
+
+    # Started last, the first item's error is still the one raised.
+    with pytest.raises(ValueError, match="^0$"):
+        _in_order(fail, [0, 1, 2], 1, start=(2, 1, 0))
+    assert calls == [2, 1, 0]
 
 
 def test_seed_selects_the_stream():

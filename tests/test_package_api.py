@@ -1,7 +1,7 @@
 """Package hygiene: the modules export nothing the package never calls but
 a commented allowlist, only `anleak.bounds` spells a reason code, every
-seeded trial is drawn by `montecarlo._run_trials`, and the CLI imports no
-test-only library."""
+seeded trial is drawn by `montecarlo._run_trials`, every thread pool is
+`montecarlo._in_order`, and the CLI imports no test-only library."""
 
 import ast
 import os
@@ -54,6 +54,9 @@ NEVER_LOADED = {
     # The sampled reference of `MonteCarlo.ergodic_leakage`, which keeps its
     # draw instead; the layer tracer of perfbench wraps it by name.
     "montecarlo.ergodic_leakage",
+    # The checked public form of `linalg._null_basis`: `sample_realization`
+    # builds its basis from an `h` that `scaled_pseudo_inverse` has checked.
+    "linalg.null_space_basis",
     # Paper results offered to callers; the README quick start calls
     # `secrecy_from_config`.
     "bounds.coherent_data_leakage",
@@ -125,6 +128,15 @@ def test_every_seeded_trial_goes_through_the_one_trial_loop():
     stray = [hit for hit in reads if owners[hit[2]] not in hit[3]]
     assert not stray, f"seeded draws outside their owner: {stray}"
     assert {hit[2] for hit in reads} == set(owners)
+
+
+def test_every_thread_pool_is_the_one_pool():
+    # `montecarlo._in_order` is the package's only thread pool, so every
+    # pool of the package holds OpenBLAS to one thread while it runs.
+    reads = _reads({"ThreadPoolExecutor"})
+    stray = [hit for hit in reads if "_in_order" not in hit[3]]
+    assert not stray, f"thread pools outside `_in_order`: {stray}"
+    assert reads
 
 
 def test_the_cli_imports_no_oracle_library():
