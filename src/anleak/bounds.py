@@ -266,14 +266,16 @@ def noncoherent_bounds(
         - slope_units * w * _LN_PI_E
         - (k * ne / t) * (_LN_PI_E + math.log(cfg.alpha2))
     )
+    # Unit noise power from here on (``beta2 = 1``, by the rescale above):
+    # the ``nj`` terms below hold only in that frame, not for general beta2.
     c_upper = (ne / t) * (
         k * (_LN_PI_E + math.log(t))
-        + nj * math.log(t / cfg.beta2)
+        + nj * math.log(t)
         - (expected_logdet_wishart(mbar, t) - expected_logdet_wishart(k, t))
     ) + d
     c_lower = (ne / t) * (
         k * (_LN_PI_E + math.log(cfg.alpha2))
-        + nj * math.log(cfg.beta2 / (t - k))
+        + nj * math.log(1.0 / (t - k))
         + expected_logdet_wishart(mbar, t)
     ) + d
     se = w * math.hypot(e_joint.std_error, e_tail.std_error)

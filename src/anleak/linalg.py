@@ -71,7 +71,10 @@ def sample_gaussian(
         return np.zeros((rows, cols), dtype=np.complex128)
     scale = math.sqrt(variance / 2.0)
     z = rng.standard_normal((2, rows, cols))
-    return scale * (z[0] + 1j * z[1])
+    out = np.empty((rows, cols), dtype=np.complex128)
+    out.real = scale * z[0]
+    out.imag = scale * z[1]
+    return out
 
 
 def squared_singular_values(a) -> NDArray[np.float64]:

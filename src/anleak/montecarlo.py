@@ -35,10 +35,14 @@ falls that low with probability about ``2e-8``).
 A draw is a stream tag plus a tuple of plain arguments, mostly those of
 the one product sampler `_product`.  Estimators evaluate a functional such
 as ``log1p(lambda / s2)`` on the spectra of each batch, which no noise
-floor enters.  The module functions reduce each batch to per-trial values
-as it is drawn.  `MonteCarlo` calls them but keeps the ergodic spectra:
+floor enters.  `expected_log_sv_sum` and `universal_constant` reduce each
+batch to per-trial values as it is drawn.  The ergodic draw of ``Gbar``
+is one stream per geometry, whose spectra a `MonteCarlo` keeps: the
+ergodic leakage and its high-SNR constant both read them, and so do
 sweeps along ``snr_e_db`` or ``T_gamma`` (the draw reads neither) and
-``validate``'s ergodic-slope check re-read them.
+``validate``'s ergodic-slope check.  The module functions
+`ergodic_leakage` and `ergodic_constant` are each one call of a
+`MonteCarlo`.
 
 The `MonteCarlo` subclass `ExactFirst`, which ``sweep`` and ``bounds``
 use, answers from known laws with standard error 0: every high-SNR
@@ -95,9 +99,8 @@ _LAW_ROWS = 128  # noise nodes per chunk of `_universal_law`'s 2-D sum
 _SQ_FLAG_RTOL = 1e-12  # relative squared-singular-value floor of the Gram route
 
 # Every stream tag of the package: part of the determinism contract, never
-# renumber.  1-5 are the `SvKind` values and 6 is retired.
+# renumber.  1-5 are the `SvKind` values; 6 and 8 are retired.
 _TAG_ERGODIC = 7
-_TAG_ERGODIC_CONST = 8
 _TAG_UNIVERSAL = 9
 _TAG_SPLIT = 10
 _TAG_DISTRIBUTIONS = 100  # channel.check_effective_distributions
@@ -243,13 +246,14 @@ class MonteCarlo:
     """Bundle of sampling parameters reused across estimator calls.
 
     ``trials``, ``seed`` and ``workers`` are checked once, at construction.
-    Each estimator is its module function with these three; only
-    ``ergodic_leakage`` keeps its draw, the per-batch ``(sq_full, sq_an)``,
-    for the instance's lifetime and applies ``sigma_z2`` on each call, so
-    a sweep along ``snr_e_db`` or ``T_gamma`` draws it once.  The key is
-    the draw's own argument tuple, so it holds every value the draw reads
-    and never the SNRs, ``T``, ``M`` or ``workers``; a hit returns the
-    module function's numbers.
+    ``log_sv_sum`` and ``universal_constant`` are their module functions
+    with these three.  ``ergodic_leakage`` and ``ergodic_constant`` read
+    one kept draw, the per-batch ``(sq_full, sq_an)``, drawn on first use
+    and kept for the instance's lifetime; ``ergodic_leakage`` applies
+    ``sigma_z2`` on each call, so a sweep along ``snr_e_db`` or
+    ``T_gamma`` draws it once.  The key is the draw's own argument tuple,
+    so it holds every value the draw reads and never the SNRs, ``T``,
+    ``M`` or ``workers``.
     """
 
     trials: int = 20000
@@ -273,13 +277,13 @@ class MonteCarlo:
 
     def _ergodic_spectra(self, cfg: SystemConfig) -> list:
         """The kept per-batch ``(sq_full, sq_an)`` of the ergodic draw."""
-        tag, draw, args, spectra = _ergodic(cfg)
+        args, spectra = _gbar_args(cfg), partial(_gbar_spectra, cfg.K)
         if args not in self._cache:
-            self._cache[args] = _run_trials(tag, draw, args, spectra, *self._run)
+            self._cache[args] = _run_trials(_TAG_ERGODIC, _product, args, spectra, *self._run)
         return self._cache[args]
 
     def ergodic_constant(self, cfg: SystemConfig) -> McEstimate:
-        return ergodic_constant(cfg, *self._run)
+        return _summarize([_ergodic_constant_values(*b) for b in self._ergodic_spectra(cfg)])
 
     def universal_constant(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
         return universal_constant(cfg, sigma_z2, *self._run)
@@ -325,7 +329,7 @@ class ExactFirst(MonteCarlo):
         s2 = _check_sigma(sigma_z2)
         batches = self._ergodic_spectra(cfg)
         leak = np.concatenate([_ergodic_values(s2, *b) for b in batches])
-        controls = np.concatenate([_ergodic_controls(cfg, *b) for b in batches])
+        controls = np.concatenate([_ergodic_controls(*b) for b in batches])
         controls -= (self.ergodic_constant(cfg).mean, cfg.N_E * cfg.K * cfg.alpha2)
         valid = np.isfinite(leak) & np.isfinite(controls).all(axis=1)
         if valid.sum() < controls.shape[1] + 2:
@@ -516,23 +520,6 @@ def _summarize(batches: list[np.ndarray], fitted: int = 0) -> McEstimate:
     )
 
 
-def _estimate(
-    tag: int, draw, args: tuple, spectra, values, trials: int, seed: int, workers: int
-) -> McEstimate:
-    """Mean of ``values(*spectra(*batch))`` over the draws ``draw(*args, rng)``,
-    each batch reduced to per-trial values as it is drawn."""
-
-    def reduce(*stacks: np.ndarray) -> np.ndarray:
-        return values(*spectra(*stacks))
-
-    return _summarize(_run_trials(tag, draw, args, reduce, trials, seed, workers))
-
-
-def _spectra(*stacks: np.ndarray) -> tuple:
-    """Squared singular values of each stacked part of a batch."""
-    return tuple(squared_singular_values(stack) for stack in stacks)
-
-
 def _bartlett_factor(m: int, dof: int, rng: np.random.Generator) -> np.ndarray:
     """Lower-triangular ``A`` with ``A A^H`` complex-Wishart(m, dof).
 
@@ -568,16 +555,16 @@ def _product(
     return left if dof is None else left @ _bartlett_factor(k + nj, dof, rng)
 
 
-def _log_sv_values(sq: np.ndarray, r: int) -> np.ndarray:
-    """Per-trial ``sum log`` of the top ``r`` squared singular values.
+def _log_sv_values(sq: np.ndarray) -> np.ndarray:
+    """Per-trial ``sum log`` of the squared singular values, of which each
+    draw has exactly as many as its rank.
 
-    Rows whose ``r``-th value falls below the relative degeneracy
-    threshold come back NaN (excluded upstream).
+    Rows whose last value falls below the relative degeneracy threshold
+    come back NaN (excluded upstream).
     """
-    top = sq[:, :r]
-    bad = top[:, -1] <= _SQ_FLAG_RTOL * sq[:, 0]
+    bad = sq[:, -1] <= _SQ_FLAG_RTOL * sq[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.sum(np.log(top), axis=1)
+        vals = np.sum(np.log(sq), axis=1)
     vals[bad] = np.nan
     return vals
 
@@ -608,11 +595,13 @@ def expected_log_sv_sum(
     """
     _check_run_args(trials, seed, workers)
     args = _sv_args(kind, cfg)
-    rank = _sv_rank(kind, args)
-    if rank == 0:
+    if _sv_rank(kind, args) == 0:
         return McEstimate(0.0, 0.0, trials, 0)
-    values = partial(_log_sv_values, r=rank)
-    return _estimate(kind.value, _product, args, _spectra, values, trials, seed, workers)
+
+    def reduce(stack: np.ndarray) -> np.ndarray:
+        return _log_sv_values(squared_singular_values(stack))
+
+    return _summarize(_run_trials(kind.value, _product, args, reduce, trials, seed, workers))
 
 
 def _gbar_args(cfg: SystemConfig) -> tuple:
@@ -640,13 +629,7 @@ def ergodic_leakage(
     ``Gbar`` the ``N_E x (K + N_J)`` effective channel and ``G2`` its
     noise-part columns.  ``T`` plays no role here.
     """
-    values = partial(_ergodic_values, _check_sigma(sigma_z2))
-    return _estimate(*_ergodic(cfg), values, trials, seed, workers)
-
-
-def _ergodic(cfg: SystemConfig) -> tuple:
-    """``(tag, draw, args, spectra)`` of the ergodic leakage's draw."""
-    return _TAG_ERGODIC, _product, _gbar_args(cfg), partial(_gbar_spectra, cfg.K)
+    return MonteCarlo(trials, seed, workers).ergodic_leakage(cfg, sigma_z2)
 
 
 def _ergodic_values(s2: float, sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
@@ -656,11 +639,11 @@ def _ergodic_values(s2: float, sq_full: np.ndarray, sq_an: np.ndarray) -> np.nda
     return (full - an) / _LN2
 
 
-def _ergodic_controls(cfg: SystemConfig, sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
+def _ergodic_controls(sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
     """Per-trial ``(ergodic constant functional, |G1|_F^2)`` of one batch,
     the control variates of `ExactFirst.ergodic_leakage`."""
     g1 = np.sum(sq_full, axis=1) - np.sum(sq_an, axis=1)
-    return np.column_stack([_ergodic_constant_values(cfg, sq_full, sq_an), g1])
+    return np.column_stack([_ergodic_constant_values(sq_full, sq_an), g1])
 
 
 def ergodic_constant(
@@ -674,22 +657,17 @@ def ergodic_constant(
     Estimates ``E[sum ln lambda^2(Gbar) - sum ln lambda^2(G2)] / ln 2``
     with the sums over the full generic ranks; the pair of spectra comes
     from one realization, so the difference is estimated at its natural
-    (low) variance.
+    (low) variance.  It reads the same draw as `ergodic_leakage`.
     """
-    _, draw, args, spectra = _ergodic(cfg)  # the same draw on its own stream
-    values = partial(_ergodic_constant_values, cfg)
-    return _estimate(_TAG_ERGODIC_CONST, draw, args, spectra, values, trials, seed, workers)
+    return MonteCarlo(trials, seed, workers).ergodic_constant(cfg)
 
 
-def _ergodic_constant_values(
-    cfg: SystemConfig, sq_full: np.ndarray, sq_an: np.ndarray
-) -> np.ndarray:
+def _ergodic_constant_values(sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
     """Per-trial ``sum ln lambda^2(Gbar) - sum ln lambda^2(G2)`` in bits over
     the generic ranks; NaN where the degeneracy guard trips."""
-    full = _log_sv_values(sq_full, min(cfg.mbar, cfg.N_E))
-    r_an = min(cfg.N_J, cfg.N_E)
-    if r_an:
-        full = full - _log_sv_values(sq_an, r_an)
+    full = _log_sv_values(sq_full)
+    if sq_an.shape[1]:
+        full = full - _log_sv_values(sq_an)
     return full / _LN2
 
 
@@ -711,17 +689,18 @@ def universal_constant(
 
     The data-part channel is drawn before the noise-block factor.
     """
-    return _estimate(*_universal(cfg, _check_sigma(sigma_z2)), trials, seed, workers)
+    universal = _universal(cfg, _check_sigma(sigma_z2))
+    return _summarize(_run_trials(*universal, trials, seed, workers))
 
 
 def _universal(cfg: SystemConfig, s2: float) -> tuple:
-    """``(tag, draw, args, spectra, values)`` of the universal constant; the
-    noise factor's args are its size and degrees of freedom."""
+    """``(tag, draw, args, reduce)`` of the universal constant; the noise
+    factor's args are its size and degrees of freedom."""
     nj, tp = cfg.N_J, cfg.t_prime
     if tp < 1:
         raise ValueError(f"universal constant needs t_prime >= 1, got {tp}")
     args = _sv_args(SvKind.DATA, cfg), (min(nj, tp), max(nj, tp))
-    return _TAG_UNIVERSAL, _universal_draw, args, _spectra, partial(_universal_values, cfg, s2)
+    return _TAG_UNIVERSAL, _universal_draw, args, partial(_universal_values, cfg, s2)
 
 
 def _universal_draw(data: tuple, noise: tuple, rng: np.random.Generator):
@@ -731,14 +710,15 @@ def _universal_draw(data: tuple, noise: tuple, rng: np.random.Generator):
 
 
 def _universal_values(
-    cfg: SystemConfig, s2: float, sq_g: np.ndarray, sq_n: np.ndarray | None = None
+    cfg: SystemConfig, s2: float, g1: np.ndarray, noise: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per-trial universal constant in bits from one batch of spectra (no
-    ``sq_n`` when ``N_J = 0``)."""
+    """Per-trial universal constant in bits from one batch of draws (no
+    ``noise`` factors when ``N_J = 0``)."""
     tp = cfg.t_prime
+    sq_g = squared_singular_values(g1)
     vals = max(0.0, 1.0 - cfg.N_J / tp) * np.sum(np.log(sq_g + s2), axis=1)
-    if sq_n is not None:
-        denom = cfg.beta2 * sq_n[:, :, None] + s2
+    if noise is not None:
+        denom = cfg.beta2 * squared_singular_values(noise)[:, :, None] + s2
         vals = vals + np.sum(np.log1p(sq_g[:, None, :] / denom), axis=(1, 2)) / tp
     return vals / _LN2
 

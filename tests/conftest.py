@@ -24,14 +24,13 @@ def draw_counts(monkeypatch):
     """Count the seeded draws a test makes: `montecarlo._run_trials` calls.
 
     Keys name the stream tag: ``log_sv`` (any `SvKind`, through
-    `expected_log_sv_sum`), ``ergodic``, ``ergodic_constant``,
+    `expected_log_sv_sum`), ``ergodic`` (the leakage and its constant),
     ``universal``, ``split``, ``distributions`` and ``transmit_power``.
     """
     counts = collections.Counter()
     streams = {kind.value: "log_sv" for kind in montecarlo.SvKind}
     streams.update({
         montecarlo._TAG_ERGODIC: "ergodic",
-        montecarlo._TAG_ERGODIC_CONST: "ergodic_constant",
         montecarlo._TAG_UNIVERSAL: "universal",
         montecarlo._TAG_SPLIT: "split",
         montecarlo._TAG_DISTRIBUTIONS: "distributions",

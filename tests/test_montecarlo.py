@@ -355,6 +355,24 @@ def test_snr_changes_reuse_the_cached_draws(draw_counts):
     assert draw_counts == {"log_sv": 3 * len(SvKind), "ergodic": 1, "universal": 3}
 
 
+def test_ergodic_constant_and_leakage_share_one_draw(draw_counts):
+    mc = MonteCarlo(**CACHE_RUN)
+    mc.ergodic_constant(CACHE_CFG)
+    mc.ergodic_leakage(CACHE_CFG, 0.1)
+    assert draw_counts == {"ergodic": 1}
+
+
+def test_ergodic_constant_is_the_mean_of_the_first_control():
+    # The plain constant averages, over the kept draw, the trial values
+    # whose exact mean `ExactFirst.ergodic_leakage` subtracts.
+    mc = MonteCarlo(**CACHE_RUN)
+    constant = mc.ergodic_constant(CACHE_CFG)
+    batches = mc._cache[montecarlo._gbar_args(CACHE_CFG)]
+    controls = np.concatenate([montecarlo._ergodic_controls(*b) for b in batches])
+    trials = CACHE_RUN["trials"]
+    assert constant == McEstimate(controls[:, 0].mean(), constant.std_error, trials, 0)
+
+
 def test_rank_zero_spectra_short_circuit():
     cfg = balanced_config(M=8, K=2, N_E=3, N_J=0, T=16)
     for kind in (SvKind.AN_TAIL, SvKind.AN_POST, SvKind.AN_EXCESS):
@@ -402,11 +420,11 @@ def test_run_argument_validation():
     ):
         with pytest.raises(ValueError):
             bad()
-    # Every stream tag of the package is distinct, and tag 6 stays retired.
+    # Every stream tag of the package is distinct, and tags 6 and 8 stay retired.
     tags = [kind.value for kind in SvKind]
     tags += [v for name, v in vars(montecarlo).items() if name.startswith("_TAG_")]
     assert len(set(tags)) == len(tags) > len(SvKind)
-    assert 6 not in tags
+    assert not {6, 8} & set(tags)
     assert (montecarlo._TAG_DISTRIBUTIONS, montecarlo._TAG_TRANSMIT_POWER) == (100, 101)
 
 
@@ -418,7 +436,7 @@ def test_degenerate_rows_become_nan():
             [2.0, 1.0],
         ]
     )
-    vals = _log_sv_values(sq, 2)
+    vals = _log_sv_values(sq)
     assert vals[0] == pytest.approx(math.log(4.0))
     assert math.isnan(vals[1])
     assert vals[2] == pytest.approx(math.log(2.0))
@@ -444,7 +462,7 @@ def test_roundoff_level_spectra_are_excluded():
     assert float((true[1] / true[0]) ** 2) < 1e-32
     sq = squared_singular_values(np.stack([np.eye(2), near, 2.0 * np.eye(2)]))
     assert 0.0 < sq[1, 1] / sq[1, 0] < 1e-12
-    est = _summarize([_log_sv_values(sq, 2)])
+    est = _summarize([_log_sv_values(sq)])
     assert (est.trials, est.excluded) == (2, 1)
 
 
@@ -530,7 +548,7 @@ def test_exact_first_ergodic_leakage_is_the_regression_intercept():
     batches = exact._cache[montecarlo._gbar_args(cfg)]
     sq_full, sq_an = (np.concatenate(part) for part in zip(*batches))
     leak = montecarlo._ergodic_values(s2, sq_full, sq_an)
-    logdet = montecarlo._ergodic_constant_values(cfg, sq_full, sq_an)
+    logdet = montecarlo._ergodic_constant_values(sq_full, sq_an)
     g1 = np.sum(sq_full, axis=1) - np.sum(sq_an, axis=1)
     design = np.column_stack([
         np.ones(leak.size),

@@ -51,9 +51,11 @@ def _names_loaded_by_the_package() -> set[str]:
 
 # Exports the package never loads, each kept on purpose.
 NEVER_LOADED = {
-    # The sampled reference of `MonteCarlo.ergodic_leakage`, which keeps its
-    # draw instead; the layer tracer of perfbench wraps it by name.
+    # The public sampled forms of `MonteCarlo.ergodic_leakage` and
+    # `.ergodic_constant`, each one call of a `MonteCarlo`; the layer tracer
+    # of perfbench wraps them by name.
     "montecarlo.ergodic_leakage",
+    "montecarlo.ergodic_constant",
     # The checked public form of `linalg._null_basis`: `sample_realization`
     # builds its basis from an `h` that `scaled_pseudo_inverse` has checked.
     "linalg.null_space_basis",
