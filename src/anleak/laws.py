@@ -104,10 +104,16 @@ def _rule(lo: float, hi: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
     edges = np.linspace(lo, hi, _SEGMENTS * -(-rows // 64) + 1)
     if lo == 0.0:
         edges = np.concatenate(([0.0], edges[1] * 4.0 ** -np.arange(_GRADED, 0, -1), edges[1:]))
-    t, tw = np.polynomial.legendre.leggauss(_NODES)
+    t, tw = _legendre()
     half = 0.5 * np.diff(edges)[:, None]
     v, dv = (edges[:-1, None] + half * (t + 1.0)).ravel(), (half * tw).ravel()
     return v, dv
+
+
+@functools.cache
+def _legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-point Gauss-Legendre rule on [-1, 1], built once per process."""
+    return np.polynomial.legendre.leggauss(_NODES)
 
 
 def _density(

@@ -27,6 +27,7 @@ from anleak import (
     sv_split_check,
     universal_constant,
 )
+from anleak.laws import laguerre_nodes
 from anleak.linalg import sample_gaussian, squared_singular_values
 from anleak.montecarlo import _in_order, _log_sv_values, _summarize
 
@@ -538,49 +539,155 @@ def test_exact_first_ergodic_leakage_agrees_with_sampling(name):
             assert (fitted.trials, fitted.excluded) == (4000, 0)
 
 
+def _unit_draw(exact, cfg):
+    """An `ExactFirst`'s kept two-power draw, ``(sq_full, sq_unit)`` over all trials."""
+    batches = exact._cache[(*montecarlo._gbar_args(cfg), "unit")]
+    return tuple(np.concatenate(part) for part in zip(*batches))
+
+
+def _noise_block_law(cfg, s2):
+    """Exact mean, in bits, of ``sum ln(1 + lambda(G2 G2^H) / s2)``."""
+    x, w = laguerre_nodes(min(cfg.N_E, cfg.N_J), max(cfg.N_E, cfg.N_J))
+    return float(w @ np.log1p(cfg.beta2 * x / s2)) / math.log(2.0)
+
+
 def test_exact_first_ergodic_leakage_is_the_regression_intercept():
     # The fit in another form: least squares with an intercept on the
-    # controls less their exact means.  The estimate is the intercept and
-    # its SE the residual one with n - 3 degrees of freedom.
+    # controls less their exact means.  At two powers on a wide block these
+    # are the unit-power terms at each power and J, the log-determinant of
+    # Gbar less that of the unit-power block G.  The estimate is the
+    # intercept less the noise block's exact mean, and its SE the residual
+    # one with n - 4 degrees of freedom.
     cfg, s2 = WIDE_UNEQUAL, 0.1
     exact = ExactFirst(trials=montecarlo._BATCH + 6, seed=7)
     est = exact.ergodic_leakage(cfg, s2)
-    batches = exact._cache[montecarlo._gbar_args(cfg)]
-    sq_full, sq_an = (np.concatenate(part) for part in zip(*batches))
-    leak = montecarlo._ergodic_values(s2, sq_full, sq_an)
-    logdet = montecarlo._ergodic_constant_values(sq_full, sq_an)
-    g1 = np.sum(sq_full, axis=1) - np.sum(sq_an, axis=1)
-    design = np.column_stack([
-        np.ones(leak.size),
-        logdet - exact.ergodic_constant(cfg).mean,
-        g1 - cfg.N_E * cfg.K * cfg.alpha2,
-    ])
+    sq_full, sq_unit = _unit_draw(exact, cfg)
+    leak = np.sum(np.log1p(sq_full / s2), axis=1) / math.log(2.0)
+    m = cfg.K + cfg.N_J
+    x, w = laguerre_nodes(cfg.N_E, m)
+    unit = [
+        np.sum(np.log1p(p * sq_unit / s2), axis=1) - w @ np.log1p(p * x / s2)
+        for p in (cfg.alpha2, cfg.beta2)
+    ]
+    j = np.sum(np.log(sq_full), axis=1) - np.sum(np.log(sq_unit), axis=1)
+    j_mean = montecarlo._log_sv_law(*montecarlo._gbar_args(cfg)) - expected_logdet_wishart(
+        cfg.N_E, m
+    )
+    design = np.column_stack([np.ones(leak.size), *unit, j - j_mean])
     coef, ssr, _, _ = np.linalg.lstsq(design, leak, rcond=None)
     n = leak.size
-    assert est.mean == pytest.approx(coef[0], rel=1e-10)
-    assert est.std_error == pytest.approx(math.sqrt(ssr[0] / (n - 3) / n), rel=1e-8)
+    assert est.mean == pytest.approx(coef[0] - _noise_block_law(cfg, s2), rel=1e-10)
+    assert est.std_error == pytest.approx(math.sqrt(ssr[0] / (n - 4) / n), rel=1e-8)
 
 
-@pytest.mark.parametrize("trials", [2, 3, 4])
-def test_exact_first_ergodic_leakage_at_tiny_trial_counts(trials):
-    # Two fitted slopes and a mean need 4 trials; with fewer, the answer is
-    # the plain sample mean, never a standard error of 0.
-    fitted = ExactFirst(trials=trials, seed=0).ergodic_leakage(WIDE_UNEQUAL, 0.1)
-    plain = MonteCarlo(trials=trials, seed=0).ergodic_leakage(WIDE_UNEQUAL, 0.1)
+@pytest.mark.parametrize("trials", [2, 3, 4, 5])
+def test_exact_first_ergodic_leakage_at_tiny_trial_counts(trials, draw_counts):
+    # Three fitted slopes and a mean need 5 trials; with fewer, the answer
+    # comes from the same kept draw without controls: the sample mean of the
+    # full term less the noise block's exact mean, never a standard error
+    # of 0, and no second draw.
+    exact = ExactFirst(trials=trials, seed=0)
+    fitted = exact.ergodic_leakage(WIDE_UNEQUAL, 0.1)
+    sq_full, _ = _unit_draw(exact, WIDE_UNEQUAL)
+    full = _summarize([np.sum(np.log1p(sq_full / 0.1), axis=1) / math.log(2.0)])
+    plain = dataclasses.replace(full, mean=full.mean - _noise_block_law(WIDE_UNEQUAL, 0.1))
     assert fitted.std_error > 0.0
-    assert (fitted == plain) is (trials < 4)
+    assert (fitted == plain) is (trials < 5)
+    assert draw_counts == {"ergodic": 1}
 
 
 def test_exact_first_drops_trials_the_control_guard_flags():
     cfg = WIDE_UNEQUAL
     exact = ExactFirst(trials=montecarlo._BATCH + 6, seed=1)
     clean = exact.ergodic_leakage(cfg, 0.1)
-    # Zero the smallest noise-part value of trial 3: its log-determinant
-    # control is then undefined, though its leakage is not.
-    sq_an = exact._cache[montecarlo._gbar_args(cfg)][0][1]
-    sq_an[3, -1] = 0.0
+    # Zero the smallest unit-power value of trial 3: its J control is then
+    # undefined, though its leakage is not.
+    sq_unit = exact._cache[(*montecarlo._gbar_args(cfg), "unit")][0][1]
+    sq_unit[3, -1] = 0.0
     flagged = exact.ergodic_leakage(cfg, 0.1)
     assert (flagged.trials, flagged.excluded) == (clean.trials - 1, 1)
+
+
+@pytest.mark.parametrize("rows", [3, 5, 9])
+def test_unit_spectra_are_those_of_the_unit_power_block(rng, rows):
+    # Wide blocks form G G^H anew; square and tall ones rescale Gbar^H Gbar.
+    args = (rows, 2, 1.5, 3, 0.7, None)
+    gbar = np.stack([montecarlo._product(*args, rng) for _ in range(4)])
+    unit = gbar / np.sqrt([1.5, 1.5, 0.7, 0.7, 0.7])
+    sq_full, sq_unit = montecarlo._unit_spectra(*args[1:5], gbar)
+    for got, block in ((sq_full, gbar), (sq_unit, unit)):
+        want = squared_singular_values(block)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * want.max())
+
+
+TWO_POWER_SHAPES = {
+    # N_E = K + N_J: the hardest fit, where ln lambda_min has a heavy tail.
+    "square": SystemConfig(M=8, K=2, N_E=5, N_J=3, T=12, alpha2=1.5, beta2=0.7),
+    # One row fewer than columns: J, the beta-matrix control, enters.
+    "wide-by-one": SystemConfig(M=8, K=2, N_E=4, N_J=3, T=12, alpha2=1.5, beta2=0.7),
+}
+
+
+@pytest.mark.parametrize("s2", [1.0, 1e-3])
+@pytest.mark.parametrize("name", list(TWO_POWER_SHAPES))
+def test_two_power_ergodic_leakage_agrees_with_sampling(name, s2):
+    # The plain estimate is drawn on another seed, so the two errors are
+    # independent and 4 hypot(SE) is an honest band.
+    cfg = TWO_POWER_SHAPES[name]
+    fitted = ExactFirst(**EXACT_RUN).ergodic_leakage(cfg, s2)
+    sampled = MonteCarlo(trials=EXACT_RUN["trials"], seed=3).ergodic_leakage(cfg, s2)
+    band = 4.0 * math.hypot(fitted.std_error, sampled.std_error)
+    assert abs(fitted.mean - sampled.mean) <= band, (fitted, sampled)
+    assert 0.0 < fitted.std_error < sampled.std_error
+
+
+def test_two_power_ergodic_leakage_on_a_tall_block_at_high_snr():
+    # At 60 dB on a 64 x 5 block the two unit-power controls differ by
+    # nearly a constant: the normal equations of their fit are singular in
+    # double precision, the rank-revealing fit is not.
+    cfg = SystemConfig(M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7)
+    fitted = ExactFirst(trials=200, seed=0).ergodic_leakage(cfg, 1e-6)
+    sampled = MonteCarlo(trials=2000, seed=1).ergodic_leakage(cfg, 1e-6)
+    band = 4.0 * math.hypot(fitted.std_error, sampled.std_error)
+    assert abs(fitted.mean - sampled.mean) <= band, (fitted, sampled)
+    assert 0.0 < fitted.std_error < sampled.std_error
+
+
+def test_two_power_ergodic_leakage_does_not_depend_on_the_worker_count():
+    run = dict(trials=3 * montecarlo._BATCH + 5, seed=2)
+    for cfg in (WIDE_UNEQUAL, EXACT_CFGS["tall-unequal"], TWO_POWER_SHAPES["square"]):
+        one, three = (
+            ExactFirst(workers=w, **run).ergodic_leakage(cfg, 1e-2) for w in (1, 3)
+        )
+        assert one == three
+
+
+@pytest.mark.parametrize(
+    ("cfg", "s2", "mean", "std_error"),
+    [
+        (EXACT_CFGS["wide-equal"], 0.1, 2.5281332720033816, 0.0077123523090337305),
+        (EXACT_CFGS["wide-equal"], 1e-3, 2.691064520952153, 0.00014996290387881686),
+        (
+            SystemConfig(M=8, K=2, N_E=6, N_J=3, T=12, alpha2=1.6, beta2=1.6),
+            0.1,
+            10.236406262527025,
+            0.011207448792698877,
+        ),
+        (
+            SystemConfig(M=8, K=2, N_E=6, N_J=3, T=12, alpha2=1.6, beta2=1.6),
+            1e-3,
+            23.232676713688583,
+            0.00024132776180781513,
+        ),
+    ],
+)
+def test_one_power_ergodic_leakage_keeps_its_two_control_fit(cfg, s2, mean, std_error):
+    # Values pinned from the two-control fit as it stood before the
+    # two-power controls were added; at one power it is unchanged.
+    est = ExactFirst(trials=200, seed=5).ergodic_leakage(cfg, s2)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.std_error == pytest.approx(std_error, rel=1e-9)
+    assert (est.trials, est.excluded) == (200, 0)
 
 
 def test_exact_first_snr_sweep_draws_the_ergodic_channel_once(draw_counts):
