@@ -570,15 +570,23 @@ def _check_effective_distributions(seed: int, trials: int) -> CheckResult:
 
 
 def _check_ergodic_slope(seed: int, trials: int) -> CheckResult:
+    # One power: both estimates must also lie within 4 SE of the exact law.
     cfg = balanced_config(M=64, K=16, N_E=64, N_J=48, T=320)
     mc = MonteCarlo(trials=trials, seed=seed)  # one draw for both noise floors
-    lo = mc.ergodic_leakage(cfg, 10.0 ** (-4.0))
-    hi = mc.ergodic_leakage(cfg, 10.0 ** (-4.3))
+    law = ExactFirst(trials=trials, seed=seed)  # draws nothing at one power
+    floors = (10.0 ** (-4.0), 10.0 ** (-4.3))
+    lo, hi = (mc.ergodic_leakage(cfg, s2) for s2 in floors)
+    devs = [abs(est.mean - law.ergodic_leakage(cfg, s2).mean) for est, s2 in zip((lo, hi), floors)]
+    bands = [4.0 * est.std_error for est in (lo, hi)]
     slope = (hi.mean - lo.mean) / (0.3 * math.log2(10.0))
     expected = min(max(cfg.N_E - cfg.N_J, 0), cfg.K)
     dev = abs(slope - expected)
+    ok = dev <= 0.15 and all(d <= b for d, b in zip(devs, bands))
     return CheckResult(
-        "ergodic-slope", dev <= 0.15, f"slope {slope:.3f} vs dof {expected}"
+        "ergodic-slope",
+        ok,
+        f"slope {slope:.3f} vs dof {expected}; |mc - law| = {devs[0]:.4f}, {devs[1]:.4f}, "
+        f"4*SE = {bands[0]:.4f}, {bands[1]:.4f}",
     )
 
 

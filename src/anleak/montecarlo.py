@@ -47,18 +47,18 @@ sweeps along ``snr_e_db`` or ``T_gamma`` (the draw reads neither) and
 The `MonteCarlo` subclass `ExactFirst`, which ``sweep`` and ``bounds``
 use, answers from known laws with standard error 0: every high-SNR
 log-determinant (digamma sums, plus a Jacobi-ensemble mean for two powers
-on a wide block; see `_log_sv_law`) and the universal constant (a 2-D
-quadrature over two Laguerre densities, `_universal_law`).  It samples only
-the ergodic leakage, on the same stream, and regresses each trial on
-controls whose means those laws give exactly (control variates,
-Glasserman 2003, ch. 4).  With one power it reads the kept ``(sq_full,
-sq_an)`` and uses two controls.  With two distinct powers it keeps, under
-its own key, the spectra of ``Gbar`` and of its unit-power block instead:
-the noise-block term then has an exact Laguerre mean and is not sampled,
-and the controls are unit-power Laguerre functionals plus, on a wide
-block, a bounded matrix-variate beta log-determinant.  A plain
-`MonteCarlo` and the module functions always sample plainly, so they stay
-the cross-check of every law.
+on a wide block; see `_log_sv_law`), the universal constant (a 2-D
+quadrature over two Laguerre densities, `_universal_law`) and, at one
+power, the ergodic leakage (two Laguerre one-point integrals,
+`_laguerre_log1p`), so at one power it draws nothing.  It samples only the
+ergodic leakage at two distinct powers, on the same stream, and regresses
+each trial on controls whose means those laws give exactly (control
+variates, Glasserman 2003, ch. 4): it keeps, under its own key, the
+spectra of ``Gbar`` and of its unit-power block; the noise-block term has
+an exact Laguerre mean and is not sampled, and the controls are unit-power
+Laguerre functionals plus, on a wide block, a bounded matrix-variate beta
+log-determinant.  A plain `MonteCarlo` and the module functions always
+sample plainly, so they stay the cross-check of every law.
 
 Units: ``expected_log_sv_sum`` returns nats (it is compared against
 digamma identities); the leakage-level estimators return bits.
@@ -247,6 +247,16 @@ def _log_sv_law(
     return ends + float(w @ np.log(lo + (hi - lo) * y)) + logdet(rows, m) + logdet(rows, dof)
 
 
+def _laguerre_log1p(rows: int, cols: int, p: float, s2: float) -> float:
+    """``E sum ln(1 + p lambda / s2)`` in nats over the squared singular
+    values ``lambda`` of a ``rows x cols`` CN(0, 1) block, by its Laguerre
+    law (`laws.laguerre_nodes`); 0 when the block has no columns."""
+    if cols == 0:
+        return 0.0
+    x, w = laguerre_nodes(min(rows, cols), max(rows, cols))
+    return float(w @ np.log1p(p * x / s2))
+
+
 @dataclass(frozen=True)
 class MonteCarlo:
     """Bundle of sampling parameters reused across estimator calls.
@@ -305,10 +315,10 @@ class ExactFirst(MonteCarlo):
 
     ``log_sv_sum`` and ``ergodic_constant`` come from `_log_sv_law` and
     ``universal_constant`` from `_universal_law`, each as
-    ``McEstimate(mean, 0.0, trials, 0)``.  Only ``ergodic_leakage`` is
+    ``McEstimate(mean, 0.0, trials, 0)``, and so is ``ergodic_leakage``
+    at one power.  Only ``ergodic_leakage`` at two distinct powers is
     sampled, with control variates, on `MonteCarlo`'s ergodic stream: from
-    its kept draw at one power, from the same draw's ``Gbar`` and
-    unit-power spectra at two.
+    the spectra of that draw's ``Gbar`` and of its unit-power block.
     """
 
     def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
@@ -327,35 +337,22 @@ class ExactFirst(MonteCarlo):
         return McEstimate(_universal_law(cfg, s2), 0.0, self.trials, 0)
 
     def ergodic_leakage(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
-        """The ergodic leakage, each trial regressed on exact-mean controls.
+        """The ergodic leakage: exact at one power, sampled at two.
 
-        With two distinct powers (``K > 0``, ``N_J > 0``, ``alpha2 !=
-        beta2``) this is `_two_power_leakage`.  With one power, the controls
-        are the trial's `ergodic_constant` functional, whose mean is
-        ``self.ergodic_constant``, and ``|G1|_F^2``, the trace of
-        ``Gbar Gbar^H`` less that of ``G2 G2^H``, whose mean is
-        ``N_E K alpha2``.  The coefficients are the least-squares fit on
-        the centred controls over the valid trials, in trial order, and the
-        standard error is the residual one with ``n - 3`` degrees of
-        freedom.  Trials the log-determinant guard drops are counted in
-        ``excluded``; with fewer than 4 valid trials left this is the plain
-        `MonteCarlo` answer.
+        With one power (``alpha2 = beta2``, or ``N_J = 0``; ``K >= 1``, so
+        it is ``alpha2``) each of ``E sum ln(1 + lambda(Gbar Gbar^H) / s2)``
+        and ``E sum ln(1 + lambda(G2 G2^H) / s2)`` is a Laguerre one-point
+        integral (Telatar 1999) over an ``N_E x (K + N_J)`` and an
+        ``N_E x N_J`` block, `_laguerre_log1p`; nothing is drawn and the
+        standard error is 0.  With two distinct powers it is
+        `_two_power_leakage`.
         """
         s2 = _check_sigma(sigma_z2)
-        if cfg.K and cfg.N_J and cfg.alpha2 != cfg.beta2:
+        if cfg.N_J and cfg.alpha2 != cfg.beta2:
             return self._two_power_leakage(cfg, s2)
-        batches = self._ergodic_spectra(cfg)
-        leak = np.concatenate([_ergodic_values(s2, *b) for b in batches])
-        controls = np.concatenate([_ergodic_controls(*b) for b in batches])
-        controls -= (self.ergodic_constant(cfg).mean, cfg.N_E * cfg.K * cfg.alpha2)
-        valid = np.isfinite(leak) & np.isfinite(controls).all(axis=1)
-        if valid.sum() < controls.shape[1] + 2:
-            return super().ergodic_leakage(cfg, s2)
-        x, y = controls[valid], leak[valid]
-        x -= x.mean(axis=0)
-        coef = np.linalg.solve(x.T @ x, x.T @ (y - y.mean()))  # least-squares normal equations
-        leak -= controls @ coef
-        return _summarize([leak], fitted=coef.size)
+        full = _laguerre_log1p(cfg.N_E, cfg.K + cfg.N_J, cfg.alpha2, s2)
+        an = _laguerre_log1p(cfg.N_E, cfg.N_J, cfg.beta2, s2)
+        return McEstimate((full - an) / _LN2, 0.0, self.trials, 0)
 
     def _two_power_leakage(self, cfg: SystemConfig, s2: float) -> McEstimate:
         """The ergodic leakage at two distinct powers, ``E full - E an``.
@@ -395,13 +392,11 @@ class ExactFirst(MonteCarlo):
         powers = (cfg.alpha2, cfg.beta2)
         values = partial(_two_power_values, s2, powers, ne < m)
         cols = np.concatenate([values(*b) for b in self._ergodic_spectra(cfg, True)])
-        x, w = laguerre_nodes(min(ne, m), max(ne, m))
-        means = [float(w @ np.log1p(p * x / s2)) for p in powers]
+        means = [_laguerre_log1p(ne, m, p, s2) for p in powers]
         if ne < m:
             means.append(_log_sv_law(*_gbar_args(cfg)) - _log_sv_law(ne, m, 1.0, 0, 0.0, None))
         full, controls = cols[:, 0], cols[:, 1:] - means
-        y, w = laguerre_nodes(min(ne, nj), max(ne, nj))
-        an = float(w @ np.log1p(cfg.beta2 * y / s2)) / _LN2
+        an = _laguerre_log1p(ne, nj, cfg.beta2, s2) / _LN2
         valid = np.isfinite(controls).all(axis=1)
         rank = 0
         if valid.sum() >= 2:
@@ -744,13 +739,6 @@ def _ergodic_values(s2: float, sq_full: np.ndarray, sq_an: np.ndarray) -> np.nda
     full = np.sum(np.log1p(sq_full / s2), axis=1)
     an = np.sum(np.log1p(sq_an / s2), axis=1) if sq_an.shape[1] else 0.0
     return (full - an) / _LN2
-
-
-def _ergodic_controls(sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
-    """Per-trial ``(ergodic constant functional, |G1|_F^2)`` of one batch,
-    the control variates of `ExactFirst.ergodic_leakage`."""
-    g1 = np.sum(sq_full, axis=1) - np.sum(sq_an, axis=1)
-    return np.column_stack([_ergodic_constant_values(sq_full, sq_an), g1])
 
 
 def ergodic_constant(

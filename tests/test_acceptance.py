@@ -169,7 +169,7 @@ def test_criterion_06_low_snr_equivalence_at_minus_20db():
     # K N_E alpha2 beta2 N_J / (s2^2 ln 2), checked at -40 dB, and be gone
     # within Monte Carlo error at -60 dB.  The universal side is exact; the
     # coherent side is plainly sampled, through one kept ergodic draw.  Its
-    # control-variate estimate resolves the next-order term of the gap
+    # exact law resolves the next-order term of the gap
     # (tests/test_bounds.py), which these bands would count as a miss.
     exact = ExactFirst(trials=20000, seed=0)
     mc = MonteCarlo(trials=20000, seed=0)

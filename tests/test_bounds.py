@@ -4,6 +4,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anleak import (
     ExactFirst,
@@ -248,7 +250,7 @@ def test_universal_at_low_snr_matches_data_only_leakage():
 
 def test_universal_gap_closes_at_its_leading_order():
     # Criterion 06's configuration.  With the exact universal constant and
-    # the control-variate coherent leakage the gap is resolved: at -40 dB
+    # the exact one-power coherent leakage the gap is resolved: at -40 dB
     # its next-order term (about -1.7%) shows, at -60 dB it is the leading
     # order.  Plain sampling cannot see it (criterion 06's bands).
     exact = ExactFirst(trials=20000, seed=0)
@@ -278,6 +280,52 @@ def test_ergodic_highsnr_tracks_the_leakage_curve():
     est = ergodic_leakage(cfg, 10.0 ** (-3.5), trials=4000, seed=0)
     band = 4.0 * math.hypot(est.std_error, erg.c_std_error) + 0.1
     assert abs(est.mean - erg.rate_at(35.0)) <= band
+
+
+HIGHSNR_FLOORS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+# Below this many bits a residual is the rounding of the leakage values it
+# is taken from (tens to hundreds of bits, each a sum over ~1000 nodes).
+ROUNDING_BITS = 1e-12
+
+
+@st.composite
+def one_power_configs(draw):
+    k = draw(st.integers(1, 5))
+    nj = draw(st.integers(0, 8))
+    power = draw(st.floats(0.1, 10.0))
+    return SystemConfig(
+        M=k + nj + 1,
+        K=k,
+        N_E=draw(st.integers(1, 12)),
+        N_J=nj,
+        T=4 * (k + nj),
+        alpha2=power,
+        beta2=power if nj else 0.0,
+    )
+
+
+@settings(max_examples=60)
+@example(cfg=balanced_config(M=64, K=16, N_E=64, N_J=48, T=320))  # the flagship
+@example(cfg=SystemConfig(M=8, K=2, N_E=5, N_J=3, T=16, alpha2=2.0, beta2=2.0))  # square Gbar
+@example(cfg=SystemConfig(M=8, K=2, N_E=3, N_J=3, T=16, alpha2=2.0, beta2=2.0))  # square G2
+@example(cfg=SystemConfig(M=8, K=2, N_E=2, N_J=4, T=16, alpha2=0.5, beta2=0.5))  # N_E < N_J
+@example(cfg=SystemConfig(M=8, K=3, N_E=5, N_J=0, T=16, alpha2=0.5, beta2=0.0))  # no noise
+@given(cfg=one_power_configs())
+def test_one_power_highsnr_expansion_residual_vanishes(cfg):
+    # At one power both the ergodic leakage and its high-SNR expansion
+    # dof log2(1/s2) + c are exact, so their difference must fall toward 0
+    # as s2 -> 0: never growing (above the rounding of the values) and
+    # below 1e-6 bits at s2 = 1e-10.
+    exact = ExactFirst(trials=2, seed=0)
+    erg = ergodic_highsnr(cfg, exact)
+    assert erg.c_std_error == 0.0
+    residuals = [
+        abs(exact.ergodic_leakage(cfg, s2).mean - (erg.dof * math.log2(1.0 / s2) + erg.c_lower))
+        for s2 in HIGHSNR_FLOORS
+    ]
+    for before, after in zip(residuals, residuals[1:]):
+        assert after <= max(before, ROUNDING_BITS), residuals
+    assert residuals[-1] < 1e-6, residuals
 
 
 # ---------------------------------------------------------------------------

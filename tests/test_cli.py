@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import math
 import subprocess
 import sys
 import threading
@@ -324,31 +325,36 @@ FLAGSHIP = {"M": "64", "K": "16", "N_E": "64", "N_J": "48", "T": "320"}
 
 
 def test_snr_sweep_draws_each_spectrum_once(draw_counts):
-    # No draw reads the SNR, so one MonteCarlo per sweep samples the ergodic
-    # channel once, not once per point.  The flagship's log-spectrum
-    # expectations and its universal constant have exact laws and draw
-    # nothing.
+    # The flagship has one power, so its log-spectrum expectations, its
+    # universal constant and its ergodic leakage all have exact laws: the
+    # sweep draws nothing, and its ergodic cells print SE 0.
     entries = {**FLAGSHIP, "axis": "snr_e_db", "values": "0,10,20,30,40"}
     rows = run_sweep(build_sweep_spec(entries, trials=4))
     assert len(rows) == 5 * len(METRICS)
-    assert draw_counts == {"ergodic": 1}
+    assert draw_counts == {}
+    assert {row.std_error for row in rows if row.metric == "ergodic"} == {0.0}
 
 
 def test_block_length_sweep_rereads_the_ergodic_draw(draw_counts):
-    # The ergodic draw does not read T, so a T_gamma sweep draws it once and
-    # its ergodic cells agree at every block length.
-    entries = {**FLAGSHIP, "axis": "T_gamma", "values": "1.5,2,5,10"}
-    rows = run_sweep(build_sweep_spec(entries, trials=4))
-    assert len(rows) == 4 * len(METRICS)
-    assert draw_counts == {"ergodic": 1}
-    ergodic = {(row.value, row.std_error) for row in rows if row.metric == "ergodic"}
-    assert len(ergodic) == 1
+    # The ergodic leakage does not read T, so its cells agree at every
+    # block length.  At the flagship's one power it is the law, not a draw;
+    # at two powers the sweep draws the ergodic channel once.
+    two_power = {**FLAGSHIP, "N_E": "32", "alpha2": "2"}
+    for base, drawn in ((FLAGSHIP, {}), (two_power, {"ergodic": 1})):
+        draw_counts.clear()
+        entries = {**base, "axis": "T_gamma", "values": "1.5,2,5,10"}
+        rows = run_sweep(build_sweep_spec(entries, trials=4))
+        assert len(rows) == 4 * len(METRICS)
+        assert draw_counts == drawn
+        ergodic = {(row.value, row.std_error) for row in rows if row.metric == "ergodic"}
+        assert len(ergodic) == 1
 
 
 @pytest.mark.parametrize(
     ("entries", "expected"),
     [
-        (FLAGSHIP, {"ergodic": 1}),
+        # One power: every quantity, the ergodic leakage included, is a law.
+        (FLAGSHIP, {}),
         # N_E < K + N_J at unequal powers: JOINT of the joint and of the
         # single-stream view follow the Jacobi law and are not sampled.  The
         # ergodic leakage reads the two-power draw (Gbar and its unit-power
@@ -366,7 +372,8 @@ def test_bounds_draws_each_spectrum_once(entries, expected, tmp_path, capsys, dr
     assert main(["bounds", path, "--trials", "4"]) == 0
     out = capsys.readouterr().out
     assert "universal=" in out
-    assert float(out.partition("ergodic_leakage_se=")[2].split()[0]) > 0.0
+    se = float(out.partition("ergodic_leakage_se=")[2].split()[0])
+    assert se > 0.0 if expected else se == 0.0
     assert draw_counts == expected
 
 
@@ -478,6 +485,20 @@ def test_validation_catches_a_biased_digamma(monkeypatch):
     # The shift cancels in the recurrence but not against sampled spectra.
     assert failing == ["wishart-identity"]
     assert main(["validate", "--trials", "300"]) == 1
+
+
+def test_validation_catches_a_biased_ergodic_law(monkeypatch):
+    # Shifting the law of the flagship's 64-column Gbar block (not of its
+    # 48-column noise block) by one bit leaves the sampled slope alone but
+    # not the sampled leakage against the law.
+    true_law = anleak.montecarlo._laguerre_log1p
+
+    def biased(rows, cols, p, s2):
+        return true_law(rows, cols, p, s2) + (math.log(2.0) if cols > 48 else 0.0)
+
+    monkeypatch.setattr(anleak.montecarlo, "_laguerre_log1p", biased)
+    report = run_validation(trials=300)
+    assert [c.name for c in report.checks if not c.passed] == ["ergodic-slope"]
 
 
 def test_validate_command_reports_all_clear(capsys):

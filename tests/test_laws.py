@@ -176,3 +176,33 @@ def test_two_power_law_agrees_with_sampling_at_extreme_ratios(ratio):
     for law, sampled in pairs:
         assert law.std_error == 0.0
         assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (law, sampled)
+
+
+# One power on both blocks, N_J > 0: Gbar is 3 x 6 and G2 is 3 x 4.
+ONE_POWER = SystemConfig(M=8, K=2, N_E=3, N_J=4, T=12, alpha2=1.3, beta2=1.3)
+
+
+@pytest.mark.parametrize("s2", [1.0, 1e-3])
+def test_one_power_ergodic_leakage_matches_scipy_quadrature(s2):
+    # E sum ln(1 + p lambda / s2) over each block's Laguerre density, by
+    # scipy, differenced: the Gbar block less the noise block G2.
+    cfg, p = ONE_POWER, ONE_POWER.alpha2
+
+    def block(m, n):
+        rho = _laguerre_density(min(m, n), max(m, n))
+        top = 2.0 * (math.sqrt(m) + math.sqrt(n)) ** 2 + 60.0
+        return _quad(lambda t: rho(t) * math.log1p(p * t / s2), s2 / p, top)
+
+    oracle = block(cfg.N_E, cfg.K + cfg.N_J) - block(cfg.N_E, cfg.N_J)
+    est = ExactFirst(trials=2, seed=0).ergodic_leakage(cfg, s2)
+    assert est.std_error == 0.0
+    assert abs(est.mean * math.log(2.0) - oracle) <= STATED_ERROR, (est, oracle)
+
+
+def test_one_power_ergodic_leakage_single_stream_oracle():
+    # Criterion 02: one CN(0, 1) entry at unit noise leaks e E1(1) / ln 2 bits.
+    cfg = SystemConfig(M=2, K=1, N_E=1, N_J=0, T=2, alpha2=1.0, beta2=0.0)
+    est = ExactFirst(trials=2, seed=0).ergodic_leakage(cfg, 1.0)
+    oracle = math.e * float(exp1(1.0)) / math.log(2.0)
+    assert abs(est.mean - oracle) <= 1e-9
+    assert est.std_error == 0.0
