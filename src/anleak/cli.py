@@ -10,9 +10,10 @@ Subcommands
 ``bounds``
     Evaluate every regime at a single configuration and print
     ``key=value`` lines after a ``# anleak bounds trials=N
-    trials_source=S seed=N`` header.  It reads the same point evaluator
-    as ``sweep``, so a regime whose rule fails prints ``KEY_skipped=CODE``
-    with the code of the `NotApplicable` that `anleak.bounds` raised.
+    trials_source=S seed=N se_target_bits=E`` header.  It reads the same
+    point evaluator as ``sweep``, so a regime whose rule fails prints
+    ``KEY_skipped=CODE`` with the code of the `NotApplicable` that
+    `anleak.bounds` raised.
 ``plan``
     Antenna planning from carrier frequency and user speed.
 ``validate``
@@ -30,8 +31,12 @@ line flags override file values.  For ``sweep`` and ``bounds`` the trial
 count comes from ``--trials``, else the config file, else the environment
 variable ``ANLEAK_TRIALS``, else the command's default (2000 for
 ``sweep``, 20000 for ``bounds``); the chosen value and its source are
-echoed in the leading comment line.  Bad trials, seed or workers values
-are rejected before any output.
+echoed in the leading comment line.  The count is a cap: the one sampled
+quantity, the ergodic leakage at two powers, stops drawing once an upper
+bound of its standard error is at most ``se_target_bits`` (a constant of
+`anleak.montecarlo`, also echoed there), except on blocks near square,
+which draw the whole count.  Bad trials, seed or workers values are
+rejected before any output.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ from .montecarlo import (
     MonteCarlo,
     SvKind,
     _check_run_args,
+    _SE_TARGET,
     _in_order,
     _usable_cores,
     expected_log_sv_sum,
@@ -443,11 +449,12 @@ def write_sweep_csv(spec: SweepSpec, rows: list[SweepRow], stream) -> None:
     """Write the sweep CSV (LF line endings, 9 significant digits).
 
     The worker count is deliberately not echoed: output bytes depend only
-    on the spec's deterministic fields and the seed.
+    on the spec's deterministic fields, the seed and the precision target of
+    the two-power ergodic leakage, which the header echoes.
     """
     stream.write(
-        f"# anleak sweep trials={spec.trials} "
-        f"trials_source={spec.trials_source} seed={spec.seed}\n"
+        f"# anleak sweep trials={spec.trials} trials_source={spec.trials_source} "
+        f"seed={spec.seed} se_target_bits={_SE_TARGET:.9g}\n"
     )
     stream.write("axis,metric,value,std_error,reason\n")
     for row in rows:
@@ -648,7 +655,10 @@ def _cmd_bounds(args) -> int:
         if with_se:
             print(f"{key}_se={se:.9g}")
 
-    print(f"# anleak bounds trials={trials} trials_source={source} seed={seed}")
+    print(
+        f"# anleak bounds trials={trials} trials_source={source} seed={seed} "
+        f"se_target_bits={_SE_TARGET:.9g}"
+    )
     print(f"# config M={cfg.M} K={cfg.K} N_E={cfg.N_E} N_J={cfg.N_J} T={cfg.T}")
     print(f"alpha2={cfg.alpha2:.9g}")
     print(f"beta2={cfg.beta2:.9g}")

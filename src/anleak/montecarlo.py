@@ -2,12 +2,15 @@
 
 Every sampled estimator here reduces to sample means of functionals of
 random matrix spectra.  Determinism contract: a result depends only on the
-arguments ``(..., trials, seed)`` — never on the worker count.  This
-module owns it for the package: `_check_run_args` judges ``trials``,
-``seed`` and ``workers``, and every seeded draw of the package goes through
-`_run_trials`, which seeds trial ``i`` from ``(seed, stream_tag, i)``.
-Trials run in fixed-size batches and reduce in trial order; workers only
-partition batches, so 1 and 8 workers produce bit-identical numbers.
+arguments ``(..., trials, seed)`` and, for `ExactFirst`, the module's
+precision target ``_SE_TARGET`` — never on the worker count, the batch
+size or the order of earlier calls.  This module owns it for the package:
+`_check_run_args` judges ``trials``, ``seed`` and ``workers``, and every
+seeded draw of the package goes through `_run_trials`, which seeds trial
+``i`` from ``(seed, stream_tag, i)``, so a draw extended from trial ``n``
+on is the longer draw.  Trials run in fixed-size batches and reduce in
+trial order; workers only partition batches, so 1 and 8 workers produce
+bit-identical numbers.
 This module also owns the package's threads: `_in_order` is its one pool,
 used by `_run_trials` when ``workers > 1`` and by ``validate`` for its
 sampled checks, and numpy's bundled OpenBLAS runs one thread while it does.
@@ -57,8 +60,12 @@ variates, Glasserman 2003, ch. 4): it keeps, under its own key, the
 spectra of ``Gbar`` and of its unit-power block; the noise-block term has
 an exact Laguerre mean and is not sampled, and the controls are unit-power
 Laguerre functionals plus, on a wide block, a bounded matrix-variate beta
-log-determinant.  A plain `MonteCarlo` and the module functions always
-sample plainly, so they stay the cross-check of every law.
+log-determinant.  Unless the block is within ``_TRUSTED_GAP`` rows of
+square, that fit draws a pilot of ``_PILOT`` trials and extends the kept
+draw only as far as the pilot's residual spread says the target needs,
+with ``trials`` as the cap.  A plain `MonteCarlo` and the module
+functions always sample plainly, all ``trials``, so they stay the
+cross-check of every law.
 
 Units: ``expected_log_sv_sum`` returns nats (it is compared against
 digamma identities); the leakage-level estimators return bits.
@@ -69,6 +76,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -101,6 +109,10 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _BATCH = 16  # trials per batch; no result depends on it, peak memory does
+_PILOT = 32  # pilot trials of a two-power ergodic fit, and the unit its count grows by
+_SE_TARGET = 1e-5  # bits: the standard error a two-power ergodic fit draws to; 0 draws every trial
+_TRUSTED_GAP = 4  # least |N_E - (K + N_J)| at which a two-power fit trusts its pilot
+_Z95 = 1.6448536269514722  # the standard normal's 95% quantile
 _LAW_ROWS = 128  # noise nodes per chunk of `_universal_law`'s 2-D sum
 _SQ_FLAG_RTOL = 1e-12  # relative squared-singular-value floor of the Gram route
 
@@ -270,7 +282,8 @@ class MonteCarlo:
     ``T_gamma`` draws it once.  The key is the draw's own argument tuple,
     so it holds every value the draw reads and never the SNRs, ``T``,
     ``M`` or ``workers``; `ExactFirst`'s two-power spectra of the same
-    draw are kept under that tuple plus ``"unit"``.
+    draw are kept under that tuple plus ``"unit"``, as a prefix of the
+    stream that grows when a noise floor needs more trials.
     """
 
     trials: int = 20000
@@ -279,7 +292,8 @@ class MonteCarlo:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_run_args(*self._run)
+        for name, value in zip(("trials", "seed", "workers"), _check_run_args(*self._run)):
+            object.__setattr__(self, name, value)
 
     @property
     def _run(self) -> tuple:
@@ -292,16 +306,26 @@ class MonteCarlo:
         s2 = _check_sigma(sigma_z2)
         return _summarize([_ergodic_values(s2, *b) for b in self._ergodic_spectra(cfg)])
 
-    def _ergodic_spectra(self, cfg: SystemConfig, unit: bool = False) -> list:
+    def _ergodic_spectra(self, cfg: SystemConfig, unit: bool = False, trials: int = 0) -> list:
         """The kept per-batch spectra of the ergodic draw: ``(sq_full, sq_an)``
         under the draw's arguments, or with ``unit`` ``(sq_full, sq_unit)``
-        (`_unit_spectra`) under those arguments and ``"unit"``."""
+        (`_unit_spectra`) under those arguments and ``"unit"``.
+
+        The kept draw is a prefix of the stream holding at least its first
+        ``trials`` trials (default ``self.trials``); a shorter one is
+        extended where it ends, so no trial is drawn twice.  The extended
+        list replaces the kept one rather than growing it in place, so a
+        caller on another thread never reads a prefix with a gap."""
         args = _gbar_args(cfg)
         key = (*args, "unit") if unit else args
-        if key not in self._cache:
+        kept = self._cache.get(key, [])
+        have, want = sum(len(b[0]) for b in kept), trials or self.trials
+        if have < want:
             spectra = partial(_unit_spectra, *args[1:5]) if unit else partial(_gbar_spectra, cfg.K)
-            self._cache[key] = _run_trials(_TAG_ERGODIC, _product, args, spectra, *self._run)
-        return self._cache[key]
+            run = (want, self.seed, self.workers)
+            kept = kept + _run_trials(_TAG_ERGODIC, _product, args, spectra, *run, first=have)
+            self._cache[key] = kept
+        return kept
 
     def ergodic_constant(self, cfg: SystemConfig) -> McEstimate:
         return _summarize([_ergodic_constant_values(*b) for b in self._ergodic_spectra(cfg)])
@@ -318,7 +342,10 @@ class ExactFirst(MonteCarlo):
     ``McEstimate(mean, 0.0, trials, 0)``, and so is ``ergodic_leakage``
     at one power.  Only ``ergodic_leakage`` at two distinct powers is
     sampled, with control variates, on `MonteCarlo`'s ergodic stream: from
-    the spectra of that draw's ``Gbar`` and of its unit-power block.
+    the spectra of that draw's ``Gbar`` and of its unit-power block.  It
+    draws until its standard error is at most ``_SE_TARGET`` bits, with
+    ``trials`` as the cap, and on near-square blocks always draws
+    ``trials`` (`_two_power_leakage`).
     """
 
     def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
@@ -387,26 +414,66 @@ class ExactFirst(MonteCarlo):
         counted in ``excluded``.  With fewer than ``rank + 2`` valid trials
         the answer is the mean of ``full`` over the same draw, less the
         exact mean of ``an``.
+
+        How many trials are fitted is a two-stage rule after Stein (1945),
+        which sizes the second stage from a pilot's spread.  Within
+        ``_TRUSTED_GAP`` rows of square (``|N_E - (K + N_J)| < 4``) there is
+        no pilot and the fit reads all ``trials``: at high SNR the residual
+        grows like ``s2 / lambda_min``, and the density of ``lambda_min``
+        near 0 goes as ``lambda^|N_E - K - N_J|``, so below the gap that
+        term has no fourth moment and a small sample's standard error is
+        no guide to the true one.
+        Elsewhere a pilot fit over the first ``min(trials, _PILOT)`` trials,
+        with ``dof = n - rank - 1``, is the answer when the one-sided 95%
+        upper bound of its standard error, ``SE_pilot`` times
+        `_sd_upper_factor`, is at most ``_SE_TARGET``.  Otherwise the answer
+        is the same fit over the first
+        ``n = min(trials, _PILOT ceil((upper / _SE_TARGET)^2))`` trials.
+        The kept draw is one prefix of the stream for every noise floor,
+        and each fit reads only its own first ``n`` trials, so a result
+        depends on the arguments, the seed and ``_SE_TARGET`` alone, not
+        on which noise floors were asked for before it.  An answered
+        pilot's standard error is a 32-trial one: over 200 seeds at 30-50
+        dB its z-scores spread 0.94-1.08 on the ``N_E`` = 32, 64 and 96
+        points of ``M=64 K=8 N_J=40`` (``alpha2 = 2``), but over 400 seeds
+        at 50 dB 1.16-1.32 on 9-21 row blocks of 5 columns and 1.33-1.43
+        on 2-4 row blocks of 10, where a 2000-trial fit spreads 0.94-1.06.
         """
         m, ne, nj = cfg.K + cfg.N_J, cfg.N_E, cfg.N_J
         powers = (cfg.alpha2, cfg.beta2)
         values = partial(_two_power_values, s2, powers, ne < m)
-        cols = np.concatenate([values(*b) for b in self._ergodic_spectra(cfg, True)])
         means = [_laguerre_log1p(ne, m, p, s2) for p in powers]
         if ne < m:
             means.append(_log_sv_law(*_gbar_args(cfg)) - _log_sv_law(ne, m, 1.0, 0, 0.0, None))
-        full, controls = cols[:, 0], cols[:, 1:] - means
         an = _laguerre_log1p(ne, nj, cfg.beta2, s2) / _LN2
-        valid = np.isfinite(controls).all(axis=1)
-        rank = 0
-        if valid.sum() >= 2:
-            centred, v = controls[valid] - controls[valid].mean(axis=0), full[valid]
-            coef, _, rank, _ = np.linalg.lstsq(centred, v - v.mean(), rcond=None)
-        if valid.sum() < rank + 2:
-            est = _summarize([full])
-        else:
-            est = _summarize([full - controls @ coef], fitted=rank)
-        return replace(est, mean=est.mean - an)
+
+        def fit(n: int) -> tuple[McEstimate, int]:
+            """The fit over the first ``n`` trials and its degrees of freedom."""
+            kept = self._ergodic_spectra(cfg, True, n)
+            # Only the batches that hold the first n trials are evaluated.
+            used = int(np.searchsorted(np.cumsum([len(b[0]) for b in kept]), n)) + 1
+            cols = np.concatenate([values(*b) for b in kept[:used]])[:n]
+            full, controls = cols[:, 0], cols[:, 1:] - means
+            valid = np.isfinite(controls).all(axis=1)
+            rank = 0
+            if valid.sum() >= 2:
+                centred, v = controls[valid] - controls[valid].mean(axis=0), full[valid]
+                coef, _, rank, _ = np.linalg.lstsq(centred, v - v.mean(), rcond=None)
+            if valid.sum() < rank + 2:
+                est, rank = _summarize([full]), 0
+            else:
+                est = _summarize([full - controls @ coef], fitted=rank)
+            return replace(est, mean=est.mean - an), est.trials - rank - 1
+
+        n = self.trials
+        if _SE_TARGET and abs(ne - m) >= _TRUSTED_GAP:
+            pilot, dof = fit(min(n, _PILOT))
+            upper = pilot.std_error * _sd_upper_factor(dof)
+            if upper <= _SE_TARGET:
+                return pilot
+            need = min((upper / _SE_TARGET) ** 2, n)  # the ratio may be inf
+            n = min(n, _PILOT * math.ceil(need))
+        return fit(n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,29 +485,53 @@ def _trial_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, tag, index)))
 
 
-def _check_run_args(trials: int, seed: int, workers: int = 1) -> None:
-    """The package's one run rule: integer ``trials >= 2``, ``seed >= 0``, ``workers >= 1``."""
+def _sd_upper_factor(dof: int) -> float:
+    """``sqrt(dof / chi2_{dof, 0.05})``: the factor that takes a sample
+    standard deviation with ``dof >= 1`` degrees of freedom to its one-sided
+    95% upper confidence bound for normal data, with the Wilson-Hilferty
+    quantile of chi-square: within 1% of the exact factor from ``dof = 5``
+    on, and above it below that."""
+    c = 2.0 / (9.0 * dof)
+    return (1.0 - c - _Z95 * math.sqrt(c)) ** -1.5
+
+
+def _check_run_args(trials: int, seed: int, workers: int = 1) -> tuple[int, int, int]:
+    """The package's one run rule: integer ``trials >= 2``, ``seed >= 0``,
+    ``workers >= 1``, returned as ``int``.  Any integer type counts (numpy's
+    too, through `operator.index`); a bool does not."""
     rules = (("trials", trials, 2), ("seed", seed, 0), ("workers", workers, 1))
+    out = []
     for name, value, low in rules:
-        if not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            number = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if number < low:
+            raise ValueError(f"{name} must be >= {low}, got {number}")
+        out.append(number)
+    return tuple(out)
 
 
 def _run_trials(
-    tag: int, draw, args: tuple, reduce, trials: int, seed: int, workers: int
+    tag: int, draw, args: tuple, reduce, trials: int, seed: int, workers: int, first: int = 0
 ) -> list:
-    """Draw seeded trials and reduce them batch by batch, in trial order.
+    """Draw seeded trials ``first`` to ``trials - 1`` and reduce them batch
+    by batch, in trial order.
 
     Trial ``i`` is ``draw(*args, _trial_rng(seed, tag, i))``: one array or
-    a tuple of arrays, 0-d ones too.  Each batch of ``_BATCH`` trials is
-    stacked array by array, and the list of ``reduce(*stacks)`` results,
-    per-trial values or spectra, is returned; workers only partition them.
-    Every batch of a worker thread is written into the same stacks, so
-    ``reduce`` must return new arrays, never the stacks or views of them.
+    a tuple of arrays, 0-d ones too.  Each batch of up to ``_BATCH`` trials
+    is stacked array by array, and the list of ``reduce(*stacks)``
+    results, per-trial values or spectra, is returned; workers only
+    partition them.  A later call from ``first = trials`` of this one
+    continues the same stream.  Every batch of a worker thread is written
+    into the same stacks, so ``reduce`` must return new arrays, never the
+    stacks or views of them.
     """
-    _check_run_args(trials, seed, workers)
+    trials, seed, workers = _check_run_args(trials, seed, workers)
+    if not 0 <= first <= trials:
+        raise ValueError(f"first trial must be in [0, {trials}], got {first}")
     local = threading.local()  # each worker thread's stacks, reused per batch
 
     def batch(start: int) -> np.ndarray:
@@ -452,14 +543,14 @@ def _run_trials(
                 parts = (parts,)
             if stacks is None:
                 if not hasattr(local, "stacks"):
-                    size = min(_BATCH, trials)
+                    size = min(_BATCH, trials - first)
                     local.stacks = [np.empty((size,) + p.shape, dtype=p.dtype) for p in parts]
                 stacks = [stack[:count] for stack in local.stacks]
             for stack, part in zip(stacks, parts):
                 stack[j] = part
         return reduce(*stacks)
 
-    starts = range(0, trials, _BATCH)
+    starts = range(first, trials, _BATCH)
     if workers == 1:
         return [batch(s) for s in starts]
     return _in_order(batch, starts, workers)

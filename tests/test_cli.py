@@ -298,7 +298,7 @@ def test_csv_format_is_stable():
     buf = io.StringIO()
     write_sweep_csv(spec, rows, buf)
     assert buf.getvalue() == (
-        "# anleak sweep trials=200 trials_source=config seed=1\n"
+        "# anleak sweep trials=200 trials_source=config seed=1 se_target_bits=1e-05\n"
         "axis,metric,value,std_error,reason\n"
         "0,ergodic,1.23456789,0.05,\n"
         "0,noncoh_ub,,,precondition:T<Mbar\n"
@@ -549,7 +549,7 @@ def test_sweep_command_writes_csv(tmp_path):
     assert main(["sweep", path, "-o", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     lines = text.splitlines()
-    assert lines[0] == "# anleak sweep trials=120 trials_source=config seed=1"
+    assert lines[0] == "# anleak sweep trials=120 trials_source=config seed=1 se_target_bits=1e-05"
     assert lines[1] == "axis,metric,value,std_error,reason"
     assert len(lines) == 4
     for line in lines[2:]:
@@ -582,11 +582,13 @@ def test_bounds_header_names_the_trials_source_and_seed(tmp_path, capsys, monkey
     path = write_config(tmp_path, make_entries(trials=None))
     assert main(["bounds", path, "--trials", "150"]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first == "# anleak bounds trials=150 trials_source=flag seed=1"
+    assert first == "# anleak bounds trials=150 trials_source=flag seed=1 se_target_bits=1e-05"
     monkeypatch.setenv("ANLEAK_TRIALS", "120")
     assert main(["bounds", path, "--seed", "4"]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first == "# anleak bounds trials=120 trials_source=env:ANLEAK_TRIALS seed=4"
+    assert first == (
+        "# anleak bounds trials=120 trials_source=env:ANLEAK_TRIALS seed=4 se_target_bits=1e-05"
+    )
 
 
 def test_bounds_reports_a_short_block_like_the_sweep(tmp_path, capsys):

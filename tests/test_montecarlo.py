@@ -418,15 +418,33 @@ def test_run_argument_validation():
         partial(ExactFirst, seed=-1),
         partial(MonteCarlo, workers=0),
         partial(ExactFirst, trials=2.5),
+        partial(MonteCarlo, seed=True),
+        partial(ExactFirst, workers=np.True_),
+        partial(MonteCarlo, trials="100"),
     ):
         with pytest.raises(ValueError):
             bad()
+    with pytest.raises(ValueError):
+        expected_log_sv_sum(SvKind.DATA, cfg, trials=100, seed=False)
     # Every stream tag of the package is distinct, and tags 6 and 8 stay retired.
     tags = [kind.value for kind in SvKind]
     tags += [v for name, v in vars(montecarlo).items() if name.startswith("_TAG_")]
     assert len(set(tags)) == len(tags) > len(SvKind)
     assert not {6, 8} & set(tags)
     assert (montecarlo._TAG_DISTRIBUTIONS, montecarlo._TAG_TRANSMIT_POWER) == (100, 101)
+
+
+def test_run_arguments_may_be_numpy_integers():
+    # Any integer type is an integer (numpy's through `operator.index`), and
+    # is kept as a plain int.
+    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16)
+    mc = MonteCarlo(trials=np.int64(100), seed=np.uint8(3), workers=np.int32(2))
+    assert (mc.trials, mc.seed, mc.workers) == (100, 3, 2)
+    assert all(type(v) is int for v in (mc.trials, mc.seed, mc.workers))
+    assert mc == MonteCarlo(trials=100, seed=3, workers=2)
+    assert mc.ergodic_leakage(cfg, 0.1) == MonteCarlo(trials=100, seed=3).ergodic_leakage(cfg, 0.1)
+    numpy_run = expected_log_sv_sum(SvKind.DATA, cfg, trials=np.int16(50), seed=np.int64(1))
+    assert numpy_run == expected_log_sv_sum(SvKind.DATA, cfg, trials=50, seed=1)
 
 
 def test_degenerate_rows_become_nan():
@@ -525,11 +543,14 @@ def test_exact_first_samples_what_has_no_known_law():
 
 
 @pytest.mark.parametrize("name", list(EXACT_CFGS))
-def test_exact_first_ergodic_leakage_agrees_with_sampling(name):
+def test_exact_first_ergodic_leakage_agrees_with_sampling(name, monkeypatch):
     # Each configuration and its data-only view (no noise columns), from
     # the noise-dominated regime to high SNR.  One power (every data-only
     # view, and wide-equal) is the Laguerre law with SE 0; two powers are
     # a control-variate fit, sampled with a smaller SE than plain sampling.
+    # The fit is pinned to every trial (no precision target) so that both
+    # routes average the same 4000 trials.
+    monkeypatch.setattr(montecarlo, "_SE_TARGET", 0)
     exact, plain = ExactFirst(**EXACT_RUN), MonteCarlo(**EXACT_RUN)
     cfg = EXACT_CFGS[name]
     for view in (cfg, dataclasses.replace(cfg, N_J=0, beta2=0.0)):
@@ -546,7 +567,7 @@ def test_exact_first_ergodic_leakage_agrees_with_sampling(name):
 
 
 def _unit_draw(exact, cfg):
-    """An `ExactFirst`'s kept two-power draw, ``(sq_full, sq_unit)`` over all trials."""
+    """An `ExactFirst`'s kept two-power draw, ``(sq_full, sq_unit)`` over its kept trials."""
     batches = exact._cache[(*montecarlo._gbar_args(cfg), "unit")]
     return tuple(np.concatenate(part) for part in zip(*batches))
 
@@ -631,6 +652,9 @@ TWO_POWER_SHAPES = {
     "square": SystemConfig(M=8, K=2, N_E=5, N_J=3, T=12, alpha2=1.5, beta2=0.7),
     # One row fewer than columns: J, the beta-matrix control, enters.
     "wide-by-one": SystemConfig(M=8, K=2, N_E=4, N_J=3, T=12, alpha2=1.5, beta2=0.7),
+    # Four rows more than columns: the nearest tall shape whose fit trusts
+    # its pilot (`_TRUSTED_GAP`); at 1e-3 it extends the pilot's draw.
+    "tall-by-four": SystemConfig(M=8, K=2, N_E=9, N_J=3, T=12, alpha2=1.5, beta2=0.7),
 }
 
 
@@ -660,12 +684,119 @@ def test_two_power_ergodic_leakage_on_a_tall_block_at_high_snr():
 
 
 def test_two_power_ergodic_leakage_does_not_depend_on_the_worker_count():
-    run = dict(trials=3 * montecarlo._BATCH + 5, seed=2)
-    for cfg in (WIDE_UNEQUAL, EXACT_CFGS["tall-unequal"], TWO_POWER_SHAPES["square"]):
+    # Caps that are no multiple of `_BATCH`: near-square blocks that draw
+    # the cap, and (tall-by-four at 1e-3) a pilot extended short of it.
+    short = 3 * montecarlo._BATCH + 5
+    cases = [
+        (WIDE_UNEQUAL, 1e-2, short),
+        (EXACT_CFGS["tall-unequal"], 1e-2, short),
+        (TWO_POWER_SHAPES["square"], 1e-2, short),
+        (TWO_POWER_SHAPES["tall-by-four"], 1e-3, 4000 + 5),
+    ]
+    for cfg, s2, trials in cases:
+        assert trials % montecarlo._BATCH
         one, three = (
-            ExactFirst(workers=w, **run).ergodic_leakage(cfg, 1e-2) for w in (1, 3)
+            ExactFirst(trials=trials, seed=2, workers=w).ergodic_leakage(cfg, s2) for w in (1, 3)
         )
         assert one == three
+        assert montecarlo._PILOT < one.trials + one.excluded
+
+
+# A tall block at high SNR, where 32 trials already meet the default target.
+TALL_AT_HIGH_SNR = (SystemConfig(M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7), 1e-2)
+
+
+def test_a_precise_pilot_is_the_answer(draw_counts):
+    cfg, s2 = TALL_AT_HIGH_SNR
+    exact = ExactFirst(trials=20000, seed=0)
+    est = exact.ergodic_leakage(cfg, s2)
+    assert (est.trials, est.excluded) == (montecarlo._PILOT, 0) == (32, 0)
+    # The pilot answers only when its SE's upper bound meets the target.
+    upper = est.std_error * montecarlo._sd_upper_factor(32 - 2 - 1)
+    assert 0.0 < est.std_error < upper <= montecarlo._SE_TARGET == 1e-5
+    assert len(_unit_draw(exact, cfg)[0]) == 32
+    assert draw_counts == {"ergodic": 1}
+    assert est == ExactFirst(trials=32, seed=0).ergodic_leakage(cfg, s2)
+
+
+@pytest.mark.parametrize(
+    ("cfg", "s2", "trials", "fitted"),
+    [
+        # The pilot misses by far: the fit reads every trial up to the cap.
+        (TWO_POWER_SHAPES["tall-by-four"], 1e-2, 3 * montecarlo._BATCH + 5, 53),
+        # The pilot misses by a little: 512 of 4000 trials meet the target.
+        (TWO_POWER_SHAPES["tall-by-four"], 1e-3, 4000, 512),
+    ],
+    ids=["to-the-cap", "below-the-cap"],
+)
+def test_a_missed_target_extends_the_same_stream(
+    cfg, s2, trials, fitted, draw_counts, monkeypatch
+):
+    # The extra trials continue the pilot's stream, and the answer is the
+    # fit over the first n of them: what a fixed count of n trials gives.
+    exact = ExactFirst(trials=trials, seed=2)
+    est = exact.ergodic_leakage(cfg, s2)
+    assert est.trials + est.excluded == len(_unit_draw(exact, cfg)[0]) == fitted
+    assert draw_counts == {"ergodic": 1}  # the pilot's draw, extended once
+    monkeypatch.setattr(montecarlo, "_SE_TARGET", 0)
+    assert est == ExactFirst(trials=fitted, seed=2).ergodic_leakage(cfg, s2)
+
+
+@pytest.mark.parametrize("name", ["square", "wide-by-one"])
+def test_a_near_square_block_draws_every_trial(name, draw_counts, monkeypatch):
+    # Within `_TRUSTED_GAP` rows of square the residual's heavy tail makes
+    # a 32-trial SE untrustworthy, so the fit reads the cap even at 40 dB,
+    # where the pilot of the block four rows taller is the answer.
+    cfg, s2 = TWO_POWER_SHAPES[name], 1e-4
+    assert abs(cfg.N_E - cfg.K - cfg.N_J) < montecarlo._TRUSTED_GAP
+    assert ExactFirst(trials=500, seed=2).ergodic_leakage(
+        TWO_POWER_SHAPES["tall-by-four"], s2
+    ).trials == 32
+    exact = ExactFirst(trials=500, seed=2)
+    est = exact.ergodic_leakage(cfg, s2)
+    assert est.trials + est.excluded == len(_unit_draw(exact, cfg)[0]) == 500
+    assert draw_counts == {"ergodic": 2}  # one draw per geometry
+    monkeypatch.setattr(montecarlo, "_SE_TARGET", 0)
+    assert est == ExactFirst(trials=500, seed=2).ergodic_leakage(cfg, s2)
+
+
+def test_the_pilot_standard_error_bound():
+    # The Wilson-Hilferty factor against scipy's chi-square quantile: at
+    # most 1% high from 5 degrees of freedom on, never low below that.
+    from scipy.stats import chi2
+
+    for dof in (1, 2, 3, 4, 5, 10, 29, 100, 10_000):
+        exact = math.sqrt(dof / chi2.ppf(0.05, dof))
+        factor = montecarlo._sd_upper_factor(dof)
+        assert factor >= exact * (1 - 1e-6)
+        if dof >= 5:
+            assert factor <= 1.01 * exact
+
+
+def test_each_noise_floor_reads_its_own_prefix():
+    # Floors that stop at the pilot (1e-4), extend a little (3e-4) or far
+    # (1e-3), and draw to the cap (1e-2): one instance asked in either
+    # order, or a fresh instance per floor, gives equal numbers.
+    cfg, run = TWO_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
+    floors = (1e-4, 3e-4, 1e-3, 1e-2)
+    fresh = {s2: ExactFirst(**run).ergodic_leakage(cfg, s2) for s2 in floors}
+    assert [fresh[s2].trials for s2 in floors] == [32, 64, 512, 4000]
+    for order in (floors, floors[::-1]):
+        exact = ExactFirst(**run)
+        assert {s2: exact.ergodic_leakage(cfg, s2) for s2 in order} == fresh
+
+
+def test_no_two_power_result_depends_on_the_batch_size(monkeypatch):
+    # The pilot and its extension are counted in trials, not batches: a
+    # batch that straddles the pilot's end changes no number.
+    cfg, run = TWO_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
+    floors = (1e-4, 3e-4, 1e-3)
+    results = []
+    for batch in (montecarlo._BATCH, 5, 40):
+        monkeypatch.setattr(montecarlo, "_BATCH", batch)
+        exact = ExactFirst(**run)
+        results.append([exact.ergodic_leakage(cfg, s2) for s2 in floors])
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize(
