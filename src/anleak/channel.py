@@ -30,7 +30,7 @@ import numpy as np
 
 from .linalg import CMatrix, _null_basis, sample_gaussian, scaled_pseudo_inverse
 from .montecarlo import _TAG_DISTRIBUTIONS, _TAG_TRANSMIT_POWER, _check_run_args
-from .montecarlo import _stacked, _summarize
+from .montecarlo import _per_trial, _stacked, _summarize
 
 __all__ = [
     "SystemConfig",
@@ -331,12 +331,13 @@ def average_transmit_power(
     return est.mean, est.std_error
 
 
-def _power_draw(cfg: SystemConfig, rng: np.random.Generator) -> np.float64:
+@_per_trial
+def _power_draw(cfg: SystemConfig, rng: np.random.Generator) -> tuple:
     """One trial's transmit power per symbol: a realization, then symbols."""
     real = sample_realization(cfg, rng)
     s = sample_gaussian(cfg.K, _POWER_BLOCK_LEN, 1.0, rng)
     n = sample_gaussian(cfg.N_J, _POWER_BLOCK_LEN, 1.0, rng)
-    return np.linalg.norm(transmit_signal(cfg, real, s, n)) ** 2 / _POWER_BLOCK_LEN
+    return (np.linalg.norm(transmit_signal(cfg, real, s, n)) ** 2 / _POWER_BLOCK_LEN,)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +462,7 @@ def _check_distribution_run(trials: int, seed: int) -> None:
         raise ValueError(f"need trials >= 100, got {trials}")
 
 
+@_per_trial
 def _probe_draw(cfg: SystemConfig, rng: np.random.Generator) -> tuple:
     """A realization's ``[sum |g_data|^2, sum |g_an|^2]``, then each part's top-left 2 x 2."""
     real = sample_realization(cfg, rng)

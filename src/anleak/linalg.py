@@ -70,11 +70,20 @@ def sample_gaussian(
         raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
     if variance == 0.0:
         return np.zeros((rows, cols), dtype=np.complex128)
+    return _sample_gaussians(rows, cols, variance, [rng])[0]
+
+
+def _sample_gaussians(rows: int, cols: int, variance: float, rngs) -> NDArray[np.complex128]:
+    """`sample_gaussian` from each generator, stacked, for a ``variance``
+    that has passed its checks and is not 0: each generator fills its own
+    rows of one float buffer, and the batch is assembled at once."""
+    z = np.empty((len(rngs), 2, rows, cols))
+    for part, rng in zip(z, rngs):
+        rng.standard_normal(out=part)
+    out = np.empty((len(rngs), rows, cols), dtype=np.complex128)
     scale = math.sqrt(variance / 2.0)
-    z = rng.standard_normal((2, rows, cols))
-    out = np.empty((rows, cols), dtype=np.complex128)
-    out.real = scale * z[0]
-    out.imag = scale * z[1]
+    np.multiply(z[:, 0], scale, out=out.real)
+    np.multiply(z[:, 1], scale, out=out.imag)
     return out
 
 

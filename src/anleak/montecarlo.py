@@ -10,7 +10,10 @@ seeded draw of the package goes through `_run_trials`, which seeds trial
 ``i`` from ``(seed, stream_tag, i)``, so a draw extended from trial ``n``
 on is the longer draw.  Trials run in fixed-size batches and reduce in
 trial order; workers only partition batches, so 1 and 8 workers produce
-bit-identical numbers.
+bit-identical numbers.  A batch is one draw call on its trials'
+generators, and each trial draws from its own generator in the same order
+whatever batch it is in, so a batch of one trial is the per-trial loop
+and no result depends on ``_BATCH``.
 This module also owns the package's threads: `_in_order` is its one pool,
 used by `_run_trials` when ``workers > 1`` and by ``validate`` for its
 sampled checks, and numpy's bundled OpenBLAS runs one thread while it does.
@@ -36,7 +39,13 @@ counted in ``McEstimate.excluded`` (a square ``64 x 64`` Gaussian block
 falls that low with probability about ``2e-8``).
 
 A draw is a stream tag plus a tuple of plain arguments, mostly those of
-the one product sampler `_product`.  Estimators evaluate a functional such
+the one product sampler `_product`, and is batch-shaped: it takes a
+batch's generators and returns the batch's parts stacked.  `_product`
+fills each trial's normals and Bartlett magnitudes from that trial's
+generator, then assembles, scales and multiplies the whole batch at once,
+so a batch drops the interpreter lock a few times, not a few times per
+trial.  The channel draws and the split check's draw stay per trial
+(`_per_trial`).  Estimators evaluate a functional such
 as ``log1p(lambda / s2)`` on the spectra of each batch, which no noise
 floor enters.  `expected_log_sv_sum` and `universal_constant` reduce each
 batch to per-trial values as it is drawn.  The ergodic draw of ``Gbar``
@@ -88,7 +97,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .laws import jacobi_nodes, laguerre_nodes
-from .linalg import gram_spectrum, sample_gaussian, squared_singular_values
+from .linalg import _sample_gaussians, gram_spectrum, sample_gaussian, squared_singular_values
 from .special import expected_logdet_wishart
 
 if TYPE_CHECKING:  # channel imports this module's run rule and trial loop
@@ -520,35 +529,23 @@ def _run_trials(
     """Draw seeded trials ``first`` to ``trials - 1`` and reduce them batch
     by batch, in trial order.
 
-    Trial ``i`` is ``draw(*args, _trial_rng(seed, tag, i))``: one array or
-    a tuple of arrays, 0-d ones too.  Each batch of up to ``_BATCH`` trials
-    is stacked array by array, and the list of ``reduce(*stacks)``
-    results, per-trial values or spectra, is returned; workers only
-    partition them.  A later call from ``first = trials`` of this one
-    continues the same stream.  Every batch of a worker thread is written
-    into the same stacks, so ``reduce`` must return new arrays, never the
-    stacks or views of them.
+    Trial ``i`` draws only from its own generator ``_trial_rng(seed, tag,
+    i)``.  Each batch of up to ``_BATCH`` trials is one call
+    ``draw(*args, rngs)``, ``rngs`` the batch's generators in trial order,
+    which returns the batch's parts stacked along a leading trial axis: one
+    array or a tuple of arrays.  The list of ``reduce(*parts)`` results,
+    per-trial values or spectra, is returned; workers only partition it.
+    A later call from ``first = trials`` of this one continues the same
+    stream.
     """
     trials, seed, workers = _check_run_args(trials, seed, workers)
     if not 0 <= first <= trials:
         raise ValueError(f"first trial must be in [0, {trials}], got {first}")
-    local = threading.local()  # each worker thread's stacks, reused per batch
 
-    def batch(start: int) -> np.ndarray:
-        count = min(_BATCH, trials - start)
-        stacks = None
-        for j in range(count):
-            parts = draw(*args, _trial_rng(seed, tag, start + j))
-            if not isinstance(parts, tuple):
-                parts = (parts,)
-            if stacks is None:
-                if not hasattr(local, "stacks"):
-                    size = min(_BATCH, trials - first)
-                    local.stacks = [np.empty((size,) + p.shape, dtype=p.dtype) for p in parts]
-                stacks = [stack[:count] for stack in local.stacks]
-            for stack, part in zip(stacks, parts):
-                stack[j] = part
-        return reduce(*stacks)
+    def batch(start: int):
+        rngs = [_trial_rng(seed, tag, i) for i in range(start, min(start + _BATCH, trials))]
+        parts = draw(*args, rngs)
+        return reduce(*parts) if isinstance(parts, tuple) else reduce(parts)
 
     starts = range(first, trials, _BATCH)
     if workers == 1:
@@ -647,13 +644,21 @@ def _one_blas_thread():
 
 
 def _stacked(tag: int, draw, args: tuple, trials: int, seed: int) -> tuple:
-    """Each part of the trials ``draw(*args, rng)``, stacked in trial order."""
-
-    def copies(*stacks: np.ndarray) -> tuple:  # the stacks are reused per batch
-        return tuple(stack.copy() for stack in stacks)
-
-    batches = _run_trials(tag, draw, args, copies, trials, seed, 1)
+    """Each part of the batch draws ``draw(*args, rngs)``, joined in trial order."""
+    batches = _run_trials(tag, draw, args, lambda *parts: parts, trials, seed, 1)
     return tuple(np.concatenate(part) for part in zip(*batches))
+
+
+def _per_trial(one):
+    """The batch draw of a per-trial one: ``one(*args, rng)``'s tuple of
+    parts for each of the batch's generators, stacked in trial order."""
+
+    @functools.wraps(one)
+    def draw(*args) -> tuple:
+        *args, rngs = args
+        return tuple(np.stack(part) for part in zip(*(one(*args, rng) for rng in rngs)))
+
+    return draw
 
 
 def _summarize(batches: list[np.ndarray], fitted: int = 0) -> McEstimate:
@@ -679,20 +684,19 @@ def _summarize(batches: list[np.ndarray], fitted: int = 0) -> McEstimate:
     )
 
 
-def _bartlett_factor(m: int, dof: int, rng: np.random.Generator) -> np.ndarray:
-    """Lower-triangular ``A`` with ``A A^H`` complex-Wishart(m, dof).
+def _bartlett_factor(m: int, dof: int, rngs: list) -> np.ndarray:
+    """Stacked lower-triangular ``A``, one per generator, with ``A A^H``
+    complex-Wishart(m, dof).
 
-    Requires ``dof >= m``.  Diagonal magnitudes are drawn first (one
-    vectorized Gamma draw), then the strict lower triangle.
+    Requires ``dof >= m``.  Each trial draws its diagonal magnitudes first
+    (one vectorized Gamma draw), then the strict lower triangle.
     """
-    shapes = dof - np.arange(m)
-    diag = np.sqrt(rng.gamma(shape=shapes))
-    a = np.zeros((m, m), dtype=np.complex128)
-    np.fill_diagonal(a, diag)
-    if m > 1:
-        lower = sample_gaussian(m, m, 1.0, rng)
-        idx = np.tril_indices(m, k=-1)
-        a[idx] = lower[idx]
+    diag = np.sqrt([rng.gamma(shape=dof - np.arange(m)) for rng in rngs])
+    # Only the strict lower triangle is kept; with no such entries, no normals are drawn.
+    a = _sample_gaussians(m, m, 1.0, rngs) if m > 1 else np.empty((len(rngs), m, m), complex)
+    upper, right = np.triu_indices(m)
+    a[:, upper, right] = 0.0
+    a[:, range(m), range(m)] = diag
     return a
 
 
@@ -703,14 +707,18 @@ def _product(
     nj: int,
     beta2: float,
     dof: int | None,
-    rng: np.random.Generator,
+    rngs: list,
 ) -> np.ndarray:
-    """``rows x (k + nj)`` CN(0, 1) block, its first ``k`` columns scaled by
-    ``sqrt(alpha2)`` and the other ``nj`` by ``sqrt(beta2)``; unless ``dof``
-    is None, times the `_bartlett_factor` of a unit block of ``dof`` symbols.
-    """
-    left = sample_gaussian(rows, k + nj, 1.0, rng) * _column_scales(k, alpha2, nj, beta2)
-    return left if dof is None else left @ _bartlett_factor(k + nj, dof, rng)
+    """Stacked, one per generator: a ``rows x (k + nj)`` CN(0, 1) block, its
+    first ``k`` columns scaled by ``sqrt(alpha2)`` and the other ``nj`` by
+    ``sqrt(beta2)``; unless ``dof`` is None, times the `_bartlett_factor`
+    of a unit block of ``dof`` symbols.  Each trial draws its block, then
+    its factor."""
+    left = _sample_gaussians(rows, k + nj, 1.0, rngs)
+    scales = _column_scales(k, alpha2, nj, beta2)
+    if (scales != 1.0).any():
+        left *= scales
+    return left if dof is None else left @ _bartlett_factor(k + nj, dof, rngs)
 
 
 def _column_scales(k: int, alpha2: float, nj: int, beta2: float) -> np.ndarray:
@@ -889,10 +897,10 @@ def _universal(cfg: SystemConfig, s2: float) -> tuple:
     return _TAG_UNIVERSAL, _universal_draw, args, partial(_universal_values, cfg, s2)
 
 
-def _universal_draw(data: tuple, noise: tuple, rng: np.random.Generator):
+def _universal_draw(data: tuple, noise: tuple, rngs: list):
     """The data-part channel, then the noise block's factor unless it is empty."""
-    g1 = _product(*data, rng)
-    return (g1, _bartlett_factor(*noise, rng)) if noise[0] else g1
+    g1 = _product(*data, rngs)
+    return (g1, _bartlett_factor(*noise, rngs)) if noise[0] else g1
 
 
 def _universal_values(
@@ -1004,10 +1012,11 @@ def sv_split_check(
     )
 
 
+@_per_trial
 def _split_draw(cfg: SystemConfig, s2: float, xi: int, omega: int, rng: np.random.Generator):
     """One trial: the top-``xi`` deviations, then any trailing and reference values."""
     ne, t = cfg.N_E, cfg.T
-    prod = _product(*_gbar_args(cfg), rng) @ sample_gaussian(cfg.mbar, t, 1.0, rng)
+    prod = _product(*_gbar_args(cfg), [rng])[0] @ sample_gaussian(cfg.mbar, t, 1.0, rng)
     z = sample_gaussian(ne, t, s2, rng)
     sp = np.sqrt(squared_singular_values(prod))
     sy = np.sqrt(squared_singular_values(prod + z))

@@ -245,6 +245,9 @@ def test_average_transmit_power_keeps_its_stream_across_batch_edges():
         vals[i] = np.linalg.norm(transmit_signal(cfg, real, s, n)) ** 2 / 16
     expected = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
     assert average_transmit_power(cfg, trials=trials, seed=seed) == expected
+    # The batch draw is the same loop, one generator per trial.
+    rngs = [montecarlo._trial_rng(seed, montecarlo._TAG_TRANSMIT_POWER, i) for i in range(trials)]
+    assert np.array_equal(channel._power_draw(cfg, rngs)[0], vals)
 
 
 def test_average_transmit_power_rejects_tiny_runs():
@@ -305,14 +308,19 @@ def test_effective_distributions_add_variances_in_trial_order(cfg):
     # pairwise sum would differ in the last bits.
     trials, seed = 130, 1
     data_sq_sum = an_sq_sum = 0.0
+    sums = []
     for i in range(trials):
         rng = montecarlo._trial_rng(seed, montecarlo._TAG_DISTRIBUTIONS, i)
         real = sample_realization(cfg, rng)
-        data_sq_sum += float(np.sum(np.abs(real.g_data) ** 2))
-        an_sq_sum += float(np.sum(np.abs(real.g_an) ** 2))
+        sums.append([np.sum(np.abs(real.g_data) ** 2), np.sum(np.abs(real.g_an) ** 2)])
+        data_sq_sum += float(sums[-1][0])
+        an_sq_sum += float(sums[-1][1])
     report = check_effective_distributions(cfg, trials=trials, seed=seed)
     assert report.g_data_var == data_sq_sum / (trials * cfg.N_E * cfg.K)
     assert report.g_an_var == an_sq_sum / (trials * cfg.N_E * cfg.N_J)
+    # The batch draw is the same loop, one generator per trial.
+    rngs = [montecarlo._trial_rng(seed, montecarlo._TAG_DISTRIBUTIONS, i) for i in range(trials)]
+    assert np.array_equal(channel._probe_draw(cfg, rngs)[0], sums)
 
 
 def test_effective_distributions_rejects_tiny_runs(cfg):

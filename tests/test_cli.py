@@ -403,6 +403,18 @@ def test_validation_passes_and_is_reproducible(draw_counts):
     assert draw_counts["ergodic"] == 2
 
 
+def test_every_validation_verdict_is_a_bool(monkeypatch):
+    # A biased digamma fails one check and passes the others (see below), so
+    # the report holds passing and failing verdicts alike.
+    import anleak.special
+
+    true_digamma = anleak.special.digamma
+    monkeypatch.setattr(anleak.special, "digamma", lambda x: true_digamma(x) + 0.1)
+    report = run_validation(trials=300)
+    assert [type(c.passed) for c in report.checks] == [bool] * len(VALIDATION_CHECKS)
+    assert [c.passed for c in report.checks].count(False) == 1
+
+
 def test_validation_does_not_depend_on_the_pool_size(monkeypatch, draw_counts):
     pools = []
     in_order = anleak.cli._in_order

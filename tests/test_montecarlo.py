@@ -18,7 +18,9 @@ from anleak import (
     MonteCarlo,
     SvKind,
     SystemConfig,
+    average_transmit_power,
     balanced_config,
+    check_effective_distributions,
     ergodic_constant,
     ergodic_leakage,
     expected_log_sv_sum,
@@ -639,7 +641,7 @@ def test_exact_first_drops_trials_the_control_guard_flags():
 def test_unit_spectra_are_those_of_the_unit_power_block(rng, rows):
     # Wide blocks form G G^H anew; square and tall ones rescale Gbar^H Gbar.
     args = (rows, 2, 1.5, 3, 0.7, None)
-    gbar = np.stack([montecarlo._product(*args, rng) for _ in range(4)])
+    gbar = montecarlo._product(*args, [rng] * 4)
     unit = gbar / np.sqrt([1.5, 1.5, 0.7, 0.7, 0.7])
     sq_full, sq_unit = montecarlo._unit_spectra(*args[1:5], gbar)
     for got, block in ((sq_full, gbar), (sq_unit, unit)):
@@ -792,11 +794,57 @@ def test_no_two_power_result_depends_on_the_batch_size(monkeypatch):
     cfg, run = TWO_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
     floors = (1e-4, 3e-4, 1e-3)
     results = []
-    for batch in (montecarlo._BATCH, 5, 40):
+    for batch in (1, 5, 16, 40):
         monkeypatch.setattr(montecarlo, "_BATCH", batch)
         exact = ExactFirst(**run)
         results.append([exact.ergodic_leakage(cfg, s2) for s2 in floors])
-    assert results[0] == results[1] == results[2]
+    assert all(result == results[0] for result in results[1:])
+
+
+def _every_sampled_route() -> list:
+    """One result of each sampled route of the package, at a trial count
+    that no batch size used below divides."""
+    run = dict(trials=43, seed=6)
+    out = []
+    for name in ("tall-unequal", "wide-equal"):
+        cfg = EXACT_CFGS[name]
+        # Every kind but DATA multiplies by a Bartlett factor.
+        out += [expected_log_sv_sum(kind, cfg, **run) for kind in SvKind]
+        mc = MonteCarlo(**run)
+        out += [mc.ergodic_leakage(cfg, 0.1), mc.ergodic_constant(cfg)]
+        out.append(universal_constant(cfg, 0.1, **run))
+    # Six rows on five columns: the split has a trailing part, so no NaN.
+    out.append(sv_split_check(EXACT_CFGS["tall-unequal"], 1e-3, **run))
+    probe = balanced_config(M=12, K=3, N_E=4, N_J=4, T=8)
+    out.append(check_effective_distributions(probe, trials=103, seed=6))
+    out.append(average_transmit_power(probe, **run))
+    return out
+
+
+def test_no_sampled_result_depends_on_the_batch_size(monkeypatch):
+    # A batch draws each trial from that trial's own generator, so a batch
+    # of one trial is the per-trial loop and every size gives its bytes.
+    results = []
+    for batch in (1, 5, 16, 40):
+        monkeypatch.setattr(montecarlo, "_BATCH", batch)
+        results.append(_every_sampled_route())
+    assert all(result == results[0] for result in results[1:])
+
+
+def test_product_draws_each_trial_from_its_own_generator():
+    # Reference: the per-trial draw written out, on a fresh generator per
+    # trial: the scaled Gaussian block, then the Bartlett diagonal (Gamma
+    # magnitudes), then a Gaussian block whose strict lower triangle is kept.
+    args, seed, tag = (4, 2, 1.5, 3, 0.7, 9), 3, SvKind.JOINT.value
+    batch = montecarlo._product(*args, [montecarlo._trial_rng(seed, tag, i) for i in range(6)])
+    scales = np.sqrt([1.5, 1.5, 0.7, 0.7, 0.7])
+    for i in range(6):
+        rng = montecarlo._trial_rng(seed, tag, i)
+        left = sample_gaussian(4, 5, 1.0, rng) * scales
+        factor = np.diag(np.sqrt(rng.gamma(shape=9 - np.arange(5)))).astype(complex)
+        lower = np.tril_indices(5, k=-1)
+        factor[lower] = sample_gaussian(5, 5, 1.0, rng)[lower]
+        assert np.array_equal(batch[i], left @ factor)
 
 
 @pytest.mark.parametrize(
@@ -921,7 +969,7 @@ def test_sv_split_keeps_its_stream_across_batch_edges():
     top_devs, trailing, reference = [], [], []
     for i in range(trials):
         rng = montecarlo._trial_rng(seed, montecarlo._TAG_SPLIT, i)
-        gbar = montecarlo._product(*montecarlo._gbar_args(cfg), rng)
+        gbar = montecarlo._product(*montecarlo._gbar_args(cfg), [rng])[0]
         prod = gbar @ sample_gaussian(cfg.mbar, cfg.T, 1.0, rng)
         z = sample_gaussian(cfg.N_E, cfg.T, s2, rng)
         sp = np.sqrt(squared_singular_values(prod))
