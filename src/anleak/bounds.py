@@ -24,6 +24,11 @@ limit of low eavesdropper SNR.
 Every applicability rule lives in one table, `_RULES`; a bound whose rule
 fails at a configuration raises `NotApplicable` carrying the rule's code.
 
+The operating point (``snr_e_db``, ``snr_l_db``, ``sigma_z2``) is read from
+the `SystemConfig`; pass ``dataclasses.replace(cfg, snr_e_db=...)`` for
+another.  Only `LeakageBounds.rate_at` takes an SNR, because an envelope's
+constants do not depend on it.
+
 The sampled expectation terms shared by an upper/lower constant pair are
 estimated from the *same* draws, so the pair's gap is deterministic and
 the ``c_lower <= c_upper`` invariant holds exactly, not just on average.
@@ -193,9 +198,8 @@ def require_applicable(regime: str, cfg: SystemConfig) -> None:
 def ergodic_highsnr(cfg: SystemConfig, mc: MonteCarlo) -> LeakageBounds:
     """High-SNR expansion of the known-channel (ergodic) leakage."""
     c = mc.ergodic_constant(cfg)
-    dof = float(min(max(cfg.N_E - cfg.N_J, 0), cfg.K))
     return LeakageBounds(
-        dof=dof,
+        dof=float(_ergodic_prelog(cfg)),
         c_lower=c.mean,
         c_upper=c.mean,
         regime="ergodic",
@@ -249,7 +253,7 @@ def noncoherent_bounds(
             regime="noncoherent",
             cfg=cfg,
         )
-    slope_units = min(max(ne - nj, 0), k)
+    slope_units = _ergodic_prelog(cfg)
     w = 1.0 - mbar / t
     e_joint = mc.log_sv_sum(SvKind.JOINT, cfg)
     e_tail = mc.log_sv_sum(SvKind.AN_TAIL, cfg)
@@ -320,11 +324,11 @@ def saturated_upper(cfg: SystemConfig) -> SaturatedBound:
     return _saturated_pair(cfg.N_E, cfg.T)
 
 
-def universal_upper(cfg: SystemConfig, snr_e_db: float, mc: MonteCarlo) -> McEstimate:
-    """Coherence-free leakage upper bound at a given eavesdropper SNR, bits.
+def universal_upper(cfg: SystemConfig, mc: MonteCarlo) -> McEstimate:
+    """Coherence-free leakage upper bound at ``cfg.snr_e_db``, bits.
 
     ``min(N_E, K) (1 - N_J/t')^+ log2(SNR) + c(sigma^2)`` with the
-    constant ``mc.universal_constant`` at ``sigma^2 = 10**(-snr/10)``:
+    constant ``mc.universal_constant`` at ``sigma^2 = cfg.sigma_z2``:
     exact for an `ExactFirst`, sampled for a plain `MonteCarlo`.  Covers an
     eavesdropper that knows ``G1`` and the artificial-noise symbols but not
     the artificial-noise channel (so also the blind and partial regimes);
@@ -334,23 +338,21 @@ def universal_upper(cfg: SystemConfig, snr_e_db: float, mc: MonteCarlo) -> McEst
     ``K N_E alpha2 beta2 N_J / (sigma^4 ln 2)``.  Needs ``t' >= 1``.
     """
     require_applicable("universal", cfg)
-    s2 = 10.0 ** (-snr_e_db / 10.0)
-    c = mc.universal_constant(cfg, s2)
+    c = mc.universal_constant(cfg, cfg.sigma_z2)
     slope = min(cfg.N_E, cfg.K) * max(0.0, 1.0 - cfg.N_J / cfg.t_prime)
-    value = slope * (snr_e_db / 10.0) * math.log2(10.0) + c.mean
+    value = slope * (cfg.snr_e_db / 10.0) * math.log2(10.0) + c.mean
     return McEstimate(value, c.std_error, c.trials, c.excluded)
 
 
-def coherent_data_leakage(cfg: SystemConfig, snr_e_db: float, mc: MonteCarlo) -> McEstimate:
-    """Known-channel leakage through the data part alone, in bits.
+def coherent_data_leakage(cfg: SystemConfig, mc: MonteCarlo) -> McEstimate:
+    """Known-channel leakage of the data part alone at ``cfg.snr_e_db``, bits.
 
     ``E[logdet(I + SNR * G1^H G1)]`` — the classical pilot-aided
     eavesdropper rate and the low-SNR limit of `universal_upper`, which
     stays below it by ``K N_E alpha2 beta2 N_J / (sigma^4 ln 2)`` to
     leading order in ``1/sigma^2``.
     """
-    data_only = replace(cfg, N_J=0, beta2=0.0)
-    return mc.ergodic_leakage(data_only, 10.0 ** (-snr_e_db / 10.0))
+    return mc.ergodic_leakage(replace(cfg, N_J=0, beta2=0.0), cfg.sigma_z2)
 
 
 def partial_coherent_bounds(cfg: SystemConfig, mc: MonteCarlo) -> LeakageBounds:
@@ -413,32 +415,31 @@ def leakage_pair(cfg: SystemConfig, mc: MonteCarlo) -> LeakagePair:
     )
 
 
-def legitimate_rate(cfg: SystemConfig, snr_l_db: float) -> float:
-    """Per-user rate ``log2(1 + M alpha2 SNR_L)`` of the zero-forced downlink, bits."""
-    return math.log2(1.0 + cfg.M * cfg.alpha2 * 10.0 ** (snr_l_db / 10.0))
+def legitimate_rate(cfg: SystemConfig) -> float:
+    """Per-user rate ``log2(1 + M alpha2 SNR_L)`` of the zero-forced downlink
+    at ``cfg.snr_l_db``, bits."""
+    return math.log2(1.0 + cfg.M * cfg.alpha2 * 10.0 ** (cfg.snr_l_db / 10.0))
 
 
-def joint_secrecy(cfg: SystemConfig, leak: LeakageBounds, snr_e_db, snr_l_db) -> float:
-    """Secrecy sum rate ``(K C - L)^+`` of the block as one joint codeword:
-    ``C`` is `legitimate_rate`, ``L`` the leakage at its upper constant."""
-    return max(0.0, cfg.K * legitimate_rate(cfg, snr_l_db) - leak.rate_at(snr_e_db))
+def joint_secrecy(cfg: SystemConfig, leak: LeakageBounds) -> float:
+    """Secrecy sum rate ``(K C - L)^+`` of the block as one joint codeword, at
+    ``cfg``'s SNRs: ``C`` is `legitimate_rate`, ``L`` the upper leakage."""
+    return max(0.0, cfg.K * legitimate_rate(cfg) - leak.rate_at(cfg.snr_e_db))
 
 
-def stream_secrecy(cfg: SystemConfig, leak: LeakageBounds, snr_e_db, snr_l_db) -> float:
-    """Per-user secrecy rate ``(C - L)^+``, ``L`` a single-stream leakage."""
-    return max(0.0, legitimate_rate(cfg, snr_l_db) - leak.rate_at(snr_e_db))
+def stream_secrecy(cfg: SystemConfig, leak: LeakageBounds) -> float:
+    """Per-user secrecy rate ``(C - L)^+`` at ``cfg``'s SNRs, ``L`` a
+    single-stream leakage."""
+    return max(0.0, legitimate_rate(cfg) - leak.rate_at(cfg.snr_e_db))
 
 
 def secrecy_rates(
-    cfg: SystemConfig,
-    leakage_su: LeakagePair,
-    leakage_mu: LeakagePair,
-    snr_e_db: float,
-    snr_l_db: float,
+    cfg: SystemConfig, leakage_su: LeakagePair, leakage_mu: LeakagePair
 ) -> SecrecyRates:
     """Secrecy sum rates from joint (``su``) and per-stream (``mu``) leakage.
 
-    The leakage is charged at its upper constant.  ``leakage_su`` must be
+    The leakage is charged at its upper constant, both rates at ``cfg``'s
+    operating point ``snr_e_db``/``snr_l_db``.  ``leakage_su`` must be
     for ``cfg`` itself and ``leakage_mu`` for its single-stream view (one
     data stream, parent powers and post-training length).  The
     partial-coherent rates carry the training-overhead prefactor
@@ -452,36 +453,27 @@ def secrecy_rates(
     if (mu_cfg.M, mu_cfg.N_E, mu_cfg.N_J, mu_cfg.T) != (cfg.M, cfg.N_E, cfg.N_J, cfg.T):
         raise ValueError("leakage_mu dimensions disagree with cfg")
     k, t, tp = cfg.K, cfg.T, cfg.t_prime
-    snrs = snr_e_db, snr_l_db
     return SecrecyRates(
-        su_noncoherent=joint_secrecy(cfg, leakage_su.noncoherent, *snrs),
-        su_partial=(tp / t) * joint_secrecy(cfg, leakage_su.partial, *snrs),
-        mu_noncoherent=k * stream_secrecy(cfg, leakage_mu.noncoherent, *snrs),
-        mu_partial=(k * tp / t) * stream_secrecy(cfg, leakage_mu.partial, *snrs),
+        su_noncoherent=joint_secrecy(cfg, leakage_su.noncoherent),
+        su_partial=(tp / t) * joint_secrecy(cfg, leakage_su.partial),
+        mu_noncoherent=k * stream_secrecy(cfg, leakage_mu.noncoherent),
+        mu_partial=(k * tp / t) * stream_secrecy(cfg, leakage_mu.partial),
     )
 
 
-def secrecy_from_config(
-    cfg: SystemConfig,
-    mc: MonteCarlo,
-    snr_e_db: float | None = None,
-    snr_l_db: float | None = None,
-) -> SecrecyRates:
-    """Convenience wrapper: build both leakage pairs, then the rates."""
-    su = leakage_pair(cfg, mc)
-    mu = leakage_pair(single_stream_view(cfg), mc)
-    return secrecy_rates(
-        cfg,
-        su,
-        mu,
-        cfg.snr_e_db if snr_e_db is None else snr_e_db,
-        cfg.snr_l_db if snr_l_db is None else snr_l_db,
-    )
+def secrecy_from_config(cfg: SystemConfig, mc: MonteCarlo) -> SecrecyRates:
+    """`secrecy_rates` at ``cfg`` from both leakage pairs, built with ``mc``."""
+    return secrecy_rates(cfg, leakage_pair(cfg, mc), leakage_pair(single_stream_view(cfg), mc))
 
 
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+
+def _ergodic_prelog(cfg: SystemConfig) -> int:
+    """The known-channel pre-log ``min((N_E - N_J)^+, K)``."""
+    return min(max(cfg.N_E - cfg.N_J, 0), cfg.K)
 
 
 def _saturated_pair(ne: int, t: int) -> SaturatedBound:

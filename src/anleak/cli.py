@@ -363,7 +363,7 @@ class _Point:
             if name == "partial":
                 return partial_coherent_bounds(cfg, mc), ""
             if name == "universal":
-                return universal_upper(cfg, cfg.snr_e_db, mc), ""
+                return universal_upper(cfg, mc), ""
             if name == "noncoh_mu":
                 require_applicable("noncoherent", cfg)
                 cfg = single_stream_view(cfg)
@@ -397,11 +397,10 @@ def evaluate_metric(point: _Point, metric: str) -> tuple[float | None, float | N
         return None, None, reason
     if metric == "universal":
         return b.mean, b.std_error, ""
-    snrs = cfg.snr_e_db, cfg.snr_l_db
     if metric == "secrecy_su":
-        return joint_secrecy(cfg, b, *snrs), b.c_std_error, ""
+        return joint_secrecy(cfg, b), b.c_std_error, ""
     if metric == "secrecy_mu":
-        return cfg.K * stream_secrecy(cfg, b, *snrs), cfg.K * b.c_std_error, ""
+        return cfg.K * stream_secrecy(cfg, b), cfg.K * b.c_std_error, ""
     which = "lower" if metric.endswith("_lb") else "upper"
     return b.rate_at(cfg.snr_e_db, which), b.c_std_error, ""
 
@@ -445,6 +444,15 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.9g}"
 
 
+def _run_header(command: str, trials: int, source: str, seed: int) -> str:
+    """Leading comment line of ``sweep`` and ``bounds`` output, without its
+    newline: what the run drew and how precisely."""
+    return (
+        f"# anleak {command} trials={trials} trials_source={source} "
+        f"seed={seed} se_target_bits={_SE_TARGET:.9g}"
+    )
+
+
 def write_sweep_csv(spec: SweepSpec, rows: list[SweepRow], stream) -> None:
     """Write the sweep CSV (LF line endings, 9 significant digits).
 
@@ -452,10 +460,7 @@ def write_sweep_csv(spec: SweepSpec, rows: list[SweepRow], stream) -> None:
     on the spec's deterministic fields, the seed and the precision target of
     the two-power ergodic leakage, which the header echoes.
     """
-    stream.write(
-        f"# anleak sweep trials={spec.trials} trials_source={spec.trials_source} "
-        f"seed={spec.seed} se_target_bits={_SE_TARGET:.9g}\n"
-    )
+    stream.write(_run_header("sweep", spec.trials, spec.trials_source, spec.seed) + "\n")
     stream.write("axis,metric,value,std_error,reason\n")
     for row in rows:
         stream.write(
@@ -583,18 +588,18 @@ def _check_ergodic_slope(seed: int, trials: int) -> CheckResult:
     cfg = balanced_config(M=64, K=16, N_E=64, N_J=48, T=320)
     mc = MonteCarlo(trials=trials, seed=seed)  # one draw for both noise floors
     law = ExactFirst(trials=trials, seed=seed)  # draws nothing at one power
-    floors = (10.0 ** (-4.0), 10.0 ** (-4.3))
+    floors = [replace(cfg, snr_e_db=snr).sigma_z2 for snr in (40.0, 43.0)]
     lo, hi = (mc.ergodic_leakage(cfg, s2) for s2 in floors)
     devs = [abs(est.mean - law.ergodic_leakage(cfg, s2).mean) for est, s2 in zip((lo, hi), floors)]
     bands = [4.0 * est.std_error for est in (lo, hi)]
     slope = (hi.mean - lo.mean) / (0.3 * math.log2(10.0))
-    expected = min(max(cfg.N_E - cfg.N_J, 0), cfg.K)
+    expected = ergodic_highsnr(cfg, law).dof
     dev = abs(slope - expected)
     ok = dev <= 0.15 and all(d <= b for d, b in zip(devs, bands))
     return CheckResult(
         "ergodic-slope",
         ok,
-        f"slope {slope:.3f} vs dof {expected}; |mc - law| = {devs[0]:.4f}, {devs[1]:.4f}, "
+        f"slope {slope:.3f} vs dof {expected:g}; |mc - law| = {devs[0]:.4f}, {devs[1]:.4f}, "
         f"4*SE = {bands[0]:.4f}, {bands[1]:.4f}",
     )
 
@@ -657,10 +662,7 @@ def _cmd_bounds(args) -> int:
         if with_se:
             print(f"{key}_se={se:.9g}")
 
-    print(
-        f"# anleak bounds trials={trials} trials_source={source} seed={seed} "
-        f"se_target_bits={_SE_TARGET:.9g}"
-    )
+    print(_run_header("bounds", trials, source, seed))
     print(f"# config M={cfg.M} K={cfg.K} N_E={cfg.N_E} N_J={cfg.N_J} T={cfg.T}")
     print(f"alpha2={cfg.alpha2:.9g}")
     print(f"beta2={cfg.beta2:.9g}")

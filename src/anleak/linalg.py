@@ -2,9 +2,10 @@
 
 Thin, contract-enforcing wrappers around LAPACK (via numpy): complex
 Gaussian draws, squared singular values through the smaller-side Gram
-matrix, null-space bases and the scaled zero-forcing pseudo-inverse.  The
-null-space and pseudo-inverse builders validate shapes, finiteness and
-rank up front so the channel layer above can assume clean inputs.
+matrix and the scaled zero-forcing pseudo-inverse, which validates shape,
+finiteness and rank up front so the channel layer above can assume clean
+inputs; the artificial-noise null-space basis is built from a user channel
+that has passed those checks.
 
 Rank tolerance: a matrix counts as rank deficient when its smallest
 singular value is at most ``1e-10`` times its largest.
@@ -24,7 +25,6 @@ __all__ = [
     "sample_gaussian",
     "squared_singular_values",
     "gram_spectrum",
-    "null_space_basis",
     "scaled_pseudo_inverse",
 ]
 
@@ -111,38 +111,11 @@ def gram_spectrum(gram) -> NDArray[np.float64]:
     return np.flip(np.clip(w, 0.0, None), axis=-1)
 
 
-def null_space_basis(h, n: int) -> CMatrix:
-    """Orthonormal basis of ``n`` directions in the null space of ``h``.
-
-    For a full-row-rank ``k x m`` matrix with ``k < m``, returns an
-    ``m x n`` matrix ``V`` with ``h @ V = 0`` and ``V^H V = I``.  The basis
-    is the trailing block of a complete QR factorization of ``h^H``, so it
-    is a deterministic function of ``h``.
-
-    Parameters
-    ----------
-    h : array_like
-        ``k x m`` matrix, ``1 <= k < m``, full row rank.
-    n : int
-        Number of basis vectors, ``0 <= n <= m - k``.
-
-    Raises
-    ------
-    DegenerateChannelError
-        If ``h`` is rank deficient at relative tolerance 1e-10.
-    """
-    h = _as_matrix(h, "h")
-    k, m = h.shape
-    if k < 1 or m <= k:
-        raise ValueError(f"need 1 <= rows < cols, got shape {h.shape}")
-    if not 0 <= n <= m - k:
-        raise ValueError(f"need 0 <= n <= {m - k}, got n={n}")
-    _require_full_row_rank(h)
-    return _null_basis(h, n)
-
-
 def _null_basis(h: CMatrix, n: int) -> CMatrix:
-    """`null_space_basis` of an ``h`` that has already passed its checks."""
+    """Orthonormal basis ``V`` of ``n <= m - k`` directions in the null space
+    of a ``k x m`` ``h`` that has passed `scaled_pseudo_inverse`'s checks:
+    ``h @ V = 0`` and ``V^H V = I``.  It is the trailing block of a complete
+    QR factorization of ``h^H``, so a deterministic function of ``h``."""
     k = h.shape[0]
     q, _ = np.linalg.qr(h.conj().T, mode="complete")
     return np.ascontiguousarray(q[:, k : k + n])

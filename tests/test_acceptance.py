@@ -178,9 +178,10 @@ def test_criterion_06_low_snr_equivalence_at_minus_20db():
     m = min(cfg.N_J, tp)
     pts = {}
     for snr_db in (-20.0, -40.0, -60.0):
-        s2 = 10.0 ** (-snr_db / 10.0)
-        uni = universal_upper(cfg, snr_db, exact)
-        coh = coherent_data_leakage(cfg, snr_db, mc)
+        at = dataclasses.replace(cfg, snr_e_db=snr_db)
+        s2 = at.sigma_z2
+        uni = universal_upper(at, exact)
+        coh = coherent_data_leakage(at, mc)
         pts[snr_db] = (
             uni.mean,
             coh.mean,
@@ -191,7 +192,7 @@ def test_criterion_06_low_snr_equivalence_at_minus_20db():
     uni, coh, band, _ = pts[-20.0]
     raised = 100.0 + cfg.beta2 * cfg.N_J * tp / m  # s2 plus the mean beta2*lam_i
     floor = (m / tp) * coherent_data_leakage(
-        cfg, -10.0 * math.log10(raised), mc
+        dataclasses.replace(cfg, snr_e_db=-10.0 * math.log10(raised)), mc
     ).mean + max(0.0, 1.0 - cfg.N_J / tp) * coh
     sandwich = floor - band <= uni <= coh + band and coh - uni > band
     uni, coh, band, pred = pts[-40.0]
@@ -259,7 +260,8 @@ def test_criterion_09_single_user_beats_multi_user():
     ok = True
     margins = []
     for snr_e in (10.0, 20.0, 30.0):
-        rates = secrecy_rates(cfg, su_wide, mu_wide, snr_e, 30.0)
+        at = dataclasses.replace(cfg, snr_e_db=snr_e, snr_l_db=30.0)
+        rates = secrecy_rates(at, su_wide, mu_wide)
         margins.append(
             f"{snr_e:g}dB: noncoh +{rates.su_noncoherent - rates.mu_noncoherent:.2f}, "
             f"partial +{rates.su_partial - rates.mu_partial:.2f}"

@@ -232,7 +232,7 @@ def test_partial_preconditions(mc):
     assert _code(partial_coherent_bounds, no_symbols, mc) == "precondition:Tprime<1"
     short = balanced_config(M=8, K=2, N_E=10, N_J=6, T=7)  # t' = 5 < N_J
     assert _code(partial_coherent_bounds, short, mc) == "precondition:Tprime<NJ"
-    assert _code(universal_upper, no_symbols, 30.0, mc) == "precondition:Tprime<1"
+    assert _code(universal_upper, no_symbols, mc) == "precondition:Tprime<1"
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +242,9 @@ def test_partial_preconditions(mc):
 
 def test_universal_at_low_snr_matches_data_only_leakage():
     mc = MonteCarlo(trials=20000, seed=0)
-    cfg = balanced_config(M=8, K=2, N_E=4, N_J=6, T=8)
-    uni = universal_upper(cfg, -45.0, mc)
-    coh = coherent_data_leakage(cfg, -45.0, mc)
+    cfg = balanced_config(M=8, K=2, N_E=4, N_J=6, T=8, snr_e_db=-45.0)
+    uni = universal_upper(cfg, mc)
+    coh = coherent_data_leakage(cfg, mc)
     assert uni.mean == pytest.approx(coh.mean, rel=0.01)
 
 
@@ -254,11 +254,12 @@ def test_universal_gap_closes_at_its_leading_order():
     # its next-order term (about -1.7%) shows, at -60 dB it is the leading
     # order.  Plain sampling cannot see it (criterion 06's bands).
     exact = ExactFirst(trials=20000, seed=0)
-    cfg = SystemConfig(M=64, K=16, N_E=64, N_J=48, T=64, alpha2=1.0, beta2=1.0)
+    base = SystemConfig(M=64, K=16, N_E=64, N_J=48, T=64, alpha2=1.0, beta2=1.0)
     for snr_db, rtol in ((-40.0, 0.05), (-60.0, 0.01)):
-        s2 = 10.0 ** (-snr_db / 10.0)
-        uni = universal_upper(cfg, snr_db, exact)
-        coh = coherent_data_leakage(cfg, snr_db, exact)
+        cfg = dataclasses.replace(base, snr_e_db=snr_db)
+        s2 = cfg.sigma_z2
+        uni = universal_upper(cfg, exact)
+        coh = coherent_data_leakage(cfg, exact)
         gap = coh.mean - uni.mean
         pred = cfg.K * cfg.N_E * cfg.alpha2 * cfg.beta2 * cfg.N_J / (s2**2 * math.log(2.0))
         assert gap == pytest.approx(pred, rel=rtol), snr_db
@@ -268,7 +269,7 @@ def test_universal_gap_closes_at_its_leading_order():
 def test_coherent_data_leakage_drops_the_noise_part(mc):
     cfg = balanced_config(M=8, K=2, N_E=4, N_J=4, T=16, snr_e_db=10.0)
     data_only = dataclasses.replace(cfg, N_J=0, beta2=0.0)
-    assert coherent_data_leakage(cfg, 10.0, mc) == mc.ergodic_leakage(
+    assert coherent_data_leakage(cfg, mc) == mc.ergodic_leakage(
         data_only, 0.1
     )
 
@@ -340,7 +341,7 @@ def _stub(cfg, dof, c, regime):
 
 
 def test_secrecy_rates_arithmetic():
-    cfg = balanced_config(M=8, K=2, N_E=8, N_J=6, T=20, snr_l_db=30.0)
+    cfg = balanced_config(M=8, K=2, N_E=8, N_J=6, T=20, snr_e_db=10.0, snr_l_db=30.0)
     view = single_stream_view(cfg)
     su = LeakagePair(
         noncoherent=_stub(cfg, 1.5, 2.0, "noncoherent"),
@@ -350,7 +351,7 @@ def test_secrecy_rates_arithmetic():
         noncoherent=_stub(view, 1.0, 0.5, "noncoherent"),
         partial=_stub(view, 1.0, 0.4, "partial"),
     )
-    rates = secrecy_rates(cfg, su, mu, snr_e_db=10.0, snr_l_db=30.0)
+    rates = secrecy_rates(cfg, su, mu)
     cap = math.log2(1.0 + 8 * 1000.0)
     assert rates.su_noncoherent == pytest.approx(
         2 * cap - (1.5 * LOG2_10 + 2.0), rel=1e-12
@@ -367,7 +368,7 @@ def test_secrecy_rates_arithmetic():
 
 
 def test_secrecy_rates_clamp_at_zero():
-    cfg = balanced_config(M=8, K=2, N_E=8, N_J=6, T=20)
+    cfg = balanced_config(M=8, K=2, N_E=8, N_J=6, T=20, snr_e_db=10.0)
     view = single_stream_view(cfg)
     flood = LeakagePair(
         noncoherent=_stub(cfg, 0.0, 1e4, "noncoherent"),
@@ -377,7 +378,7 @@ def test_secrecy_rates_clamp_at_zero():
         noncoherent=_stub(view, 0.0, 1e4, "noncoherent"),
         partial=_stub(view, 0.0, 1e4, "partial"),
     )
-    rates = secrecy_rates(cfg, flood, flood_mu, 10.0, 30.0)
+    rates = secrecy_rates(cfg, flood, flood_mu)
     assert rates.su_noncoherent == 0.0
     assert rates.su_partial == 0.0
     assert rates.mu_noncoherent == 0.0
@@ -396,16 +397,16 @@ def test_secrecy_rates_validate_the_pairing():
         partial=_stub(view, 1.0, 1.0, "partial"),
     )
     with pytest.raises(ValueError):
-        secrecy_rates(cfg, mu, mu, 10.0, 30.0)  # joint pair has K = 1
+        secrecy_rates(cfg, mu, mu)  # joint pair has K = 1
     with pytest.raises(ValueError):
-        secrecy_rates(cfg, su, su, 10.0, 30.0)  # per-stream pair has K = 2
+        secrecy_rates(cfg, su, su)  # per-stream pair has K = 2
     shrunk = dataclasses.replace(view, N_E=4)
     bad_mu = LeakagePair(
         noncoherent=_stub(shrunk, 1.0, 1.0, "noncoherent"),
         partial=_stub(shrunk, 1.0, 1.0, "partial"),
     )
     with pytest.raises(ValueError):
-        secrecy_rates(cfg, su, bad_mu, 10.0, 30.0)
+        secrecy_rates(cfg, su, bad_mu)
 
 
 def test_secrecy_from_config_is_reproducible():
@@ -417,7 +418,7 @@ def test_secrecy_from_config_is_reproducible():
         assert value >= 0.0
     su = leakage_pair(cfg, mc)
     mu = leakage_pair(single_stream_view(cfg), mc)
-    assert rates == secrecy_rates(cfg, su, mu, cfg.snr_e_db, cfg.snr_l_db)
+    assert rates == secrecy_rates(cfg, su, mu)
 
 
 def test_single_stream_view_shares_the_an_post_draw(draw_counts):
@@ -439,8 +440,8 @@ def test_universal_bound_lies_below_the_known_channel_leakage(snr_db):
     # The universal bound covers an eavesdropper that knows G1 and the AN
     # symbols but not the AN channel.  It is no bound on the known-channel
     # leakage: on the flagship dimensions with T = 64 it lies below it.
-    cfg = balanced_config(M=64, K=16, N_E=64, N_J=48, T=64)
-    uni = universal_upper(cfg, snr_db, MonteCarlo(trials=500, seed=0))
-    erg = ergodic_leakage(cfg, 10.0 ** (-snr_db / 10.0), trials=500, seed=0)
+    cfg = balanced_config(M=64, K=16, N_E=64, N_J=48, T=64, snr_e_db=snr_db)
+    uni = universal_upper(cfg, MonteCarlo(trials=500, seed=0))
+    erg = ergodic_leakage(cfg, cfg.sigma_z2, trials=500, seed=0)
     band = 4.0 * math.hypot(uni.std_error, erg.std_error)
     assert erg.mean - uni.mean > band, (uni, erg, band)

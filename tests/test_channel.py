@@ -140,6 +140,10 @@ def test_realization_geometry(cfg, rng):
         np.eye(12), abs=1e-12
     )
     assert np.abs(real.h @ real.an_basis).max() <= 1e-10 * np.linalg.norm(real.h)
+    # The precoder columns live in h's row space, the basis in its
+    # orthogonal complement, so the two blocks are mutually orthogonal.
+    orth = np.abs(real.an_basis.conj().T @ real.precoder).max()
+    assert orth <= 1e-10 * np.linalg.norm(real.precoder)
     assert real.g_data == pytest.approx(
         math.sqrt(cfg.alpha2) * real.g @ real.precoder
     )
@@ -171,9 +175,12 @@ def test_realization_checks_h_once_and_builds_what_the_public_builders_do(cfg, m
     monkeypatch.setattr(linalg, "_require_full_row_rank", counted)
     real = sample_realization(cfg, np.random.default_rng(11))
     assert checks == [(cfg.K, cfg.M)]
-    # Rebuilt through the public, fully checked builders: the same arrays.
+    # Rebuilt through the public, fully checked pseudo-inverse and a complete
+    # QR factorization of h^H, whose trailing columns span h's null space:
+    # the same arrays.
     assert np.array_equal(real.precoder, linalg.scaled_pseudo_inverse(real.h))
-    assert np.array_equal(real.an_basis, linalg.null_space_basis(real.h, cfg.N_J))
+    q, _ = np.linalg.qr(real.h.conj().T, mode="complete")
+    assert np.array_equal(real.an_basis, q[:, cfg.K : cfg.K + cfg.N_J])
     assert np.array_equal(real.g_data, math.sqrt(cfg.alpha2) * (real.g @ real.precoder))
     assert np.array_equal(real.g_an, math.sqrt(cfg.beta2) * (real.g @ real.an_basis))
 

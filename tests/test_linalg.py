@@ -7,12 +7,7 @@ import pytest
 import scipy.linalg
 
 from anleak.errors import DegenerateChannelError
-from anleak.linalg import (
-    null_space_basis,
-    sample_gaussian,
-    scaled_pseudo_inverse,
-    squared_singular_values,
-)
+from anleak.linalg import sample_gaussian, scaled_pseudo_inverse, squared_singular_values
 
 
 def _complex(rng, rows, cols):
@@ -79,34 +74,12 @@ def test_spectra_of_empty_matrices():
 
 def test_nan_inputs_are_rejected(rng):
     with pytest.raises(ValueError):
-        null_space_basis(np.array([[1.0, math.inf, 0.0]]), 1)
+        scaled_pseudo_inverse(np.array([[1.0, math.inf, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
-# Null space and pseudo-inverse
+# Pseudo-inverse
 # ---------------------------------------------------------------------------
-
-
-def test_null_space_basis_contract(rng):
-    h = _complex(rng, 3, 8)
-    v = null_space_basis(h, 5)
-    assert v.shape == (8, 5)
-    assert np.abs(h @ v).max() <= 1e-10 * np.linalg.norm(h)
-    assert v.conj().T @ v == pytest.approx(np.eye(5), abs=1e-12)
-    assert null_space_basis(h, 0).shape == (8, 0)
-    # Deterministic function of h.
-    assert np.array_equal(v, null_space_basis(h, 5))
-
-
-def test_null_space_basis_rejects(rng):
-    h = _complex(rng, 3, 8)
-    with pytest.raises(ValueError):
-        null_space_basis(h, 6)
-    with pytest.raises(ValueError):
-        null_space_basis(_complex(rng, 4, 4), 1)
-    deficient = np.vstack([h[0], h[0], h[1]])
-    with pytest.raises(DegenerateChannelError):
-        null_space_basis(deficient, 2)
 
 
 def test_scaled_pseudo_inverse_contract(rng):
@@ -126,12 +99,3 @@ def test_scaled_pseudo_inverse_rejects(rng):
     h = _complex(rng, 2, 6)
     with pytest.raises(DegenerateChannelError):
         scaled_pseudo_inverse(np.vstack([h, h[0] + h[1]]))
-
-
-def test_null_space_complements_pseudo_inverse(rng):
-    # The precoder columns live in the row space, the basis in its
-    # orthogonal complement, so the two blocks are mutually orthogonal.
-    h = _complex(rng, 3, 8)
-    p = scaled_pseudo_inverse(h)
-    v = null_space_basis(h, 5)
-    assert np.abs(v.conj().T @ p).max() <= 1e-10 * np.linalg.norm(p)

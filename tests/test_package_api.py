@@ -1,9 +1,10 @@
 """Package hygiene: the modules export nothing the package never calls but
-a commented allowlist, only `anleak.bounds` spells a reason code, every
-seeded trial is drawn by `montecarlo._run_trials`, every thread pool is
+a commented allowlist, only `anleak.bounds` spells a reason code, the
+bounds read their operating point from the config, every seeded trial is drawn by `montecarlo._run_trials`, every thread pool is
 `montecarlo._in_order`, and the CLI imports no test-only library."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -56,11 +57,9 @@ NEVER_LOADED = {
     # of perfbench wraps them by name.
     "montecarlo.ergodic_leakage",
     "montecarlo.ergodic_constant",
-    # The checked public form of `linalg._null_basis`: `sample_realization`
-    # builds its basis from an `h` that `scaled_pseudo_inverse` has checked.
-    "linalg.null_space_basis",
-    # Paper results offered to callers; the README quick start calls
-    # `secrecy_from_config`.
+    # Paper results offered to callers: the pilot-aided eavesdropper rate,
+    # the low-SNR limit of `universal_upper` (criterion 06); the zero-dof
+    # cap and its relaxation; the one-call secrecy rates of the README.
     "bounds.coherent_data_leakage",
     "bounds.saturated_upper",
     "bounds.secrecy_from_config",
@@ -97,6 +96,22 @@ def test_reason_codes_are_spelled_only_in_bounds():
         if isinstance(node, ast.Constant) and _is_reason_code(node.value)
     ]
     assert not stray, f"reason codes outside bounds.py: {stray}"
+
+
+def test_bounds_read_the_operating_point_from_the_config():
+    # `SystemConfig` owns snr_e_db, snr_l_db and the noise floor sigma_z2
+    # derived from it.  `LeakageBounds.rate_at` keeps its SNR: an envelope's
+    # constants do not depend on one.
+    snr_params = {"snr_e_db", "snr_l_db", "sigma_z2", "snr_db"}
+    takes = set()
+    for name in bounds.__all__:
+        obj = getattr(bounds, name)
+        members = vars(obj).items() if isinstance(obj, type) else [("", obj)]
+        for attr, fn in members:
+            if inspect.isfunction(fn):
+                params = inspect.signature(fn).parameters
+                takes |= {(f"{name}.{attr}".rstrip("."), p) for p in snr_params & set(params)}
+    assert takes == {("LeakageBounds.rate_at", "snr_db")}
 
 
 def _reads(names: set[str]) -> list[tuple[str, int, str, tuple[str, ...]]]:
