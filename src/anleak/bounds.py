@@ -24,10 +24,11 @@ limit of low eavesdropper SNR.
 Every applicability rule lives in one table, `_RULES`; a bound whose rule
 fails at a configuration raises `NotApplicable` carrying the rule's code.
 
-The operating point (``snr_e_db``, ``snr_l_db``, ``sigma_z2``) is read from
-the `SystemConfig`; pass ``dataclasses.replace(cfg, snr_e_db=...)`` for
-another.  Only `LeakageBounds.rate_at` takes an SNR, because an envelope's
-constants do not depend on it.
+The operating point (``snr_e_db``, ``snr_l_db`` and their noise variances
+``sigma_z2``, ``sigma_w2``) is read from the `SystemConfig`, here and by the
+estimators the bounds call; pass ``dataclasses.replace(cfg, snr_e_db=...)``
+for another.  Only `LeakageBounds.rate_at` takes an SNR, because an
+envelope's constants do not depend on it.
 
 The sampled expectation terms shared by an upper/lower constant pair are
 estimated from the *same* draws, so the pair's gap is deterministic and
@@ -338,7 +339,7 @@ def universal_upper(cfg: SystemConfig, mc: MonteCarlo) -> McEstimate:
     ``K N_E alpha2 beta2 N_J / (sigma^4 ln 2)``.  Needs ``t' >= 1``.
     """
     require_applicable("universal", cfg)
-    c = mc.universal_constant(cfg, cfg.sigma_z2)
+    c = mc.universal_constant(cfg)
     slope = min(cfg.N_E, cfg.K) * max(0.0, 1.0 - cfg.N_J / cfg.t_prime)
     value = slope * (cfg.snr_e_db / 10.0) * math.log2(10.0) + c.mean
     return McEstimate(value, c.std_error, c.trials, c.excluded)
@@ -352,7 +353,7 @@ def coherent_data_leakage(cfg: SystemConfig, mc: MonteCarlo) -> McEstimate:
     stays below it by ``K N_E alpha2 beta2 N_J / (sigma^4 ln 2)`` to
     leading order in ``1/sigma^2``.
     """
-    return mc.ergodic_leakage(replace(cfg, N_J=0, beta2=0.0), cfg.sigma_z2)
+    return mc.ergodic_leakage(replace(cfg, N_J=0, beta2=0.0))
 
 
 def partial_coherent_bounds(cfg: SystemConfig, mc: MonteCarlo) -> LeakageBounds:
@@ -416,9 +417,9 @@ def leakage_pair(cfg: SystemConfig, mc: MonteCarlo) -> LeakagePair:
 
 
 def legitimate_rate(cfg: SystemConfig) -> float:
-    """Per-user rate ``log2(1 + M alpha2 SNR_L)`` of the zero-forced downlink
-    at ``cfg.snr_l_db``, bits."""
-    return math.log2(1.0 + cfg.M * cfg.alpha2 * 10.0 ** (cfg.snr_l_db / 10.0))
+    """Per-user rate ``log2(1 + M alpha2 / sigma_w2)`` of the zero-forced
+    downlink at ``cfg.snr_l_db``, bits."""
+    return math.log2(1.0 + cfg.M * cfg.alpha2 / cfg.sigma_w2)
 
 
 def joint_secrecy(cfg: SystemConfig, leak: LeakageBounds) -> float:

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _BALANCE_RTOL = 1e-9
+_SNR_DB_LIMIT = 3000.0  # largest |snr| in dB: 10**(-snr/10) stays in [1e-300, 1e300]
 _POWER_BLOCK_LEN = 16  # symbols per trial of `average_transmit_power`
 
 
@@ -69,18 +70,20 @@ class SystemConfig:
         Per-stream data power and per-dimension noise power.  ``beta2``
         must be 0 exactly when ``N_J`` is 0.
     snr_e_db, snr_l_db : float
-        Eavesdropper / legitimate-user SNR in dB (their noise variances
-        are ``10**(-snr/10)``).
+        Eavesdropper / legitimate-user SNR in dB, within +-3000 dB
+        (``_SNR_DB_LIMIT``).  Every estimator and bound reads their noise
+        variances ``sigma_z2``/``sigma_w2`` = ``10**(-snr/10)`` from here.
     t_prime_override : int or None
         Pin the post-training block length instead of the default
         ``T - K``; used by reduced views that must keep a parent's value.
 
     Notes
     -----
-    The constructor checks dimensions and signs only.  The power balance
-    ``alpha2*K + beta2*N_J = M`` is a property of the builder functions
-    (`balanced_config`), not of this type: reduced single-stream views and
-    calibration scenarios legitimately break it.
+    The constructor checks dimensions, signs and the SNR range only; the
+    range keeps both noise variances and their reciprocals normal floats.
+    The power balance ``alpha2*K + beta2*N_J = M`` is a property of the
+    builder functions (`balanced_config`), not of this type: reduced
+    single-stream views and calibration scenarios legitimately break it.
     """
 
     M: int
@@ -121,8 +124,11 @@ class SystemConfig:
                 f"got N_J={self.N_J}, beta2={self.beta2}"
             )
         for name in ("snr_e_db", "snr_l_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            snr = getattr(self, name)
+            if not abs(snr) <= _SNR_DB_LIMIT:  # a NaN fails the comparison too
+                raise ValueError(
+                    f"{name} must lie in [-{_SNR_DB_LIMIT:g}, {_SNR_DB_LIMIT:g}] dB, got {snr!r}"
+                )
         if self.t_prime_override is not None and self.t_prime_override < 1:
             raise ValueError(
                 f"t_prime_override must be >= 1, got {self.t_prime_override}"

@@ -275,6 +275,8 @@ def build_sweep_spec(
         raise ConfigError(f"key 'values': {exc}") from exc
     if not values:
         raise ConfigError("key 'values': need at least one value")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"axis {axis}: values must be finite")
     if axis in ("N_E", "N_J") and any(not v.is_integer() or v < 0 for v in values):
         raise ConfigError(f"axis {axis}: values must be nonnegative integers")
     metrics_str = entries.get("metrics", ",".join(METRICS))
@@ -388,7 +390,7 @@ def evaluate_metric(point: _Point, metric: str) -> tuple[float | None, float | N
     """Evaluate one metric at one point: ``(value, std_error, reason)``."""
     cfg = point.cfg
     if metric == "ergodic":
-        est = point.mc.ergodic_leakage(cfg, cfg.sigma_z2)
+        est = point.mc.ergodic_leakage(cfg)
         return est.mean, est.std_error, ""
     if metric not in _METRIC_REGIMES:
         raise ConfigError(f"unknown metric {metric!r}")
@@ -588,9 +590,9 @@ def _check_ergodic_slope(seed: int, trials: int) -> CheckResult:
     cfg = balanced_config(M=64, K=16, N_E=64, N_J=48, T=320)
     mc = MonteCarlo(trials=trials, seed=seed)  # one draw for both noise floors
     law = ExactFirst(trials=trials, seed=seed)  # draws nothing at one power
-    floors = [replace(cfg, snr_e_db=snr).sigma_z2 for snr in (40.0, 43.0)]
-    lo, hi = (mc.ergodic_leakage(cfg, s2) for s2 in floors)
-    devs = [abs(est.mean - law.ergodic_leakage(cfg, s2).mean) for est, s2 in zip((lo, hi), floors)]
+    points = [replace(cfg, snr_e_db=snr) for snr in (40.0, 43.0)]
+    lo, hi = (mc.ergodic_leakage(at) for at in points)
+    devs = [abs(est.mean - law.ergodic_leakage(at).mean) for est, at in zip((lo, hi), points)]
     bands = [4.0 * est.std_error for est in (lo, hi)]
     slope = (hi.mean - lo.mean) / (0.3 * math.log2(10.0))
     expected = ergodic_highsnr(cfg, law).dof
@@ -605,8 +607,8 @@ def _check_ergodic_slope(seed: int, trials: int) -> CheckResult:
 
 
 def _check_sv_split(seed: int, trials: int) -> CheckResult:
-    cfg = balanced_config(M=64, K=16, N_E=64, N_J=48, T=128)
-    report = sv_split_check(cfg, 1e-8, trials=trials, seed=seed)
+    cfg = balanced_config(M=64, K=16, N_E=64, N_J=48, T=128, snr_e_db=80.0)
+    report = sv_split_check(cfg, trials=trials, seed=seed)
     return CheckResult(
         "sv-split",
         report.top_rel_dev_median <= 1e-3,

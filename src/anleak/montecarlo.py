@@ -45,10 +45,11 @@ fills each trial's normals and Bartlett magnitudes from that trial's
 generator, then assembles, scales and multiplies the whole batch at once,
 so a batch drops the interpreter lock a few times, not a few times per
 trial.  The channel draws and the split check's draw stay per trial
-(`_per_trial`).  Estimators evaluate a functional such
-as ``log1p(lambda / s2)`` on the spectra of each batch, which no noise
-floor enters.  `expected_log_sv_sum` and `universal_constant` reduce each
-batch to per-trial values as it is drawn.  The ergodic draw of ``Gbar``
+(`_per_trial`).  Every estimator reads its noise floor ``s2`` from the
+config, as ``cfg.sigma_z2``, and evaluates a functional such as
+``log1p(lambda / s2)`` on the spectra of each batch, which no noise floor
+enters.  `expected_log_sv_sum` and `universal_constant` reduce each batch
+to per-trial values as it is drawn.  The ergodic draw of ``Gbar``
 is one stream per geometry, whose spectra a `MonteCarlo` keeps: the
 ergodic leakage and its high-SNR constant both read them, and so do
 sweeps along ``snr_e_db`` or ``T_gamma`` (the draw reads neither) and
@@ -286,13 +287,13 @@ class MonteCarlo:
     ``log_sv_sum`` and ``universal_constant`` are their module functions
     with these three.  ``ergodic_leakage`` and ``ergodic_constant`` read
     one kept draw, the per-batch ``(sq_full, sq_an)``, drawn on first use
-    and kept for the instance's lifetime; ``ergodic_leakage`` applies
-    ``sigma_z2`` on each call, so a sweep along ``snr_e_db`` or
-    ``T_gamma`` draws it once.  The key is the draw's own argument tuple,
-    so it holds every value the draw reads and never the SNRs, ``T``,
-    ``M`` or ``workers``; `ExactFirst`'s two-power spectra of the same
-    draw are kept under that tuple plus ``"unit"``, as a prefix of the
-    stream that grows when a noise floor needs more trials.
+    and kept for the instance's lifetime; ``ergodic_leakage`` evaluates it
+    at ``cfg.sigma_z2`` on each call, so configs that differ only in
+    ``snr_e_db`` or ``T`` share one draw.  The key is the draw's own
+    argument tuple, so it holds every value the draw reads and never the
+    SNRs, ``T``, ``M`` or ``workers``; `ExactFirst`'s two-power spectra of
+    the same draw are kept under that tuple plus ``"unit"``, as a prefix
+    of the stream that grows when a noise floor needs more trials.
     """
 
     trials: int = 20000
@@ -311,9 +312,8 @@ class MonteCarlo:
     def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
         return expected_log_sv_sum(kind, cfg, *self._run)
 
-    def ergodic_leakage(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
-        s2 = _check_sigma(sigma_z2)
-        return _summarize([_ergodic_values(s2, *b) for b in self._ergodic_spectra(cfg)])
+    def ergodic_leakage(self, cfg: SystemConfig) -> McEstimate:
+        return _summarize([_ergodic_values(cfg.sigma_z2, *b) for b in self._ergodic_spectra(cfg)])
 
     def _ergodic_spectra(self, cfg: SystemConfig, unit: bool = False, trials: int = 0) -> list:
         """The kept per-batch spectra of the ergodic draw: ``(sq_full, sq_an)``
@@ -339,8 +339,8 @@ class MonteCarlo:
     def ergodic_constant(self, cfg: SystemConfig) -> McEstimate:
         return _summarize([_ergodic_constant_values(*b) for b in self._ergodic_spectra(cfg)])
 
-    def universal_constant(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
-        return universal_constant(cfg, sigma_z2, *self._run)
+    def universal_constant(self, cfg: SystemConfig) -> McEstimate:
+        return universal_constant(cfg, *self._run)
 
 
 class ExactFirst(MonteCarlo):
@@ -367,12 +367,11 @@ class ExactFirst(MonteCarlo):
         an = _log_sv_law(cfg.N_E, 0, 0.0, cfg.N_J, cfg.beta2, None)
         return McEstimate((full - an) / _LN2, 0.0, self.trials, 0)
 
-    def universal_constant(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
-        s2 = _check_sigma(sigma_z2)
-        _universal(cfg, s2)  # the sampled path's checks
-        return McEstimate(_universal_law(cfg, s2), 0.0, self.trials, 0)
+    def universal_constant(self, cfg: SystemConfig) -> McEstimate:
+        _universal(cfg)  # the sampled path's checks
+        return McEstimate(_universal_law(cfg), 0.0, self.trials, 0)
 
-    def ergodic_leakage(self, cfg: SystemConfig, sigma_z2: float) -> McEstimate:
+    def ergodic_leakage(self, cfg: SystemConfig) -> McEstimate:
         """The ergodic leakage: exact at one power, sampled at two.
 
         With one power (``alpha2 = beta2``, or ``N_J = 0``; ``K >= 1``, so
@@ -383,14 +382,14 @@ class ExactFirst(MonteCarlo):
         standard error is 0.  With two distinct powers it is
         `_two_power_leakage`.
         """
-        s2 = _check_sigma(sigma_z2)
         if cfg.N_J and cfg.alpha2 != cfg.beta2:
-            return self._two_power_leakage(cfg, s2)
+            return self._two_power_leakage(cfg)
+        s2 = cfg.sigma_z2
         full = _laguerre_log1p(cfg.N_E, cfg.K + cfg.N_J, cfg.alpha2, s2)
         an = _laguerre_log1p(cfg.N_E, cfg.N_J, cfg.beta2, s2)
         return McEstimate((full - an) / _LN2, 0.0, self.trials, 0)
 
-    def _two_power_leakage(self, cfg: SystemConfig, s2: float) -> McEstimate:
+    def _two_power_leakage(self, cfg: SystemConfig) -> McEstimate:
         """The ergodic leakage at two distinct powers, ``E full - E an``.
 
         ``an = sum ln(1 + lambda(G2 G2^H) / s2)`` is not sampled: its mean
@@ -448,7 +447,7 @@ class ExactFirst(MonteCarlo):
         at 50 dB 1.16-1.32 on 9-21 row blocks of 5 columns and 1.33-1.43
         on 2-4 row blocks of 10, where a 2000-trial fit spreads 0.94-1.06.
         """
-        m, ne, nj = cfg.K + cfg.N_J, cfg.N_E, cfg.N_J
+        m, ne, nj, s2 = cfg.K + cfg.N_J, cfg.N_E, cfg.N_J, cfg.sigma_z2
         powers = (cfg.alpha2, cfg.beta2)
         values = partial(_two_power_values, s2, powers, ne < m)
         means = [_laguerre_log1p(ne, m, p, s2) for p in powers]
@@ -818,7 +817,6 @@ def _gbar_spectra(k: int, gbar: np.ndarray) -> tuple:
 
 def ergodic_leakage(
     cfg: SystemConfig,
-    sigma_z2: float,
     trials: int = 20000,
     seed: int = 0,
     workers: int = 1,
@@ -830,7 +828,7 @@ def ergodic_leakage(
     ``Gbar`` the ``N_E x (K + N_J)`` effective channel and ``G2`` its
     noise-part columns.  ``T`` plays no role here.
     """
-    return MonteCarlo(trials, seed, workers).ergodic_leakage(cfg, sigma_z2)
+    return MonteCarlo(trials, seed, workers).ergodic_leakage(cfg)
 
 
 def _ergodic_values(s2: float, sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
@@ -867,7 +865,6 @@ def _ergodic_constant_values(sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarr
 
 def universal_constant(
     cfg: SystemConfig,
-    sigma_z2: float,
     trials: int = 20000,
     seed: int = 0,
     workers: int = 1,
@@ -883,18 +880,17 @@ def universal_constant(
 
     The data-part channel is drawn before the noise-block factor.
     """
-    universal = _universal(cfg, _check_sigma(sigma_z2))
-    return _summarize(_run_trials(*universal, trials, seed, workers))
+    return _summarize(_run_trials(*_universal(cfg), trials, seed, workers))
 
 
-def _universal(cfg: SystemConfig, s2: float) -> tuple:
+def _universal(cfg: SystemConfig) -> tuple:
     """``(tag, draw, args, reduce)`` of the universal constant; the noise
     factor's args are its size and degrees of freedom."""
     nj, tp = cfg.N_J, cfg.t_prime
     if tp < 1:
         raise ValueError(f"universal constant needs t_prime >= 1, got {tp}")
     args = _sv_args(SvKind.DATA, cfg), (min(nj, tp), max(nj, tp))
-    return _TAG_UNIVERSAL, _universal_draw, args, partial(_universal_values, cfg, s2)
+    return _TAG_UNIVERSAL, _universal_draw, args, partial(_universal_values, cfg)
 
 
 def _universal_draw(data: tuple, noise: tuple, rngs: list):
@@ -904,11 +900,11 @@ def _universal_draw(data: tuple, noise: tuple, rngs: list):
 
 
 def _universal_values(
-    cfg: SystemConfig, s2: float, g1: np.ndarray, noise: np.ndarray | None = None
+    cfg: SystemConfig, g1: np.ndarray, noise: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-trial universal constant in bits from one batch of draws (no
     ``noise`` factors when ``N_J = 0``)."""
-    tp = cfg.t_prime
+    tp, s2 = cfg.t_prime, cfg.sigma_z2
     sq_g = squared_singular_values(g1)
     vals = max(0.0, 1.0 - cfg.N_J / tp) * np.sum(np.log(sq_g + s2), axis=1)
     if noise is not None:
@@ -917,7 +913,7 @@ def _universal_values(
     return vals / _LN2
 
 
-def _universal_law(cfg: SystemConfig, s2: float) -> float:
+def _universal_law(cfg: SystemConfig) -> float:
     """The universal constant in bits, by quadrature.
 
     ``G1`` and the noise block are independent, so the mean of the
@@ -925,7 +921,7 @@ def _universal_law(cfg: SystemConfig, s2: float) -> float:
     product of their one-point densities (`laws.laguerre_nodes`), taken
     ``_LAW_ROWS`` noise nodes at a time.
     """
-    rows, k = cfg.N_E, cfg.K
+    rows, k, s2 = cfg.N_E, cfg.K, cfg.sigma_z2
     x, wx = laguerre_nodes(min(rows, k), max(rows, k))
     g = cfg.alpha2 * x
     nj, tp = cfg.N_J, cfg.t_prime
@@ -977,7 +973,6 @@ class SplitCheckReport:
 
 def sv_split_check(
     cfg: SystemConfig,
-    sigma_z2: float,
     trials: int = 200,
     seed: int = 0,
 ) -> SplitCheckReport:
@@ -985,14 +980,14 @@ def sv_split_check(
 
     Forms explicit products (no factorization shortcuts), so this check
     also cross-validates the sampling used by the estimators above.  Each
-    trial is one `_split_draw`, drawn through `_run_trials`.
+    trial is one `_split_draw`, drawn through `_run_trials`, with noise of
+    variance ``cfg.sigma_z2``.
     """
-    s2 = _check_sigma(sigma_z2)
-    ne, mbar, t = cfg.N_E, cfg.mbar, cfg.T
+    ne, mbar, t, s2 = cfg.N_E, cfg.mbar, cfg.T, cfg.sigma_z2
     if t < mbar:
         raise ValueError(f"split check needs T >= K + N_J = {mbar}, got T={t}")
     xi, omega = min(mbar, ne, t), min(ne, t)
-    parts = _stacked(_TAG_SPLIT, _split_draw, (cfg, s2, xi, omega), trials, seed)
+    parts = _stacked(_TAG_SPLIT, _split_draw, (cfg, xi, omega), trials, seed)
     devs, *trailing = (part.ravel() for part in parts)  # pooled over trials
     if trailing:
         tail, ref = trailing
@@ -1013,9 +1008,9 @@ def sv_split_check(
 
 
 @_per_trial
-def _split_draw(cfg: SystemConfig, s2: float, xi: int, omega: int, rng: np.random.Generator):
+def _split_draw(cfg: SystemConfig, xi: int, omega: int, rng: np.random.Generator):
     """One trial: the top-``xi`` deviations, then any trailing and reference values."""
-    ne, t = cfg.N_E, cfg.T
+    ne, t, s2 = cfg.N_E, cfg.T, cfg.sigma_z2
     prod = _product(*_gbar_args(cfg), [rng])[0] @ sample_gaussian(cfg.mbar, t, 1.0, rng)
     z = sample_gaussian(ne, t, s2, rng)
     sp = np.sqrt(squared_singular_values(prod))
@@ -1034,10 +1029,3 @@ def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
     fa = np.searchsorted(a, grid, side="right") / a.size
     fb = np.searchsorted(b, grid, side="right") / b.size
     return float(np.max(np.abs(fa - fb)))
-
-
-def _check_sigma(sigma_z2: float) -> float:
-    s2 = float(sigma_z2)
-    if not (math.isfinite(s2) and s2 > 0.0):
-        raise ValueError(f"sigma_z2 must be finite and > 0, got {sigma_z2!r}")
-    return s2

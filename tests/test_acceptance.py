@@ -92,8 +92,8 @@ def test_criterion_01_zero_dof_arithmetic():
 
 
 def test_criterion_02_single_stream_ergodic_oracle():
-    cfg = SystemConfig(M=2, K=1, N_E=1, N_J=0, T=2, alpha2=1.0, beta2=0.0)
-    est = ergodic_leakage(cfg, 1.0, trials=20000, seed=0)
+    cfg = SystemConfig(M=2, K=1, N_E=1, N_J=0, T=2, alpha2=1.0, beta2=0.0, snr_e_db=0.0)
+    est = ergodic_leakage(cfg, trials=20000, seed=0)
     oracle = math.e * float(exp1(1.0)) / math.log(2.0)
     dev = abs(est.mean - oracle)
     ok = dev <= 4.0 * est.std_error
@@ -108,8 +108,8 @@ def test_criterion_02_single_stream_ergodic_oracle():
 
 def test_criterion_03_ergodic_slope_self_consistency():
     mc = MonteCarlo(trials=20000, seed=0)  # one draw for both noise floors
-    lo = mc.ergodic_leakage(FLAGSHIP, 10.0 ** (-4.0))
-    hi = mc.ergodic_leakage(FLAGSHIP, 10.0 ** (-4.3))
+    lo = mc.ergodic_leakage(dataclasses.replace(FLAGSHIP, snr_e_db=40.0))
+    hi = mc.ergodic_leakage(dataclasses.replace(FLAGSHIP, snr_e_db=43.0))
     slope = (hi.mean - lo.mean) / (0.3 * LOG2_10)
     dev = abs(slope - 16.0)
     ok = dev <= 0.15
@@ -228,8 +228,8 @@ def test_criterion_07_antenna_planning():
 
 
 def test_criterion_08_spectrum_split_at_tiny_noise():
-    cfg = dataclasses.replace(FLAGSHIP, T=128)
-    report = sv_split_check(cfg, 1e-8, trials=200, seed=0)
+    cfg = dataclasses.replace(FLAGSHIP, T=128, snr_e_db=80.0)
+    report = sv_split_check(cfg, trials=200, seed=0)
     ok = report.top_rel_dev_median < 1e-3
     line = _report(
         8,

@@ -269,21 +269,19 @@ def test_universal_gap_closes_at_its_leading_order():
 def test_coherent_data_leakage_drops_the_noise_part(mc):
     cfg = balanced_config(M=8, K=2, N_E=4, N_J=4, T=16, snr_e_db=10.0)
     data_only = dataclasses.replace(cfg, N_J=0, beta2=0.0)
-    assert coherent_data_leakage(cfg, mc) == mc.ergodic_leakage(
-        data_only, 0.1
-    )
+    assert coherent_data_leakage(cfg, mc) == mc.ergodic_leakage(data_only)
 
 
 def test_ergodic_highsnr_tracks_the_leakage_curve():
     mc = MonteCarlo(trials=4000, seed=0)
     cfg = balanced_config(M=8, K=2, N_E=4, N_J=2, T=16)
     erg = ergodic_highsnr(cfg, mc)
-    est = ergodic_leakage(cfg, 10.0 ** (-3.5), trials=4000, seed=0)
+    est = ergodic_leakage(dataclasses.replace(cfg, snr_e_db=35.0), trials=4000, seed=0)
     band = 4.0 * math.hypot(est.std_error, erg.c_std_error) + 0.1
     assert abs(est.mean - erg.rate_at(35.0)) <= band
 
 
-HIGHSNR_FLOORS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+HIGHSNR_SNRS = (20.0, 40.0, 60.0, 80.0, 100.0)  # dB: noise floors 1e-2 down to 1e-10
 # Below this many bits a residual is the rounding of the leakage values it
 # is taken from (tens to hundreds of bits, each a sum over ~1000 nodes).
 ROUNDING_BITS = 1e-12
@@ -320,10 +318,10 @@ def test_one_power_highsnr_expansion_residual_vanishes(cfg):
     exact = ExactFirst(trials=2, seed=0)
     erg = ergodic_highsnr(cfg, exact)
     assert erg.c_std_error == 0.0
-    residuals = [
-        abs(exact.ergodic_leakage(cfg, s2).mean - (erg.dof * math.log2(1.0 / s2) + erg.c_lower))
-        for s2 in HIGHSNR_FLOORS
-    ]
+    residuals = []
+    for at in (dataclasses.replace(cfg, snr_e_db=snr) for snr in HIGHSNR_SNRS):
+        curve = erg.dof * math.log2(1.0 / at.sigma_z2) + erg.c_lower
+        residuals.append(abs(exact.ergodic_leakage(at).mean - curve))
     for before, after in zip(residuals, residuals[1:]):
         assert after <= max(before, ROUNDING_BITS), residuals
     assert residuals[-1] < 1e-6, residuals
@@ -442,6 +440,6 @@ def test_universal_bound_lies_below_the_known_channel_leakage(snr_db):
     # leakage: on the flagship dimensions with T = 64 it lies below it.
     cfg = balanced_config(M=64, K=16, N_E=64, N_J=48, T=64, snr_e_db=snr_db)
     uni = universal_upper(cfg, MonteCarlo(trials=500, seed=0))
-    erg = ergodic_leakage(cfg, cfg.sigma_z2, trials=500, seed=0)
+    erg = ergodic_leakage(cfg, trials=500, seed=0)
     band = 4.0 * math.hypot(uni.std_error, erg.std_error)
     assert erg.mean - uni.mean > band, (uni, erg, band)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,25 @@ def test_config_rejects_bad_fields(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         SystemConfig(**base)
+
+
+@pytest.mark.parametrize("field", ["snr_e_db", "snr_l_db"])
+def test_config_keeps_every_noise_floor_usable(field):
+    # The estimators take their noise floor from the config, so the config
+    # rejects what they once rejected as an argument: beyond +-3000 dB a
+    # floor underflows to 0.0 or overflows, NaN and inf are no SNR, and no
+    # SNR gives a negative floor.
+    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16)
+    assert 10.0 ** (-4000.0 / 10.0) == 0.0
+    for snr in (4000.0, -4000.0, 3000.5, -3000.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(cfg, **{field: snr})
+    # Within the limit both floors and their reciprocals are normal positive floats.
+    for snr in (-3000.0, 0.0, 3000.0):
+        at = dataclasses.replace(cfg, **{field: snr})
+        for floor in (at.sigma_z2, at.sigma_w2):
+            assert sys.float_info.min <= min(floor, 1.0 / floor)
+            assert max(floor, 1.0 / floor) <= sys.float_info.max
 
 
 def test_config_derived_properties():

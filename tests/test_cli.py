@@ -146,6 +146,11 @@ def test_bad_env_trials_is_a_config_error(monkeypatch):
         (dict(trials="1"), "trials must be >= 2"),
         (dict(seed="-1"), "seed must be >= 0"),
         (dict(workers="0"), "workers must be >= 1"),
+        # A non-finite value is rejected on every axis, not only as a count.
+        (dict(axis="T_gamma", values="5,inf"), "axis T_gamma: values must be finite"),
+        (dict(axis="snr_e_db", values="nan"), "axis snr_e_db: values must be finite"),
+        (dict(axis="N_E", values="-inf"), "axis N_E: values must be finite"),
+        (dict(axis="N_J", values="inf,2"), "axis N_J: values must be finite"),
     ],
 )
 def test_spec_validation_errors(overrides, match, monkeypatch):
@@ -277,6 +282,23 @@ def test_unbuildable_point_is_flagged_not_fatal():
     good = [r for r in rows if r.axis_value == 3]
     assert [r.reason for r in bad] == ["invalid_config", "invalid_config"]
     assert all(r.value is not None for r in good)
+
+
+def test_an_unusable_snr_is_flagged_like_any_unbuildable_point(tmp_path):
+    # Past +-3000 dB the noise floor is no normal float: the config rejects
+    # the SNR, so those rows read invalid_config and the 30 dB rows are
+    # those of a sweep of 30 dB alone.
+    metrics = ",".join(METRICS)
+    out = tmp_path / "out.csv"
+    path = write_config(tmp_path, make_entries(values="30,-4000,4000", metrics=metrics))
+    assert main(["sweep", path, "-o", str(out)]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()[2:]
+    alone, spec = io.StringIO(), build_sweep_spec(make_entries(values="30", metrics=metrics))
+    write_sweep_csv(spec, run_sweep(spec), alone)
+    assert rows[: len(METRICS)] == alone.getvalue().splitlines()[2:]
+    assert rows[len(METRICS) :] == [
+        f"{snr},{m},,,invalid_config" for snr in (-4000, 4000) for m in METRICS
+    ]
 
 
 def test_csv_format_is_stable():
@@ -625,6 +647,16 @@ def test_bounds_rejects_bad_run_args_before_printing(tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("setting", ["snr_e_db=-4000", "snr_e_db=4000", "snr_l_db=4000"])
+def test_bounds_rejects_an_unusable_snr_before_printing(tmp_path, capsys, setting):
+    flagship = {"M": "64", "K": "16", "N_E": "64", "N_J": "48", "T": "320"}
+    path = write_config(tmp_path, flagship)
+    assert main(["bounds", path, "--set", setting]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {setting.partition('=')[0]} must lie in")
 
 
 def test_bounds_command_reports_gap_when_fully_loaded(tmp_path, capsys):

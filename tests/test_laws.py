@@ -6,6 +6,7 @@ from `anleak.laws`, and the laws must match it to the stated error of
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -103,7 +104,9 @@ def test_universal_law_matches_scipy_quadrature(m, s2):
 
     rho = _laguerre_density(m, m)
     oracle = _quad(lambda y: rho(y) * inner(y), s2 / cfg.beta2, 100.0) / cfg.t_prime
-    assert abs(_universal_law(cfg, s2) * math.log(2.0) - oracle) <= STATED_ERROR
+    at = replace(cfg, snr_e_db=-10.0 * math.log10(s2))
+    assert at.sigma_z2 == s2
+    assert abs(_universal_law(at) * math.log(2.0) - oracle) <= STATED_ERROR
 
 
 def _jacobi_oracle(q, a, b, f, near):
@@ -194,15 +197,17 @@ def test_one_power_ergodic_leakage_matches_scipy_quadrature(s2):
         return _quad(lambda t: rho(t) * math.log1p(p * t / s2), s2 / p, top)
 
     oracle = block(cfg.N_E, cfg.K + cfg.N_J) - block(cfg.N_E, cfg.N_J)
-    est = ExactFirst(trials=2, seed=0).ergodic_leakage(cfg, s2)
+    at = replace(cfg, snr_e_db=-10.0 * math.log10(s2))
+    assert at.sigma_z2 == s2
+    est = ExactFirst(trials=2, seed=0).ergodic_leakage(at)
     assert est.std_error == 0.0
     assert abs(est.mean * math.log(2.0) - oracle) <= STATED_ERROR, (est, oracle)
 
 
 def test_one_power_ergodic_leakage_single_stream_oracle():
     # Criterion 02: one CN(0, 1) entry at unit noise leaks e E1(1) / ln 2 bits.
-    cfg = SystemConfig(M=2, K=1, N_E=1, N_J=0, T=2, alpha2=1.0, beta2=0.0)
-    est = ExactFirst(trials=2, seed=0).ergodic_leakage(cfg, 1.0)
+    cfg = SystemConfig(M=2, K=1, N_E=1, N_J=0, T=2, alpha2=1.0, beta2=0.0, snr_e_db=0.0)
+    est = ExactFirst(trials=2, seed=0).ergodic_leakage(cfg)
     oracle = math.e * float(exp1(1.0)) / math.log(2.0)
     assert abs(est.mean - oracle) <= 1e-9
     assert est.std_error == 0.0

@@ -36,6 +36,13 @@ from anleak.montecarlo import _in_order, _log_sv_values, _summarize
 ONE_STREAM = SystemConfig(M=2, K=1, N_E=1, N_J=0, T=2, alpha2=1.0, beta2=0.0)
 
 
+def _at(cfg, s2):
+    """``cfg`` at the eavesdropper SNR whose noise floor is exactly ``s2``."""
+    at = dataclasses.replace(cfg, snr_e_db=-10.0 * math.log10(s2))
+    assert at.sigma_z2 == s2
+    return at
+
+
 def _direct_log_sv_sum(products, r):
     """Reference estimator: explicit products, top-r squared singular values."""
     vals = [float(np.sum(np.log(squared_singular_values(p)[:r]))) for p in products]
@@ -105,7 +112,7 @@ def test_an_tail_matches_wishart_product():
 
 def test_ergodic_leakage_single_entry_oracle():
     # E[log2(1 + |g|^2)] with |g|^2 ~ Exp(1) equals e * E1(1) * log2(e).
-    est = ergodic_leakage(ONE_STREAM, 1.0, trials=20000, seed=0)
+    est = ergodic_leakage(dataclasses.replace(ONE_STREAM, snr_e_db=0.0), trials=20000, seed=0)
     oracle = math.e * float(exp1(1.0)) / math.log(2.0)
     assert abs(est.mean - oracle) <= 4.0 * est.std_error
 
@@ -155,18 +162,18 @@ def test_an_post_matches_direct_product_sampling(rng):
 
 
 def test_worker_count_is_invisible():
-    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16)
-    serial = ergodic_leakage(cfg, 0.1, trials=600, seed=5, workers=1)
-    threaded = ergodic_leakage(cfg, 0.1, trials=600, seed=5, workers=3)
+    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16, snr_e_db=10.0)
+    serial = ergodic_leakage(cfg, trials=600, seed=5, workers=1)
+    threaded = ergodic_leakage(cfg, trials=600, seed=5, workers=3)
     assert serial == threaded
     a = expected_log_sv_sum(SvKind.JOINT, cfg, trials=600, seed=5, workers=1)
     b = expected_log_sv_sum(SvKind.JOINT, cfg, trials=600, seed=5, workers=4)
     assert a == b
-    for estimate in (partial(universal_constant, sigma_z2=0.1), ergodic_constant):
+    for estimate in (universal_constant, ergodic_constant):
         serial = estimate(cfg, trials=600, seed=5, workers=1)
         assert estimate(cfg, trials=600, seed=5, workers=3) == serial
     # The control-variate fit runs on the trials in trial order.
-    fits = [ExactFirst(trials=600, seed=5, workers=w).ergodic_leakage(cfg, 0.1) for w in (1, 3)]
+    fits = [ExactFirst(trials=600, seed=5, workers=w).ergodic_leakage(cfg) for w in (1, 3)]
     assert fits[0] == fits[1]
 
 
@@ -230,20 +237,20 @@ def test_concurrent_pools_restore_openblas_when_the_last_one_ends(openblas):
 def test_a_missing_openblas_is_a_silent_no_op(monkeypatch, fresh_blas_lookup):
     monkeypatch.setattr(montecarlo, "_find_openblas", lambda: None)
     assert _in_order(abs, [-1, 2, -3], 2) == [1, 2, 3]
-    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16)
-    serial = ergodic_leakage(cfg, 0.1, trials=100, seed=5, workers=1)
-    assert ergodic_leakage(cfg, 0.1, trials=100, seed=5, workers=2) == serial
+    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16, snr_e_db=10.0)
+    serial = ergodic_leakage(cfg, trials=100, seed=5, workers=1)
+    assert ergodic_leakage(cfg, trials=100, seed=5, workers=2) == serial
 
 
 def test_openblas_is_looked_up_once_per_process(monkeypatch, fresh_blas_lookup):
     calls = []
     find = montecarlo._find_openblas
     monkeypatch.setattr(montecarlo, "_find_openblas", lambda: calls.append(1) or find())
-    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16)
-    ergodic_leakage(cfg, 0.1, trials=100, seed=5, workers=1)
+    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16, snr_e_db=10.0)
+    ergodic_leakage(cfg, trials=100, seed=5, workers=1)
     assert calls == []  # one worker runs no pool and never looks
     for _ in range(3):
-        ergodic_leakage(cfg, 0.1, trials=100, seed=5, workers=2)
+        ergodic_leakage(cfg, trials=100, seed=5, workers=2)
         _in_order(abs, [-1, 2], 2)
     assert calls == [1]
 
@@ -263,18 +270,14 @@ def test_the_pool_keeps_item_order_whatever_the_start_order():
 
 
 def test_seed_selects_the_stream():
-    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16)
-    assert ergodic_leakage(cfg, 0.1, trials=400, seed=0) != ergodic_leakage(
-        cfg, 0.1, trials=400, seed=1
-    )
+    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16, snr_e_db=10.0)
+    assert ergodic_leakage(cfg, trials=400, seed=0) != ergodic_leakage(cfg, trials=400, seed=1)
 
 
 def test_monte_carlo_bundle_forwards_parameters():
-    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16)
+    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16, snr_e_db=10.0)
     mc = MonteCarlo(trials=500, seed=3)
-    assert mc.ergodic_leakage(cfg, 0.1) == ergodic_leakage(
-        cfg, 0.1, trials=500, seed=3
-    )
+    assert mc.ergodic_leakage(cfg) == ergodic_leakage(cfg, trials=500, seed=3)
     assert mc.log_sv_sum(SvKind.DATA, cfg) == expected_log_sv_sum(
         SvKind.DATA, cfg, trials=500, seed=3
     )
@@ -285,44 +288,43 @@ def test_monte_carlo_bundle_forwards_parameters():
 # ---------------------------------------------------------------------------
 
 # Valid for every SvKind and for the universal constant (T >= K + N_J,
-# t' >= N_J, N_E > K), with unequal powers so neither drops out of a key.
-CACHE_CFG = SystemConfig(M=8, K=2, N_E=4, N_J=3, T=12, alpha2=1.5, beta2=0.7)
+# t' >= N_J, N_E > K), with unequal powers so neither drops out of a key;
+# at 0 dB, a noise floor of 1.
+CACHE_CFG = SystemConfig(M=8, K=2, N_E=4, N_J=3, T=12, alpha2=1.5, beta2=0.7, snr_e_db=0.0)
 # Two full batches of `_run_trials` and a short one.
 CACHE_RUN = dict(trials=2 * montecarlo._BATCH + 6, seed=4)
 
 
-def _through(mc, cfg, s2):
-    """Every cached estimate of ``mc`` at ``cfg`` and noise floor ``s2``."""
+def _through(mc, cfg):
+    """Every cached estimate of ``mc`` at ``cfg``."""
     out = {kind: mc.log_sv_sum(kind, cfg) for kind in SvKind}
-    out["ergodic"] = mc.ergodic_leakage(cfg, s2)
-    out["universal"] = mc.universal_constant(cfg, s2)
+    out["ergodic"] = mc.ergodic_leakage(cfg)
+    out["universal"] = mc.universal_constant(cfg)
     return out
 
 
-def _uncached(cfg, s2, workers):
+def _uncached(cfg, workers):
     out = {
         kind: expected_log_sv_sum(kind, cfg, workers=workers, **CACHE_RUN)
         for kind in SvKind
     }
-    out["ergodic"] = ergodic_leakage(cfg, s2, workers=workers, **CACHE_RUN)
-    out["universal"] = universal_constant(cfg, s2, workers=workers, **CACHE_RUN)
+    out["ergodic"] = ergodic_leakage(cfg, workers=workers, **CACHE_RUN)
+    out["universal"] = universal_constant(cfg, workers=workers, **CACHE_RUN)
     return out
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cached_estimates_equal_the_module_functions(workers):
     mc = MonteCarlo(workers=workers, **CACHE_RUN)
-    first = _through(mc, CACHE_CFG, 1.0)
-    assert first == _uncached(CACHE_CFG, 1.0, workers)
-    assert _through(mc, CACHE_CFG, 1.0) == first
+    first = _through(mc, CACHE_CFG)
+    assert first == _uncached(CACHE_CFG, workers)
+    assert _through(mc, CACHE_CFG) == first
     snrs = (-20.0, 10.0, 40.0)
     for order in (snrs, snrs[::-1]):
         mc = MonteCarlo(workers=workers, **CACHE_RUN)
         for snr in order:
             cfg = dataclasses.replace(CACHE_CFG, snr_e_db=snr)
-            assert _through(mc, cfg, cfg.sigma_z2) == _uncached(
-                cfg, cfg.sigma_z2, workers
-            )
+            assert _through(mc, cfg) == _uncached(cfg, workers)
 
 
 @pytest.mark.parametrize(
@@ -342,10 +344,10 @@ def test_cache_key_covers_every_field_a_draw_reads(change):
     # A field missing from a key would hand back the first configuration's
     # numbers for the second.
     mc = MonteCarlo(**CACHE_RUN)
-    before = _through(mc, CACHE_CFG, 1.0)
+    before = _through(mc, CACHE_CFG)
     cfg = dataclasses.replace(CACHE_CFG, **change)
-    after = _through(mc, cfg, 1.0)
-    assert after == _through(MonteCarlo(**CACHE_RUN), cfg, 1.0)
+    after = _through(mc, cfg)
+    assert after == _through(MonteCarlo(**CACHE_RUN), cfg)
     assert after != before
 
 
@@ -353,7 +355,7 @@ def test_snr_changes_reuse_the_cached_draws(draw_counts):
     mc = MonteCarlo(**CACHE_RUN)
     for snr_e, snr_l in ((30.0, 30.0), (-20.0, 30.0), (40.0, 10.0)):
         cfg = dataclasses.replace(CACHE_CFG, snr_e_db=snr_e, snr_l_db=snr_l)
-        _through(mc, cfg, cfg.sigma_z2)
+        _through(mc, cfg)
     # Only the ergodic draw is kept; the others are drawn at every SNR.
     assert draw_counts == {"log_sv": 3 * len(SvKind), "ergodic": 1, "universal": 3}
 
@@ -361,7 +363,7 @@ def test_snr_changes_reuse_the_cached_draws(draw_counts):
 def test_ergodic_constant_and_leakage_share_one_draw(draw_counts):
     mc = MonteCarlo(**CACHE_RUN)
     mc.ergodic_constant(CACHE_CFG)
-    mc.ergodic_leakage(CACHE_CFG, 0.1)
+    mc.ergodic_leakage(dataclasses.replace(CACHE_CFG, snr_e_db=10.0))
     assert draw_counts == {"ergodic": 1}
 
 
@@ -410,10 +412,6 @@ def test_run_argument_validation():
         expected_log_sv_sum("data", cfg, trials=100)
     with pytest.raises(ValueError):
         MonteCarlo(trials=100).log_sv_sum("data", cfg)
-    with pytest.raises(ValueError):
-        ergodic_leakage(cfg, 0.0, trials=100)
-    with pytest.raises(ValueError):
-        universal_constant(cfg, -1.0, trials=100)
     # An estimator object rejects its run arguments when it is built.
     for bad in (
         partial(MonteCarlo, trials=1),
@@ -439,12 +437,12 @@ def test_run_argument_validation():
 def test_run_arguments_may_be_numpy_integers():
     # Any integer type is an integer (numpy's through `operator.index`), and
     # is kept as a plain int.
-    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16)
+    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16, snr_e_db=10.0)
     mc = MonteCarlo(trials=np.int64(100), seed=np.uint8(3), workers=np.int32(2))
     assert (mc.trials, mc.seed, mc.workers) == (100, 3, 2)
     assert all(type(v) is int for v in (mc.trials, mc.seed, mc.workers))
     assert mc == MonteCarlo(trials=100, seed=3, workers=2)
-    assert mc.ergodic_leakage(cfg, 0.1) == MonteCarlo(trials=100, seed=3).ergodic_leakage(cfg, 0.1)
+    assert mc.ergodic_leakage(cfg) == MonteCarlo(trials=100, seed=3).ergodic_leakage(cfg)
     numpy_run = expected_log_sv_sum(SvKind.DATA, cfg, trials=np.int16(50), seed=np.int64(1))
     assert numpy_run == expected_log_sv_sum(SvKind.DATA, cfg, trials=50, seed=1)
 
@@ -529,14 +527,14 @@ def test_exact_first_samples_what_has_no_known_law():
     # 0, and within 4 SE of a plain MonteCarlo.
     mc = MonteCarlo(**EXACT_RUN)
     exact = ExactFirst(**EXACT_RUN)
-    cfg = WIDE_UNEQUAL
-    fitted, plain = exact.ergodic_leakage(cfg, 0.1), mc.ergodic_leakage(cfg, 0.1)
+    cfg = _at(WIDE_UNEQUAL, 0.1)
+    fitted, plain = exact.ergodic_leakage(cfg), mc.ergodic_leakage(cfg)
     assert abs(fitted.mean - plain.mean) <= 4.0 * math.hypot(fitted.std_error, plain.std_error)
     assert 0.0 < fitted.std_error < plain.std_error
     pairs = [
         (exact.log_sv_sum(SvKind.JOINT, cfg), mc.log_sv_sum(SvKind.JOINT, cfg)),
         (exact.ergodic_constant(cfg), mc.ergodic_constant(cfg)),
-        (exact.universal_constant(cfg, 0.1), mc.universal_constant(cfg, 0.1)),
+        (exact.universal_constant(cfg), mc.universal_constant(cfg)),
     ]
     for law, sampled in pairs:
         assert law.std_error == 0.0
@@ -557,10 +555,10 @@ def test_exact_first_ergodic_leakage_agrees_with_sampling(name, monkeypatch):
     cfg = EXACT_CFGS[name]
     for view in (cfg, dataclasses.replace(cfg, N_J=0, beta2=0.0)):
         one_power = view.N_J == 0 or view.alpha2 == view.beta2
-        for s2 in (100.0, 1.0, 1e-2, 1e-5):
-            fitted, sampled = exact.ergodic_leakage(view, s2), plain.ergodic_leakage(view, s2)
+        for at in (_at(view, s2) for s2 in (100.0, 1.0, 1e-2, 1e-5)):
+            fitted, sampled = exact.ergodic_leakage(at), plain.ergodic_leakage(at)
             band = 4.0 * math.hypot(fitted.std_error, sampled.std_error)
-            assert abs(fitted.mean - sampled.mean) <= band, (view, s2, fitted, sampled)
+            assert abs(fitted.mean - sampled.mean) <= band, (at, fitted, sampled)
             if one_power:
                 assert fitted.std_error == 0.0
             else:
@@ -587,9 +585,9 @@ def test_exact_first_ergodic_leakage_is_the_regression_intercept():
     # Gbar less that of the unit-power block G.  The estimate is the
     # intercept less the noise block's exact mean, and its SE the residual
     # one with n - 4 degrees of freedom.
-    cfg, s2 = WIDE_UNEQUAL, 0.1
+    cfg, s2 = _at(WIDE_UNEQUAL, 0.1), 0.1
     exact = ExactFirst(trials=montecarlo._BATCH + 6, seed=7)
-    est = exact.ergodic_leakage(cfg, s2)
+    est = exact.ergodic_leakage(cfg)
     sq_full, sq_unit = _unit_draw(exact, cfg)
     leak = np.sum(np.log1p(sq_full / s2), axis=1) / math.log(2.0)
     m = cfg.K + cfg.N_J
@@ -616,7 +614,7 @@ def test_exact_first_ergodic_leakage_at_tiny_trial_counts(trials, draw_counts):
     # full term less the noise block's exact mean, never a standard error
     # of 0, and no second draw.
     exact = ExactFirst(trials=trials, seed=0)
-    fitted = exact.ergodic_leakage(WIDE_UNEQUAL, 0.1)
+    fitted = exact.ergodic_leakage(_at(WIDE_UNEQUAL, 0.1))
     sq_full, _ = _unit_draw(exact, WIDE_UNEQUAL)
     full = _summarize([np.sum(np.log1p(sq_full / 0.1), axis=1) / math.log(2.0)])
     plain = dataclasses.replace(full, mean=full.mean - _noise_block_law(WIDE_UNEQUAL, 0.1))
@@ -626,14 +624,14 @@ def test_exact_first_ergodic_leakage_at_tiny_trial_counts(trials, draw_counts):
 
 
 def test_exact_first_drops_trials_the_control_guard_flags():
-    cfg = WIDE_UNEQUAL
+    cfg = _at(WIDE_UNEQUAL, 0.1)
     exact = ExactFirst(trials=montecarlo._BATCH + 6, seed=1)
-    clean = exact.ergodic_leakage(cfg, 0.1)
+    clean = exact.ergodic_leakage(cfg)
     # Zero the smallest unit-power value of trial 3: its J control is then
     # undefined, though its leakage is not.
     sq_unit = exact._cache[(*montecarlo._gbar_args(cfg), "unit")][0][1]
     sq_unit[3, -1] = 0.0
-    flagged = exact.ergodic_leakage(cfg, 0.1)
+    flagged = exact.ergodic_leakage(cfg)
     assert (flagged.trials, flagged.excluded) == (clean.trials - 1, 1)
 
 
@@ -665,9 +663,9 @@ TWO_POWER_SHAPES = {
 def test_two_power_ergodic_leakage_agrees_with_sampling(name, s2):
     # The plain estimate is drawn on another seed, so the two errors are
     # independent and 4 hypot(SE) is an honest band.
-    cfg = TWO_POWER_SHAPES[name]
-    fitted = ExactFirst(**EXACT_RUN).ergodic_leakage(cfg, s2)
-    sampled = MonteCarlo(trials=EXACT_RUN["trials"], seed=3).ergodic_leakage(cfg, s2)
+    cfg = _at(TWO_POWER_SHAPES[name], s2)
+    fitted = ExactFirst(**EXACT_RUN).ergodic_leakage(cfg)
+    sampled = MonteCarlo(trials=EXACT_RUN["trials"], seed=3).ergodic_leakage(cfg)
     band = 4.0 * math.hypot(fitted.std_error, sampled.std_error)
     assert abs(fitted.mean - sampled.mean) <= band, (fitted, sampled)
     assert 0.0 < fitted.std_error < sampled.std_error
@@ -677,9 +675,9 @@ def test_two_power_ergodic_leakage_on_a_tall_block_at_high_snr():
     # At 60 dB on a 64 x 5 block the two unit-power controls differ by
     # nearly a constant: the normal equations of their fit are singular in
     # double precision, the rank-revealing fit is not.
-    cfg = SystemConfig(M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7)
-    fitted = ExactFirst(trials=200, seed=0).ergodic_leakage(cfg, 1e-6)
-    sampled = MonteCarlo(trials=2000, seed=1).ergodic_leakage(cfg, 1e-6)
+    cfg = SystemConfig(M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7, snr_e_db=60.0)
+    fitted = ExactFirst(trials=200, seed=0).ergodic_leakage(cfg)
+    sampled = MonteCarlo(trials=2000, seed=1).ergodic_leakage(cfg)
     band = 4.0 * math.hypot(fitted.std_error, sampled.std_error)
     assert abs(fitted.mean - sampled.mean) <= band, (fitted, sampled)
     assert 0.0 < fitted.std_error < sampled.std_error
@@ -698,27 +696,30 @@ def test_two_power_ergodic_leakage_does_not_depend_on_the_worker_count():
     for cfg, s2, trials in cases:
         assert trials % montecarlo._BATCH
         one, three = (
-            ExactFirst(trials=trials, seed=2, workers=w).ergodic_leakage(cfg, s2) for w in (1, 3)
+            ExactFirst(trials=trials, seed=2, workers=w).ergodic_leakage(_at(cfg, s2))
+            for w in (1, 3)
         )
         assert one == three
         assert montecarlo._PILOT < one.trials + one.excluded
 
 
-# A tall block at high SNR, where 32 trials already meet the default target.
-TALL_AT_HIGH_SNR = (SystemConfig(M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7), 1e-2)
+# A tall block at high SNR (20 dB), where 32 trials already meet the default target.
+TALL_AT_HIGH_SNR = SystemConfig(
+    M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7, snr_e_db=20.0
+)
 
 
 def test_a_precise_pilot_is_the_answer(draw_counts):
-    cfg, s2 = TALL_AT_HIGH_SNR
+    cfg = TALL_AT_HIGH_SNR
     exact = ExactFirst(trials=20000, seed=0)
-    est = exact.ergodic_leakage(cfg, s2)
+    est = exact.ergodic_leakage(cfg)
     assert (est.trials, est.excluded) == (montecarlo._PILOT, 0) == (32, 0)
     # The pilot answers only when its SE's upper bound meets the target.
     upper = est.std_error * montecarlo._sd_upper_factor(32 - 2 - 1)
     assert 0.0 < est.std_error < upper <= montecarlo._SE_TARGET == 1e-5
     assert len(_unit_draw(exact, cfg)[0]) == 32
     assert draw_counts == {"ergodic": 1}
-    assert est == ExactFirst(trials=32, seed=0).ergodic_leakage(cfg, s2)
+    assert est == ExactFirst(trials=32, seed=0).ergodic_leakage(cfg)
 
 
 @pytest.mark.parametrize(
@@ -736,12 +737,13 @@ def test_a_missed_target_extends_the_same_stream(
 ):
     # The extra trials continue the pilot's stream, and the answer is the
     # fit over the first n of them: what a fixed count of n trials gives.
+    cfg = _at(cfg, s2)
     exact = ExactFirst(trials=trials, seed=2)
-    est = exact.ergodic_leakage(cfg, s2)
+    est = exact.ergodic_leakage(cfg)
     assert est.trials + est.excluded == len(_unit_draw(exact, cfg)[0]) == fitted
     assert draw_counts == {"ergodic": 1}  # the pilot's draw, extended once
     monkeypatch.setattr(montecarlo, "_SE_TARGET", 0)
-    assert est == ExactFirst(trials=fitted, seed=2).ergodic_leakage(cfg, s2)
+    assert est == ExactFirst(trials=fitted, seed=2).ergodic_leakage(cfg)
 
 
 @pytest.mark.parametrize("name", ["square", "wide-by-one"])
@@ -749,17 +751,16 @@ def test_a_near_square_block_draws_every_trial(name, draw_counts, monkeypatch):
     # Within `_TRUSTED_GAP` rows of square the residual's heavy tail makes
     # a 32-trial SE untrustworthy, so the fit reads the cap even at 40 dB,
     # where the pilot of the block four rows taller is the answer.
-    cfg, s2 = TWO_POWER_SHAPES[name], 1e-4
+    cfg = _at(TWO_POWER_SHAPES[name], 1e-4)
     assert abs(cfg.N_E - cfg.K - cfg.N_J) < montecarlo._TRUSTED_GAP
-    assert ExactFirst(trials=500, seed=2).ergodic_leakage(
-        TWO_POWER_SHAPES["tall-by-four"], s2
-    ).trials == 32
+    tall = _at(TWO_POWER_SHAPES["tall-by-four"], 1e-4)
+    assert ExactFirst(trials=500, seed=2).ergodic_leakage(tall).trials == 32
     exact = ExactFirst(trials=500, seed=2)
-    est = exact.ergodic_leakage(cfg, s2)
+    est = exact.ergodic_leakage(cfg)
     assert est.trials + est.excluded == len(_unit_draw(exact, cfg)[0]) == 500
     assert draw_counts == {"ergodic": 2}  # one draw per geometry
     monkeypatch.setattr(montecarlo, "_SE_TARGET", 0)
-    assert est == ExactFirst(trials=500, seed=2).ergodic_leakage(cfg, s2)
+    assert est == ExactFirst(trials=500, seed=2).ergodic_leakage(cfg)
 
 
 def test_the_pilot_standard_error_bound():
@@ -776,28 +777,28 @@ def test_the_pilot_standard_error_bound():
 
 
 def test_each_noise_floor_reads_its_own_prefix():
-    # Floors that stop at the pilot (1e-4), extend a little (3e-4) or far
-    # (1e-3), and draw to the cap (1e-2): one instance asked in either
+    # Floors that stop at the pilot (40 dB), extend a little (35 dB) or far
+    # (30 dB), and draw to the cap (20 dB): one instance asked in either
     # order, or a fresh instance per floor, gives equal numbers.
     cfg, run = TWO_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
-    floors = (1e-4, 3e-4, 1e-3, 1e-2)
-    fresh = {s2: ExactFirst(**run).ergodic_leakage(cfg, s2) for s2 in floors}
-    assert [fresh[s2].trials for s2 in floors] == [32, 64, 512, 4000]
-    for order in (floors, floors[::-1]):
+    points = [dataclasses.replace(cfg, snr_e_db=snr) for snr in (40.0, 35.0, 30.0, 20.0)]
+    fresh = {at: ExactFirst(**run).ergodic_leakage(at) for at in points}
+    assert [fresh[at].trials for at in points] == [32, 64, 512, 4000]
+    for order in (points, points[::-1]):
         exact = ExactFirst(**run)
-        assert {s2: exact.ergodic_leakage(cfg, s2) for s2 in order} == fresh
+        assert {at: exact.ergodic_leakage(at) for at in order} == fresh
 
 
 def test_no_two_power_result_depends_on_the_batch_size(monkeypatch):
     # The pilot and its extension are counted in trials, not batches: a
     # batch that straddles the pilot's end changes no number.
     cfg, run = TWO_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
-    floors = (1e-4, 3e-4, 1e-3)
+    points = [dataclasses.replace(cfg, snr_e_db=snr) for snr in (40.0, 35.0, 30.0)]
     results = []
     for batch in (1, 5, 16, 40):
         monkeypatch.setattr(montecarlo, "_BATCH", batch)
         exact = ExactFirst(**run)
-        results.append([exact.ergodic_leakage(cfg, s2) for s2 in floors])
+        results.append([exact.ergodic_leakage(at) for at in points])
     assert all(result == results[0] for result in results[1:])
 
 
@@ -811,10 +812,10 @@ def _every_sampled_route() -> list:
         # Every kind but DATA multiplies by a Bartlett factor.
         out += [expected_log_sv_sum(kind, cfg, **run) for kind in SvKind]
         mc = MonteCarlo(**run)
-        out += [mc.ergodic_leakage(cfg, 0.1), mc.ergodic_constant(cfg)]
-        out.append(universal_constant(cfg, 0.1, **run))
+        out += [mc.ergodic_leakage(_at(cfg, 0.1)), mc.ergodic_constant(cfg)]
+        out.append(universal_constant(_at(cfg, 0.1), **run))
     # Six rows on five columns: the split has a trailing part, so no NaN.
-    out.append(sv_split_check(EXACT_CFGS["tall-unequal"], 1e-3, **run))
+    out.append(sv_split_check(_at(EXACT_CFGS["tall-unequal"], 1e-3), **run))
     probe = balanced_config(M=12, K=3, N_E=4, N_J=4, T=8)
     out.append(check_effective_distributions(probe, trials=103, seed=6))
     out.append(average_transmit_power(probe, **run))
@@ -871,7 +872,7 @@ def test_one_power_ergodic_leakage_keeps_its_two_control_fit(cfg, s2, mean, std_
     # ergodic leakage at 200 trials, seed 5 (controls: the trial's high-SNR
     # log-determinant difference and |G1|_F^2, each less its exact mean).
     # The one-power law must lie within 4 of its standard errors.
-    est = ExactFirst(trials=200, seed=5).ergodic_leakage(cfg, s2)
+    est = ExactFirst(trials=200, seed=5).ergodic_leakage(_at(cfg, s2))
     assert abs(est.mean - mean) <= 4.0 * std_error, (est, mean, std_error)
     assert (est.std_error, est.trials, est.excluded) == (0.0, 200, 0)
 
@@ -879,8 +880,7 @@ def test_one_power_ergodic_leakage_keeps_its_two_control_fit(cfg, s2, mean, std_
 def test_exact_first_snr_sweep_draws_the_ergodic_channel_once(draw_counts):
     exact = ExactFirst(**CACHE_RUN)
     for snr in (-20.0, 10.0, 40.0):
-        cfg = dataclasses.replace(CACHE_CFG, snr_e_db=snr)
-        _through(exact, cfg, cfg.sigma_z2)
+        _through(exact, dataclasses.replace(CACHE_CFG, snr_e_db=snr))
     assert draw_counts == {"ergodic": 1}
 
 
@@ -895,21 +895,22 @@ UNIVERSAL_CFGS = {
 def test_exact_universal_constant_agrees_with_sampling(name):
     cfg = UNIVERSAL_CFGS[name]
     exact = ExactFirst(**EXACT_RUN)
-    for s2 in (10.0, 1.0, 1e-2, 1e-4):
-        law = exact.universal_constant(cfg, s2)
-        sampled = universal_constant(cfg, s2, **EXACT_RUN)
+    for at in (_at(cfg, s2) for s2 in (10.0, 1.0, 1e-2, 1e-4)):
+        law = exact.universal_constant(at)
+        sampled = universal_constant(at, **EXACT_RUN)
         assert (law.std_error, law.trials, law.excluded) == (0.0, 4000, 0)
-        assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (s2, law, sampled)
+        assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (at, law, sampled)
 
 
 def test_exact_universal_constant_rejects_what_sampling_rejects():
+    # A zero or NaN noise floor is no longer an argument: `SystemConfig`
+    # rejects the SNR behind it (tests/test_channel.py).
     short = SystemConfig(M=8, K=2, N_E=3, N_J=4, T=2, alpha2=1.5, beta2=0.7)  # t' = 0
-    for cfg, s2 in ((short, 1.0), (WIDE_UNEQUAL, 0.0), (WIDE_UNEQUAL, math.nan)):
-        with pytest.raises(ValueError) as sampled:
-            universal_constant(cfg, s2, trials=100)
-        with pytest.raises(ValueError) as exact:
-            ExactFirst(trials=100).universal_constant(cfg, s2)
-        assert str(exact.value) == str(sampled.value)
+    with pytest.raises(ValueError) as sampled:
+        universal_constant(short, trials=100)
+    with pytest.raises(ValueError) as exact:
+        ExactFirst(trials=100).universal_constant(short)
+    assert str(exact.value) == str(sampled.value)
 
 
 @pytest.mark.parametrize(
@@ -935,15 +936,16 @@ def test_exact_first_rejects_what_sampling_rejects(kind, cfg):
 def test_universal_constant_noise_dominated_limit():
     # With sigma^2 far above every channel gain the constant collapses to
     # the deterministic floor (1 - N_J/t') * K * log2(sigma^2).
-    cfg = balanced_config(M=8, K=2, N_E=3, N_J=2, T=6)  # t_prime 4, weight 1/2
-    s2 = 1e12
-    est = universal_constant(cfg, s2, trials=400, seed=0)
+    cfg = balanced_config(M=8, K=2, N_E=3, N_J=2, T=6, snr_e_db=-120.0)  # t_prime 4, weight 1/2
+    s2 = cfg.sigma_z2
+    assert s2 == 1e12
+    est = universal_constant(cfg, trials=400, seed=0)
     assert est.mean == pytest.approx(0.5 * 2 * math.log2(s2), abs=1e-6)
 
 
 def test_sv_split_separates_signal_and_noise():
-    cfg = balanced_config(M=8, K=2, N_E=6, N_J=2, T=12)
-    report = sv_split_check(cfg, 1e-8, trials=300, seed=0)
+    cfg = balanced_config(M=8, K=2, N_E=6, N_J=2, T=12, snr_e_db=80.0)
+    report = sv_split_check(cfg, trials=300, seed=0)
     assert report.xi == 4
     assert report.omega == 6
     assert report.top_rel_dev_median < 1e-4
@@ -953,8 +955,8 @@ def test_sv_split_separates_signal_and_noise():
 
 
 def test_sv_split_without_trailing_part():
-    cfg = balanced_config(M=8, K=2, N_E=4, N_J=2, T=12)
-    report = sv_split_check(cfg, 1e-8, trials=50, seed=0)
+    cfg = balanced_config(M=8, K=2, N_E=4, N_J=2, T=12, snr_e_db=80.0)
+    report = sv_split_check(cfg, trials=50, seed=0)
     assert report.xi == report.omega == 4
     assert math.isnan(report.trailing_energy_ratio)
     assert report.trailing_ks == 0.0
@@ -963,8 +965,9 @@ def test_sv_split_without_trailing_part():
 def test_sv_split_keeps_its_stream_across_batch_edges():
     # Reference: a plain per-trial loop on the same generators.  The trials
     # span a full batch of `_run_trials` and a partial one.
-    cfg = balanced_config(M=8, K=2, N_E=6, N_J=2, T=12)
+    cfg = balanced_config(M=8, K=2, N_E=6, N_J=2, T=12, snr_e_db=30.0)
     s2, trials, seed = 1e-3, montecarlo._BATCH + 6, 3
+    assert cfg.sigma_z2 == s2
     xi, omega = 4, 6
     top_devs, trailing, reference = [], [], []
     for i in range(trials):
@@ -990,19 +993,18 @@ def test_sv_split_keeps_its_stream_across_batch_edges():
         ),
         trailing_ks=montecarlo._two_sample_ks(tail, np.concatenate(reference)),
     )
-    assert sv_split_check(cfg, s2, trials=trials, seed=seed) == expected
+    assert sv_split_check(cfg, trials=trials, seed=seed) == expected
 
 
 def test_sv_split_argument_validation():
-    cfg = balanced_config(M=8, K=2, N_E=4, N_J=2, T=3)
+    cfg = balanced_config(M=8, K=2, N_E=4, N_J=2, T=3, snr_e_db=80.0)
     with pytest.raises(ValueError):
-        sv_split_check(cfg, 1e-8, trials=50, seed=0)  # T < K + N_J
-    long_cfg = balanced_config(M=8, K=2, N_E=4, N_J=2, T=12)
+        sv_split_check(cfg, trials=50, seed=0)  # T < K + N_J
+    # A zero noise floor is rejected where its SNR is set (tests/test_channel.py).
+    long_cfg = balanced_config(M=8, K=2, N_E=4, N_J=2, T=12, snr_e_db=80.0)
     with pytest.raises(ValueError):
-        sv_split_check(long_cfg, 0.0, trials=50, seed=0)
-    with pytest.raises(ValueError):
-        sv_split_check(long_cfg, 1e-8, trials=1, seed=0)
+        sv_split_check(long_cfg, trials=1, seed=0)
     with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
-        sv_split_check(long_cfg, 1e-8, trials=2.5, seed=0)
+        sv_split_check(long_cfg, trials=2.5, seed=0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        sv_split_check(long_cfg, 1e-8, trials=50, seed=-1)
+        sv_split_check(long_cfg, trials=50, seed=-1)

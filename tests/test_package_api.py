@@ -1,6 +1,7 @@
 """Package hygiene: the modules export nothing the package never calls but
 a commented allowlist, only `anleak.bounds` spells a reason code, the
-bounds read their operating point from the config, every seeded trial is drawn by `montecarlo._run_trials`, every thread pool is
+bounds and estimators read their operating point from the config, every
+seeded trial is drawn by `montecarlo._run_trials`, every thread pool is
 `montecarlo._in_order`, and the CLI imports no test-only library."""
 
 import ast
@@ -100,18 +101,23 @@ def test_reason_codes_are_spelled_only_in_bounds():
 
 def test_bounds_read_the_operating_point_from_the_config():
     # `SystemConfig` owns snr_e_db, snr_l_db and the noise floor sigma_z2
-    # derived from it.  `LeakageBounds.rate_at` keeps its SNR: an envelope's
-    # constants do not depend on one.
+    # derived from it, for the bounds and for the estimators (`MonteCarlo`
+    # and `ExactFirst` among montecarlo's exports).  `LeakageBounds.rate_at`
+    # keeps its SNR: an envelope's constants do not depend on one.
     snr_params = {"snr_e_db", "snr_l_db", "sigma_z2", "snr_db"}
     takes = set()
-    for name in bounds.__all__:
-        obj = getattr(bounds, name)
-        members = vars(obj).items() if isinstance(obj, type) else [("", obj)]
-        for attr, fn in members:
-            if inspect.isfunction(fn):
-                params = inspect.signature(fn).parameters
-                takes |= {(f"{name}.{attr}".rstrip("."), p) for p in snr_params & set(params)}
+    for module in (bounds, montecarlo):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            members = vars(obj).items() if isinstance(obj, type) else [("", obj)]
+            for attr, fn in members:
+                if inspect.isfunction(fn):
+                    params = inspect.signature(fn).parameters
+                    where = f"{name}.{attr}".rstrip(".")
+                    takes |= {(where, p) for p in snr_params & set(params)}
     assert takes == {("LeakageBounds.rate_at", "snr_db")}
+    assert {"MonteCarlo", "ExactFirst"} <= set(montecarlo.__all__)
+    assert not hasattr(montecarlo, "_check_sigma")
 
 
 def _reads(names: set[str]) -> list[tuple[str, int, str, tuple[str, ...]]]:
