@@ -13,120 +13,87 @@ dimensions with artificial noise.  See the individual modules:
 * :mod:`anleak.cli` — sweeps, validation and planning from the shell.
 """
 
-from .bounds import (
-    LeakageBounds,
-    LeakagePair,
-    SaturatedBound,
-    SecrecyRates,
-    coherent_data_leakage,
-    entropy_gap,
-    ergodic_highsnr,
-    leakage_pair,
-    legitimate_rate,
-    noncoherent_bounds,
-    partial_coherent_bounds,
-    saturated_upper,
-    secrecy_from_config,
-    secrecy_rates,
-    universal_upper,
-)
-from .channel import (
-    ChannelRealization,
-    DistributionReport,
-    SystemConfig,
-    average_transmit_power,
-    balanced_config,
-    check_effective_distributions,
-    exact_transmit_power,
-    sample_realization,
-    single_stream_view,
-    transmit_signal,
-)
-from .errors import AnleakError, ConfigError, DegenerateChannelError, NotApplicable
-from .montecarlo import (
-    ExactFirst,
-    McEstimate,
-    MonteCarlo,
-    SplitCheckReport,
-    SvKind,
-    ergodic_constant,
-    ergodic_leakage,
-    expected_log_sv_sum,
-    sv_split_check,
-    universal_constant,
-)
-from .planner import (
-    DeploymentParams,
-    coherence_symbols,
-    coherence_time,
-    doppler_shift,
-    required_antennas,
-)
-from .special import (
-    EULER_GAMMA,
-    digamma,
-    expected_logdet_wishart,
-    log_grassmann_volume,
-    log_stiefel_volume,
-)
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "AnleakError",
-    "ConfigError",
-    "DegenerateChannelError",
-    "NotApplicable",
-    # channel
-    "SystemConfig",
-    "balanced_config",
-    "single_stream_view",
-    "ChannelRealization",
-    "sample_realization",
-    "transmit_signal",
-    "exact_transmit_power",
-    "average_transmit_power",
-    "DistributionReport",
-    "check_effective_distributions",
-    # montecarlo
-    "McEstimate",
-    "MonteCarlo",
-    "ExactFirst",
-    "SvKind",
-    "expected_log_sv_sum",
-    "ergodic_leakage",
-    "ergodic_constant",
-    "universal_constant",
-    "SplitCheckReport",
-    "sv_split_check",
-    # bounds
-    "LeakageBounds",
-    "LeakagePair",
-    "SaturatedBound",
-    "SecrecyRates",
-    "ergodic_highsnr",
-    "noncoherent_bounds",
-    "entropy_gap",
-    "saturated_upper",
-    "universal_upper",
-    "coherent_data_leakage",
-    "partial_coherent_bounds",
-    "leakage_pair",
-    "legitimate_rate",
-    "secrecy_rates",
-    "secrecy_from_config",
-    # special
-    "EULER_GAMMA",
-    "digamma",
-    "log_stiefel_volume",
-    "log_grassmann_volume",
-    "expected_logdet_wishart",
-    # planner
-    "DeploymentParams",
-    "doppler_shift",
-    "coherence_time",
-    "coherence_symbols",
-    "required_antennas",
-]
+# Each module and the names the package exports from it.  A name, or the
+# module itself as ``anleak.<module>``, is imported on first use (PEP 562),
+# so ``import anleak`` loads no module and a command loads only what it runs.
+_EXPORTS = {
+    "errors": ("AnleakError", "ConfigError", "DegenerateChannelError", "NotApplicable"),
+    "channel": (
+        "SystemConfig",
+        "balanced_config",
+        "single_stream_view",
+        "ChannelRealization",
+        "sample_realization",
+        "transmit_signal",
+        "exact_transmit_power",
+        "average_transmit_power",
+        "DistributionReport",
+        "check_effective_distributions",
+    ),
+    "montecarlo": (
+        "McEstimate",
+        "MonteCarlo",
+        "ExactFirst",
+        "SvKind",
+        "expected_log_sv_sum",
+        "ergodic_leakage",
+        "ergodic_constant",
+        "universal_constant",
+        "SplitCheckReport",
+        "sv_split_check",
+    ),
+    "bounds": (
+        "LeakageBounds",
+        "LeakagePair",
+        "SaturatedBound",
+        "SecrecyRates",
+        "ergodic_highsnr",
+        "noncoherent_bounds",
+        "entropy_gap",
+        "saturated_upper",
+        "universal_upper",
+        "coherent_data_leakage",
+        "partial_coherent_bounds",
+        "leakage_pair",
+        "legitimate_rate",
+        "secrecy_rates",
+        "secrecy_from_config",
+    ),
+    "special": (
+        "EULER_GAMMA",
+        "digamma",
+        "log_stiefel_volume",
+        "log_grassmann_volume",
+        "expected_logdet_wishart",
+    ),
+    "planner": (
+        "DeploymentParams",
+        "doppler_shift",
+        "coherence_time",
+        "coherence_symbols",
+        "required_antennas",
+    ),
+    "laws": (),
+    "linalg": (),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # `__import__`, unlike `importlib.import_module`, shows in `-X importtime`.
+    __import__(f"{__name__}.{module}")
+    found = sys.modules[f"{__name__}.{module}"]
+    return found if module == name else getattr(found, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

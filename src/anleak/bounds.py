@@ -337,11 +337,13 @@ def universal_upper(cfg: SystemConfig, mc: MonteCarlo) -> McEstimate:
     exceeds `coherent_data_leakage` (strictly below when ``N_J beta2 > 0``)
     and reaches it only in the low-SNR limit, the gap closing like
     ``K N_E alpha2 beta2 N_J / (sigma^4 ln 2)``.  Needs ``t' >= 1``.
+    Clamped below at zero bits, as `LeakageBounds.rate_at` is: at very low
+    SNR the slope term and the constant cancel to rounding.
     """
     require_applicable("universal", cfg)
     c = mc.universal_constant(cfg)
     slope = min(cfg.N_E, cfg.K) * max(0.0, 1.0 - cfg.N_J / cfg.t_prime)
-    value = slope * (cfg.snr_e_db / 10.0) * math.log2(10.0) + c.mean
+    value = max(0.0, slope * (cfg.snr_e_db / 10.0) * math.log2(10.0) + c.mean)
     return McEstimate(value, c.std_error, c.trials, c.excluded)
 
 

@@ -83,14 +83,6 @@ from .montecarlo import (
     expected_log_sv_sum,
     sv_split_check,
 )
-from .planner import (
-    DEFAULT_SYMBOL_DURATION,
-    DeploymentParams,
-    coherence_symbols,
-    coherence_time,
-    doppler_shift,
-    required_antennas,
-)
 
 __all__ = [
     "METRICS",
@@ -694,10 +686,20 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from .planner import (  # here, not at import: only plan needs it
+        DEFAULT_SYMBOL_DURATION,
+        DeploymentParams,
+        coherence_symbols,
+        coherence_time,
+        doppler_shift,
+        required_antennas,
+    )
+
+    duration = args.symbol_duration_s
     params = DeploymentParams(
         carrier_hz=args.carrier_hz,
         speed_mps=args.speed_mps,
-        symbol_duration_s=args.symbol_duration_s,
+        symbol_duration_s=DEFAULT_SYMBOL_DURATION if duration is None else duration,
     )
     antennas = required_antennas(params)  # raises before anything is printed
     print(f"doppler_hz={doppler_shift(params):.9g}")
@@ -750,11 +752,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("plan", help="antennas needed to saturate coherence blocks")
     p_plan.add_argument("--carrier-hz", type=float, required=True)
     p_plan.add_argument("--speed-mps", type=float, required=True)
-    p_plan.add_argument(
-        "--symbol-duration-s",
-        type=float,
-        default=DEFAULT_SYMBOL_DURATION,
-    )
+    p_plan.add_argument("--symbol-duration-s", type=float, default=None)
     p_plan.set_defaults(func=_cmd_plan)
 
     p_val = sub.add_parser("validate", help="run statistical self-checks")

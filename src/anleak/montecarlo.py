@@ -89,7 +89,6 @@ import math
 import operator
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -569,6 +568,8 @@ def _in_order(fn, items, workers: int, start=None) -> list:
     (`_one_blas_thread`), so the pool's threads do not each spawn a BLAS
     team on the same cores.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here: only a pool needs it
+
     items = list(items)
     order = range(len(items)) if start is None else start
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:

@@ -266,6 +266,15 @@ def test_universal_gap_closes_at_its_leading_order():
         assert 4.0 * math.hypot(uni.std_error, coh.std_error) < gap / 100.0, snr_db
 
 
+def test_universal_is_clamped_at_zero_bits():
+    # At -3000 dB the slope term (about -6.2e3 bits) and the exact constant
+    # cancel to rounding, to -8.4e-11 bits on this point (the sweep-ne base).
+    cfg = balanced_config(M=64, K=8, N_E=64, N_J=40, T=192, alpha2=2.0, snr_e_db=-3000.0)
+    uni = universal_upper(cfg, ExactFirst(trials=64, seed=0))
+    assert uni.mean == 0.0
+    assert uni.std_error == 0.0
+
+
 def test_coherent_data_leakage_drops_the_noise_part(mc):
     cfg = balanced_config(M=8, K=2, N_E=4, N_J=4, T=16, snr_e_db=10.0)
     data_only = dataclasses.replace(cfg, N_J=0, beta2=0.0)

@@ -2,9 +2,11 @@
 a commented allowlist, only `anleak.bounds` spells a reason code, the
 bounds and estimators read their operating point from the config, every
 seeded trial is drawn by `montecarlo._run_trials`, every thread pool is
-`montecarlo._in_order`, and the CLI imports no test-only library."""
+`montecarlo._in_order`, the CLI imports no test-only library, and the
+package's exports load on first use."""
 
 import ast
+import importlib
 import inspect
 import os
 import subprocess
@@ -162,13 +164,48 @@ def test_every_thread_pool_is_the_one_pool():
     assert reads
 
 
-def test_the_cli_imports_no_oracle_library():
-    # scipy and mpmath are test extras that serve as oracles; the package
-    # depends on numpy alone, and loading either would slow every start-up.
-    code = "import sys, anleak.cli; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
+def _modules_loaded_by(statement: str) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after running ``statement``."""
+    code = f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert done.stdout.strip() == "[]", done.stdout
+    return set(done.stdout.split())
+
+
+SUBMODULES = {f"anleak.{path.stem}" for path in SRC.glob("*.py")} - {"anleak.__init__"}
+
+
+def test_the_cli_imports_no_oracle_library():
+    # scipy and mpmath are test extras that serve as oracles; the package
+    # depends on numpy alone, and loading either would slow every start-up.
+    # So would what only some commands run: a thread pool (`_in_order`) and
+    # the planner (`plan`).  A bare `import anleak` loads no module of its own.
+    cases = {
+        "import anleak.cli": {"scipy", "mpmath", "concurrent.futures", "anleak.planner"},
+        "import anleak": SUBMODULES,
+    }
+    for statement, unloaded in cases.items():
+        assert not unloaded & _modules_loaded_by(statement), statement
+
+
+def test_every_export_is_the_object_of_its_module():
+    exported = set(anleak.__all__) - {"__version__"}
+    for name in exported:
+        module = importlib.import_module(f"anleak.{anleak._MODULE_OF[name]}")
+        assert getattr(anleak, name) is getattr(module, name), name
+    assert set(anleak.__all__) <= set(dir(anleak))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        anleak.no_such_name  # noqa: B018
+
+
+def test_a_bare_import_resolves_every_module():
+    # Every module but the entry points is an attribute of the package
+    # without an import of its own, as when the package imported them all.
+    modules = ("bounds", "channel", "errors", "laws", "linalg", "montecarlo", "planner", "special")
+    full = {f"anleak.{m}" for m in modules}
+    assert full == SUBMODULES - {"anleak.cli", "anleak.__main__"}
+    statement = f"import anleak; [getattr(anleak, m) for m in {modules!r}]"
+    assert full <= _modules_loaded_by(statement)
