@@ -28,15 +28,16 @@ lines ignored).  Recognized keys: the scenario fields ``M K N_E N_J T
 alpha2 beta2 snr_e_db snr_l_db``, the sweep fields ``axis values
 metrics``, and the run fields ``trials seed workers output``.  Command
 line flags override file values.  For ``sweep`` and ``bounds`` the trial
-count comes from ``--trials``, else the config file, else the environment
-variable ``ANLEAK_TRIALS``, else the command's default (2000 for
-``sweep``, 20000 for ``bounds``); the chosen value and its source are
-echoed in the leading comment line.  The count is a cap: the one sampled
-quantity, the ergodic leakage at two powers, stops drawing once an upper
-bound of its standard error is at most ``se_target_bits`` (a constant of
+count comes from ``--trials``, else the config file, else the command's
+default (2000 for ``sweep``, 20000 for ``bounds``); the chosen value and
+its source are echoed in the leading comment line, so the output depends
+only on the arguments.  The count is a cap: the one sampled quantity, the
+ergodic leakage at two powers, stops drawing once an upper bound of its
+standard error is at most ``se_target_bits`` (a constant of
 `anleak.montecarlo`, also echoed there), except on blocks near square,
 which draw the whole count.  Bad trials, seed or workers values are
-rejected before any output.
+rejected before any output.  A closed stdout (``anleak bounds cfg | head
+-1``) ends the command with exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ from .montecarlo import (
     ExactFirst,
     MonteCarlo,
     SvKind,
-    _check_run_args,
     _SE_TARGET,
     _in_order,
     _usable_cores,
@@ -114,7 +114,6 @@ AXES = ("snr_e_db", "T_gamma", "N_E", "N_J")
 
 DEFAULT_SWEEP_TRIALS = 2000
 DEFAULT_POINT_TRIALS = 20000
-TRIALS_ENV_VAR = "ANLEAK_TRIALS"
 
 _CONFIG_KEYS = frozenset(
     {
@@ -140,15 +139,14 @@ _CONFIG_KEYS = frozenset(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A fully-resolved sweep request."""
+    """A fully-resolved sweep request: ``mc`` holds its run (trials, seed,
+    workers) and ``trials_source`` where the trial count came from."""
 
     cfg: SystemConfig
     axis: str
     values: tuple[float, ...]
     metrics: tuple[str, ...]
-    trials: int
-    seed: int
-    workers: int = 1
+    mc: ExactFirst
     trials_source: str = "default"
 
 
@@ -279,19 +277,8 @@ def build_sweep_spec(
     if not metrics:
         raise ConfigError("key 'metrics': need at least one metric")
 
-    resolved_trials, source, resolved_seed, resolved_workers = _resolve_run_args(
-        entries, trials, seed, workers, DEFAULT_SWEEP_TRIALS
-    )
-    return SweepSpec(
-        cfg=cfg,
-        axis=axis,
-        values=values,
-        metrics=metrics,
-        trials=resolved_trials,
-        seed=resolved_seed,
-        workers=resolved_workers,
-        trials_source=source,
-    )
+    mc, source = _resolve_run_args(entries, trials, seed, workers, DEFAULT_SWEEP_TRIALS)
+    return SweepSpec(cfg, axis, values, metrics, mc, source)
 
 
 def _resolve_run_args(
@@ -300,34 +287,25 @@ def _resolve_run_args(
     seed: int | None,
     workers: int | None,
     default_trials: int,
-) -> tuple[int, str, int, int]:
-    """Resolve ``(trials, trials_source, seed, workers)`` for a command.
+) -> tuple[ExactFirst, str]:
+    """The estimator a ``sweep`` or ``bounds`` run evaluates with, and the
+    source of its trial count: ``flag``, ``config`` or ``default``.
 
-    Each value comes from its flag, else the config file; trials then fall
-    back to ``ANLEAK_TRIALS`` and the command's default.  Values that break
-    `montecarlo`'s run rule raise its message as a `ConfigError`.
+    Each of ``trials``, ``seed`` and ``workers`` comes from its flag, else
+    the config file, else the command's default.  `ExactFirst` checks them
+    by `montecarlo`'s run rule, whose message a bad value raises as a
+    `ConfigError`.
     """
-    if trials is not None:
-        resolved_trials, source = trials, "flag"
-    elif "trials" in entries:
-        resolved_trials, source = _get_int(entries, "trials"), "config"
-    elif os.environ.get(TRIALS_ENV_VAR):
-        try:
-            resolved_trials = int(os.environ[TRIALS_ENV_VAR])
-        except ValueError as exc:
-            raise ConfigError(
-                f"environment variable {TRIALS_ENV_VAR} is not an integer"
-            ) from exc
-        source = f"env:{TRIALS_ENV_VAR}"
-    else:
-        resolved_trials, source = default_trials, "default"
-    resolved_seed = seed if seed is not None else _get_int(entries, "seed", 0)
-    resolved_workers = workers if workers is not None else _get_int(entries, "workers", 1)
+    source = "flag"
+    if trials is None:
+        source = "config" if "trials" in entries else "default"
+        trials = _get_int(entries, "trials", default_trials)
+    seed = _get_int(entries, "seed", 0) if seed is None else seed
+    workers = _get_int(entries, "workers", 1) if workers is None else workers
     try:
-        _check_run_args(resolved_trials, resolved_seed, resolved_workers)
+        return ExactFirst(trials=trials, seed=seed, workers=workers), source
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return resolved_trials, source, resolved_seed, resolved_workers
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +395,6 @@ def _derive_config(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every (axis value, metric) cell, in the given order."""
-    mc = ExactFirst(trials=spec.trials, seed=spec.seed, workers=spec.workers)
     rows: list[SweepRow] = []
     for value in spec.values:
         try:
@@ -427,7 +404,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 SweepRow(value, m, None, None, "invalid_config") for m in spec.metrics
             )
             continue
-        point = _Point(cfg, mc)
+        point = _Point(cfg, spec.mc)
         for metric in spec.metrics:
             val, se, reason = evaluate_metric(point, metric)
             rows.append(SweepRow(value, metric, val, se, reason))
@@ -438,23 +415,24 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.9g}"
 
 
-def _run_header(command: str, trials: int, source: str, seed: int) -> str:
+def _run_header(command: str, mc: ExactFirst, source: str) -> str:
     """Leading comment line of ``sweep`` and ``bounds`` output, without its
     newline: what the run drew and how precisely."""
     return (
-        f"# anleak {command} trials={trials} trials_source={source} "
-        f"seed={seed} se_target_bits={_SE_TARGET:.9g}"
+        f"# anleak {command} trials={mc.trials} trials_source={source} "
+        f"seed={mc.seed} se_target_bits={_SE_TARGET:.9g}"
     )
 
 
 def write_sweep_csv(spec: SweepSpec, rows: list[SweepRow], stream) -> None:
     """Write the sweep CSV (LF line endings, 9 significant digits).
 
-    The worker count is deliberately not echoed: output bytes depend only
-    on the spec's deterministic fields, the seed and the precision target of
-    the two-power ergodic leakage, which the header echoes.
+    The header echoes the trial count, its source, the seed and the
+    precision target of the two-power ergodic leakage.  The worker count
+    (``spec.mc.workers``) is still not echoed: output bytes never depend on
+    it.
     """
-    stream.write(_run_header("sweep", spec.trials, spec.trials_source, spec.seed) + "\n")
+    stream.write(_run_header("sweep", spec.mc, spec.trials_source) + "\n")
     stream.write("axis,metric,value,std_error,reason\n")
     for row in rows:
         stream.write(
@@ -640,10 +618,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_bounds(args) -> int:
     entries = _apply_overrides(parse_config_file(args.config), args.set)
     cfg = build_system_config(entries)
-    trials, source, seed, workers = _resolve_run_args(
+    mc, source = _resolve_run_args(
         entries, args.trials, args.seed, args.workers, DEFAULT_POINT_TRIALS
     )
-    mc = ExactFirst(trials=trials, seed=seed, workers=workers)
     point = _Point(cfg, mc)
 
     def report(metric: str, key: str = "", with_se: bool = False) -> None:
@@ -656,7 +633,7 @@ def _cmd_bounds(args) -> int:
         if with_se:
             print(f"{key}_se={se:.9g}")
 
-    print(_run_header("bounds", trials, source, seed))
+    print(_run_header("bounds", mc, source))
     print(f"# config M={cfg.M} K={cfg.K} N_E={cfg.N_E} N_J={cfg.N_J} T={cfg.T}")
     print(f"alpha2={cfg.alpha2:.9g}")
     print(f"beta2={cfg.beta2:.9g}")
@@ -766,7 +743,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout raises here, not at exit
+        return code
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull, so the interpreter's
+        # flush at exit does not raise again, and fail without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1

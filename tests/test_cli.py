@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import anleak.cli
-from anleak import ConfigError, MonteCarlo
+from anleak import ConfigError, ExactFirst, MonteCarlo
 from anleak.cli import (
     AXES,
     METRICS,
@@ -109,26 +110,19 @@ def test_build_system_config_errors():
 # ---------------------------------------------------------------------------
 
 
-def test_trials_precedence(monkeypatch):
-    monkeypatch.delenv("ANLEAK_TRIALS", raising=False)
+def test_trials_precedence():
     spec = build_sweep_spec(make_entries(trials=None))
-    assert (spec.trials, spec.trials_source) == (2000, "default")
+    assert (spec.mc.trials, spec.trials_source) == (2000, "default")
 
-    monkeypatch.setenv("ANLEAK_TRIALS", "777")
-    spec = build_sweep_spec(make_entries(trials=None))
-    assert (spec.trials, spec.trials_source) == (777, "env:ANLEAK_TRIALS")
+    spec = build_sweep_spec(make_entries())  # config has trials=200
+    assert (spec.mc.trials, spec.trials_source) == (200, "config")
 
-    spec = build_sweep_spec(make_entries())  # config still has trials=200
-    assert (spec.trials, spec.trials_source) == (200, "config")
-
-    spec = build_sweep_spec(make_entries(), trials=50)
-    assert (spec.trials, spec.trials_source) == (50, "flag")
-
-
-def test_bad_env_trials_is_a_config_error(monkeypatch):
-    monkeypatch.setenv("ANLEAK_TRIALS", "lots")
-    with pytest.raises(ConfigError, match="ANLEAK_TRIALS"):
-        build_sweep_spec(make_entries(trials=None))
+    spec = build_sweep_spec(make_entries(workers="3"), trials=50, seed=7)
+    assert (spec.mc.trials, spec.trials_source) == (50, "flag")
+    # The spec holds its run as the one estimator the sweep evaluates with
+    # (dataclass equality also requires the same class).
+    assert spec.mc == ExactFirst(trials=50, seed=7, workers=3)
+    assert not {f.name for f in dataclasses.fields(SweepSpec)} & {"trials", "seed", "workers"}
 
 
 @pytest.mark.parametrize(
@@ -153,8 +147,7 @@ def test_bad_env_trials_is_a_config_error(monkeypatch):
         (dict(axis="N_J", values="inf,2"), "axis N_J: values must be finite"),
     ],
 )
-def test_spec_validation_errors(overrides, match, monkeypatch):
-    monkeypatch.delenv("ANLEAK_TRIALS", raising=False)
+def test_spec_validation_errors(overrides, match):
     with pytest.raises(ConfigError, match=match) as err:
         build_sweep_spec(make_entries(**overrides))
     run_args = {k: int(v) for k, v in overrides.items() if k in ("trials", "seed", "workers")}
@@ -167,8 +160,7 @@ def test_spec_validation_errors(overrides, match, monkeypatch):
         assert str(flag_err.value) == str(rule.value)
 
 
-def test_metrics_default_to_all(monkeypatch):
-    monkeypatch.delenv("ANLEAK_TRIALS", raising=False)
+def test_metrics_default_to_all():
     spec = build_sweep_spec(make_entries(metrics=None))
     assert spec.metrics == METRICS
     assert spec.axis in AXES
@@ -307,9 +299,7 @@ def test_csv_format_is_stable():
         axis="snr_e_db",
         values=(0.0, 10.0),
         metrics=("ergodic", "noncoh_ub"),
-        trials=200,
-        seed=1,
-        workers=4,
+        mc=ExactFirst(trials=200, seed=1, workers=4),
         trials_source="config",
     )
     rows = [
@@ -334,12 +324,13 @@ def test_worker_count_never_changes_the_rows():
     spec = build_sweep_spec(
         make_entries(values="0,10", metrics="ergodic,noncoh_ub,universal", trials="120")
     )
+    on_4 = dataclasses.replace(spec, mc=dataclasses.replace(spec.mc, workers=4))
     rows_1 = run_sweep(spec)
-    rows_4 = run_sweep(dataclasses.replace(spec, workers=4))
+    rows_4 = run_sweep(on_4)
     assert rows_1 == rows_4
     one, four = io.StringIO(), io.StringIO()
     write_sweep_csv(spec, rows_1, one)
-    write_sweep_csv(dataclasses.replace(spec, workers=4), rows_4, four)
+    write_sweep_csv(on_4, rows_4, four)
     assert one.getvalue() == four.getvalue()
 
 
@@ -612,17 +603,37 @@ def test_bounds_command_prints_the_point(tmp_path, capsys):
     assert "entropy_gap" not in out  # not a fully-loaded unit-power point
 
 
-def test_bounds_header_names_the_trials_source_and_seed(tmp_path, capsys, monkeypatch):
+def test_bounds_header_names_the_trials_source_and_seed(tmp_path, capsys):
     path = write_config(tmp_path, make_entries(trials=None))
     assert main(["bounds", path, "--trials", "150"]) == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert first == "# anleak bounds trials=150 trials_source=flag seed=1 se_target_bits=1e-05"
-    monkeypatch.setenv("ANLEAK_TRIALS", "120")
+    path = write_config(tmp_path, make_entries(trials="120"), name="config.cfg")
     assert main(["bounds", path, "--seed", "4"]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first == (
-        "# anleak bounds trials=120 trials_source=env:ANLEAK_TRIALS seed=4 se_target_bits=1e-05"
-    )
+    assert first == "# anleak bounds trials=120 trials_source=config seed=4 se_target_bits=1e-05"
+
+
+def test_the_environment_never_sets_the_trials(tmp_path, capsys, monkeypatch):
+    # Output depends only on the arguments: an `ANLEAK_TRIALS` in the shell
+    # is not read.  On this near-square two-power block the ergodic cells
+    # draw the whole trial count, so a count taken from it would move them.
+    sweep = write_config(tmp_path, make_entries(alpha2="2", trials=None))
+    bounds = write_config(tmp_path, FLAGSHIP, name="flagship.cfg")
+    out = tmp_path / "out.csv"
+
+    def outputs():
+        assert main(["sweep", sweep, "-o", str(out)]) == 0
+        assert main(["bounds", bounds]) == 0
+        return out.read_bytes(), capsys.readouterr().out
+
+    monkeypatch.delenv("ANLEAK_TRIALS", raising=False)
+    unset = outputs()
+    monkeypatch.setenv("ANLEAK_TRIALS", "7")
+    sweep_csv, printed = outputs()
+    assert (sweep_csv, printed) == unset
+    assert sweep_csv.startswith(b"# anleak sweep trials=2000 trials_source=default seed=1 ")
+    assert printed.startswith("# anleak bounds trials=20000 trials_source=default seed=0 ")
 
 
 def test_bounds_reports_a_short_block_like_the_sweep(tmp_path, capsys):
@@ -778,6 +789,27 @@ def test_plan_rejects_inputs_that_overflow_the_doppler_chain(argv, capsys):
     out, err = capsys.readouterr()
     assert not out
     assert err.startswith("error: ")
+
+
+def test_a_closed_stdout_fails_without_a_traceback(tmp_path):
+    # As in `anleak bounds cfg | head -1`, the reader is gone before the
+    # command prints: exit 1, and nothing on stderr.  Unbuffered, a print
+    # raises; buffered, the flush does.
+    path = write_config(tmp_path, make_entries(values="0", metrics="universal"))
+    plan = ["plan", "--carrier-hz", "2.6e9", "--speed-mps", "30"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        for argv in (["sweep", path], ["bounds", path], plan):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "anleak", *argv],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env={**env, **unbuffered},
+            )
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert (argv[0], unbuffered, proc.wait(), err) == (argv[0], unbuffered, 1, b"")
 
 
 def test_sweep_subprocess_is_worker_invariant(tmp_path):

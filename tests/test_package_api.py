@@ -2,8 +2,9 @@
 a commented allowlist, only `anleak.bounds` spells a reason code, the
 bounds and estimators read their operating point from the config, every
 seeded trial is drawn by `montecarlo._run_trials`, every thread pool is
-`montecarlo._in_order`, the CLI imports no test-only library, and the
-package's exports load on first use."""
+`montecarlo._in_order`, no command reads the environment, the CLI
+imports no test-only library, and the package's exports load on first
+use."""
 
 import ast
 import importlib
@@ -162,6 +163,12 @@ def test_every_thread_pool_is_the_one_pool():
     stray = [hit for hit in reads if "_in_order" not in hit[3]]
     assert not stray, f"thread pools outside `_in_order`: {stray}"
     assert reads
+
+
+def test_no_command_reads_the_environment():
+    # Output depends only on a command's arguments and seed (ROADMAP aim 3),
+    # so the package reads no environment variable.
+    assert not _reads({"environ", "getenv", "environb", "getenvb"})
 
 
 def _modules_loaded_by(statement: str) -> set[str]:
