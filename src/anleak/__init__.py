@@ -7,6 +7,8 @@ dimensions with artificial noise.  See the individual modules:
 * :mod:`anleak.channel` — system configuration and channel sampling;
 * :mod:`anleak.montecarlo` — deterministic sampled estimators (`MonteCarlo`)
   and its subclass `ExactFirst`, which computes those with a known law exactly;
+* :mod:`anleak.twopower` — the exact ergodic leakage at two powers, loaded by
+  `ExactFirst` only where it is needed;
 * :mod:`anleak.bounds` — closed-form high-SNR bounds and secrecy rates;
 * :mod:`anleak.special` — digamma / manifold-volume building blocks;
 * :mod:`anleak.planner` — antenna counts that saturate coherence blocks;
@@ -79,6 +81,7 @@ _EXPORTS = {
     ),
     "laws": (),
     "linalg": (),
+    "twopower": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -19,6 +19,12 @@ graded geometrically, so the hard edge at 0 and a functional's log
 singularity just below it are smooth in ``v``.
 
 Neither fixes a unit: callers integrate their own functionals, in nats.
+
+A third law lives in its own module, `anleak.twopower`: the eigenvalues of
+``Gbar^H Gbar`` at two column powers, a polynomial ensemble whose weights
+cancel too far for double precision.  It is evaluated in stdlib `decimal`,
+with the Laguerre law above as its largest part on tall blocks, and only
+the two-power ergodic leakage imports it.
 """
 
 from __future__ import annotations

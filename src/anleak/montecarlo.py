@@ -61,21 +61,23 @@ The `MonteCarlo` subclass `ExactFirst`, which ``sweep`` and ``bounds``
 use, answers from known laws with standard error 0: every high-SNR
 log-determinant (digamma sums, plus a Jacobi-ensemble mean for two powers
 on a wide block; see `_log_sv_law`), the universal constant (a 2-D
-quadrature over two Laguerre densities, `_universal_law`) and, at one
-power, the ergodic leakage (two Laguerre one-point integrals,
-`_laguerre_log1p`), so at one power it draws nothing.  It samples only the
-ergodic leakage at two distinct powers, on the same stream, and regresses
-each trial on controls whose means those laws give exactly (control
-variates, Glasserman 2003, ch. 4): it keeps, under its own key, the
-spectra of ``Gbar`` and of its unit-power block; the noise-block term has
-an exact Laguerre mean and is not sampled, and the controls are unit-power
-Laguerre functionals plus, on a wide block, a bounded matrix-variate beta
-log-determinant.  Unless the block is within ``_TRUSTED_GAP`` rows of
-square, that fit draws a pilot of ``_PILOT`` trials and extends the kept
-draw only as far as the pilot's residual spread says the target needs,
-with ``trials`` as the cap.  A plain `MonteCarlo` and the module
-functions always sample plainly, all ``trials``, so they stay the
-cross-check of every law.
+quadrature over two Laguerre densities, `_universal_law`) and the ergodic
+leakage: at one power two Laguerre one-point integrals
+(`_laguerre_log1p`), at two the polynomial-ensemble law of
+`anleak.twopower`, which only that path imports.  So it draws nothing
+unless the two powers are within ``twopower.NEAR_EQUAL`` (1%) of each
+other, where that law declines.  There it samples the ergodic leakage on
+the same stream, and regresses each trial on controls whose means those
+laws give exactly (control variates, Glasserman 2003, ch. 4): it keeps,
+under its own key, the spectra of ``Gbar`` and of its unit-power block;
+the noise-block term has an exact Laguerre mean and is not sampled, and
+the controls are unit-power Laguerre functionals plus, on a wide block, a
+bounded matrix-variate beta log-determinant.  Unless the block is within
+``_TRUSTED_GAP`` rows of square, that fit draws a pilot of ``_PILOT``
+trials and extends the kept draw only as far as the pilot's residual
+spread says the target needs, with ``trials`` as the cap.  A plain
+`MonteCarlo` and the module functions always sample plainly, all
+``trials``, so they stay the cross-check of every law.
 
 Units: ``expected_log_sv_sum`` returns nats (it is compared against
 digamma identities); the leakage-level estimators return bits.
@@ -345,15 +347,17 @@ class MonteCarlo:
 class ExactFirst(MonteCarlo):
     """A `MonteCarlo` that answers from a known law wherever there is one.
 
-    ``log_sv_sum`` and ``ergodic_constant`` come from `_log_sv_law` and
-    ``universal_constant`` from `_universal_law`, each as
-    ``McEstimate(mean, 0.0, trials, 0)``, and so is ``ergodic_leakage``
-    at one power.  Only ``ergodic_leakage`` at two distinct powers is
-    sampled, with control variates, on `MonteCarlo`'s ergodic stream: from
-    the spectra of that draw's ``Gbar`` and of its unit-power block.  It
-    draws until its standard error is at most ``_SE_TARGET`` bits, with
-    ``trials`` as the cap, and on near-square blocks always draws
-    ``trials`` (`_two_power_leakage`).
+    ``log_sv_sum`` and ``ergodic_constant`` come from `_log_sv_law`,
+    ``universal_constant`` from `_universal_law` and ``ergodic_leakage``
+    from the Laguerre law at one power and `twopower.two_power_log1p` at
+    two, each as ``McEstimate(mean, 0.0, trials, 0)``.  Only
+    ``ergodic_leakage`` at two powers within ``twopower.NEAR_EQUAL`` of
+    each other, where that law declines, is sampled, with control
+    variates, on `MonteCarlo`'s ergodic stream: from the spectra of that
+    draw's ``Gbar`` and of its unit-power block.  It draws until its
+    standard error is at most ``_SE_TARGET`` bits, with ``trials`` as the
+    cap, and on near-square blocks always draws ``trials``
+    (`_two_power_leakage`).
     """
 
     def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
@@ -371,25 +375,33 @@ class ExactFirst(MonteCarlo):
         return McEstimate(_universal_law(cfg), 0.0, self.trials, 0)
 
     def ergodic_leakage(self, cfg: SystemConfig) -> McEstimate:
-        """The ergodic leakage: exact at one power, sampled at two.
+        """The ergodic leakage, ``E full - E an``: exact unless the two
+        powers are within ``twopower.NEAR_EQUAL`` of each other.
 
-        With one power (``alpha2 = beta2``, or ``N_J = 0``; ``K >= 1``, so
-        it is ``alpha2``) each of ``E sum ln(1 + lambda(Gbar Gbar^H) / s2)``
-        and ``E sum ln(1 + lambda(G2 G2^H) / s2)`` is a Laguerre one-point
-        integral (Telatar 1999) over an ``N_E x (K + N_J)`` and an
-        ``N_E x N_J`` block, `_laguerre_log1p`; nothing is drawn and the
-        standard error is 0.  With two distinct powers it is
+        ``an = sum ln(1 + lambda(G2 G2^H) / s2)`` is a Laguerre one-point
+        integral (Telatar 1999) over the ``N_E x N_J`` noise block,
+        `_laguerre_log1p`.  So is ``full``, over ``Gbar Gbar^H``, with one
+        power (``alpha2 = beta2``, or ``N_J = 0``; ``K >= 1``, so it is
+        ``alpha2``); with two it is the polynomial-ensemble law of
+        `twopower.two_power_log1p`, imported here, since only two powers
+        need it.  Either way nothing is drawn and the standard error is 0.
+        Where that law declines, the answer is the sampled fit
         `_two_power_leakage`.
         """
-        if cfg.N_J and cfg.alpha2 != cfg.beta2:
-            return self._two_power_leakage(cfg)
         s2 = cfg.sigma_z2
-        full = _laguerre_log1p(cfg.N_E, cfg.K + cfg.N_J, cfg.alpha2, s2)
+        if cfg.N_J and cfg.alpha2 != cfg.beta2:
+            from .twopower import two_power_log1p
+
+            full = two_power_log1p(cfg.N_E, cfg.K, cfg.alpha2, cfg.N_J, cfg.beta2, s2)
+            if full is None:
+                return self._two_power_leakage(cfg)
+        else:
+            full = _laguerre_log1p(cfg.N_E, cfg.K + cfg.N_J, cfg.alpha2, s2)
         an = _laguerre_log1p(cfg.N_E, cfg.N_J, cfg.beta2, s2)
         return McEstimate((full - an) / _LN2, 0.0, self.trials, 0)
 
     def _two_power_leakage(self, cfg: SystemConfig) -> McEstimate:
-        """The ergodic leakage at two distinct powers, ``E full - E an``.
+        """The ergodic leakage at two powers where their law declines, sampled.
 
         ``an = sum ln(1 + lambda(G2 G2^H) / s2)`` is not sampled: its mean
         is the Laguerre law of the ``N_E x N_J`` noise block.  Each trial's

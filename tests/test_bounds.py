@@ -324,6 +324,77 @@ def test_one_power_highsnr_expansion_residual_vanishes(cfg):
     # dof log2(1/s2) + c are exact, so their difference must fall toward 0
     # as s2 -> 0: never growing (above the rounding of the values) and
     # below 1e-6 bits at s2 = 1e-10.
+    _check_highsnr_residual(cfg)
+
+
+@st.composite
+def two_power_configs(draw):
+    """Tall, square and wide blocks at two powers at least 1% apart, where
+    the ergodic leakage is the `twopower` law; the constant c of its
+    expansion comes from `_log_sv_law`'s digamma and Jacobi route."""
+    k = draw(st.integers(1, 5))
+    nj = draw(st.integers(1, 8))
+    alpha2 = draw(st.floats(0.1, 10.0))
+    ratio = draw(st.floats(1.02, 50.0))
+    beta2 = alpha2 * ratio if draw(st.booleans()) else alpha2 / ratio
+    return SystemConfig(
+        M=k + nj + 1, K=k, N_E=draw(st.integers(1, 12)), N_J=nj, T=4 * (k + nj),
+        alpha2=alpha2, beta2=beta2,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@example(cfg=balanced_config(M=64, K=8, N_E=48, N_J=40, T=192, alpha2=2.0))  # sweep-ne square
+@example(cfg=balanced_config(M=64, K=8, N_E=32, N_J=40, T=192, alpha2=2.0))  # sweep-ne wide
+@example(cfg=SystemConfig(M=8, K=4, N_E=5, N_J=3, T=16, alpha2=1.5, beta2=0.7))  # N_J < N_E < m
+@given(cfg=two_power_configs())
+def test_two_power_highsnr_expansion_residual_vanishes(cfg):
+    # The same at two powers: the law and the expansion are two routes to
+    # one curve, so their difference falls toward 0 as s2 -> 0.
+    _check_highsnr_residual(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@example(cfg=balanced_config(M=64, K=8, N_E=64, N_J=40, T=192, alpha2=2.0))  # sweep-ne tall
+@given(cfg=two_power_configs())
+def test_channel_ignorant_bounds_lie_below_the_two_power_ergodic_leakage(cfg):
+    # An eavesdropper that does not know its channel learns no more than
+    # one that does: the lower constants of the noncoherent and (where it
+    # applies, N_E >= K + N_J) partial-coherent expansions, evaluated at a
+    # high SNR, lie below the exact ergodic leakage there.  Every term is a
+    # law with SE 0, so the ordering is checked with no band.  A bound whose
+    # constants cross is not applicable (`NotApplicable`), and is skipped.
+    exact = ExactFirst(trials=2, seed=0)
+    lower = []
+    for bounds_of in (noncoherent_bounds, partial_coherent_bounds):
+        try:
+            lower.append(bounds_of(cfg, exact))
+        except NotApplicable:
+            pass
+    for snr in (30.0, 60.0):
+        erg = exact.ergodic_leakage(dataclasses.replace(cfg, snr_e_db=snr))
+        assert erg.std_error == 0.0
+        for bound in lower:
+            assert bound.c_std_error == 0.0
+            assert bound.rate_at(snr, "lower") <= erg.mean, (bound.regime, snr, erg)
+
+
+def test_a_zero_dof_lower_constant_exceeds_the_ergodic_leakage_at_0_db():
+    # A finding, not a rule: with dof 0 the noncoherent lower constant is
+    # the level the leakage saturates at, reached only at high SNR, so at
+    # 0 dB it lies above the exact ergodic leakage (0.998 against 0.615
+    # bits on this 1 x 2 block).  The ordering above holds from 30 dB on.
+    cfg = SystemConfig(M=3, K=1, N_E=1, N_J=1, T=8, alpha2=1.0, beta2=0.8, snr_e_db=0.0)
+    exact = ExactFirst(trials=2, seed=0)
+    bound = noncoherent_bounds(cfg, exact)
+    assert bound.dof == 0.0
+    assert bound.rate_at(0.0, "lower") > exact.ergodic_leakage(cfg).mean
+    assert bound.rate_at(30.0, "lower") <= exact.ergodic_leakage(
+        dataclasses.replace(cfg, snr_e_db=30.0)
+    ).mean
+
+
+def _check_highsnr_residual(cfg):
     exact = ExactFirst(trials=2, seed=0)
     erg = ergodic_highsnr(cfg, exact)
     assert erg.c_std_error == 0.0

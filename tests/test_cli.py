@@ -350,10 +350,12 @@ def test_snr_sweep_draws_each_spectrum_once(draw_counts):
 
 def test_block_length_sweep_rereads_the_ergodic_draw(draw_counts):
     # The ergodic leakage does not read T, so its cells agree at every
-    # block length.  At the flagship's one power it is the law, not a draw;
-    # at two powers the sweep draws the ergodic channel once.
+    # block length.  At the flagship's one power and at two distinct powers
+    # it is a law, not a draw; at powers within 1% of each other (1.006 and
+    # 0.998) the sweep draws the ergodic channel once.
     two_power = {**FLAGSHIP, "N_E": "32", "alpha2": "2"}
-    for base, drawn in ((FLAGSHIP, {}), (two_power, {"ergodic": 1})):
+    near = {**FLAGSHIP, "N_E": "32", "alpha2": "1.006"}
+    for base, drawn in ((FLAGSHIP, {}), (two_power, {}), (near, {"ergodic": 1})):
         draw_counts.clear()
         entries = {**base, "axis": "T_gamma", "values": "1.5,2,5,10"}
         rows = run_sweep(build_sweep_spec(entries, trials=4))
@@ -369,16 +371,19 @@ def test_block_length_sweep_rereads_the_ergodic_draw(draw_counts):
         # One power: every quantity, the ergodic leakage included, is a law.
         (FLAGSHIP, {}),
         # N_E < K + N_J at unequal powers: JOINT of the joint and of the
-        # single-stream view follow the Jacobi law and are not sampled.  The
+        # single-stream view follow the Jacobi law, and the ergodic
+        # leakage the two-power law; nothing is sampled.
+        ({"M": "64", "K": "8", "N_E": "32", "N_J": "40", "T": "192", "alpha2": "2"}, {}),
+        # The same at powers within 1% of each other (1.34 and 1.332): the
         # ergodic leakage reads the two-power draw (Gbar and its unit-power
         # block); 4 trials are too few for its three control slopes, so it
         # answers without controls from that same draw, not from a second.
         (
-            {"M": "64", "K": "8", "N_E": "32", "N_J": "40", "T": "192", "alpha2": "2"},
+            {"M": "64", "K": "8", "N_E": "32", "N_J": "40", "T": "192", "alpha2": "1.34"},
             {"ergodic": 1},
         ),
     ],
-    ids=["flagship", "wide-unequal"],
+    ids=["flagship", "wide-unequal", "wide-near-equal"],
 )
 def test_bounds_draws_each_spectrum_once(entries, expected, tmp_path, capsys, draw_counts):
     path = write_config(tmp_path, entries)
@@ -581,7 +586,7 @@ def test_sweep_command_writes_csv(tmp_path):
         axis_value, metric, value, std_error, reason = line.split(",")
         assert metric == "ergodic"
         assert reason == ""
-        assert float(std_error) > 0.0
+        assert float(std_error) == 0.0  # two powers (1 and 1.5): the law
         float(value)
 
 

@@ -5,6 +5,7 @@ from `anleak.laws`, and the laws must match it to the stated error of
 1e-9 bits; no band is widened to absorb quadrature error.
 """
 
+import decimal
 import math
 from dataclasses import replace
 
@@ -14,7 +15,15 @@ import pytest
 from scipy import integrate
 from scipy.special import eval_genlaguerre, exp1, gammaln
 
-from anleak import ExactFirst, SvKind, SystemConfig, ergodic_constant, expected_log_sv_sum
+from anleak import (
+    ExactFirst,
+    SvKind,
+    SystemConfig,
+    balanced_config,
+    ergodic_constant,
+    expected_log_sv_sum,
+    twopower,
+)
 from anleak.laws import jacobi_nodes, laguerre_nodes
 from anleak.montecarlo import _universal_law
 
@@ -211,3 +220,179 @@ def test_one_power_ergodic_leakage_single_stream_oracle():
     oracle = math.e * float(exp1(1.0)) / math.log(2.0)
     assert abs(est.mean - oracle) <= 1e-9
     assert est.std_error == 0.0
+
+
+def _two_power_oracle(n_e, k, alpha2, nj, beta2, s2, dps=80):
+    """``E sum ln(1 + lambda / s2)`` in nats over the eigenvalues of
+    ``Gbar^H Gbar``, ``Gbar`` an ``n_e x (k + nj)`` block with column powers
+    ``alpha2`` (``k``) and ``beta2`` (``nj``), as ``tr(Psi^-1 Phi)`` of the
+    polynomial ensemble by a dense mpmath solve at ``dps`` digits.
+
+    ``I_n(sigma) = int x^n e^(-x/sigma) ln(1 + x/s2) dx`` comes from
+    ``J_0 = e^(mu c) E1(mu c)``, ``J_k = (k-1)!/mu^k - c J_(k-1)`` (``mu =
+    1/sigma``, ``c = s2``) and ``I_n = n!/mu^(n+1) sum_{k<=n} mu^k J_k/k!``.
+    Tall and square blocks (``c0 = n_e - m >= 0``) have rows
+    ``x^(c0+p) e^(-x/sigma)``, ``p`` below each power's multiplicity, and
+    columns ``x^j``.  Wide ones have the column-scaled confluent
+    Vandermonde ``d^p/dsigma^p [sigma^j, l! sigma^(d+1+l)]``,
+    ``d = m - n_e - 1``, and ``Phi`` is 0 in its first ``d + 1`` columns
+    and ``d^p/dsigma^p sigma^d I_l(sigma)``, by Leibniz, in the others.
+    """
+    with mpmath.workdps(dps):
+        m, c = k + nj, mpmath.mpf(s2)
+        fac = mpmath.factorial
+
+        def moments(sigma, top):
+            mu = 1 / sigma
+            js = [mpmath.exp(mu * c) * mpmath.e1(mu * c)]
+            for i in range(1, top + 1):
+                js.append(fac(i - 1) / mu**i - c * js[-1])
+            return [
+                fac(n) / mu ** (n + 1) * mpmath.fsum(mu**i * js[i] / fac(i) for i in range(n + 1))
+                for n in range(top + 1)
+            ]
+
+        rows = [(mpmath.mpf(alpha2), p) for p in range(k)] + [(mpmath.mpf(beta2), p) for p in range(nj)]
+        psi, phi = mpmath.matrix(m, m), mpmath.matrix(m, m)
+        if n_e >= m:
+            c0 = n_e - m
+            for r, (sigma, p) in enumerate(rows):
+                big_i = moments(sigma, c0 + p + m)
+                for j in range(m):
+                    psi[r, j] = fac(c0 + p + j) * sigma ** (c0 + p + j + 1)
+                    phi[r, j] = big_i[c0 + p + j]
+        else:
+            d = m - n_e - 1
+
+            def falling(a, p):
+                return mpmath.fprod(a - i for i in range(p))
+
+            for r, (sigma, p) in enumerate(rows):
+                big_i = moments(sigma, n_e + p)
+                for j in range(m):
+                    scale = 1 if j <= d else fac(j - d - 1)
+                    psi[r, j] = scale * falling(j, p) * sigma ** (j - p)
+                for l in range(n_e):
+                    # d^p/dsigma^p of sigma^d x^l e^(-x/sigma), term by term.
+                    phi[r, d + 1 + l] = mpmath.fsum(
+                        math.comb(p, i) * falling(d, p - i) * sigma ** (d - (p - i))
+                        * _derivative_of_moment(big_i, sigma, l, i)
+                        for i in range(p + 1)
+                    )
+        return mpmath.fsum(mpmath.lu_solve(psi, phi.column(j))[j] for j in range(m))
+
+
+def _derivative_of_moment(big_i, sigma, l, i):
+    """``d^i/dsigma^i I_l(sigma)``: ``d/dsigma e^(-x/sigma) = x/sigma^2
+    e^(-x/sigma)``, so it is ``sum_q a_iq sigma^(-i-q) I_(l+q)`` with
+    ``a_00 = 1``, ``a_(i+1,q) += -(i+q) a_iq`` and ``a_(i+1,q+1) += a_iq``."""
+    coef = {0: 1}
+    for step in range(i):
+        nxt = {}
+        for q, a in coef.items():
+            nxt[q] = nxt.get(q, 0) - (step + q) * a
+            nxt[q + 1] = nxt.get(q + 1, 0) + a
+        coef = nxt
+    return mpmath.fsum(a * sigma ** (-i - q) * big_i[l + q] for q, a in coef.items())
+
+
+# (N_E, K, alpha2, N_J, beta2) of at most five columns: tall, square and
+# wide blocks, with the larger group and the larger power on either side.
+TWO_POWER_ORACLE_SHAPES = {
+    "tall": (7, 2, 1.5, 3, 0.7),
+    "square": (5, 2, 1.5, 3, 0.7),
+    "wide-by-one": (4, 2, 1.5, 3, 0.7),
+    "wide": (3, 2, 1.5, 3, 0.7),
+    "tall-more-data": (6, 3, 0.4, 2, 2.5),
+    "square-more-data": (5, 3, 2.5, 2, 0.4),
+    "wide-more-data": (2, 3, 0.4, 1, 2.5),
+    "one-row": (1, 1, 2.0, 1, 0.5),
+}
+
+
+@pytest.mark.parametrize("snr_db", [-20.0, 0.0, 30.0, 60.0, 3000.0])
+@pytest.mark.parametrize("shape", list(TWO_POWER_ORACLE_SHAPES))
+def test_two_power_law_matches_the_mpmath_oracle(shape, snr_db):
+    s2 = 10.0 ** (-snr_db / 10.0)
+    law = twopower.two_power_log1p(*TWO_POWER_ORACLE_SHAPES[shape], s2)
+    oracle = float(_two_power_oracle(*TWO_POWER_ORACLE_SHAPES[shape], s2))
+    assert abs(law - oracle) <= STATED_ERROR, (law, oracle)
+
+
+@pytest.mark.parametrize("shape", list(TWO_POWER_ORACLE_SHAPES))
+def test_two_power_law_at_the_lowest_snr_is_its_first_order_term(shape):
+    # At -3000 dB, ln(1 + x/s2) = x/s2 to 1e-290 relative, so the law is
+    # E tr(Gbar^H Gbar) / s2 = N_E (K alpha2 + N_J beta2) / s2; the forward
+    # recurrence of the oracle would lose 300 digits a step here.
+    n_e, k, alpha2, nj, beta2 = TWO_POWER_ORACLE_SHAPES[shape]
+    first = n_e * (k * alpha2 + nj * beta2) / 1e300
+    assert twopower.two_power_log1p(n_e, k, alpha2, nj, beta2, 1e300) == pytest.approx(
+        first, rel=1e-12
+    )
+
+
+# The benchmark's N_E sweep at 30 dB (M=64 K=8 N_J=40 T=192 alpha2=2, so
+# beta2 = 1.2): its wide point from `_two_power_oracle` at 300 digits, its
+# tall and square points from the same route at 300 and 400 digits.
+SWEEP_NE_BITS = {
+    32: 19.3890403772,
+    48: 101.1113179425,
+    64: 122.2276788933,
+    96: 133.3190106635,
+}
+
+
+@pytest.mark.parametrize("n_e", list(SWEEP_NE_BITS))
+def test_two_power_leakage_at_the_sweep_points(n_e):
+    cfg = balanced_config(M=64, K=8, N_E=n_e, N_J=40, T=192, alpha2=2.0)
+    assert (cfg.beta2, cfg.sigma_z2) == (1.2, 1e-3)
+    est = ExactFirst(trials=2, seed=0).ergodic_leakage(cfg)
+    assert est.std_error == 0.0
+    assert abs(est.mean - SWEEP_NE_BITS[n_e]) <= 1e-9, est
+
+
+def test_two_power_log_means_match_mpmath():
+    # T_n(z) = sum_{k<=n} r_k with r_k = e^z E_(k+1)(z), on both sides of
+    # the switch from the series of E1 to the continued fraction at z = 40.
+    # mpmath's E_n needs the margin: at 80 digits E_121(150) is off in its
+    # 30th.  Below z = 1 (where E_n is slow) r_k comes from e^z E1(z) and
+    # r_k = (1 - z r_(k-1)) / k, which loses nothing there.
+    for z in ("1e-300", "1e-8", "0.3", "7", "39.5", "40.5", "150", "1e4", "1e300"):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            means = twopower._log_means(decimal.Decimal(z), 120)
+        with mpmath.workdps(160):
+            x = mpmath.mpf(z)
+            if x < 1:
+                rs = [mpmath.exp(x) * mpmath.e1(x)]
+                for k in range(1, 121):
+                    rs.append((1 - x * rs[-1]) / k)
+            else:
+                rs = [mpmath.exp(x) * mpmath.expint(k + 1, x) for k in range(121)]
+            for n in (0, 1, 5, 30, 120):
+                oracle = mpmath.fsum(rs[: n + 1])
+                assert abs(mpmath.mpf(str(means[n])) / oracle - 1) <= mpmath.mpf("1e-55"), (z, n)
+
+
+def test_two_power_law_confirms_its_digits():
+    # Built at too few digits, the law fails its g = 1 and g = x identities
+    # and is rebuilt, to the same value; one that would need more digits
+    # than allowed, or powers within 1% of each other, declines.
+    shape, s2 = (64, 8, 2.0, 40, 1.2), 1e-3
+    want = twopower.two_power_log1p(*shape, s2)
+    twopower._law.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(twopower, "_DIGITS", 40)
+            law = twopower._law(*shape)
+            assert law.digits > 40
+            assert law(s2) == want
+        twopower._law.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(twopower, "_MAX_DIGITS", 80)
+            assert twopower.two_power_log1p(*shape, s2) is None
+    finally:
+        twopower._law.cache_clear()
+    assert twopower.NEAR_EQUAL == 0.01
+    assert twopower.two_power_log1p(5, 2, 1.009, 3, 1.0, s2) is None
+    assert twopower.two_power_log1p(5, 2, 1.011, 3, 1.0, s2) is not None

@@ -506,6 +506,16 @@ WIDE_UNEQUAL = EXACT_CFGS["wide-unequal"]
 EXACT_RUN = dict(trials=4000, seed=2)
 
 
+def _near(cfg: SystemConfig) -> SystemConfig:
+    """``cfg`` at powers 0.7063 and 0.7, a ratio of 1.009: within
+    `twopower.NEAR_EQUAL` of 1, where the two-power law declines and
+    `ExactFirst` samples its control-variate fit."""
+    return dataclasses.replace(cfg, alpha2=0.7063, beta2=0.7)
+
+
+WIDE_NEAR = _near(WIDE_UNEQUAL)
+
+
 @pytest.mark.parametrize("name", list(EXACT_CFGS))
 def test_exact_values_agree_with_sampling(name):
     cfg = EXACT_CFGS[name]
@@ -521,13 +531,13 @@ def test_exact_values_agree_with_sampling(name):
 
 
 def test_exact_first_samples_what_has_no_known_law():
-    # Only the two-power ergodic leakage is sampled, with control variates: within
-    # 4 SE of a plain MonteCarlo, at a smaller SE.  The two-power wide
-    # JOINT, the ergodic constant and the universal constant are exact: SE
-    # 0, and within 4 SE of a plain MonteCarlo.
+    # Only the ergodic leakage at two powers within 1% of each other is
+    # sampled, with control variates: within 4 SE of a plain MonteCarlo, at
+    # a smaller SE.  The two-power wide JOINT, the ergodic constant and the
+    # universal constant are exact: SE 0, and within 4 SE of a plain MonteCarlo.
     mc = MonteCarlo(**EXACT_RUN)
     exact = ExactFirst(**EXACT_RUN)
-    cfg = _at(WIDE_UNEQUAL, 0.1)
+    cfg = _at(WIDE_NEAR, 0.1)
     fitted, plain = exact.ergodic_leakage(cfg), mc.ergodic_leakage(cfg)
     assert abs(fitted.mean - plain.mean) <= 4.0 * math.hypot(fitted.std_error, plain.std_error)
     assert 0.0 < fitted.std_error < plain.std_error
@@ -543,27 +553,20 @@ def test_exact_first_samples_what_has_no_known_law():
 
 
 @pytest.mark.parametrize("name", list(EXACT_CFGS))
-def test_exact_first_ergodic_leakage_agrees_with_sampling(name, monkeypatch):
+def test_exact_first_ergodic_leakage_agrees_with_sampling(name):
     # Each configuration and its data-only view (no noise columns), from
     # the noise-dominated regime to high SNR.  One power (every data-only
-    # view, and wide-equal) is the Laguerre law with SE 0; two powers are
-    # a control-variate fit, sampled with a smaller SE than plain sampling.
-    # The fit is pinned to every trial (no precision target) so that both
-    # routes average the same 4000 trials.
-    monkeypatch.setattr(montecarlo, "_SE_TARGET", 0)
+    # view, and wide-equal) is the Laguerre law, two powers the
+    # polynomial-ensemble law of `twopower`: SE 0 either way, within 4 SE
+    # of plain sampling.
     exact, plain = ExactFirst(**EXACT_RUN), MonteCarlo(**EXACT_RUN)
     cfg = EXACT_CFGS[name]
     for view in (cfg, dataclasses.replace(cfg, N_J=0, beta2=0.0)):
-        one_power = view.N_J == 0 or view.alpha2 == view.beta2
         for at in (_at(view, s2) for s2 in (100.0, 1.0, 1e-2, 1e-5)):
-            fitted, sampled = exact.ergodic_leakage(at), plain.ergodic_leakage(at)
-            band = 4.0 * math.hypot(fitted.std_error, sampled.std_error)
-            assert abs(fitted.mean - sampled.mean) <= band, (at, fitted, sampled)
-            if one_power:
-                assert fitted.std_error == 0.0
-            else:
-                assert 0.0 < fitted.std_error < sampled.std_error
-            assert (fitted.trials, fitted.excluded) == (4000, 0)
+            law, sampled = exact.ergodic_leakage(at), plain.ergodic_leakage(at)
+            band = 4.0 * math.hypot(law.std_error, sampled.std_error)
+            assert abs(law.mean - sampled.mean) <= band, (at, law, sampled)
+            assert (law.std_error, law.trials, law.excluded) == (0.0, 4000, 0)
 
 
 def _unit_draw(exact, cfg):
@@ -584,8 +587,9 @@ def test_exact_first_ergodic_leakage_is_the_regression_intercept():
     # are the unit-power terms at each power and J, the log-determinant of
     # Gbar less that of the unit-power block G.  The estimate is the
     # intercept less the noise block's exact mean, and its SE the residual
-    # one with n - 4 degrees of freedom.
-    cfg, s2 = _at(WIDE_UNEQUAL, 0.1), 0.1
+    # one with n - 4 degrees of freedom.  The fit runs where the two-power
+    # law declines: at powers within 1% of each other.
+    cfg, s2 = _at(WIDE_NEAR, 0.1), 0.1
     exact = ExactFirst(trials=montecarlo._BATCH + 6, seed=7)
     est = exact.ergodic_leakage(cfg)
     sq_full, sq_unit = _unit_draw(exact, cfg)
@@ -614,17 +618,17 @@ def test_exact_first_ergodic_leakage_at_tiny_trial_counts(trials, draw_counts):
     # full term less the noise block's exact mean, never a standard error
     # of 0, and no second draw.
     exact = ExactFirst(trials=trials, seed=0)
-    fitted = exact.ergodic_leakage(_at(WIDE_UNEQUAL, 0.1))
-    sq_full, _ = _unit_draw(exact, WIDE_UNEQUAL)
+    fitted = exact.ergodic_leakage(_at(WIDE_NEAR, 0.1))
+    sq_full, _ = _unit_draw(exact, WIDE_NEAR)
     full = _summarize([np.sum(np.log1p(sq_full / 0.1), axis=1) / math.log(2.0)])
-    plain = dataclasses.replace(full, mean=full.mean - _noise_block_law(WIDE_UNEQUAL, 0.1))
+    plain = dataclasses.replace(full, mean=full.mean - _noise_block_law(WIDE_NEAR, 0.1))
     assert fitted.std_error > 0.0
     assert (fitted == plain) is (trials < 5)
     assert draw_counts == {"ergodic": 1}
 
 
 def test_exact_first_drops_trials_the_control_guard_flags():
-    cfg = _at(WIDE_UNEQUAL, 0.1)
+    cfg = _at(WIDE_NEAR, 0.1)
     exact = ExactFirst(trials=montecarlo._BATCH + 6, seed=1)
     clean = exact.ergodic_leakage(cfg)
     # Zero the smallest unit-power value of trial 3: its J control is then
@@ -653,29 +657,33 @@ TWO_POWER_SHAPES = {
     # One row fewer than columns: J, the beta-matrix control, enters.
     "wide-by-one": SystemConfig(M=8, K=2, N_E=4, N_J=3, T=12, alpha2=1.5, beta2=0.7),
     # Four rows more than columns: the nearest tall shape whose fit trusts
-    # its pilot (`_TRUSTED_GAP`); at 1e-3 it extends the pilot's draw.
+    # its pilot (`_TRUSTED_GAP`).
     "tall-by-four": SystemConfig(M=8, K=2, N_E=9, N_J=3, T=12, alpha2=1.5, beta2=0.7),
 }
+# The same blocks at near-equal powers, where the fit still runs: at 20 dB
+# tall-by-four's pilot is the answer, from 17.5 dB down it extends the
+# pilot's draw, and at 0 dB it draws a 4000-trial cap.
+NEAR_POWER_SHAPES = {name: _near(cfg) for name, cfg in TWO_POWER_SHAPES.items()}
 
 
 @pytest.mark.parametrize("s2", [1.0, 1e-3])
 @pytest.mark.parametrize("name", list(TWO_POWER_SHAPES))
 def test_two_power_ergodic_leakage_agrees_with_sampling(name, s2):
-    # The plain estimate is drawn on another seed, so the two errors are
-    # independent and 4 hypot(SE) is an honest band.
+    # The law against plain sampling, in the 4 hypot(SE) band the fit was
+    # held to.
     cfg = _at(TWO_POWER_SHAPES[name], s2)
-    fitted = ExactFirst(**EXACT_RUN).ergodic_leakage(cfg)
+    law = ExactFirst(**EXACT_RUN).ergodic_leakage(cfg)
     sampled = MonteCarlo(trials=EXACT_RUN["trials"], seed=3).ergodic_leakage(cfg)
-    band = 4.0 * math.hypot(fitted.std_error, sampled.std_error)
-    assert abs(fitted.mean - sampled.mean) <= band, (fitted, sampled)
-    assert 0.0 < fitted.std_error < sampled.std_error
+    band = 4.0 * math.hypot(law.std_error, sampled.std_error)
+    assert abs(law.mean - sampled.mean) <= band, (law, sampled)
+    assert law.std_error == 0.0
 
 
 def test_two_power_ergodic_leakage_on_a_tall_block_at_high_snr():
     # At 60 dB on a 64 x 5 block the two unit-power controls differ by
     # nearly a constant: the normal equations of their fit are singular in
     # double precision, the rank-revealing fit is not.
-    cfg = SystemConfig(M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7, snr_e_db=60.0)
+    cfg = _near(SystemConfig(M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7, snr_e_db=60.0))
     fitted = ExactFirst(trials=200, seed=0).ergodic_leakage(cfg)
     sampled = MonteCarlo(trials=2000, seed=1).ergodic_leakage(cfg)
     band = 4.0 * math.hypot(fitted.std_error, sampled.std_error)
@@ -685,13 +693,13 @@ def test_two_power_ergodic_leakage_on_a_tall_block_at_high_snr():
 
 def test_two_power_ergodic_leakage_does_not_depend_on_the_worker_count():
     # Caps that are no multiple of `_BATCH`: near-square blocks that draw
-    # the cap, and (tall-by-four at 1e-3) a pilot extended short of it.
+    # the cap, and (tall-by-four at 0.1) a pilot extended short of it.
     short = 3 * montecarlo._BATCH + 5
     cases = [
-        (WIDE_UNEQUAL, 1e-2, short),
-        (EXACT_CFGS["tall-unequal"], 1e-2, short),
-        (TWO_POWER_SHAPES["square"], 1e-2, short),
-        (TWO_POWER_SHAPES["tall-by-four"], 1e-3, 4000 + 5),
+        (WIDE_NEAR, 1e-2, short),
+        (_near(EXACT_CFGS["tall-unequal"]), 1e-2, short),
+        (NEAR_POWER_SHAPES["square"], 1e-2, short),
+        (NEAR_POWER_SHAPES["tall-by-four"], 0.1, 4000 + 5),
     ]
     for cfg, s2, trials in cases:
         assert trials % montecarlo._BATCH
@@ -705,7 +713,7 @@ def test_two_power_ergodic_leakage_does_not_depend_on_the_worker_count():
 
 # A tall block at high SNR (20 dB), where 32 trials already meet the default target.
 TALL_AT_HIGH_SNR = SystemConfig(
-    M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7, snr_e_db=20.0
+    M=8, K=2, N_E=64, N_J=3, T=12, alpha2=0.7063, beta2=0.7, snr_e_db=20.0
 )
 
 
@@ -726,9 +734,9 @@ def test_a_precise_pilot_is_the_answer(draw_counts):
     ("cfg", "s2", "trials", "fitted"),
     [
         # The pilot misses by far: the fit reads every trial up to the cap.
-        (TWO_POWER_SHAPES["tall-by-four"], 1e-2, 3 * montecarlo._BATCH + 5, 53),
-        # The pilot misses by a little: 512 of 4000 trials meet the target.
-        (TWO_POWER_SHAPES["tall-by-four"], 1e-3, 4000, 512),
+        (NEAR_POWER_SHAPES["tall-by-four"], 1.0, 3 * montecarlo._BATCH + 5, 53),
+        # The pilot misses by a little: 1056 of 4000 trials meet the target.
+        (NEAR_POWER_SHAPES["tall-by-four"], 0.1, 4000, 1056),
     ],
     ids=["to-the-cap", "below-the-cap"],
 )
@@ -751,9 +759,9 @@ def test_a_near_square_block_draws_every_trial(name, draw_counts, monkeypatch):
     # Within `_TRUSTED_GAP` rows of square the residual's heavy tail makes
     # a 32-trial SE untrustworthy, so the fit reads the cap even at 40 dB,
     # where the pilot of the block four rows taller is the answer.
-    cfg = _at(TWO_POWER_SHAPES[name], 1e-4)
+    cfg = _at(NEAR_POWER_SHAPES[name], 1e-4)
     assert abs(cfg.N_E - cfg.K - cfg.N_J) < montecarlo._TRUSTED_GAP
-    tall = _at(TWO_POWER_SHAPES["tall-by-four"], 1e-4)
+    tall = _at(NEAR_POWER_SHAPES["tall-by-four"], 1e-4)
     assert ExactFirst(trials=500, seed=2).ergodic_leakage(tall).trials == 32
     exact = ExactFirst(trials=500, seed=2)
     est = exact.ergodic_leakage(cfg)
@@ -777,13 +785,13 @@ def test_the_pilot_standard_error_bound():
 
 
 def test_each_noise_floor_reads_its_own_prefix():
-    # Floors that stop at the pilot (40 dB), extend a little (35 dB) or far
-    # (30 dB), and draw to the cap (20 dB): one instance asked in either
+    # Floors that stop at the pilot (20 dB), extend a little (17.5 dB) or
+    # far (12.5 dB), and draw to the cap (0 dB): one instance asked in either
     # order, or a fresh instance per floor, gives equal numbers.
-    cfg, run = TWO_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
-    points = [dataclasses.replace(cfg, snr_e_db=snr) for snr in (40.0, 35.0, 30.0, 20.0)]
+    cfg, run = NEAR_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
+    points = [dataclasses.replace(cfg, snr_e_db=snr) for snr in (20.0, 17.5, 12.5, 0.0)]
     fresh = {at: ExactFirst(**run).ergodic_leakage(at) for at in points}
-    assert [fresh[at].trials for at in points] == [32, 64, 512, 4000]
+    assert [fresh[at].trials for at in points] == [32, 64, 384, 4000]
     for order in (points, points[::-1]):
         exact = ExactFirst(**run)
         assert {at: exact.ergodic_leakage(at) for at in order} == fresh
@@ -792,8 +800,8 @@ def test_each_noise_floor_reads_its_own_prefix():
 def test_no_two_power_result_depends_on_the_batch_size(monkeypatch):
     # The pilot and its extension are counted in trials, not batches: a
     # batch that straddles the pilot's end changes no number.
-    cfg, run = TWO_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
-    points = [dataclasses.replace(cfg, snr_e_db=snr) for snr in (40.0, 35.0, 30.0)]
+    cfg, run = NEAR_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
+    points = [dataclasses.replace(cfg, snr_e_db=snr) for snr in (20.0, 17.5, 12.5)]
     results = []
     for batch in (1, 5, 16, 40):
         monkeypatch.setattr(montecarlo, "_BATCH", batch)
@@ -878,10 +886,14 @@ def test_one_power_ergodic_leakage_keeps_its_two_control_fit(cfg, s2, mean, std_
 
 
 def test_exact_first_snr_sweep_draws_the_ergodic_channel_once(draw_counts):
-    exact = ExactFirst(**CACHE_RUN)
-    for snr in (-20.0, 10.0, 40.0):
-        _through(exact, dataclasses.replace(CACHE_CFG, snr_e_db=snr))
-    assert draw_counts == {"ergodic": 1}
+    # Where the two-power law declines (powers within 1%), the fit draws
+    # the ergodic channel once for every SNR; elsewhere nothing is drawn.
+    for cfg, drawn in ((_near(CACHE_CFG), {"ergodic": 1}), (CACHE_CFG, {})):
+        draw_counts.clear()
+        exact = ExactFirst(**CACHE_RUN)
+        for snr in (-20.0, 10.0, 40.0):
+            _through(exact, dataclasses.replace(cfg, snr_e_db=snr))
+        assert draw_counts == drawn
 
 
 UNIVERSAL_CFGS = {

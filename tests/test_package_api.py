@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import anleak
-from anleak import bounds, channel, laws, linalg, montecarlo, planner, special
+from anleak import bounds, channel, laws, linalg, montecarlo, planner, special, twopower
 
 SRC = Path(anleak.__file__).resolve().parent
 
@@ -72,7 +72,7 @@ NEVER_LOADED = {
 
 @pytest.mark.parametrize(
     "module",
-    [linalg, channel, special, laws, planner, montecarlo, bounds],
+    [linalg, channel, special, laws, planner, montecarlo, bounds, twopower],
     ids=lambda m: m.__name__,
 )
 def test_every_exported_helper_is_used_by_the_package(module):
@@ -185,17 +185,35 @@ def _modules_loaded_by(statement: str) -> set[str]:
 SUBMODULES = {f"anleak.{path.stem}" for path in SRC.glob("*.py")} - {"anleak.__init__"}
 
 
-def test_the_cli_imports_no_oracle_library():
+def test_the_cli_imports_no_oracle_library(tmp_path):
     # scipy and mpmath are test extras that serve as oracles; the package
     # depends on numpy alone, and loading either would slow every start-up.
-    # So would what only some commands run: a thread pool (`_in_order`) and
-    # the planner (`plan`).  A bare `import anleak` loads no module of its own.
+    # So would what only some commands run: a thread pool (`_in_order`), the
+    # planner (`plan`) and the two-power law with its `decimal` arithmetic.
+    # A bare `import anleak` loads no module of its own, and a one-power
+    # flagship `bounds` run never reaches the two-power law; a two-power
+    # one loads it and `decimal`, and no pool.
+    config = {}
+    for name, alpha2 in (("one", 1.0), ("two", 2.0)):
+        config[name] = tmp_path / f"{name}.cfg"
+        config[name].write_text(f"M=64\nK=16\nN_E=64\nN_J=48\nT=320\nalpha2={alpha2}\n")
+    law = {"decimal", "anleak.twopower"}
+    pool = {"concurrent.futures"}
+    run = (
+        "import contextlib, io; from anleak import cli; "
+        "quiet = contextlib.redirect_stdout(io.StringIO()); quiet.__enter__(); "
+        "cli.main(['bounds', {!r}]); quiet.__exit__(None, None, None)"
+    )
     cases = {
-        "import anleak.cli": {"scipy", "mpmath", "concurrent.futures", "anleak.planner"},
-        "import anleak": SUBMODULES,
+        "import anleak.cli": ({"scipy", "mpmath", "anleak.planner"} | pool | law, set()),
+        "import anleak": (SUBMODULES, set()),
+        run.format(str(config["one"])): (law | pool, set()),
+        run.format(str(config["two"])): (pool, law),
     }
-    for statement, unloaded in cases.items():
-        assert not unloaded & _modules_loaded_by(statement), statement
+    for statement, (unloaded, loaded) in cases.items():
+        modules = _modules_loaded_by(statement)
+        assert not unloaded & modules, statement
+        assert loaded <= modules, statement
 
 
 def test_every_export_is_the_object_of_its_module():
@@ -211,7 +229,9 @@ def test_every_export_is_the_object_of_its_module():
 def test_a_bare_import_resolves_every_module():
     # Every module but the entry points is an attribute of the package
     # without an import of its own, as when the package imported them all.
-    modules = ("bounds", "channel", "errors", "laws", "linalg", "montecarlo", "planner", "special")
+    modules = (
+        "bounds", "channel", "errors", "laws", "linalg", "montecarlo", "planner", "special", "twopower"
+    )
     full = {f"anleak.{m}" for m in modules}
     assert full == SUBMODULES - {"anleak.cli", "anleak.__main__"}
     statement = f"import anleak; [getattr(anleak, m) for m in {modules!r}]"
