@@ -65,8 +65,10 @@ quadrature over two Laguerre densities, `_universal_law`) and the ergodic
 leakage: at one power two Laguerre one-point integrals
 (`_laguerre_log1p`), at two the polynomial-ensemble law of
 `anleak.twopower`, which only that path imports.  So it draws nothing
-unless the two powers are within ``twopower.NEAR_EQUAL`` (1%) of each
-other, where that law declines.  There it samples the ergodic leakage on
+unless the two powers are so near each other that that law declines (it
+would need more than 240 digits: below a ratio of about 1.0003 on
+``K = 8, N_J = 40`` and 1.004 on ``K = 16, N_J = 48``, never on small
+blocks).  There it samples the ergodic leakage on
 the same stream, and regresses each trial on controls whose means those
 laws give exactly (control variates, Glasserman 2003, ch. 4): it keeps,
 under its own key, the spectra of ``Gbar`` and of its unit-power block;
@@ -351,8 +353,8 @@ class ExactFirst(MonteCarlo):
     ``universal_constant`` from `_universal_law` and ``ergodic_leakage``
     from the Laguerre law at one power and `twopower.two_power_log1p` at
     two, each as ``McEstimate(mean, 0.0, trials, 0)``.  Only
-    ``ergodic_leakage`` at two powers within ``twopower.NEAR_EQUAL`` of
-    each other, where that law declines, is sampled, with control
+    ``ergodic_leakage`` at two powers so near each other that that law
+    declines is sampled, with control
     variates, on `MonteCarlo`'s ergodic stream: from the spectra of that
     draw's ``Gbar`` and of its unit-power block.  It draws until its
     standard error is at most ``_SE_TARGET`` bits, with ``trials`` as the
@@ -376,7 +378,7 @@ class ExactFirst(MonteCarlo):
 
     def ergodic_leakage(self, cfg: SystemConfig) -> McEstimate:
         """The ergodic leakage, ``E full - E an``: exact unless the two
-        powers are within ``twopower.NEAR_EQUAL`` of each other.
+        powers are so near each other that their law declines.
 
         ``an = sum ln(1 + lambda(G2 G2^H) / s2)`` is a Laguerre one-point
         integral (Telatar 1999) over the ``N_E x N_J`` noise block,

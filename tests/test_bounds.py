@@ -329,14 +329,15 @@ def test_one_power_highsnr_expansion_residual_vanishes(cfg):
 
 @st.composite
 def two_power_configs(draw):
-    """Tall, square and wide blocks at two powers at least 1% apart, where
-    the ergodic leakage is the `twopower` law; the constant c of its
-    expansion comes from `_log_sv_law`'s digamma and Jacobi route."""
+    """Tall, square and wide blocks at two powers from a ratio of 1.0001 on,
+    both in the one-power strategy's range 0.1 to 10, where the ergodic
+    leakage is the `twopower` law; the constant c of its expansion comes
+    from `_log_sv_law`'s digamma and Jacobi route."""
     k = draw(st.integers(1, 5))
     nj = draw(st.integers(1, 8))
-    alpha2 = draw(st.floats(0.1, 10.0))
-    ratio = draw(st.floats(1.02, 50.0))
-    beta2 = alpha2 * ratio if draw(st.booleans()) else alpha2 / ratio
+    low = draw(st.floats(0.1, 5.0))
+    high = low * draw(st.floats(1.0001, 10.0 / low))
+    alpha2, beta2 = (low, high) if draw(st.booleans()) else (high, low)
     return SystemConfig(
         M=k + nj + 1, K=k, N_E=draw(st.integers(1, 12)), N_J=nj, T=4 * (k + nj),
         alpha2=alpha2, beta2=beta2,

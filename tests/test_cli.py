@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import anleak.cli
-from anleak import ConfigError, ExactFirst, MonteCarlo
+from anleak import ConfigError, ExactFirst, MonteCarlo, montecarlo
 from anleak.cli import (
     AXES,
     METRICS,
@@ -41,6 +41,13 @@ BASE = {
     "trials": "200",
     "seed": "1",
 }
+
+
+# The N_E = 32 point of the benchmark's N_E sweep at powers 1.33334 and
+# 1.333332, a ratio of 1 + 6e-6: the two-power law would need more than
+# its 240 digits and declines, so the ergodic cells sample the
+# control-variate fit, the one sampled quantity of `sweep` and `bounds`.
+DECLINED = {"M": "64", "K": "8", "N_E": "32", "N_J": "40", "T": "192", "alpha2": "1.33334"}
 
 
 def write_config(tmp_path, entries, name="sweep.cfg"):
@@ -320,14 +327,26 @@ def test_csv_format_is_stable():
     assert "\r" not in buf.getvalue()
 
 
-def test_worker_count_never_changes_the_rows():
+def test_worker_count_never_changes_the_rows(draw_counts, monkeypatch):
+    # The ergodic cells sample (the fit's pilot, extended toward 120 trials),
+    # so the 4-worker run goes through the worker pool.
     spec = build_sweep_spec(
-        make_entries(values="0,10", metrics="ergodic,noncoh_ub,universal", trials="120")
+        make_entries(
+            **DECLINED, values="0,10", metrics="ergodic,noncoh_ub,universal", trials="120"
+        )
     )
     on_4 = dataclasses.replace(spec, mc=dataclasses.replace(spec.mc, workers=4))
     rows_1 = run_sweep(spec)
+    pools = []
+    in_order = montecarlo._in_order
+    monkeypatch.setattr(
+        montecarlo, "_in_order", lambda *a, **kw: pools.append(a[2]) or in_order(*a, **kw)
+    )
     rows_4 = run_sweep(on_4)
     assert rows_1 == rows_4
+    assert draw_counts == {"ergodic": 2}
+    assert pools and set(pools) == {4}
+    assert all(row.std_error > 0.0 for row in rows_1 if row.metric == "ergodic")
     one, four = io.StringIO(), io.StringIO()
     write_sweep_csv(spec, rows_1, one)
     write_sweep_csv(on_4, rows_4, four)
@@ -351,10 +370,10 @@ def test_snr_sweep_draws_each_spectrum_once(draw_counts):
 def test_block_length_sweep_rereads_the_ergodic_draw(draw_counts):
     # The ergodic leakage does not read T, so its cells agree at every
     # block length.  At the flagship's one power and at two distinct powers
-    # it is a law, not a draw; at powers within 1% of each other (1.006 and
-    # 0.998) the sweep draws the ergodic channel once.
+    # it is a law, not a draw; at powers so near each other that the law
+    # declines (1.00001 and 0.9999967) the sweep draws the ergodic channel once.
     two_power = {**FLAGSHIP, "N_E": "32", "alpha2": "2"}
-    near = {**FLAGSHIP, "N_E": "32", "alpha2": "1.006"}
+    near = {**FLAGSHIP, "N_E": "32", "alpha2": "1.00001"}
     for base, drawn in ((FLAGSHIP, {}), (two_power, {}), (near, {"ergodic": 1})):
         draw_counts.clear()
         entries = {**base, "axis": "T_gamma", "values": "1.5,2,5,10"}
@@ -374,14 +393,11 @@ def test_block_length_sweep_rereads_the_ergodic_draw(draw_counts):
         # single-stream view follow the Jacobi law, and the ergodic
         # leakage the two-power law; nothing is sampled.
         ({"M": "64", "K": "8", "N_E": "32", "N_J": "40", "T": "192", "alpha2": "2"}, {}),
-        # The same at powers within 1% of each other (1.34 and 1.332): the
-        # ergodic leakage reads the two-power draw (Gbar and its unit-power
-        # block); 4 trials are too few for its three control slopes, so it
-        # answers without controls from that same draw, not from a second.
-        (
-            {"M": "64", "K": "8", "N_E": "32", "N_J": "40", "T": "192", "alpha2": "1.34"},
-            {"ergodic": 1},
-        ),
+        # The same where the two-power law declines: the ergodic leakage
+        # reads the two-power draw (Gbar and its unit-power block); 4 trials
+        # are too few for its three control slopes, so it answers without
+        # controls from that same draw, not from a second.
+        (DECLINED, {"ergodic": 1}),
     ],
     ids=["flagship", "wide-unequal", "wide-near-equal"],
 )
@@ -621,9 +637,10 @@ def test_bounds_header_names_the_trials_source_and_seed(tmp_path, capsys):
 
 def test_the_environment_never_sets_the_trials(tmp_path, capsys, monkeypatch):
     # Output depends only on the arguments: an `ANLEAK_TRIALS` in the shell
-    # is not read.  On this near-square two-power block the ergodic cells
-    # draw the whole trial count, so a count taken from it would move them.
-    sweep = write_config(tmp_path, make_entries(alpha2="2", trials=None))
+    # is not read.  Where the two-power law declines the ergodic cells
+    # sample, from a 32-trial pilot on, so a count of 7 taken from it would
+    # move them.
+    sweep = write_config(tmp_path, make_entries(**DECLINED, trials=None))
     bounds = write_config(tmp_path, FLAGSHIP, name="flagship.cfg")
     out = tmp_path / "out.csv"
 
@@ -818,8 +835,10 @@ def test_a_closed_stdout_fails_without_a_traceback(tmp_path):
 
 
 def test_sweep_subprocess_is_worker_invariant(tmp_path):
+    # The ergodic cells sample, so the 3-worker run goes through the pool.
     path = write_config(
-        tmp_path, make_entries(values="10,30", metrics="ergodic,universal", trials="80")
+        tmp_path,
+        make_entries(**DECLINED, values="10,30", metrics="ergodic,universal", trials="80"),
     )
     outputs = []
     for workers, name in ((1, "w1.csv"), (3, "w3.csv")):

@@ -25,7 +25,7 @@ from anleak import (
     twopower,
 )
 from anleak.laws import jacobi_nodes, laguerre_nodes
-from anleak.montecarlo import _universal_law
+from anleak.montecarlo import _laguerre_log1p, _universal_law
 
 STATED_ERROR = 1e-9 * math.log(2.0)  # 1e-9 bits, in nats
 
@@ -374,10 +374,39 @@ def test_two_power_log_means_match_mpmath():
                 assert abs(mpmath.mpf(str(means[n])) / oracle - 1) <= mpmath.mpf("1e-55"), (z, n)
 
 
+# Blocks of 26 columns at powers near each other, where the weights reach
+# 1e61 at a ratio of 1.011 (140 digits) and 1e162 at 1 + 1e-6 (212 of the
+# 240 allowed): (shape, oracle digits).
+NEAR_EQUAL_ORACLE_SHAPES = {
+    "tall-1.011": ((30, 6, 1.011, 20, 1.0), 160),
+    "square-1.011": ((26, 6, 1.011, 20, 1.0), 160),
+    "wide-1.011": ((20, 6, 1.011, 20, 1.0), 160),
+    "square-larger-noise-1.011": ((26, 6, 1.0, 20, 1.011), 160),
+    "square-1.0001": ((26, 6, 1.0001, 20, 1.0), 220),
+    "square-1.000001": ((26, 6, 1.000001, 20, 1.0), 320),
+}
+
+
+@pytest.mark.parametrize("snr_db", [-20.0, 30.0])
+@pytest.mark.parametrize("name", list(NEAR_EQUAL_ORACLE_SHAPES))
+def test_two_power_law_matches_the_oracle_at_near_equal_powers(name, snr_db):
+    shape, dps = NEAR_EQUAL_ORACLE_SHAPES[name]
+    s2 = 10.0 ** (-snr_db / 10.0)
+    law = twopower.two_power_log1p(*shape, s2)
+    oracle = float(_two_power_oracle(*shape, s2, dps=dps))
+    assert abs(law - oracle) <= STATED_ERROR, (law, oracle)
+    assert twopower._law(*shape).digits > 100
+
+
+def _largest_weight_digits(law) -> int:
+    """Digits before the point of a law's largest weight."""
+    return max(abs(w) for _, _, ws in law.nodes for w in ws).adjusted() + 1
+
+
 def test_two_power_law_confirms_its_digits():
     # Built at too few digits, the law fails its g = 1 and g = x identities
     # and is rebuilt, to the same value; one that would need more digits
-    # than allowed, or powers within 1% of each other, declines.
+    # than allowed declines.
     shape, s2 = (64, 8, 2.0, 40, 1.2), 1e-3
     want = twopower.two_power_log1p(*shape, s2)
     twopower._law.cache_clear()
@@ -393,6 +422,47 @@ def test_two_power_law_confirms_its_digits():
             assert twopower.two_power_log1p(*shape, s2) is None
     finally:
         twopower._law.cache_clear()
-    assert twopower.NEAR_EQUAL == 0.01
-    assert twopower.two_power_log1p(5, 2, 1.009, 3, 1.0, s2) is None
-    assert twopower.two_power_log1p(5, 2, 1.011, 3, 1.0, s2) is not None
+
+
+def test_the_identities_catch_what_the_margin_rule_lets_through():
+    # With 5 digits kept beyond the largest weight the margin rule holds at
+    # once; the weights then carry a 1e-4 error, which only the g = 1 and
+    # g = x identities see.  Unchecked, that law is wrong; checked, it is
+    # rebuilt at more digits to the value of the default rule.
+    shape, s2 = NEAR_EQUAL_ORACLE_SHAPES["square-1.011"][0], 1e-3
+    want = twopower.two_power_log1p(*shape, s2)
+    first = _largest_weight_digits(twopower._law(*shape)) + 5
+    twopower._law.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(twopower, "_MARGIN", 5)
+            patch.setattr(twopower, "_DIGITS", first)
+            patch.setattr(twopower, "_IDENTITY_TOL", decimal.Decimal("Infinity"))
+            unchecked = twopower._law(*shape)
+            assert unchecked.digits == first
+            assert abs(unchecked(s2) - want) > 1e-6
+            twopower._law.cache_clear()
+            patch.undo()
+            patch.setattr(twopower, "_MARGIN", 5)
+            patch.setattr(twopower, "_DIGITS", first)
+            checked = twopower._law(*shape)
+            assert checked.digits > first
+            assert abs(checked(s2) - want) <= STATED_ERROR
+    finally:
+        twopower._law.cache_clear()
+
+
+def test_the_law_declines_only_where_it_would_need_too_many_digits():
+    # Declining is the digits rule alone: a 5-column block is answered at
+    # the first 100 digits even 1e-9 from a ratio of 1, where it meets the
+    # one-power Laguerre law; 48 columns are answered at a ratio of 1.001
+    # and decline at 1.0001.  Equal powers are the one-power law's, not this one's.
+    s2 = 1e-3
+    assert twopower._law(5, 2, 1.0 + 1e-9, 3, 1.0).digits == twopower._DIGITS
+    assert twopower.two_power_log1p(5, 2, 1.0 + 1e-9, 3, 1.0, s2) == pytest.approx(
+        _laguerre_log1p(5, 5, 1.0, s2), rel=1e-8
+    )
+    assert twopower.two_power_log1p(48, 8, 1.001, 40, 1.0, s2) is not None
+    assert twopower.two_power_log1p(48, 8, 1.0001, 40, 1.0, s2) is None
+    with pytest.raises(ValueError):
+        twopower.two_power_log1p(5, 2, 1.0, 3, 1.0, s2)

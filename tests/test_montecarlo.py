@@ -27,6 +27,7 @@ from anleak import (
     expected_logdet_wishart,
     montecarlo,
     sv_split_check,
+    twopower,
     universal_constant,
 )
 from anleak.laws import laguerre_nodes
@@ -506,14 +507,11 @@ WIDE_UNEQUAL = EXACT_CFGS["wide-unequal"]
 EXACT_RUN = dict(trials=4000, seed=2)
 
 
-def _near(cfg: SystemConfig) -> SystemConfig:
-    """``cfg`` at powers 0.7063 and 0.7, a ratio of 1.009: within
-    `twopower.NEAR_EQUAL` of 1, where the two-power law declines and
-    `ExactFirst` samples its control-variate fit."""
-    return dataclasses.replace(cfg, alpha2=0.7063, beta2=0.7)
-
-
-WIDE_NEAR = _near(WIDE_UNEQUAL)
+# A 48-column wide block at powers 1e-4 apart: the two-power law would
+# need more than its 240 digits and declines, so `ExactFirst` samples its
+# control-variate fit.  The fit's own tests below call it directly
+# (`_two_power_leakage`) on small blocks, where the law never declines.
+DECLINED = SystemConfig(M=64, K=8, N_E=32, N_J=40, T=192, alpha2=1.0001, beta2=1.0)
 
 
 @pytest.mark.parametrize("name", list(EXACT_CFGS))
@@ -531,16 +529,21 @@ def test_exact_values_agree_with_sampling(name):
 
 
 def test_exact_first_samples_what_has_no_known_law():
-    # Only the ergodic leakage at two powers within 1% of each other is
-    # sampled, with control variates: within 4 SE of a plain MonteCarlo, at
-    # a smaller SE.  The two-power wide JOINT, the ergodic constant and the
-    # universal constant are exact: SE 0, and within 4 SE of a plain MonteCarlo.
-    mc = MonteCarlo(**EXACT_RUN)
-    exact = ExactFirst(**EXACT_RUN)
-    cfg = _at(WIDE_NEAR, 0.1)
-    fitted, plain = exact.ergodic_leakage(cfg), mc.ergodic_leakage(cfg)
+    # Only the ergodic leakage at two powers so near each other that their
+    # law declines is sampled, with control variates: within 4 SE of a
+    # plain MonteCarlo, at a smaller SE.  The two-power wide JOINT, the
+    # ergodic constant and the universal constant are exact: SE 0, and
+    # within 4 SE of a plain MonteCarlo.
+    declined = _at(DECLINED, 0.1)
+    assert twopower.two_power_log1p(32, 8, 1.0001, 40, 1.0, 0.1) is None
+    run = dict(trials=400, seed=2)
+    fitted = ExactFirst(**run).ergodic_leakage(declined)
+    plain = MonteCarlo(**run).ergodic_leakage(declined)
     assert abs(fitted.mean - plain.mean) <= 4.0 * math.hypot(fitted.std_error, plain.std_error)
     assert 0.0 < fitted.std_error < plain.std_error
+    mc = MonteCarlo(**EXACT_RUN)
+    exact = ExactFirst(**EXACT_RUN)
+    cfg = _at(WIDE_UNEQUAL, 0.1)
     pairs = [
         (exact.log_sv_sum(SvKind.JOINT, cfg), mc.log_sv_sum(SvKind.JOINT, cfg)),
         (exact.ergodic_constant(cfg), mc.ergodic_constant(cfg)),
@@ -587,11 +590,10 @@ def test_exact_first_ergodic_leakage_is_the_regression_intercept():
     # are the unit-power terms at each power and J, the log-determinant of
     # Gbar less that of the unit-power block G.  The estimate is the
     # intercept less the noise block's exact mean, and its SE the residual
-    # one with n - 4 degrees of freedom.  The fit runs where the two-power
-    # law declines: at powers within 1% of each other.
-    cfg, s2 = _at(WIDE_NEAR, 0.1), 0.1
+    # one with n - 4 degrees of freedom.
+    cfg, s2 = _at(WIDE_UNEQUAL, 0.1), 0.1
     exact = ExactFirst(trials=montecarlo._BATCH + 6, seed=7)
-    est = exact.ergodic_leakage(cfg)
+    est = exact._two_power_leakage(cfg)
     sq_full, sq_unit = _unit_draw(exact, cfg)
     leak = np.sum(np.log1p(sq_full / s2), axis=1) / math.log(2.0)
     m = cfg.K + cfg.N_J
@@ -618,24 +620,24 @@ def test_exact_first_ergodic_leakage_at_tiny_trial_counts(trials, draw_counts):
     # full term less the noise block's exact mean, never a standard error
     # of 0, and no second draw.
     exact = ExactFirst(trials=trials, seed=0)
-    fitted = exact.ergodic_leakage(_at(WIDE_NEAR, 0.1))
-    sq_full, _ = _unit_draw(exact, WIDE_NEAR)
+    fitted = exact._two_power_leakage(_at(WIDE_UNEQUAL, 0.1))
+    sq_full, _ = _unit_draw(exact, WIDE_UNEQUAL)
     full = _summarize([np.sum(np.log1p(sq_full / 0.1), axis=1) / math.log(2.0)])
-    plain = dataclasses.replace(full, mean=full.mean - _noise_block_law(WIDE_NEAR, 0.1))
+    plain = dataclasses.replace(full, mean=full.mean - _noise_block_law(WIDE_UNEQUAL, 0.1))
     assert fitted.std_error > 0.0
     assert (fitted == plain) is (trials < 5)
     assert draw_counts == {"ergodic": 1}
 
 
 def test_exact_first_drops_trials_the_control_guard_flags():
-    cfg = _at(WIDE_NEAR, 0.1)
+    cfg = _at(WIDE_UNEQUAL, 0.1)
     exact = ExactFirst(trials=montecarlo._BATCH + 6, seed=1)
-    clean = exact.ergodic_leakage(cfg)
+    clean = exact._two_power_leakage(cfg)
     # Zero the smallest unit-power value of trial 3: its J control is then
     # undefined, though its leakage is not.
     sq_unit = exact._cache[(*montecarlo._gbar_args(cfg), "unit")][0][1]
     sq_unit[3, -1] = 0.0
-    flagged = exact.ergodic_leakage(cfg)
+    flagged = exact._two_power_leakage(cfg)
     assert (flagged.trials, flagged.excluded) == (clean.trials - 1, 1)
 
 
@@ -657,13 +659,9 @@ TWO_POWER_SHAPES = {
     # One row fewer than columns: J, the beta-matrix control, enters.
     "wide-by-one": SystemConfig(M=8, K=2, N_E=4, N_J=3, T=12, alpha2=1.5, beta2=0.7),
     # Four rows more than columns: the nearest tall shape whose fit trusts
-    # its pilot (`_TRUSTED_GAP`).
+    # its pilot (`_TRUSTED_GAP`); at 1e-3 it extends the pilot's draw.
     "tall-by-four": SystemConfig(M=8, K=2, N_E=9, N_J=3, T=12, alpha2=1.5, beta2=0.7),
 }
-# The same blocks at near-equal powers, where the fit still runs: at 20 dB
-# tall-by-four's pilot is the answer, from 17.5 dB down it extends the
-# pilot's draw, and at 0 dB it draws a 4000-trial cap.
-NEAR_POWER_SHAPES = {name: _near(cfg) for name, cfg in TWO_POWER_SHAPES.items()}
 
 
 @pytest.mark.parametrize("s2", [1.0, 1e-3])
@@ -683,8 +681,8 @@ def test_two_power_ergodic_leakage_on_a_tall_block_at_high_snr():
     # At 60 dB on a 64 x 5 block the two unit-power controls differ by
     # nearly a constant: the normal equations of their fit are singular in
     # double precision, the rank-revealing fit is not.
-    cfg = _near(SystemConfig(M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7, snr_e_db=60.0))
-    fitted = ExactFirst(trials=200, seed=0).ergodic_leakage(cfg)
+    cfg = SystemConfig(M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7, snr_e_db=60.0)
+    fitted = ExactFirst(trials=200, seed=0)._two_power_leakage(cfg)
     sampled = MonteCarlo(trials=2000, seed=1).ergodic_leakage(cfg)
     band = 4.0 * math.hypot(fitted.std_error, sampled.std_error)
     assert abs(fitted.mean - sampled.mean) <= band, (fitted, sampled)
@@ -693,18 +691,18 @@ def test_two_power_ergodic_leakage_on_a_tall_block_at_high_snr():
 
 def test_two_power_ergodic_leakage_does_not_depend_on_the_worker_count():
     # Caps that are no multiple of `_BATCH`: near-square blocks that draw
-    # the cap, and (tall-by-four at 0.1) a pilot extended short of it.
+    # the cap, and (tall-by-four at 1e-3) a pilot extended short of it.
     short = 3 * montecarlo._BATCH + 5
     cases = [
-        (WIDE_NEAR, 1e-2, short),
-        (_near(EXACT_CFGS["tall-unequal"]), 1e-2, short),
-        (NEAR_POWER_SHAPES["square"], 1e-2, short),
-        (NEAR_POWER_SHAPES["tall-by-four"], 0.1, 4000 + 5),
+        (WIDE_UNEQUAL, 1e-2, short),
+        (EXACT_CFGS["tall-unequal"], 1e-2, short),
+        (TWO_POWER_SHAPES["square"], 1e-2, short),
+        (TWO_POWER_SHAPES["tall-by-four"], 1e-3, 4000 + 5),
     ]
     for cfg, s2, trials in cases:
         assert trials % montecarlo._BATCH
         one, three = (
-            ExactFirst(trials=trials, seed=2, workers=w).ergodic_leakage(_at(cfg, s2))
+            ExactFirst(trials=trials, seed=2, workers=w)._two_power_leakage(_at(cfg, s2))
             for w in (1, 3)
         )
         assert one == three
@@ -713,30 +711,30 @@ def test_two_power_ergodic_leakage_does_not_depend_on_the_worker_count():
 
 # A tall block at high SNR (20 dB), where 32 trials already meet the default target.
 TALL_AT_HIGH_SNR = SystemConfig(
-    M=8, K=2, N_E=64, N_J=3, T=12, alpha2=0.7063, beta2=0.7, snr_e_db=20.0
+    M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7, snr_e_db=20.0
 )
 
 
 def test_a_precise_pilot_is_the_answer(draw_counts):
     cfg = TALL_AT_HIGH_SNR
     exact = ExactFirst(trials=20000, seed=0)
-    est = exact.ergodic_leakage(cfg)
+    est = exact._two_power_leakage(cfg)
     assert (est.trials, est.excluded) == (montecarlo._PILOT, 0) == (32, 0)
     # The pilot answers only when its SE's upper bound meets the target.
     upper = est.std_error * montecarlo._sd_upper_factor(32 - 2 - 1)
     assert 0.0 < est.std_error < upper <= montecarlo._SE_TARGET == 1e-5
     assert len(_unit_draw(exact, cfg)[0]) == 32
     assert draw_counts == {"ergodic": 1}
-    assert est == ExactFirst(trials=32, seed=0).ergodic_leakage(cfg)
+    assert est == ExactFirst(trials=32, seed=0)._two_power_leakage(cfg)
 
 
 @pytest.mark.parametrize(
     ("cfg", "s2", "trials", "fitted"),
     [
         # The pilot misses by far: the fit reads every trial up to the cap.
-        (NEAR_POWER_SHAPES["tall-by-four"], 1.0, 3 * montecarlo._BATCH + 5, 53),
-        # The pilot misses by a little: 1056 of 4000 trials meet the target.
-        (NEAR_POWER_SHAPES["tall-by-four"], 0.1, 4000, 1056),
+        (TWO_POWER_SHAPES["tall-by-four"], 1e-2, 3 * montecarlo._BATCH + 5, 53),
+        # The pilot misses by a little: 512 of 4000 trials meet the target.
+        (TWO_POWER_SHAPES["tall-by-four"], 1e-3, 4000, 512),
     ],
     ids=["to-the-cap", "below-the-cap"],
 )
@@ -747,11 +745,11 @@ def test_a_missed_target_extends_the_same_stream(
     # fit over the first n of them: what a fixed count of n trials gives.
     cfg = _at(cfg, s2)
     exact = ExactFirst(trials=trials, seed=2)
-    est = exact.ergodic_leakage(cfg)
+    est = exact._two_power_leakage(cfg)
     assert est.trials + est.excluded == len(_unit_draw(exact, cfg)[0]) == fitted
     assert draw_counts == {"ergodic": 1}  # the pilot's draw, extended once
     monkeypatch.setattr(montecarlo, "_SE_TARGET", 0)
-    assert est == ExactFirst(trials=fitted, seed=2).ergodic_leakage(cfg)
+    assert est == ExactFirst(trials=fitted, seed=2)._two_power_leakage(cfg)
 
 
 @pytest.mark.parametrize("name", ["square", "wide-by-one"])
@@ -759,16 +757,16 @@ def test_a_near_square_block_draws_every_trial(name, draw_counts, monkeypatch):
     # Within `_TRUSTED_GAP` rows of square the residual's heavy tail makes
     # a 32-trial SE untrustworthy, so the fit reads the cap even at 40 dB,
     # where the pilot of the block four rows taller is the answer.
-    cfg = _at(NEAR_POWER_SHAPES[name], 1e-4)
+    cfg = _at(TWO_POWER_SHAPES[name], 1e-4)
     assert abs(cfg.N_E - cfg.K - cfg.N_J) < montecarlo._TRUSTED_GAP
-    tall = _at(NEAR_POWER_SHAPES["tall-by-four"], 1e-4)
-    assert ExactFirst(trials=500, seed=2).ergodic_leakage(tall).trials == 32
+    tall = _at(TWO_POWER_SHAPES["tall-by-four"], 1e-4)
+    assert ExactFirst(trials=500, seed=2)._two_power_leakage(tall).trials == 32
     exact = ExactFirst(trials=500, seed=2)
-    est = exact.ergodic_leakage(cfg)
+    est = exact._two_power_leakage(cfg)
     assert est.trials + est.excluded == len(_unit_draw(exact, cfg)[0]) == 500
     assert draw_counts == {"ergodic": 2}  # one draw per geometry
     monkeypatch.setattr(montecarlo, "_SE_TARGET", 0)
-    assert est == ExactFirst(trials=500, seed=2).ergodic_leakage(cfg)
+    assert est == ExactFirst(trials=500, seed=2)._two_power_leakage(cfg)
 
 
 def test_the_pilot_standard_error_bound():
@@ -785,28 +783,28 @@ def test_the_pilot_standard_error_bound():
 
 
 def test_each_noise_floor_reads_its_own_prefix():
-    # Floors that stop at the pilot (20 dB), extend a little (17.5 dB) or
-    # far (12.5 dB), and draw to the cap (0 dB): one instance asked in either
+    # Floors that stop at the pilot (40 dB), extend a little (35 dB) or far
+    # (30 dB), and draw to the cap (20 dB): one instance asked in either
     # order, or a fresh instance per floor, gives equal numbers.
-    cfg, run = NEAR_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
-    points = [dataclasses.replace(cfg, snr_e_db=snr) for snr in (20.0, 17.5, 12.5, 0.0)]
-    fresh = {at: ExactFirst(**run).ergodic_leakage(at) for at in points}
-    assert [fresh[at].trials for at in points] == [32, 64, 384, 4000]
+    cfg, run = TWO_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
+    points = [dataclasses.replace(cfg, snr_e_db=snr) for snr in (40.0, 35.0, 30.0, 20.0)]
+    fresh = {at: ExactFirst(**run)._two_power_leakage(at) for at in points}
+    assert [fresh[at].trials for at in points] == [32, 64, 512, 4000]
     for order in (points, points[::-1]):
         exact = ExactFirst(**run)
-        assert {at: exact.ergodic_leakage(at) for at in order} == fresh
+        assert {at: exact._two_power_leakage(at) for at in order} == fresh
 
 
 def test_no_two_power_result_depends_on_the_batch_size(monkeypatch):
     # The pilot and its extension are counted in trials, not batches: a
     # batch that straddles the pilot's end changes no number.
-    cfg, run = NEAR_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
-    points = [dataclasses.replace(cfg, snr_e_db=snr) for snr in (20.0, 17.5, 12.5)]
+    cfg, run = TWO_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
+    points = [dataclasses.replace(cfg, snr_e_db=snr) for snr in (40.0, 35.0, 30.0)]
     results = []
     for batch in (1, 5, 16, 40):
         monkeypatch.setattr(montecarlo, "_BATCH", batch)
         exact = ExactFirst(**run)
-        results.append([exact.ergodic_leakage(at) for at in points])
+        results.append([exact._two_power_leakage(at) for at in points])
     assert all(result == results[0] for result in results[1:])
 
 
@@ -886,9 +884,9 @@ def test_one_power_ergodic_leakage_keeps_its_two_control_fit(cfg, s2, mean, std_
 
 
 def test_exact_first_snr_sweep_draws_the_ergodic_channel_once(draw_counts):
-    # Where the two-power law declines (powers within 1%), the fit draws
-    # the ergodic channel once for every SNR; elsewhere nothing is drawn.
-    for cfg, drawn in ((_near(CACHE_CFG), {"ergodic": 1}), (CACHE_CFG, {})):
+    # Where the two-power law declines, the fit draws the ergodic channel
+    # once for every SNR; elsewhere nothing is drawn.
+    for cfg, drawn in ((DECLINED, {"ergodic": 1}), (CACHE_CFG, {})):
         draw_counts.clear()
         exact = ExactFirst(**CACHE_RUN)
         for snr in (-20.0, 10.0, 40.0):
