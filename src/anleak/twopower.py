@@ -28,6 +28,12 @@ on the noise floor, with ``E sum g = sum w[sigma][n] I_n(sigma)``.
   ``n_S`` rows a rank-``n_S`` correction through an ``n_S x n_S`` Schur
   complement, whose entries ``int x^(c+a) e^(-x/sigma_S) pi_k`` have an
   ``a + 1``-term closed form (Rodrigues' formula, integrated by parts).
+  The projections ``Q_a`` of the small group's rows on the Laguerre
+  block's degrees follow each other by the three-term recurrence of the
+  ``pi_k`` (Szego 1939), ``Q_a = y Q_(a-1) + beta pi_n_L + gamma
+  pi_(n_L-1)``, so the Laguerre side of the correction is
+  ``Q_0 P_S + pi_n_L U + pi_(n_L-1) V``: three convolutions, not one per
+  row (`_tall`).
 * Wide blocks (``N_E < m``): with ``d = m - N_E - 1`` the rows are
   ``sigma^j`` for ``j <= d`` and ``l! sigma^(d+1+l)`` for ``l < N_E``, a
   column-scaled confluent Vandermonde in ``sigma``, whose inverse is the
@@ -36,7 +42,8 @@ on the noise floor, with ``E sum g = sum w[sigma][n] I_n(sigma)``.
   ``sigma^d int x^l e^(-x/sigma) g`` in the others, which is
   ``sum_q gamma_pq sigma^(d-p-q) I_(l+q)`` with ``gamma_00 = 1``,
   ``gamma_(p+1,q) += (d-p-q) gamma_pq`` and
-  ``gamma_(p+1,q+1) += gamma_pq``.
+  ``gamma_(p+1,q+1) += gamma_pq``, exactly 0 for ``q <= d < p``, terms
+  the sum skips.
 
 For ``g = ln(1 + x/s2)``, ``I_n(sigma) = n! sigma^(n+1) T_n(s2/sigma)``
 with ``T_n(z) = E ln(1 + Y/z)`` for ``Y ~ Gamma(n + 1)``, a sum of
@@ -181,9 +188,20 @@ def _tall(n_e: int, ns: int, s_s: Decimal, nl: int, s_l: Decimal) -> list:
     ``y^c (e^(-y/rho) P_S(y) - e^-y P_L(y))`` with
     ``P_S = sum_a y^a E_a``, ``P_L = sum_a Q_a E_a``,
     ``E_a = sum_k (D^-1)[k][a] pi_(nl+k)`` for the Schur block
-    ``D = C[:, nl:]`` and ``Q_a = sum_{p < nl} C[a][p] / h_p pi_p``.
-    Arrays hold decimals (numpy object arrays), so products round to the
-    context's precision.
+    ``D = C[:, nl:]`` and ``Q_a = sum_{p < nl} C[a][p] / h_p pi_p``, the
+    projection of ``y^a e^(-delta y)`` on degree ``< nl``.
+
+    The projections follow from the three-term recurrence: a remainder
+    orthogonal to degree ``< nl`` projects, times ``y``, onto ``pi_(nl-1)``
+    alone, so ``Q_a = y Q_(a-1) + beta_(a-1) pi_nl + gamma_(a-1) pi_(nl-1)``
+    with ``beta_j = -C[j][nl-1] / h_(nl-1)`` and
+    ``gamma_j = C[j][nl] / h_(nl-1)``.  Hence
+    ``P_L = Q_0 P_S + pi_nl U + pi_(nl-1) V``, ``U = sum_j beta_j H_j``,
+    ``V = sum_j gamma_j H_j``, ``H_(ns-1) = 0`` and
+    ``H_j = E_(j+1) + y H_(j+1)``: three convolutions, the terms above
+    degree ``nl + m - 2`` cancelling exactly, and for ``a >= 1`` only the
+    columns ``k >= nl - 1`` of ``C``.  Arrays hold decimals (numpy object
+    arrays), so products round to the context's precision.
     """
     dec = decimal.getcontext().create_decimal
     m = ns + nl
@@ -201,30 +219,43 @@ def _tall(n_e: int, ns: int, s_s: Decimal, nl: int, s_l: Decimal) -> list:
     dpow = [minus_delta**i for i in range(m + 1)]
     # scaled[i] = i! rho^(i+1)
     scaled = np.array([dec(f) for f in fact], dtype=object) * _powers(rho, len(fact), 1)
-    rows = np.array(
-        [
+
+    def row(a: int, first: int) -> np.ndarray:  # C[a][first:]
+        return np.array(
             [
                 sum(
                     dec(math.comb(kk, j) * fact[a] // fact[a - j]) * dpow[kk - j]
                     * scaled[a - j + kk + c]
                     for j in range(min(a, kk) + 1)
                 )
-                for kk in range(m)
-            ]
-            for a in range(ns)
-        ],
-        dtype=object,
-    )
-    e = _inverse(rows[:, nl:]).T @ pi[nl:]  # e[a]: E_a
+                for kk in range(first, m)
+            ],
+            dtype=object,
+        )
+
+    head = row(0, 0)
+    tail = np.array([head[nl - 1 :]] + [row(a, nl - 1) for a in range(1, ns)])  # C[:, nl-1:]
+    e = _inverse(tail[:, 1:]).T @ pi[nl:]  # e[a]: E_a
     norms = np.array([dec(fact[p] * fact[p + c]) for p in range(nl)], dtype=object)
-    q = (rows[:, :nl] / norms) @ pi[:nl, :nl]  # q[a]: Q_a
+    q0 = (head[:nl] / norms) @ pi[:nl, :nl]  # Q_0
     p_s = np.zeros(m + ns - 1, dtype=object)
-    p_l = np.zeros(nl + m - 1, dtype=object)
     for a in range(ns):
         p_s[a : a + m] += e[a]
-        p_l += np.convolve(q[a], e[a])
+    h = np.zeros(m + ns - 1, dtype=object)  # H_j
+    u, v = h.copy(), h.copy()  # h_(nl-1) U and h_(nl-1) V
+    for j in range(ns - 2, -1, -1):
+        h = np.concatenate(([0], h[:-1]))
+        h[:m] += e[j + 1]
+        u -= tail[j, 0] * h
+        v += tail[j, 1] * h
+    top = nl + m - 1  # P_L's length
+    p_l = (
+        np.convolve(q0, p_s)[:top]
+        + (np.convolve(pi[nl, : nl + 1], u)[:top] + np.convolve(pi[nl - 1, :nl], v)[:top])
+        / norms[nl - 1]
+    )
     w_s = p_s * scaled[c : c + len(p_s)]
-    w_l = -p_l * np.array([dec(f) for f in fact[c : c + len(p_l)]], dtype=object)
+    w_l = -p_l * np.array([dec(f) for f in fact[c : c + top]], dtype=object)
     return [(s_s, c, list(w_s)), (s_l, c, list(w_l))]
 
 
@@ -261,7 +292,8 @@ def _wide(n_e: int, x0: Decimal, mu0: int, x1: Decimal, mu1: int) -> list:
             t_coef = sum(taylor[i] * power[deg - i] for i in range(max(0, deg - mu1), top + 1))
             row += (head * t_coef) * shift[p + deg]
         coef[p] = row
-    # d^p/dsigma^p of sigma^d e^(-x/sigma) = sum_q gamma[p][q] sigma^(d-p-q) x^q e^(-x/sigma)
+    # d^p/dsigma^p of sigma^d e^(-x/sigma) = sum_q gamma[p][q] sigma^(d-p-q) x^q e^(-x/sigma),
+    # gamma[p][q] = C(p, q) (d-q)(d-q-1)...(d-p+1): exactly 0 for q <= d < p.
     gamma = [[0] * mu0 for _ in range(mu0)]
     gamma[0][0] = 1
     for p in range(mu0 - 1):
@@ -271,10 +303,11 @@ def _wide(n_e: int, x0: Decimal, mu0: int, x1: Decimal, mu1: int) -> list:
     inverse = _powers(1 / x0, 2 * mu0, 0) * x0**d  # inverse[e] = x0^(d - e)
     w = np.zeros(n_e + mu0 - 1, dtype=object)
     for q in range(mu0):
+        last = mu0 if q > d else min(mu0, d + 1)  # rows past d carry gamma 0
         scales = np.array(
-            [dec(gamma[p][q]) * inverse[p + q] for p in range(q, mu0)], dtype=object
+            [dec(gamma[p][q]) * inverse[p + q] for p in range(q, last)], dtype=object
         )
-        w[q : q + n_e] += scales @ coef[q:]
+        w[q : q + n_e] += scales @ coef[q:last]
     return list(w * np.array([dec(f) for f in fact[: len(w)]], dtype=object) * _powers(x0, len(w), 1))
 
 

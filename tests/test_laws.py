@@ -455,14 +455,168 @@ def test_the_identities_catch_what_the_margin_rule_lets_through():
 def test_the_law_declines_only_where_it_would_need_too_many_digits():
     # Declining is the digits rule alone: a 5-column block is answered at
     # the first 100 digits even 1e-9 from a ratio of 1, where it meets the
-    # one-power Laguerre law; 48 columns are answered at a ratio of 1.001
-    # and decline at 1.0001.  Equal powers are the one-power law's, not this one's.
+    # one-power Laguerre law; 48 columns are answered at a ratio of 1.0003
+    # (237 digits) and decline at 1.0002, and the flagship's 64 at 1.004
+    # (234) and 1.003.  Equal powers are the one-power law's, not this one's.
     s2 = 1e-3
     assert twopower._law(5, 2, 1.0 + 1e-9, 3, 1.0).digits == twopower._DIGITS
     assert twopower.two_power_log1p(5, 2, 1.0 + 1e-9, 3, 1.0, s2) == pytest.approx(
         _laguerre_log1p(5, 5, 1.0, s2), rel=1e-8
     )
-    assert twopower.two_power_log1p(48, 8, 1.001, 40, 1.0, s2) is not None
-    assert twopower.two_power_log1p(48, 8, 1.0001, 40, 1.0, s2) is None
+    assert twopower._law(48, 8, 1.0003, 40, 1.0).digits == 237
+    assert twopower.two_power_log1p(48, 8, 1.0002, 40, 1.0, s2) is None
+    assert twopower._law(64, 16, 1.004, 48, 1.0).digits == 234
+    assert twopower.two_power_log1p(64, 16, 1.003, 48, 1.0, s2) is None
     with pytest.raises(ValueError):
         twopower.two_power_log1p(5, 2, 1.0, 3, 1.0, s2)
+
+
+def _dense_tall(n_e, ns, s_s, nl, s_l):
+    """``twopower._tall``'s weights by the dense route, at the context's
+    precision: every row ``C[a][k]``, each projection
+    ``Q_a = sum_{p < nl} C[a][p] / h_p pi_p`` as a matrix product, and
+    ``P_L = sum_a Q_a E_a`` as ``ns`` convolutions."""
+    dec = decimal.getcontext().create_decimal
+    m, c, rho = ns + nl, n_e - ns - nl, s_s / s_l
+    fact = [math.factorial(i) for i in range(2 * m + c + 2)]
+    pi = np.zeros((m, m), dtype=object)
+    for kk in range(m):
+        for i in range(kk + 1):
+            pi[kk, i] = dec((-1) ** (kk - i) * math.comb(kk + c, kk - i) * fact[kk] // fact[i])
+    minus_delta = 1 - 1 / rho
+    scaled = np.array([dec(f) * rho ** (i + 1) for i, f in enumerate(fact)], dtype=object)
+    rows = np.array(
+        [
+            [
+                sum(
+                    dec(math.comb(kk, j) * fact[a] // fact[a - j]) * minus_delta ** (kk - j)
+                    * scaled[a - j + kk + c]
+                    for j in range(min(a, kk) + 1)
+                )
+                for kk in range(m)
+            ]
+            for a in range(ns)
+        ],
+        dtype=object,
+    )
+    e = twopower._inverse(rows[:, nl:]).T @ pi[nl:]
+    norms = np.array([dec(fact[p] * fact[p + c]) for p in range(nl)], dtype=object)
+    q = (rows[:, :nl] / norms) @ pi[:nl, :nl]
+    p_s = np.zeros(m + ns - 1, dtype=object)
+    p_l = np.zeros(nl + m - 1, dtype=object)
+    for a in range(ns):
+        p_s[a : a + m] += e[a]
+        p_l += np.convolve(q[a], e[a])
+    w_l = -p_l * np.array([dec(f) for f in fact[c : c + len(p_l)]], dtype=object)
+    return [list(p_s * scaled[c : c + len(p_s)]), list(w_l)]
+
+
+# (N_E, K, alpha2, N_J, beta2) of tall and square blocks.
+TALL_SHAPES = {
+    "sweep-ne-48": (48, 8, 2.0, 40, 1.2),
+    "sweep-ne-64": (64, 8, 2.0, 40, 1.2),
+    "sweep-ne-96": (96, 8, 2.0, 40, 1.2),
+    "square": (26, 6, 1.5, 20, 0.7),
+    "one-data-column": (12, 1, 1.5, 8, 0.7),  # no H_j: U = V = 0
+    "as-many-data-as-noise": (20, 6, 0.7, 6, 1.5),
+    "more-data-than-noise": (24, 12, 1.5, 8, 0.7),  # alpha2 is the Laguerre block
+    "near-equal-1.0003": (48, 8, 1.0003, 40, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(TALL_SHAPES))
+def test_tall_weights_match_the_dense_projections(name):
+    # The three-term recurrence for Q_a and the three-convolution form of
+    # P_L against every row projected and convolved, at the law's digits,
+    # to all but 5 of the digits it keeps beyond its largest weight.
+    n_e, k, alpha2, nj, beta2 = TALL_SHAPES[name]
+    law = twopower._law(*TALL_SHAPES[name])
+    ns, s_s, nl, s_l = (k, alpha2, nj, beta2) if nj >= k else (nj, beta2, k, alpha2)
+    with decimal.localcontext() as ctx:
+        ctx.prec = law.digits
+        args = (n_e, ns, decimal.Decimal(s_s), nl, decimal.Decimal(s_l))
+        got = [ws for _, _, ws in twopower._tall(*args)]
+        want = _dense_tall(*args)
+        assert [len(ws) for ws in got] == [len(ws) for ws in want]
+        top = max(abs(w) for ws in want for w in ws)
+        error = max(abs(g - w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
+        tol = decimal.Decimal(10) ** -(law.digits - (top.adjusted() + 1) - 5)
+        assert error <= tol * top, (error / top, law.digits)
+
+
+def _full_leibniz_wide(n_e, x0, mu0, x1, mu1):
+    """``twopower._wide``'s weights with the Leibniz sum over every row
+    ``p >= q``, its exact zeros ``gamma_pq = 0`` (``q <= d < p``) included."""
+    dec = decimal.getcontext().create_decimal
+    m = mu0 + mu1
+    d = m - n_e - 1
+    fact = [math.factorial(i) for i in range(m + n_e + mu0 + 1)]
+    delta = x0 - x1
+    taylor = [dec((-1) ** i * math.comb(mu1 + i - 1, i)) / delta ** (mu1 + i) for i in range(mu0)]
+    power = [dec(math.comb(mu1, j)) * delta ** (mu1 - j) for j in range(mu1 + 1)]
+    neg = twopower._powers(-x0, m, 0)
+    shift = np.zeros((m, n_e), dtype=object)
+    for l in range(n_e):
+        for j in range(d + 1 + l, m):
+            shift[j, l] = dec(math.comb(j, d + 1 + l)) * neg[j - d - 1 - l] / dec(fact[l])
+    coef = np.zeros((mu0, n_e), dtype=object)
+    for p in range(mu0):
+        top = mu0 - 1 - p
+        head = 1 / dec(fact[p])
+        row = head * shift[p]
+        for deg in range(top + 1, top + mu1 + 1):
+            t_coef = sum(taylor[i] * power[deg - i] for i in range(max(0, deg - mu1), top + 1))
+            row += (head * t_coef) * shift[p + deg]
+        coef[p] = row
+    gamma = [[0] * mu0 for _ in range(mu0)]
+    gamma[0][0] = 1
+    for p in range(mu0 - 1):
+        for q in range(p + 1):
+            gamma[p + 1][q] += (d - p - q) * gamma[p][q]
+            gamma[p + 1][q + 1] += gamma[p][q]
+    inverse = twopower._powers(1 / x0, 2 * mu0, 0) * x0**d
+    w = np.zeros(n_e + mu0 - 1, dtype=object)
+    for q in range(mu0):
+        scales = np.array([dec(gamma[p][q]) * inverse[p + q] for p in range(q, mu0)], dtype=object)
+        w[q : q + n_e] += scales @ coef[q:]
+    fact_w = np.array([dec(f) for f in fact[: len(w)]], dtype=object)
+    return list(w * fact_w * twopower._powers(x0, len(w), 1))
+
+
+# (N_E, K, alpha2, N_J, beta2) of wide blocks; d = K + N_J - N_E - 1.
+WIDE_SHAPES = {
+    "d-0": (47, 8, 2.0, 40, 1.2),
+    "sweep-ne-32": (32, 8, 2.0, 40, 1.2),  # d = 15: zeros at N_J's rows, none at K's
+    "d-past-both": (2, 2, 1.5, 5, 0.7),  # d = 4 >= mu0 - 1 at both powers
+}
+
+
+@pytest.mark.parametrize("name", list(WIDE_SHAPES))
+def test_wide_weights_skip_only_exact_zeros(name):
+    n_e, k, alpha2, nj, beta2 = WIDE_SHAPES[name]
+    with decimal.localcontext() as ctx:
+        ctx.prec = twopower._law(*WIDE_SHAPES[name]).digits
+        a, b = decimal.Decimal(alpha2), decimal.Decimal(beta2)
+        for block in [(n_e, a, k, b, nj), (n_e, b, nj, a, k)]:
+            assert twopower._wide(*block) == _full_leibniz_wide(*block)
+
+
+# The digits each law confirms at, so that a build losing digits fails here
+# rather than silently rebuilding: the four sweep-ne blocks, the flagship at
+# alpha2 = 1.003 (beta2 = 0.999, a ratio of 1.004004) and a wide flagship
+# block at a ratio of 1.01.
+CONFIRMED_DIGITS = {
+    "sweep-ne-32": ((32, 8, 2.0, 40, 1.2), 100),
+    "sweep-ne-48": ((48, 8, 2.0, 40, 1.2), 100),
+    "sweep-ne-64": ((64, 8, 2.0, 40, 1.2), 100),
+    "sweep-ne-96": ((96, 8, 2.0, 40, 1.2), 100),
+    "flagship-1.003": ((64, 16, 1.003, 48, 0.999), 234),
+    "wide-flagship-1.01": ((32, 16, 1.01, 48, 1.0), 209),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIRMED_DIGITS))
+def test_the_law_confirms_at_its_pinned_digits(name):
+    shape, digits = CONFIRMED_DIGITS[name]
+    assert twopower._law(*shape).digits == digits
+
