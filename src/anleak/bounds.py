@@ -233,9 +233,13 @@ def noncoherent_bounds(
     NotApplicable
         ``precondition:beta2=0`` if there is no noise subspace (the
         regime's premise needs one), ``precondition:T<Mbar`` if
-        ``T < K + N_J`` without the fallback, ``bracket_inverted`` if the
-        power ratio ``alpha2/beta2`` is so extreme that the two
-        relaxations cross and no longer bracket anything.
+        ``T < K + N_J`` without the fallback, ``bracket_inverted`` if
+        ``c_lower`` exceeds ``c_upper``.  At two powers that happens at
+        ordinary power splits: after the rescaling, ``c_lower`` carries
+        ``ln alpha2`` where ``c_upper`` carries ``ln t``, so the gap falls
+        by ``(N_E K / T) log2(alpha2 / beta2)`` bits, and on the flagship
+        (``M=64 K=16 N_E=64 N_J=48 T=320``) the pair inverts at
+        ``alpha2 = 2`` (``beta2 = 2/3``).
     """
     ne, k, nj, mbar, t = cfg.N_E, cfg.K, cfg.N_J, cfg.mbar, cfg.T
     require_applicable("saturated_fallback" if saturated_fallback else "noncoherent", cfg)

@@ -5,12 +5,11 @@ Subcommands
 ``sweep``
     Read a key=value config file describing a scenario, an axis to sweep
     and a list of metrics; write one CSV with a row per (axis value,
-    metric).  Output is byte-identical for equal (config, seed) no matter
-    how many workers run the sampling.
+    metric).
 ``bounds``
     Evaluate every regime at a single configuration and print
     ``key=value`` lines after a ``# anleak bounds trials=N
-    trials_source=S seed=N se_target_bits=E`` header.  It reads the same
+    trials_source=S seed=N`` header.  It reads the same
     point evaluator as ``sweep``, so a regime whose rule fails prints
     ``KEY_skipped=CODE`` with the code of the `NotApplicable` that
     `anleak.bounds` raised.
@@ -31,11 +30,10 @@ line flags override file values.  For ``sweep`` and ``bounds`` the trial
 count comes from ``--trials``, else the config file, else the command's
 default (2000 for ``sweep``, 20000 for ``bounds``); the chosen value and
 its source are echoed in the leading comment line, so the output depends
-only on the arguments.  The count is a cap: the one sampled quantity, the
-ergodic leakage at two powers, stops drawing once an upper bound of its
-standard error is at most ``se_target_bits`` (a constant of
-`anleak.montecarlo`, also echoed there), except on blocks near square,
-which draw the whole count.  Bad trials, seed or workers values are
+only on the arguments.  Both commands answer every quantity from a known
+law (`montecarlo.ExactFirst`) and draw nothing, so ``--trials``,
+``--seed`` and ``--workers`` move no data row; only the header echoes
+them.  Bad trials, seed or workers values are
 rejected before any output.  A closed stdout (``anleak bounds cfg | head
 -1``) ends the command with exit 1 and no traceback.
 """
@@ -77,7 +75,6 @@ from .montecarlo import (
     ExactFirst,
     MonteCarlo,
     SvKind,
-    _SE_TARGET,
     _in_order,
     _usable_cores,
     expected_log_sv_sum,
@@ -417,20 +414,16 @@ def _fmt(x: float | None) -> str:
 
 def _run_header(command: str, mc: ExactFirst, source: str) -> str:
     """Leading comment line of ``sweep`` and ``bounds`` output, without its
-    newline: what the run drew and how precisely."""
-    return (
-        f"# anleak {command} trials={mc.trials} trials_source={source} "
-        f"seed={mc.seed} se_target_bits={_SE_TARGET:.9g}"
-    )
+    newline: the run's trial count, its source and seed."""
+    return f"# anleak {command} trials={mc.trials} trials_source={source} seed={mc.seed}"
 
 
 def write_sweep_csv(spec: SweepSpec, rows: list[SweepRow], stream) -> None:
     """Write the sweep CSV (LF line endings, 9 significant digits).
 
-    The header echoes the trial count, its source, the seed and the
-    precision target of the two-power ergodic leakage.  The worker count
-    (``spec.mc.workers``) is still not echoed: output bytes never depend on
-    it.
+    The header echoes the trial count, its source and the seed.  The
+    worker count (``spec.mc.workers``) is not echoed: output bytes never
+    depend on it.
     """
     stream.write(_run_header("sweep", spec.mc, spec.trials_source) + "\n")
     stream.write("axis,metric,value,std_error,reason\n")

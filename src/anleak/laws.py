@@ -19,12 +19,16 @@ graded geometrically, so the hard edge at 0 and a functional's log
 singularity just below it are smooth in ``v``.
 
 Neither fixes a unit: callers integrate their own functionals, in nats.
+`laguerre_rows` gives the orthonormal functions themselves on the Laguerre
+rule, for two-point statistics: matrices ``int f p_j p_k w`` of the
+determinantal kernel.
 
 A third law lives in its own module, `anleak.twopower`: the eigenvalues of
 ``Gbar^H Gbar`` at two column powers, a polynomial ensemble whose weights
 cancel too far for double precision.  It is evaluated in stdlib `decimal`,
-with the Laguerre law above as its largest part on tall blocks, and only
-the two-power ergodic leakage imports it.
+with the Laguerre law above as its largest part on tall blocks, and near
+equal powers by a second-order expansion whose coefficient is such a
+two-point statistic; only the two-power ergodic leakage imports it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import math
 
 import numpy as np
 
-__all__ = ["laguerre_nodes", "jacobi_nodes"]
+__all__ = ["laguerre_nodes", "laguerre_rows", "jacobi_nodes"]
 
 _SEGMENTS = 16  # Gauss-Legendre segments in v = sqrt(x) per 64 rows
 _NODES = 64  # nodes per segment
@@ -59,6 +63,29 @@ def laguerre_nodes(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     Nodes weighing under 1e-18 of the heaviest are dropped.  The arrays are
     cached and read-only.
     """
+    v, dv, recurrence = _laguerre_rule(m, n)
+    rho = _density(*recurrence)
+    return _nodes(recurrence[0], rho * 2.0 * v * dv)
+
+
+@functools.cache
+def laguerre_rows(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``x`` and rows ``phi[k] = p_k(x) sqrt(w(x) dx)``, ``k < m``, of
+    the orthonormal functions behind `laguerre_nodes`, on its rule and with
+    no node dropped, so that ``(phi * f(x)) @ phi.T`` is the matrix
+    ``int f p_j p_k w dx`` of the Laguerre weight ``w = x^(n-m) e^-x /
+    (n-m)!`` and ``(phi**2).sum(axis=0)`` is the one-point density times
+    ``dx``.  The arrays are cached and read-only."""
+    v, dv, recurrence = _laguerre_rule(m, n)
+    rows = np.array(list(_orthonormal(*recurrence))) * np.sqrt(2.0 * v * dv)
+    for arr in (recurrence[0], rows):
+        arr.flags.writeable = False
+    return recurrence[0], rows
+
+
+def _laguerre_rule(m: int, n: int) -> tuple:
+    """`laguerre_nodes`' points ``v`` and weights ``dv`` in ``v = sqrt(x)``,
+    and the ``(x, half_log_w, centre, step)`` of its recurrence."""
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     a = n - m
@@ -68,8 +95,7 @@ def laguerre_nodes(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     x = v * v
     k = np.arange(m, dtype=float)
     half_log_w = 0.5 * (a * np.log(x) - x - math.lgamma(a + 1.0))
-    rho = _density(x, half_log_w, 2.0 * k + 1.0 + a, np.sqrt(k * (k + a)))
-    return _nodes(x, rho * 2.0 * v * dv)
+    return v, dv, (x, half_log_w, 2.0 * k + 1.0 + a, np.sqrt(k * (k + a)))
 
 
 @functools.cache
@@ -125,8 +151,18 @@ def _legendre() -> tuple[np.ndarray, np.ndarray]:
 def _density(
     x: np.ndarray, half_log_w: np.ndarray, centre: np.ndarray, step: np.ndarray
 ) -> np.ndarray:
-    """``sum_{k<m} w p_k(x)^2`` for the polynomials orthonormal under the
-    probability weight ``w``, by their recurrence
+    """``sum_{k<m} w p_k(x)^2``, ``m = len(step)``, over `_orthonormal`."""
+    rho = np.zeros_like(x)
+    for phi in _orthonormal(x, half_log_w, centre, step):
+        rho += phi**2
+    return rho
+
+
+def _orthonormal(
+    x: np.ndarray, half_log_w: np.ndarray, centre: np.ndarray, step: np.ndarray
+):
+    """Yield ``p_k(x) sqrt(w(x))``, ``k < m``, for the polynomials
+    orthonormal under the probability weight ``w``, by their recurrence
     ``step[k+1] p_{k+1} = (x - centre[k]) p_k - step[k] p_{k-1}``, ``p_0 = 1``.
 
     ``m = len(step)``; ``step[0]`` is unused.  The recurrence runs with a
@@ -136,10 +172,9 @@ def _density(
     log_w = half_log_w.copy()
     prev = np.zeros_like(x)
     cur = np.ones_like(x)
-    rho = np.zeros_like(x)
     m = len(step)
     for k in range(m):
-        rho += (cur * np.exp(log_w)) ** 2
+        yield cur * np.exp(log_w)
         if k + 1 == m:
             break
         nxt = ((x - centre[k]) * cur - step[k] * prev) / step[k + 1]
@@ -147,7 +182,6 @@ def _density(
         scale[scale == 0.0] = 1.0
         prev, cur = cur / scale, nxt / scale
         log_w += np.log(scale)
-    return rho
 
 
 def _nodes(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,18 +2,16 @@
 
 Every sampled estimator here reduces to sample means of functionals of
 random matrix spectra.  Determinism contract: a result depends only on the
-arguments ``(..., trials, seed)`` and, for `ExactFirst`, the module's
-precision target ``_SE_TARGET`` — never on the worker count, the batch
+arguments ``(..., trials, seed)`` — never on the worker count, the batch
 size or the order of earlier calls.  This module owns it for the package:
 `_check_run_args` judges ``trials``, ``seed`` and ``workers``, and every
 seeded draw of the package goes through `_run_trials`, which seeds trial
-``i`` from ``(seed, stream_tag, i)``, so a draw extended from trial ``n``
-on is the longer draw.  Trials run in fixed-size batches and reduce in
-trial order; workers only partition batches, so 1 and 8 workers produce
-bit-identical numbers.  A batch is one draw call on its trials'
-generators, and each trial draws from its own generator in the same order
-whatever batch it is in, so a batch of one trial is the per-trial loop
-and no result depends on ``_BATCH``.
+``i`` from ``(seed, stream_tag, i)``.  Trials run in fixed-size batches
+and reduce in trial order; workers only partition batches, so 1 and 8
+workers produce bit-identical numbers.  A batch is one draw call on its
+trials' generators, and each trial draws from its own generator in the
+same order whatever batch it is in, so a batch of one trial is the
+per-trial loop and no result depends on ``_BATCH``.
 This module also owns the package's threads: `_in_order` is its one pool,
 used by `_run_trials` when ``workers > 1`` and by ``validate`` for its
 sampled checks, and numpy's bundled OpenBLAS runs one thread while it does.
@@ -64,22 +62,12 @@ on a wide block; see `_log_sv_law`), the universal constant (a 2-D
 quadrature over two Laguerre densities, `_universal_law`) and the ergodic
 leakage: at one power two Laguerre one-point integrals
 (`_laguerre_log1p`), at two the polynomial-ensemble law of
-`anleak.twopower`, which only that path imports.  So it draws nothing
-unless the two powers are so near each other that that law declines (it
-would need more than 240 digits: below a ratio of about 1.0003 on
-``K = 8, N_J = 40`` and 1.004 on ``K = 16, N_J = 48``, never on small
-blocks).  There it samples the ergodic leakage on
-the same stream, and regresses each trial on controls whose means those
-laws give exactly (control variates, Glasserman 2003, ch. 4): it keeps,
-under its own key, the spectra of ``Gbar`` and of its unit-power block;
-the noise-block term has an exact Laguerre mean and is not sampled, and
-the controls are unit-power Laguerre functionals plus, on a wide block, a
-bounded matrix-variate beta log-determinant.  Unless the block is within
-``_TRUSTED_GAP`` rows of square, that fit draws a pilot of ``_PILOT``
-trials and extends the kept draw only as far as the pilot's residual
-spread says the target needs, with ``trials`` as the cap.  A plain
-`MonteCarlo` and the module functions always sample plainly, all
-``trials``, so they stay the cross-check of every law.
+`anleak.twopower`, which only that path imports (its exact law, or near
+equal powers a second-order expansion with a proven remainder below
+1e-10 nats).  So it draws nothing, and its ``trials``, ``seed`` and
+``workers`` move no output.  A plain `MonteCarlo` and the module
+functions always sample, all ``trials``, so they stay the cross-check of
+every law.
 
 Units: ``expected_log_sv_sum`` returns nats (it is compared against
 digamma identities); the leakage-level estimators return bits.
@@ -93,7 +81,7 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import TYPE_CHECKING
@@ -101,7 +89,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .laws import jacobi_nodes, laguerre_nodes
-from .linalg import _sample_gaussians, gram_spectrum, sample_gaussian, squared_singular_values
+from .linalg import _sample_gaussians, sample_gaussian, squared_singular_values
 from .special import expected_logdet_wishart
 
 if TYPE_CHECKING:  # channel imports this module's run rule and trial loop
@@ -122,10 +110,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _BATCH = 16  # trials per batch; no result depends on it, peak memory does
-_PILOT = 32  # pilot trials of a two-power ergodic fit, and the unit its count grows by
-_SE_TARGET = 1e-5  # bits: the standard error a two-power ergodic fit draws to; 0 draws every trial
-_TRUSTED_GAP = 4  # least |N_E - (K + N_J)| at which a two-power fit trusts its pilot
-_Z95 = 1.6448536269514722  # the standard normal's 95% quantile
 _LAW_ROWS = 128  # noise nodes per chunk of `_universal_law`'s 2-D sum
 _SQ_FLAG_RTOL = 1e-12  # relative squared-singular-value floor of the Gram route
 
@@ -294,9 +278,7 @@ class MonteCarlo:
     at ``cfg.sigma_z2`` on each call, so configs that differ only in
     ``snr_e_db`` or ``T`` share one draw.  The key is the draw's own
     argument tuple, so it holds every value the draw reads and never the
-    SNRs, ``T``, ``M`` or ``workers``; `ExactFirst`'s two-power spectra of
-    the same draw are kept under that tuple plus ``"unit"``, as a prefix
-    of the stream that grows when a noise floor needs more trials.
+    SNRs, ``T``, ``M`` or ``workers``.
     """
 
     trials: int = 20000
@@ -318,26 +300,14 @@ class MonteCarlo:
     def ergodic_leakage(self, cfg: SystemConfig) -> McEstimate:
         return _summarize([_ergodic_values(cfg.sigma_z2, *b) for b in self._ergodic_spectra(cfg)])
 
-    def _ergodic_spectra(self, cfg: SystemConfig, unit: bool = False, trials: int = 0) -> list:
-        """The kept per-batch spectra of the ergodic draw: ``(sq_full, sq_an)``
-        under the draw's arguments, or with ``unit`` ``(sq_full, sq_unit)``
-        (`_unit_spectra`) under those arguments and ``"unit"``.
-
-        The kept draw is a prefix of the stream holding at least its first
-        ``trials`` trials (default ``self.trials``); a shorter one is
-        extended where it ends, so no trial is drawn twice.  The extended
-        list replaces the kept one rather than growing it in place, so a
-        caller on another thread never reads a prefix with a gap."""
+    def _ergodic_spectra(self, cfg: SystemConfig) -> list:
+        """The kept per-batch spectra ``(sq_full, sq_an)`` of the ergodic
+        draw, drawn on first use under the draw's arguments."""
         args = _gbar_args(cfg)
-        key = (*args, "unit") if unit else args
-        kept = self._cache.get(key, [])
-        have, want = sum(len(b[0]) for b in kept), trials or self.trials
-        if have < want:
-            spectra = partial(_unit_spectra, *args[1:5]) if unit else partial(_gbar_spectra, cfg.K)
-            run = (want, self.seed, self.workers)
-            kept = kept + _run_trials(_TAG_ERGODIC, _product, args, spectra, *run, first=have)
-            self._cache[key] = kept
-        return kept
+        if args not in self._cache:
+            spectra = partial(_gbar_spectra, cfg.K)
+            self._cache[args] = _run_trials(_TAG_ERGODIC, _product, args, spectra, *self._run)
+        return self._cache[args]
 
     def ergodic_constant(self, cfg: SystemConfig) -> McEstimate:
         return _summarize([_ergodic_constant_values(*b) for b in self._ergodic_spectra(cfg)])
@@ -352,14 +322,7 @@ class ExactFirst(MonteCarlo):
     ``log_sv_sum`` and ``ergodic_constant`` come from `_log_sv_law`,
     ``universal_constant`` from `_universal_law` and ``ergodic_leakage``
     from the Laguerre law at one power and `twopower.two_power_log1p` at
-    two, each as ``McEstimate(mean, 0.0, trials, 0)``.  Only
-    ``ergodic_leakage`` at two powers so near each other that that law
-    declines is sampled, with control
-    variates, on `MonteCarlo`'s ergodic stream: from the spectra of that
-    draw's ``Gbar`` and of its unit-power block.  It draws until its
-    standard error is at most ``_SE_TARGET`` bits, with ``trials`` as the
-    cap, and on near-square blocks always draws ``trials``
-    (`_two_power_leakage`).
+    two, each as ``McEstimate(mean, 0.0, trials, 0)``.  It draws nothing.
     """
 
     def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
@@ -377,8 +340,7 @@ class ExactFirst(MonteCarlo):
         return McEstimate(_universal_law(cfg), 0.0, self.trials, 0)
 
     def ergodic_leakage(self, cfg: SystemConfig) -> McEstimate:
-        """The ergodic leakage, ``E full - E an``: exact unless the two
-        powers are so near each other that their law declines.
+        """The ergodic leakage, ``E full - E an``, drawing nothing.
 
         ``an = sum ln(1 + lambda(G2 G2^H) / s2)`` is a Laguerre one-point
         integral (Telatar 1999) over the ``N_E x N_J`` noise block,
@@ -386,115 +348,17 @@ class ExactFirst(MonteCarlo):
         power (``alpha2 = beta2``, or ``N_J = 0``; ``K >= 1``, so it is
         ``alpha2``); with two it is the polynomial-ensemble law of
         `twopower.two_power_log1p`, imported here, since only two powers
-        need it.  Either way nothing is drawn and the standard error is 0.
-        Where that law declines, the answer is the sampled fit
-        `_two_power_leakage`.
+        need it.  Either way the standard error is 0.
         """
         s2 = cfg.sigma_z2
         if cfg.N_J and cfg.alpha2 != cfg.beta2:
             from .twopower import two_power_log1p
 
             full = two_power_log1p(cfg.N_E, cfg.K, cfg.alpha2, cfg.N_J, cfg.beta2, s2)
-            if full is None:
-                return self._two_power_leakage(cfg)
         else:
             full = _laguerre_log1p(cfg.N_E, cfg.K + cfg.N_J, cfg.alpha2, s2)
         an = _laguerre_log1p(cfg.N_E, cfg.N_J, cfg.beta2, s2)
         return McEstimate((full - an) / _LN2, 0.0, self.trials, 0)
-
-    def _two_power_leakage(self, cfg: SystemConfig) -> McEstimate:
-        """The ergodic leakage at two powers where their law declines, sampled.
-
-        ``an = sum ln(1 + lambda(G2 G2^H) / s2)`` is not sampled: its mean
-        is the Laguerre law of the ``N_E x N_J`` noise block.  Each trial's
-        ``full = sum ln(1 + lambda(Gbar Gbar^H) / s2)`` is regressed on
-        controls read from the unit-power block ``G = Gbar D^-1`` of the
-        same draw (`_unit_spectra`), whose means the Laguerre law of an
-        ``N_E x (K + N_J)`` block gives: ``sum ln(1 + p lambda(G G^H) / s2)``
-        for ``p`` each of ``alpha2`` and ``beta2``.  On a wide block
-        (``N_E < K + N_J``) a third control is
-        ``J = sum ln lambda(Gbar) - sum ln lambda(G)``, which is
-        ``ln det(beta2 I + (alpha2 - beta2) B)`` for the matrix-variate beta
-        ``B`` of `_log_sv_law` and so lies between ``N_E ln`` of the smaller
-        and of the larger power; its mean is the difference of the two
-        blocks' laws.  On a tall block ``J`` is the constant
-        ``ln det D^2`` and is left out.
-
-        The slopes are a least-squares fit with a rank-revealing solver
-        (at high SNR on a tall block the first two controls differ by
-        nearly a constant) over the valid trials, in trial order.  The
-        standard error is the residual one, with ``n - rank - 1`` degrees
-        of freedom.  It undercovers near square blocks at high SNR: at
-        30 dB, 200 trials and powers 2 and 4/3, the z-scores of 200 seeds
-        against a 64000-trial run spread 2.18 for a 5 x 5 block
-        (``K = 2, N_J = 3``) and 1.34 at ``N_E = 4``.  Controls built on
-        ``sum ln lambda(G2 G2^H)`` are left out on purpose: at square
-        shapes they carry the heavy ``ln lambda_min`` tail and undercover
-        worse, and sampling ``G2``'s spectrum would cost a third eigensolve
-        per trial.  Trials whose ``J`` the log-determinant guard drops are
-        counted in ``excluded``.  With fewer than ``rank + 2`` valid trials
-        the answer is the mean of ``full`` over the same draw, less the
-        exact mean of ``an``.
-
-        How many trials are fitted is a two-stage rule after Stein (1945),
-        which sizes the second stage from a pilot's spread.  Within
-        ``_TRUSTED_GAP`` rows of square (``|N_E - (K + N_J)| < 4``) there is
-        no pilot and the fit reads all ``trials``: at high SNR the residual
-        grows like ``s2 / lambda_min``, and the density of ``lambda_min``
-        near 0 goes as ``lambda^|N_E - K - N_J|``, so below the gap that
-        term has no fourth moment and a small sample's standard error is
-        no guide to the true one.
-        Elsewhere a pilot fit over the first ``min(trials, _PILOT)`` trials,
-        with ``dof = n - rank - 1``, is the answer when the one-sided 95%
-        upper bound of its standard error, ``SE_pilot`` times
-        `_sd_upper_factor`, is at most ``_SE_TARGET``.  Otherwise the answer
-        is the same fit over the first
-        ``n = min(trials, _PILOT ceil((upper / _SE_TARGET)^2))`` trials.
-        The kept draw is one prefix of the stream for every noise floor,
-        and each fit reads only its own first ``n`` trials, so a result
-        depends on the arguments, the seed and ``_SE_TARGET`` alone, not
-        on which noise floors were asked for before it.  An answered
-        pilot's standard error is a 32-trial one: over 200 seeds at 30-50
-        dB its z-scores spread 0.94-1.08 on the ``N_E`` = 32, 64 and 96
-        points of ``M=64 K=8 N_J=40`` (``alpha2 = 2``), but over 400 seeds
-        at 50 dB 1.16-1.32 on 9-21 row blocks of 5 columns and 1.33-1.43
-        on 2-4 row blocks of 10, where a 2000-trial fit spreads 0.94-1.06.
-        """
-        m, ne, nj, s2 = cfg.K + cfg.N_J, cfg.N_E, cfg.N_J, cfg.sigma_z2
-        powers = (cfg.alpha2, cfg.beta2)
-        values = partial(_two_power_values, s2, powers, ne < m)
-        means = [_laguerre_log1p(ne, m, p, s2) for p in powers]
-        if ne < m:
-            means.append(_log_sv_law(*_gbar_args(cfg)) - _log_sv_law(ne, m, 1.0, 0, 0.0, None))
-        an = _laguerre_log1p(ne, nj, cfg.beta2, s2) / _LN2
-
-        def fit(n: int) -> tuple[McEstimate, int]:
-            """The fit over the first ``n`` trials and its degrees of freedom."""
-            kept = self._ergodic_spectra(cfg, True, n)
-            # Only the batches that hold the first n trials are evaluated.
-            used = int(np.searchsorted(np.cumsum([len(b[0]) for b in kept]), n)) + 1
-            cols = np.concatenate([values(*b) for b in kept[:used]])[:n]
-            full, controls = cols[:, 0], cols[:, 1:] - means
-            valid = np.isfinite(controls).all(axis=1)
-            rank = 0
-            if valid.sum() >= 2:
-                centred, v = controls[valid] - controls[valid].mean(axis=0), full[valid]
-                coef, _, rank, _ = np.linalg.lstsq(centred, v - v.mean(), rcond=None)
-            if valid.sum() < rank + 2:
-                est, rank = _summarize([full]), 0
-            else:
-                est = _summarize([full - controls @ coef], fitted=rank)
-            return replace(est, mean=est.mean - an), est.trials - rank - 1
-
-        n = self.trials
-        if _SE_TARGET and abs(ne - m) >= _TRUSTED_GAP:
-            pilot, dof = fit(min(n, _PILOT))
-            upper = pilot.std_error * _sd_upper_factor(dof)
-            if upper <= _SE_TARGET:
-                return pilot
-            need = min((upper / _SE_TARGET) ** 2, n)  # the ratio may be inf
-            n = min(n, _PILOT * math.ceil(need))
-        return fit(n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +368,6 @@ class ExactFirst(MonteCarlo):
 
 def _trial_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, tag, index)))
-
-
-def _sd_upper_factor(dof: int) -> float:
-    """``sqrt(dof / chi2_{dof, 0.05})``: the factor that takes a sample
-    standard deviation with ``dof >= 1`` degrees of freedom to its one-sided
-    95% upper confidence bound for normal data, with the Wilson-Hilferty
-    quantile of chi-square: within 1% of the exact factor from ``dof = 5``
-    on, and above it below that."""
-    c = 2.0 / (9.0 * dof)
-    return (1.0 - c - _Z95 * math.sqrt(c)) ** -1.5
 
 
 def _check_run_args(trials: int, seed: int, workers: int = 1) -> tuple[int, int, int]:
@@ -535,11 +389,9 @@ def _check_run_args(trials: int, seed: int, workers: int = 1) -> tuple[int, int,
     return tuple(out)
 
 
-def _run_trials(
-    tag: int, draw, args: tuple, reduce, trials: int, seed: int, workers: int, first: int = 0
-) -> list:
-    """Draw seeded trials ``first`` to ``trials - 1`` and reduce them batch
-    by batch, in trial order.
+def _run_trials(tag: int, draw, args: tuple, reduce, trials: int, seed: int, workers: int) -> list:
+    """Draw ``trials`` seeded trials and reduce them batch by batch, in
+    trial order.
 
     Trial ``i`` draws only from its own generator ``_trial_rng(seed, tag,
     i)``.  Each batch of up to ``_BATCH`` trials is one call
@@ -547,19 +399,15 @@ def _run_trials(
     which returns the batch's parts stacked along a leading trial axis: one
     array or a tuple of arrays.  The list of ``reduce(*parts)`` results,
     per-trial values or spectra, is returned; workers only partition it.
-    A later call from ``first = trials`` of this one continues the same
-    stream.
     """
     trials, seed, workers = _check_run_args(trials, seed, workers)
-    if not 0 <= first <= trials:
-        raise ValueError(f"first trial must be in [0, {trials}], got {first}")
 
     def batch(start: int):
         rngs = [_trial_rng(seed, tag, i) for i in range(start, min(start + _BATCH, trials))]
         parts = draw(*args, rngs)
         return reduce(*parts) if isinstance(parts, tuple) else reduce(parts)
 
-    starts = range(first, trials, _BATCH)
+    starts = range(0, trials, _BATCH)
     if workers == 1:
         return [batch(s) for s in starts]
     return _in_order(batch, starts, workers)
@@ -675,24 +523,20 @@ def _per_trial(one):
     return draw
 
 
-def _summarize(batches: list[np.ndarray], fitted: int = 0) -> McEstimate:
-    """Mean and standard error of per-batch trial values, NaNs excluded.
-
-    Each of ``fitted`` coefficients fitted to the values (control-variate
-    slopes) costs the standard error one more degree of freedom.
-    """
+def _summarize(batches: list[np.ndarray]) -> McEstimate:
+    """Mean and standard error of per-batch trial values, NaNs excluded."""
     values = np.concatenate(batches)
     bad = ~np.isfinite(values)
     excluded = int(bad.sum())
     vals = values[~bad]
-    if vals.size < fitted + 2:
+    if vals.size < 2:
         raise ValueError(
             f"only {vals.size} valid trials after excluding {excluded}; "
             "cannot form an estimate"
         )
     return McEstimate(
         mean=float(vals.mean()),
-        std_error=float(vals.std(ddof=fitted + 1) / math.sqrt(vals.size)),
+        std_error=float(vals.std(ddof=1) / math.sqrt(vals.size)),
         trials=int(vals.size),
         excluded=excluded,
     )
@@ -792,36 +636,6 @@ def expected_log_sv_sum(
 def _gbar_args(cfg: SystemConfig) -> tuple:
     """`_product` arguments of the ``N_E x (K + N_J)`` effective channel alone."""
     return cfg.N_E, cfg.K, cfg.alpha2, cfg.N_J, cfg.beta2, None
-
-
-def _unit_spectra(
-    k: int, alpha2: float, nj: int, beta2: float, gbar: np.ndarray
-) -> tuple:
-    """Per-batch ``(sq_full, sq_unit)``, the squared singular values of
-    ``Gbar`` and of its unit-power block ``G = Gbar D^-1``, ``D`` the
-    diagonal of `_product`'s column scales.  When ``Gbar`` has at least as
-    many rows as columns, ``G^H G`` is ``Gbar^H Gbar`` rescaled entrywise,
-    with no second product."""
-    inv = 1.0 / _column_scales(k, alpha2, nj, beta2)
-    if gbar.shape[-2] < gbar.shape[-1]:
-        return squared_singular_values(gbar), squared_singular_values(gbar * inv)
-    gram = gbar.conj().swapaxes(-1, -2) @ gbar
-    return gram_spectrum(gram), gram_spectrum(gram * np.outer(inv, inv))
-
-
-def _two_power_values(
-    s2: float, powers: tuple, wide: bool, sq_full: np.ndarray, sq_unit: np.ndarray
-) -> np.ndarray:
-    """Per-trial columns of `ExactFirst._two_power_leakage` from one batch
-    of `_unit_spectra`: ``sum ln(1 + lambda(Gbar) / s2)`` in bits, then in
-    nats ``sum ln(1 + p lambda(G) / s2)`` for each of the ``powers`` and,
-    on a ``wide`` block, ``sum ln lambda(Gbar) - sum ln lambda(G)`` (NaN
-    where the degeneracy guard trips)."""
-    cols = [np.sum(np.log1p(sq_full / s2), axis=1) / _LN2]
-    cols += [np.sum(np.log1p(p * sq_unit / s2), axis=1) for p in powers]
-    if wide:
-        cols.append(_log_sv_values(sq_full) - _log_sv_values(sq_unit))
-    return np.column_stack(cols)
 
 
 def _gbar_spectra(k: int, gbar: np.ndarray) -> tuple:

@@ -57,13 +57,45 @@ then confirmed: at least ``_MARGIN`` digits beyond the largest weight, and
 two exact identities, ``g = 1`` (the weights sum to the count of
 eigenvalues they carry) and ``g = x`` (their mean is ``E tr Gbar^H Gbar``
 less the Laguerre block's), must hold to ``_IDENTITY_TOL`` relative.  A
-law that fails either is rebuilt at more digits.  As the powers merge the
-digits needed grow without bound, so a law that needs more than
-``_MAX_DIGITS`` declines: that is the one rule for declining, and it
-answers ratios down to 1.0003 on ``K = 8, N_J = 40`` (237 digits) and
-to 1.004 on ``K = 16, N_J = 48`` (234), while ``K = 2, N_J = 3`` needs
-only the first 100 at a ratio of ``1 + 1e-9``.  Declining is ``None``, never
-a wrong value.
+law that fails either is rebuilt at more digits.  Euler's constant, which
+the series of ``E1`` needs, is computed at the working precision
+(`_euler`).
+
+As the powers merge the digits the law needs grow without bound, so near
+equal powers the answer is a second-order expansion about the mean power
+instead (`_near_equal`).  With ``n = min(N_E, m)``, ``Delta = alpha2 -
+beta2``, ``delta = |Delta| / min(alpha2, beta2)`` and ``pbar = (K alpha2
++ N_J beta2) / m``, write ``Sigma = pbar I + D`` and ``M = s2 I + pbar G
+G^H``.  Along ``M_t = M + t G D G^H``, ``d/dt ln det M_t = tr(M_t^-1 G D
+G^H)``, ``d^2/dt^2 = -tr((M_t^-1 G D G^H)^2)`` and ``d^3/dt^3 = 2
+tr((M_t^-1 G D G^H)^3)``.  At ``t = 0`` the columns are exchangeable and
+``sum D = 0``, so the first derivative has mean 0 and the second
+``-(K N_J Delta^2 / m) b``, ``b = E[W_11 W_22]`` for ``W = G^H M^-1 G``;
+by unitary invariance ``b = (m T11 - T2) / (m (m^2 - 1))`` with ``T2 = E
+tr W^2`` and ``T11 = E (tr W)^2``, Laguerre statistics of ``f(x) = x /
+(s2 + pbar x)`` over the ``n`` nonzero eigenvalues of ``G^H G``:
+``T2 = tr F2`` and ``T11 = (tr F)^2 + tr F2 - ||F||_F^2``, ``F`` and
+``F2`` the matrices of ``f`` and ``f^2`` against the orthonormal Laguerre
+functions (the determinantal kernel; Forrester, *Log-gases and Random
+Matrices*, 2010), on the rule of `laws.laguerre_rows`.  So
+
+    E sum ln(1 + lambda / s2) = F1(pbar) - (K N_J Delta^2 / 2m) b + R3,
+
+``F1(p)`` the one-power Laguerre law.  The remainder is proven:
+``|D_i| <= |Delta| <= delta (pbar + t D_i)`` for ``0 <= t <= 1``, so
+``-delta M_t <= G D G^H <= delta M_t``; ``M_t^-1/2 G D G^H M_t^-1/2`` has
+rank at most ``n`` and eigenvalues in ``[-delta, delta]``, the third
+derivative is at most ``2 n delta^3`` and ``|R3| <= (n / 3) delta^3``
+nats, on every draw.  The expansion answers where that bound is at most
+``_TAU`` = 1e-10 nats, so up to ``delta* = (3 _TAU / n)^(1/3)``:
+``1.84e-4`` at ``n = 48`` and ``1.67e-4`` at ``n = 64``.  Above ``delta*``
+the law answers, at the digits its rule asks for, with no cap.  Just
+above ``delta*`` it builds, on a 2-vCPU Xeon host, at 247 digits on
+``K = 8, N_J = 40`` (20 ms with ``N_E >= m``, 55 ms at ``N_E = m - 16``),
+320 on ``K = 16, N_J = 48`` (77 ms, 0.24 s), 479 on ``K = 20, N_J = 80``
+(0.3 s, 1.7 s) and 609 on ``K = 32, N_J = 96`` (1.2 s, 6.7 s); at a
+ratio of 2 the same blocks need 100-201 digits.  Every pair of distinct
+powers gets an answer.
 
 This module is imported only by the two-power path of
 `montecarlo.ExactFirst`, so no other command loads it or `decimal`.
@@ -78,35 +110,50 @@ from decimal import Decimal
 
 import numpy as np
 
+from .laws import laguerre_rows
 from .montecarlo import _laguerre_log1p
 
 __all__ = ["two_power_log1p"]
 
 _DIGITS = 100  # first precision tried; the benchmark's blocks need at most 95
 _MARGIN = 40  # digits kept beyond the largest weight
-_MAX_DIGITS = 240  # beyond this the law declines; _EULER carries 250
 _IDENTITY_TOL = Decimal("1e-24")  # relative error allowed in the g = 1 and g = x identities
 _SERIES_Z = 40  # below this z, r_0 comes from the E1 series; above, a continued fraction
-
-_EULER = Decimal(
-    "0.57721566490153286060651209008240243104215933593992359880576723488486772677766467"
-    "093694706329174674951463144724980708248096050401448654283622417399764492353625350"
-    "033374293733773767394279259525824709491600873520394816567085323315177661152862119"
-    "9501508"
-)
+_TAU = 1e-10  # nats: the largest proven remainder the near-equal expansion may carry
 
 
 def two_power_log1p(
     n_e: int, k: int, alpha2: float, nj: int, beta2: float, s2: float
-) -> float | None:
+) -> float:
     """``E sum ln(1 + lambda / s2)`` in nats over the eigenvalues of
     ``Gbar^H Gbar`` for an ``n_e x (k + nj)`` effective channel with ``k``
     columns of power ``alpha2`` and ``nj`` of power ``beta2``; both counts
-    at least 1 and the powers positive and distinct.  ``None`` where the
-    law declines: powers so near each other that it would need more than
-    ``_MAX_DIGITS`` digits."""
-    law = _law(n_e, k, alpha2, nj, beta2)
-    return None if law is None else law(s2)
+    at least 1 and the powers positive and distinct.  Where the
+    near-equal expansion's remainder bound ``(n/3) delta^3`` is at most
+    ``_TAU`` it answers (`_near_equal`); elsewhere the exact law does."""
+    if min(k, nj) < 1 or min(alpha2, beta2) <= 0.0 or alpha2 == beta2:
+        raise ValueError(
+            f"two powers need k, nj >= 1 and distinct positive powers, got "
+            f"{k}, {nj}, {alpha2}, {beta2}"
+        )
+    delta = abs(alpha2 - beta2) / min(alpha2, beta2)
+    if min(n_e, k + nj) / 3.0 * delta**3 <= _TAU:
+        return _near_equal(n_e, k, alpha2, nj, beta2, s2)
+    return _law(n_e, k, alpha2, nj, beta2)(s2)
+
+
+def _near_equal(n_e: int, k: int, alpha2: float, nj: int, beta2: float, s2: float) -> float:
+    """``F1(pbar) - (k nj Delta^2 / 2m) b``, the expansion of the module
+    docstring, within ``(n/3) delta^3`` nats of the exact value."""
+    m = k + nj
+    pbar = (k * alpha2 + nj * beta2) / m
+    x, phi = laguerre_rows(min(n_e, m), max(n_e, m))
+    f = x / (s2 + pbar * x)
+    kernel, kernel2 = (phi * f) @ phi.T, (phi * (f * f)) @ phi.T
+    t1, t2 = np.trace(kernel), np.trace(kernel2)
+    t11 = t1 * t1 + t2 - np.sum(kernel * kernel)
+    b = (m * t11 - t2) / (m * (m * m - 1))
+    return _laguerre_log1p(n_e, m, pbar, s2) - k * nj * (alpha2 - beta2) ** 2 / (2 * m) * float(b)
 
 
 class _Law:
@@ -131,16 +178,11 @@ class _Law:
 
 
 @functools.cache
-def _law(n_e: int, k: int, alpha2: float, nj: int, beta2: float) -> _Law | None:
-    """The law of one geometry, built once per process; ``None`` where it declines."""
-    if min(k, nj) < 1 or min(alpha2, beta2) <= 0.0 or alpha2 == beta2:
-        raise ValueError(
-            f"two powers need k, nj >= 1 and distinct positive powers, got "
-            f"{k}, {nj}, {alpha2}, {beta2}"
-        )
+def _law(n_e: int, k: int, alpha2: float, nj: int, beta2: float) -> _Law:
+    """The law of one geometry, at two distinct powers, built once per process."""
     m = k + nj
     digits = _DIGITS
-    while digits <= _MAX_DIGITS:
+    while True:
         with decimal.localcontext() as ctx:
             ctx.prec = digits
             a, b = Decimal(alpha2), Decimal(beta2)
@@ -164,7 +206,6 @@ def _law(n_e: int, k: int, alpha2: float, nj: int, beta2: float) -> _Law | None:
         if holds and digits >= largest + _MARGIN:
             return _Law(digits, nodes, share)
         digits = max(digits + _MARGIN, largest + _MARGIN + 10)
-    return None
 
 
 def _factorials(top: int) -> list:
@@ -360,7 +401,7 @@ def _log_means(z: Decimal, top: int) -> list:
                 ein -= term / i
                 if i > z and abs(term) <= tiny * abs(ein):
                     break
-            r = z.exp() * (ein - _EULER - z.ln())
+            r = z.exp() * (ein - _euler(ctx.prec) - z.ln())
             rs = [r]
             for i in range(1, top + 1):
                 r = (1 - z * r) / i
@@ -379,6 +420,31 @@ def _log_means(z: Decimal, top: int) -> list:
             total += r
             out.append(total)
     return [+t for t in out]
+
+
+@functools.cache
+def _euler(digits: int) -> Decimal:
+    """Euler's constant to within ``10^-(digits + 1)``, by Brent and
+    McMillan's algorithm B1 (*Math. Comp.* 34, 1980): with ``A_0 = -ln n``,
+    ``B_0 = 1``, ``B_k = B_(k-1) n^2 / k^2`` and ``A_k = (A_(k-1) n^2 / k +
+    B_k) / k``, ``sum A / sum B`` exceeds it by less than ``pi e^(-4n)``.
+    Both sums are dominated by positive terms near ``k = n`` and do not
+    cancel, so ten guard digits carry the rounding."""
+    n = math.ceil(((digits + 2) * math.log(10) + math.log(math.pi)) / 4)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10
+        tiny = Decimal(10) ** -ctx.prec
+        nn = n * n
+        a = u = -Decimal(n).ln()
+        b = v = Decimal(1)
+        k = 0
+        while k <= n or abs(a) + b > tiny * v:
+            k += 1
+            b = b * nn / (k * k)
+            a = (a * nn / k + b) / k
+            u += a
+            v += b
+        return u / v
 
 
 def _continued_fraction(z: Decimal, n: int) -> Decimal:

@@ -26,8 +26,6 @@ def draw_counts(monkeypatch):
     Keys name the stream tag: ``log_sv`` (any `SvKind`, through
     `expected_log_sv_sum`), ``ergodic`` (the leakage and its constant),
     ``universal``, ``split``, ``distributions`` and ``transmit_power``.
-    A call from a later first trial extends a kept draw where it stopped,
-    drawing no trial twice, and is not counted as a new draw.
     """
     counts = collections.Counter()
     streams = {kind.value: "log_sv" for kind in montecarlo.SvKind}
@@ -41,10 +39,10 @@ def draw_counts(monkeypatch):
     run_trials = montecarlo._run_trials
     lock = threading.Lock()  # `validate` draws its streams on a thread pool
 
-    def counted(tag, *args, first=0):
+    def counted(tag, *args):
         with lock:
-            counts[streams[tag]] += first == 0
-        return run_trials(tag, *args, first=first)
+            counts[streams[tag]] += 1
+        return run_trials(tag, *args)
 
     monkeypatch.setattr(montecarlo, "_run_trials", counted)
     return counts

@@ -329,14 +329,15 @@ def test_one_power_highsnr_expansion_residual_vanishes(cfg):
 
 @st.composite
 def two_power_configs(draw):
-    """Tall, square and wide blocks at two powers from a ratio of 1.0001 on,
-    both in the one-power strategy's range 0.1 to 10, where the ergodic
-    leakage is the `twopower` law; the constant c of its expansion comes
-    from `_log_sv_law`'s digamma and Jacobi route."""
+    """Tall, square and wide blocks at two powers from a ratio of 1 + 1e-9
+    on, both in the one-power strategy's range 0.1 to 10, where the ergodic
+    leakage is the `twopower` law or, near equal powers, its expansion; the
+    constant c of the high-SNR expansion comes from `_log_sv_law`'s digamma
+    and Jacobi route."""
     k = draw(st.integers(1, 5))
     nj = draw(st.integers(1, 8))
     low = draw(st.floats(0.1, 5.0))
-    high = low * draw(st.floats(1.0001, 10.0 / low))
+    high = low * draw(st.floats(1.0 + 1e-9, 10.0 / low))
     alpha2, beta2 = (low, high) if draw(st.booleans()) else (high, low)
     return SystemConfig(
         M=k + nj + 1, K=k, N_E=draw(st.integers(1, 12)), N_J=nj, T=4 * (k + nj),
@@ -344,10 +345,19 @@ def two_power_configs(draw):
     )
 
 
+# Near-equal powers, where `twopower` answers with its expansion: the
+# sweep-ne base's square point at alpha2 = 1.33334 (a ratio of 1 + 6e-6)
+# and the flagship at alpha2 = 1.0001 (1 + 1.3e-4).
+NEAR_EQUAL_SQUARE = balanced_config(M=64, K=8, N_E=48, N_J=40, T=192, alpha2=1.33334)
+NEAR_EQUAL_FLAGSHIP = balanced_config(M=64, K=16, N_E=64, N_J=48, T=320, alpha2=1.0001)
+
+
 @settings(max_examples=40, deadline=None)
 @example(cfg=balanced_config(M=64, K=8, N_E=48, N_J=40, T=192, alpha2=2.0))  # sweep-ne square
 @example(cfg=balanced_config(M=64, K=8, N_E=32, N_J=40, T=192, alpha2=2.0))  # sweep-ne wide
 @example(cfg=SystemConfig(M=8, K=4, N_E=5, N_J=3, T=16, alpha2=1.5, beta2=0.7))  # N_J < N_E < m
+@example(cfg=NEAR_EQUAL_SQUARE)
+@example(cfg=NEAR_EQUAL_FLAGSHIP)
 @given(cfg=two_power_configs())
 def test_two_power_highsnr_expansion_residual_vanishes(cfg):
     # The same at two powers: the law and the expansion are two routes to
@@ -357,6 +367,8 @@ def test_two_power_highsnr_expansion_residual_vanishes(cfg):
 
 @settings(max_examples=40, deadline=None)
 @example(cfg=balanced_config(M=64, K=8, N_E=64, N_J=40, T=192, alpha2=2.0))  # sweep-ne tall
+@example(cfg=NEAR_EQUAL_SQUARE)
+@example(cfg=NEAR_EQUAL_FLAGSHIP)
 @given(cfg=two_power_configs())
 def test_channel_ignorant_bounds_lie_below_the_two_power_ergodic_leakage(cfg):
     # An eavesdropper that does not know its channel learns no more than

@@ -44,10 +44,9 @@ BASE = {
 
 
 # The N_E = 32 point of the benchmark's N_E sweep at powers 1.33334 and
-# 1.333332, a ratio of 1 + 6e-6: the two-power law would need more than
-# its 240 digits and declines, so the ergodic cells sample the
-# control-variate fit, the one sampled quantity of `sweep` and `bounds`.
-DECLINED = {"M": "64", "K": "8", "N_E": "32", "N_J": "40", "T": "192", "alpha2": "1.33334"}
+# 1.333332, a ratio of 1 + 6e-6: the ergodic cells are `twopower`'s
+# near-equal expansion, which once needed a sampled fit.
+NEAR_EQUAL = {"M": "64", "K": "8", "N_E": "32", "N_J": "40", "T": "192", "alpha2": "1.33334"}
 
 
 def write_config(tmp_path, entries, name="sweep.cfg"):
@@ -317,7 +316,7 @@ def test_csv_format_is_stable():
     buf = io.StringIO()
     write_sweep_csv(spec, rows, buf)
     assert buf.getvalue() == (
-        "# anleak sweep trials=200 trials_source=config seed=1 se_target_bits=1e-05\n"
+        "# anleak sweep trials=200 trials_source=config seed=1\n"
         "axis,metric,value,std_error,reason\n"
         "0,ergodic,1.23456789,0.05,\n"
         "0,noncoh_ub,,,precondition:T<Mbar\n"
@@ -328,11 +327,11 @@ def test_csv_format_is_stable():
 
 
 def test_worker_count_never_changes_the_rows(draw_counts, monkeypatch):
-    # The ergodic cells sample (the fit's pilot, extended toward 120 trials),
-    # so the 4-worker run goes through the worker pool.
+    # Even at near-equal powers every cell is a law: the 4-worker run
+    # starts no pool, nothing is drawn and the ergodic cells print SE 0.
     spec = build_sweep_spec(
         make_entries(
-            **DECLINED, values="0,10", metrics="ergodic,noncoh_ub,universal", trials="120"
+            **NEAR_EQUAL, values="0,10", metrics="ergodic,noncoh_ub,universal", trials="120"
         )
     )
     on_4 = dataclasses.replace(spec, mc=dataclasses.replace(spec.mc, workers=4))
@@ -344,9 +343,9 @@ def test_worker_count_never_changes_the_rows(draw_counts, monkeypatch):
     )
     rows_4 = run_sweep(on_4)
     assert rows_1 == rows_4
-    assert draw_counts == {"ergodic": 2}
-    assert pools and set(pools) == {4}
-    assert all(row.std_error > 0.0 for row in rows_1 if row.metric == "ergodic")
+    assert draw_counts == {}
+    assert pools == []
+    assert all(row.std_error == 0.0 for row in rows_1 if row.metric == "ergodic")
     one, four = io.StringIO(), io.StringIO()
     write_sweep_csv(spec, rows_1, one)
     write_sweep_csv(on_4, rows_4, four)
@@ -369,12 +368,12 @@ def test_snr_sweep_draws_each_spectrum_once(draw_counts):
 
 def test_block_length_sweep_rereads_the_ergodic_draw(draw_counts):
     # The ergodic leakage does not read T, so its cells agree at every
-    # block length.  At the flagship's one power and at two distinct powers
-    # it is a law, not a draw; at powers so near each other that the law
-    # declines (1.00001 and 0.9999967) the sweep draws the ergodic channel once.
+    # block length.  At the flagship's one power, at two distinct powers and
+    # at powers 1.00001 and 0.9999967 (the near-equal expansion) it is a
+    # law, not a draw.
     two_power = {**FLAGSHIP, "N_E": "32", "alpha2": "2"}
     near = {**FLAGSHIP, "N_E": "32", "alpha2": "1.00001"}
-    for base, drawn in ((FLAGSHIP, {}), (two_power, {}), (near, {"ergodic": 1})):
+    for base, drawn in ((FLAGSHIP, {}), (two_power, {}), (near, {})):
         draw_counts.clear()
         entries = {**base, "axis": "T_gamma", "values": "1.5,2,5,10"}
         rows = run_sweep(build_sweep_spec(entries, trials=4))
@@ -393,11 +392,9 @@ def test_block_length_sweep_rereads_the_ergodic_draw(draw_counts):
         # single-stream view follow the Jacobi law, and the ergodic
         # leakage the two-power law; nothing is sampled.
         ({"M": "64", "K": "8", "N_E": "32", "N_J": "40", "T": "192", "alpha2": "2"}, {}),
-        # The same where the two-power law declines: the ergodic leakage
-        # reads the two-power draw (Gbar and its unit-power block); 4 trials
-        # are too few for its three control slopes, so it answers without
-        # controls from that same draw, not from a second.
-        (DECLINED, {"ergodic": 1}),
+        # The same at powers 1 + 6e-6 apart: the ergodic leakage is the
+        # near-equal expansion; nothing is sampled.
+        (NEAR_EQUAL, {}),
     ],
     ids=["flagship", "wide-unequal", "wide-near-equal"],
 )
@@ -406,8 +403,7 @@ def test_bounds_draws_each_spectrum_once(entries, expected, tmp_path, capsys, dr
     assert main(["bounds", path, "--trials", "4"]) == 0
     out = capsys.readouterr().out
     assert "universal=" in out
-    se = float(out.partition("ergodic_leakage_se=")[2].split()[0])
-    assert se > 0.0 if expected else se == 0.0
+    assert float(out.partition("ergodic_leakage_se=")[2].split()[0]) == 0.0
     assert draw_counts == expected
 
 
@@ -595,7 +591,7 @@ def test_sweep_command_writes_csv(tmp_path):
     assert main(["sweep", path, "-o", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     lines = text.splitlines()
-    assert lines[0] == "# anleak sweep trials=120 trials_source=config seed=1 se_target_bits=1e-05"
+    assert lines[0] == "# anleak sweep trials=120 trials_source=config seed=1"
     assert lines[1] == "axis,metric,value,std_error,reason"
     assert len(lines) == 4
     for line in lines[2:]:
@@ -628,19 +624,17 @@ def test_bounds_header_names_the_trials_source_and_seed(tmp_path, capsys):
     path = write_config(tmp_path, make_entries(trials=None))
     assert main(["bounds", path, "--trials", "150"]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first == "# anleak bounds trials=150 trials_source=flag seed=1 se_target_bits=1e-05"
+    assert first == "# anleak bounds trials=150 trials_source=flag seed=1"
     path = write_config(tmp_path, make_entries(trials="120"), name="config.cfg")
     assert main(["bounds", path, "--seed", "4"]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first == "# anleak bounds trials=120 trials_source=config seed=4 se_target_bits=1e-05"
+    assert first == "# anleak bounds trials=120 trials_source=config seed=4"
 
 
 def test_the_environment_never_sets_the_trials(tmp_path, capsys, monkeypatch):
     # Output depends only on the arguments: an `ANLEAK_TRIALS` in the shell
-    # is not read.  Where the two-power law declines the ergodic cells
-    # sample, from a 32-trial pilot on, so a count of 7 taken from it would
-    # move them.
-    sweep = write_config(tmp_path, make_entries(**DECLINED, trials=None))
+    # is not read, so a count of 7 never reaches the headers.
+    sweep = write_config(tmp_path, make_entries(**NEAR_EQUAL, trials=None))
     bounds = write_config(tmp_path, FLAGSHIP, name="flagship.cfg")
     out = tmp_path / "out.csv"
 
@@ -654,8 +648,8 @@ def test_the_environment_never_sets_the_trials(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ANLEAK_TRIALS", "7")
     sweep_csv, printed = outputs()
     assert (sweep_csv, printed) == unset
-    assert sweep_csv.startswith(b"# anleak sweep trials=2000 trials_source=default seed=1 ")
-    assert printed.startswith("# anleak bounds trials=20000 trials_source=default seed=0 ")
+    assert sweep_csv.startswith(b"# anleak sweep trials=2000 trials_source=default seed=1\n")
+    assert printed.startswith("# anleak bounds trials=20000 trials_source=default seed=0\n")
 
 
 def test_bounds_reports_a_short_block_like_the_sweep(tmp_path, capsys):
@@ -835,21 +829,24 @@ def test_a_closed_stdout_fails_without_a_traceback(tmp_path):
 
 
 def test_sweep_subprocess_is_worker_invariant(tmp_path):
-    # The ergodic cells sample, so the 3-worker run goes through the pool.
+    # At near-equal powers the ergodic cells are a law: the 3-worker run
+    # imports no thread pool, draws nothing and writes the 1-worker bytes.
     path = write_config(
         tmp_path,
-        make_entries(**DECLINED, values="10,30", metrics="ergodic,universal", trials="80"),
+        make_entries(**NEAR_EQUAL, values="10,30", metrics="ergodic,universal", trials="80"),
     )
     outputs = []
     for workers, name in ((1, "w1.csv"), (3, "w3.csv")):
         out = tmp_path / name
         proc = subprocess.run(
-            [sys.executable, "-m", "anleak", "sweep", path,
+            [sys.executable, "-X", "importtime", "-m", "anleak", "sweep", path,
              "--workers", str(workers), "-o", str(out)],
             capture_output=True,
             text=True,
             check=False,
         )
         assert proc.returncode == 0, proc.stderr
+        assert "concurrent.futures" not in proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+    assert {line.split(",")[3] for line in outputs[0].decode().splitlines()[2:]} == {"0"}

@@ -375,8 +375,9 @@ def test_two_power_log_means_match_mpmath():
 
 
 # Blocks of 26 columns at powers near each other, where the weights reach
-# 1e61 at a ratio of 1.011 (140 digits) and 1e162 at 1 + 1e-6 (212 of the
-# 240 allowed): (shape, oracle digits).
+# 1e61 at a ratio of 1.011 (140 digits) and 1e162 at 1 + 1e-6 (212 digits);
+# `two_power_log1p` answers the last two, below its hand-over (n = 26:
+# delta* = 2.1e-4), with the near-equal expansion: (shape, oracle digits).
 NEAR_EQUAL_ORACLE_SHAPES = {
     "tall-1.011": ((30, 6, 1.011, 20, 1.0), 160),
     "square-1.011": ((26, 6, 1.011, 20, 1.0), 160),
@@ -405,8 +406,7 @@ def _largest_weight_digits(law) -> int:
 
 def test_two_power_law_confirms_its_digits():
     # Built at too few digits, the law fails its g = 1 and g = x identities
-    # and is rebuilt, to the same value; one that would need more digits
-    # than allowed declines.
+    # and is rebuilt, to the same value.
     shape, s2 = (64, 8, 2.0, 40, 1.2), 1e-3
     want = twopower.two_power_log1p(*shape, s2)
     twopower._law.cache_clear()
@@ -416,10 +416,6 @@ def test_two_power_law_confirms_its_digits():
             law = twopower._law(*shape)
             assert law.digits > 40
             assert law(s2) == want
-        twopower._law.cache_clear()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(twopower, "_MAX_DIGITS", 80)
-            assert twopower.two_power_log1p(*shape, s2) is None
     finally:
         twopower._law.cache_clear()
 
@@ -452,23 +448,140 @@ def test_the_identities_catch_what_the_margin_rule_lets_through():
         twopower._law.cache_clear()
 
 
-def test_the_law_declines_only_where_it_would_need_too_many_digits():
-    # Declining is the digits rule alone: a 5-column block is answered at
-    # the first 100 digits even 1e-9 from a ratio of 1, where it meets the
-    # one-power Laguerre law; 48 columns are answered at a ratio of 1.0003
-    # (237 digits) and decline at 1.0002, and the flagship's 64 at 1.004
-    # (234) and 1.003.  Equal powers are the one-power law's, not this one's.
-    s2 = 1e-3
-    assert twopower._law(5, 2, 1.0 + 1e-9, 3, 1.0).digits == twopower._DIGITS
-    assert twopower.two_power_log1p(5, 2, 1.0 + 1e-9, 3, 1.0, s2) == pytest.approx(
-        _laguerre_log1p(5, 5, 1.0, s2), rel=1e-8
-    )
-    assert twopower._law(48, 8, 1.0003, 40, 1.0).digits == 237
-    assert twopower.two_power_log1p(48, 8, 1.0002, 40, 1.0, s2) is None
-    assert twopower._law(64, 16, 1.004, 48, 1.0).digits == 234
-    assert twopower.two_power_log1p(64, 16, 1.003, 48, 1.0, s2) is None
+def _identity_errors(law, n_e, k, alpha2, nj, beta2):
+    """Relative errors of a law's ``g = 1`` and ``g = x`` identities at its
+    own digits: the weights sum to the count of eigenvalues they carry, and
+    their mean is ``E tr Gbar^H Gbar`` less the Laguerre block's."""
+    m = k + nj
+    with decimal.localcontext() as ctx:
+        ctx.prec = law.digits
+        a, b = decimal.Decimal(alpha2), decimal.Decimal(beta2)
+        if n_e < m:
+            mass, mean = n_e, n_e * (k * a + nj * b)
+        else:
+            ns, s_s, nl, s_l = (k, a, nj, b) if nj >= k else (nj, b, k, a)
+            mass, mean = ns, ns * (n_e * s_s + nl * s_l)
+        weights = [w for _, _, ws in law.nodes for w in ws]
+        got_mean = sum(sigma * sum(w * (start + i + 1) for i, w in enumerate(ws))
+                       for sigma, start, ws in law.nodes)
+        return abs(sum(weights) / mass - 1), abs(got_mean / mean - 1)
+
+
+def _hand_over(n_e, k, nj, side=1.0) -> float:
+    """The ratio ``1 + delta*`` of the hand-over, just above it (``side``
+    1, where the law answers) or just below (-1, the expansion)."""
+    return 1.0 + (3.0 * twopower._TAU / min(n_e, k + nj)) ** (1.0 / 3.0) * (1.0 + side * 1e-9)
+
+
+# (N_E, K, N_J) and the digits the law confirms at just above the hand-over.
+HAND_OVER_DIGITS = {(48, 8, 40): 247, (64, 16, 48): 320}
+
+
+def test_the_law_confirms_its_identities_at_the_hand_over():
+    # With no cap, the law answers down to delta*, where its digits are
+    # largest: its g = 1 and g = x identities hold there to the rule's
+    # 1e-24, at pinned digits.  Equal powers are the one-power law's.
+    for (n_e, k, nj), digits in HAND_OVER_DIGITS.items():
+        ratio = _hand_over(n_e, k, nj)
+        law = twopower._law(n_e, k, ratio, nj, 1.0)
+        assert law.digits == digits
+        for error in _identity_errors(law, n_e, k, ratio, nj, 1.0):
+            assert error <= twopower._IDENTITY_TOL
     with pytest.raises(ValueError):
-        twopower.two_power_log1p(5, 2, 1.0, 3, 1.0, s2)
+        twopower.two_power_log1p(5, 2, 1.0, 3, 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("digits", [100, 250, 700])
+def test_euler_constant_matches_mpmath(digits):
+    with mpmath.workdps(digits + 20):
+        error = abs(mpmath.mpf(str(twopower._euler(digits))) - mpmath.euler)
+        assert error < mpmath.mpf(10) ** -(digits + 1)
+
+
+# Tall, square and wide blocks of K = 8, N_J = 40.
+EXPANSION_SHAPES = {"tall": 64, "square": 48, "wide": 32}
+
+
+@pytest.mark.parametrize("delta", [2e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("name", list(EXPANSION_SHAPES))
+def test_the_near_equal_expansion_lies_within_its_proven_remainder(name, delta):
+    # law - expansion is the third-order remainder, at most (n/3) delta^3
+    # nats, on either side of the hand-over and with the larger power on
+    # either group.
+    n_e = EXPANSION_SHAPES[name]
+    bound = min(n_e, 48) / 3.0 * delta**3
+    for shape in ((n_e, 8, 1.0 + delta, 40, 1.0), (n_e, 8, 1.0, 40, 1.0 + delta)):
+        law = twopower._law(*shape)
+        for snr_db in (0.0, 30.0, 60.0):
+            s2 = 10.0 ** (-snr_db / 10.0)
+            residual = law(s2) - twopower._near_equal(*shape, s2)
+            assert abs(residual) <= bound, (shape, snr_db, residual, bound)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 30.0, 60.0])
+@pytest.mark.parametrize("name", list(EXPANSION_SHAPES))
+def test_the_expansion_coefficient_is_the_laws_second_derivative(name, snr_db):
+    # At a fixed mean power pbar, with alpha2 = pbar + N_J D / m and beta2
+    # = pbar - K D / m, the even part of the law in D is F1(pbar) - C D^2
+    # + O(D^4), and the expansion is F1(pbar) - C D^2 exactly.  C read from
+    # the law at D = 0.02 and 0.01 and extrapolated (Richardson) matches
+    # the expansion's to 1e-7 relative, far inside what the remainder
+    # bound alone would catch.
+    n_e, k, nj, s2 = EXPANSION_SHAPES[name], 8, 40, 10.0 ** (-snr_db / 10.0)
+    f1 = _laguerre_log1p(n_e, k + nj, 1.0, s2)
+
+    def powers(d):
+        return 1.0 + nj * d / (k + nj), 1.0 - k * d / (k + nj)
+
+    def even(d):
+        (a1, b1), (a2, b2) = powers(d), powers(-d)
+        pair = twopower._law(n_e, k, a1, nj, b1)(s2) + twopower._law(n_e, k, a2, nj, b2)(s2)
+        return (f1 - pair / 2.0) / d**2
+
+    alpha2, beta2 = powers(0.02)
+    expansion = (f1 - twopower._near_equal(n_e, k, alpha2, nj, beta2, s2)) / 0.02**2
+    law = (4.0 * even(0.01) - even(0.02)) / 3.0
+    assert abs(expansion - law) <= 1e-7 * abs(law), (expansion, law)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 30.0, 60.0])
+def test_the_two_routes_agree_at_the_hand_over(snr_db):
+    # Just above delta* the law answers and just below the expansion does;
+    # there the two lie within _TAU of each other.
+    s2 = 10.0 ** (-snr_db / 10.0)
+    for n_e, k, nj in HAND_OVER_DIGITS:
+        above, below = _hand_over(n_e, k, nj), _hand_over(n_e, k, nj, -1.0)
+        law = twopower.two_power_log1p(n_e, k, above, nj, 1.0, s2)
+        expansion = twopower.two_power_log1p(n_e, k, below, nj, 1.0, s2)
+        assert law == twopower._law(n_e, k, above, nj, 1.0)(s2)
+        assert expansion == twopower._near_equal(n_e, k, below, nj, 1.0, s2)
+        assert abs(law - expansion) <= twopower._TAU
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 30.0])
+@pytest.mark.parametrize("shape", ["tall", "square", "wide"])
+def test_the_near_equal_expansion_matches_the_mpmath_oracle(shape, snr_db):
+    # Five columns at a ratio of 1 + 1e-5, and the 5-column block at 1 +
+    # 1e-9, where the expansion meets the one-power Laguerre law.
+    n_e, k, _, nj, _ = TWO_POWER_ORACLE_SHAPES[shape]
+    s2 = 10.0 ** (-snr_db / 10.0)
+    near = (n_e, k, 1.0 + 1e-5, nj, 1.0)
+    oracle = float(_two_power_oracle(*near, s2, dps=120))
+    assert abs(twopower.two_power_log1p(*near, s2) - oracle) <= STATED_ERROR
+    assert twopower.two_power_log1p(n_e, k, 1.0 + 1e-9, nj, 1.0, s2) == pytest.approx(
+        _laguerre_log1p(n_e, k + nj, 1.0, s2), rel=1e-8
+    )
+
+
+def test_the_square_near_equal_point_matches_the_pinned_fit():
+    # The sweep-ne base's square point at alpha2 = 1.33334 (beta2 =
+    # 1.333332, delta = 6e-6): a 20000-trial seed-0 control-variate fit of
+    # the ergodic leakage read 96.42598502496219 +- 5.857e-10 bits.  The
+    # expansion lies within 4 of its standard errors and draws nothing.
+    cfg = SystemConfig(M=64, K=8, N_E=48, N_J=40, T=192, alpha2=1.33334, beta2=1.333332)
+    est = ExactFirst(trials=2, seed=0).ergodic_leakage(cfg)
+    assert est.std_error == 0.0
+    assert abs(est.mean - 96.42598502496219) <= 4.0 * 5.857280585817797e-10
 
 
 def _dense_tall(n_e, ns, s_s, nl, s_l):

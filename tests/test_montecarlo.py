@@ -27,10 +27,8 @@ from anleak import (
     expected_logdet_wishart,
     montecarlo,
     sv_split_check,
-    twopower,
     universal_constant,
 )
-from anleak.laws import laguerre_nodes
 from anleak.linalg import sample_gaussian, squared_singular_values
 from anleak.montecarlo import _in_order, _log_sv_values, _summarize
 
@@ -462,14 +460,12 @@ def test_degenerate_rows_become_nan():
     assert vals[2] == pytest.approx(math.log(2.0))
 
 
-def test_fitted_parameters_cost_degrees_of_freedom():
+def test_summarize_excludes_nans_and_needs_two_trials():
     vals = np.array([1.0, 2.0, 4.0, 8.0, np.nan])
-    for fitted in (0, 2):
-        est = _summarize([vals[:2], vals[2:]], fitted=fitted)
-        se = float(np.std(vals[:4], ddof=fitted + 1) / 2.0)
-        assert est == McEstimate(3.75, se, 4, 1)
-    with pytest.raises(ValueError, match="only 4 valid trials"):
-        _summarize([vals], fitted=3)
+    se = float(np.std(vals[:4], ddof=1) / 2.0)
+    assert _summarize([vals[:2], vals[2:]]) == McEstimate(3.75, se, 4, 1)
+    with pytest.raises(ValueError, match="only 1 valid trials"):
+        _summarize([vals[3:]])
 
 
 def test_roundoff_level_spectra_are_excluded():
@@ -507,11 +503,9 @@ WIDE_UNEQUAL = EXACT_CFGS["wide-unequal"]
 EXACT_RUN = dict(trials=4000, seed=2)
 
 
-# A 48-column wide block at powers 1e-4 apart: the two-power law would
-# need more than its 240 digits and declines, so `ExactFirst` samples its
-# control-variate fit.  The fit's own tests below call it directly
-# (`_two_power_leakage`) on small blocks, where the law never declines.
-DECLINED = SystemConfig(M=64, K=8, N_E=32, N_J=40, T=192, alpha2=1.0001, beta2=1.0)
+# A 48-column wide block at powers 1e-4 apart, below the hand-over of
+# `twopower`'s near-equal expansion (n = 32: delta* = 2.1e-4).
+NEAR_EQUAL = SystemConfig(M=64, K=8, N_E=32, N_J=40, T=192, alpha2=1.0001, beta2=1.0)
 
 
 @pytest.mark.parametrize("name", list(EXACT_CFGS))
@@ -528,19 +522,17 @@ def test_exact_values_agree_with_sampling(name):
         assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (law, sampled)
 
 
-def test_exact_first_samples_what_has_no_known_law():
-    # Only the ergodic leakage at two powers so near each other that their
-    # law declines is sampled, with control variates: within 4 SE of a
-    # plain MonteCarlo, at a smaller SE.  The two-power wide JOINT, the
-    # ergodic constant and the universal constant are exact: SE 0, and
-    # within 4 SE of a plain MonteCarlo.
-    declined = _at(DECLINED, 0.1)
-    assert twopower.two_power_log1p(32, 8, 1.0001, 40, 1.0, 0.1) is None
+def test_exact_first_samples_what_has_no_known_law(draw_counts):
+    # Every quantity has a known law, so nothing is sampled: the ergodic
+    # leakage at powers 1e-4 apart (the near-equal expansion) lies within 4
+    # SE of a plain MonteCarlo with SE 0, and so do the two-power wide
+    # JOINT, the ergodic constant and the universal constant.
+    near = _at(NEAR_EQUAL, 0.1)
     run = dict(trials=400, seed=2)
-    fitted = ExactFirst(**run).ergodic_leakage(declined)
-    plain = MonteCarlo(**run).ergodic_leakage(declined)
-    assert abs(fitted.mean - plain.mean) <= 4.0 * math.hypot(fitted.std_error, plain.std_error)
-    assert 0.0 < fitted.std_error < plain.std_error
+    law = ExactFirst(**run).ergodic_leakage(near)
+    assert law.std_error == 0.0 and draw_counts == {}
+    plain = MonteCarlo(**run).ergodic_leakage(near)
+    assert abs(law.mean - plain.mean) <= 4.0 * plain.std_error, (law, plain)
     mc = MonteCarlo(**EXACT_RUN)
     exact = ExactFirst(**EXACT_RUN)
     cfg = _at(WIDE_UNEQUAL, 0.1)
@@ -572,85 +564,15 @@ def test_exact_first_ergodic_leakage_agrees_with_sampling(name):
             assert (law.std_error, law.trials, law.excluded) == (0.0, 4000, 0)
 
 
-def _unit_draw(exact, cfg):
-    """An `ExactFirst`'s kept two-power draw, ``(sq_full, sq_unit)`` over its kept trials."""
-    batches = exact._cache[(*montecarlo._gbar_args(cfg), "unit")]
-    return tuple(np.concatenate(part) for part in zip(*batches))
-
-
-def _noise_block_law(cfg, s2):
-    """Exact mean, in bits, of ``sum ln(1 + lambda(G2 G2^H) / s2)``."""
-    x, w = laguerre_nodes(min(cfg.N_E, cfg.N_J), max(cfg.N_E, cfg.N_J))
-    return float(w @ np.log1p(cfg.beta2 * x / s2)) / math.log(2.0)
-
-
-def test_exact_first_ergodic_leakage_is_the_regression_intercept():
-    # The fit in another form: least squares with an intercept on the
-    # controls less their exact means.  At two powers on a wide block these
-    # are the unit-power terms at each power and J, the log-determinant of
-    # Gbar less that of the unit-power block G.  The estimate is the
-    # intercept less the noise block's exact mean, and its SE the residual
-    # one with n - 4 degrees of freedom.
-    cfg, s2 = _at(WIDE_UNEQUAL, 0.1), 0.1
-    exact = ExactFirst(trials=montecarlo._BATCH + 6, seed=7)
-    est = exact._two_power_leakage(cfg)
-    sq_full, sq_unit = _unit_draw(exact, cfg)
-    leak = np.sum(np.log1p(sq_full / s2), axis=1) / math.log(2.0)
-    m = cfg.K + cfg.N_J
-    x, w = laguerre_nodes(cfg.N_E, m)
-    unit = [
-        np.sum(np.log1p(p * sq_unit / s2), axis=1) - w @ np.log1p(p * x / s2)
-        for p in (cfg.alpha2, cfg.beta2)
-    ]
-    j = np.sum(np.log(sq_full), axis=1) - np.sum(np.log(sq_unit), axis=1)
-    j_mean = montecarlo._log_sv_law(*montecarlo._gbar_args(cfg)) - expected_logdet_wishart(
-        cfg.N_E, m
-    )
-    design = np.column_stack([np.ones(leak.size), *unit, j - j_mean])
-    coef, ssr, _, _ = np.linalg.lstsq(design, leak, rcond=None)
-    n = leak.size
-    assert est.mean == pytest.approx(coef[0] - _noise_block_law(cfg, s2), rel=1e-10)
-    assert est.std_error == pytest.approx(math.sqrt(ssr[0] / (n - 4) / n), rel=1e-8)
-
-
 @pytest.mark.parametrize("trials", [2, 3, 4, 5])
 def test_exact_first_ergodic_leakage_at_tiny_trial_counts(trials, draw_counts):
-    # Three fitted slopes and a mean need 5 trials; with fewer, the answer
-    # comes from the same kept draw without controls: the sample mean of the
-    # full term less the noise block's exact mean, never a standard error
-    # of 0, and no second draw.
-    exact = ExactFirst(trials=trials, seed=0)
-    fitted = exact._two_power_leakage(_at(WIDE_UNEQUAL, 0.1))
-    sq_full, _ = _unit_draw(exact, WIDE_UNEQUAL)
-    full = _summarize([np.sum(np.log1p(sq_full / 0.1), axis=1) / math.log(2.0)])
-    plain = dataclasses.replace(full, mean=full.mean - _noise_block_law(WIDE_UNEQUAL, 0.1))
-    assert fitted.std_error > 0.0
-    assert (fitted == plain) is (trials < 5)
-    assert draw_counts == {"ergodic": 1}
-
-
-def test_exact_first_drops_trials_the_control_guard_flags():
+    # The two-power law reads no trial: any count gives its value, SE 0,
+    # and no draw.
     cfg = _at(WIDE_UNEQUAL, 0.1)
-    exact = ExactFirst(trials=montecarlo._BATCH + 6, seed=1)
-    clean = exact._two_power_leakage(cfg)
-    # Zero the smallest unit-power value of trial 3: its J control is then
-    # undefined, though its leakage is not.
-    sq_unit = exact._cache[(*montecarlo._gbar_args(cfg), "unit")][0][1]
-    sq_unit[3, -1] = 0.0
-    flagged = exact._two_power_leakage(cfg)
-    assert (flagged.trials, flagged.excluded) == (clean.trials - 1, 1)
-
-
-@pytest.mark.parametrize("rows", [3, 5, 9])
-def test_unit_spectra_are_those_of_the_unit_power_block(rng, rows):
-    # Wide blocks form G G^H anew; square and tall ones rescale Gbar^H Gbar.
-    args = (rows, 2, 1.5, 3, 0.7, None)
-    gbar = montecarlo._product(*args, [rng] * 4)
-    unit = gbar / np.sqrt([1.5, 1.5, 0.7, 0.7, 0.7])
-    sq_full, sq_unit = montecarlo._unit_spectra(*args[1:5], gbar)
-    for got, block in ((sq_full, gbar), (sq_unit, unit)):
-        want = squared_singular_values(block)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * want.max())
+    est = ExactFirst(trials=trials, seed=0).ergodic_leakage(cfg)
+    assert est == dataclasses.replace(ExactFirst(**EXACT_RUN).ergodic_leakage(cfg), trials=trials)
+    assert est.std_error == 0.0
+    assert draw_counts == {}
 
 
 TWO_POWER_SHAPES = {
@@ -658,8 +580,7 @@ TWO_POWER_SHAPES = {
     "square": SystemConfig(M=8, K=2, N_E=5, N_J=3, T=12, alpha2=1.5, beta2=0.7),
     # One row fewer than columns: J, the beta-matrix control, enters.
     "wide-by-one": SystemConfig(M=8, K=2, N_E=4, N_J=3, T=12, alpha2=1.5, beta2=0.7),
-    # Four rows more than columns: the nearest tall shape whose fit trusts
-    # its pilot (`_TRUSTED_GAP`); at 1e-3 it extends the pilot's draw.
+    # Four rows more than columns.
     "tall-by-four": SystemConfig(M=8, K=2, N_E=9, N_J=3, T=12, alpha2=1.5, beta2=0.7),
 }
 
@@ -667,8 +588,7 @@ TWO_POWER_SHAPES = {
 @pytest.mark.parametrize("s2", [1.0, 1e-3])
 @pytest.mark.parametrize("name", list(TWO_POWER_SHAPES))
 def test_two_power_ergodic_leakage_agrees_with_sampling(name, s2):
-    # The law against plain sampling, in the 4 hypot(SE) band the fit was
-    # held to.
+    # The law against plain sampling, in a 4 hypot(SE) band.
     cfg = _at(TWO_POWER_SHAPES[name], s2)
     law = ExactFirst(**EXACT_RUN).ergodic_leakage(cfg)
     sampled = MonteCarlo(trials=EXACT_RUN["trials"], seed=3).ergodic_leakage(cfg)
@@ -678,133 +598,36 @@ def test_two_power_ergodic_leakage_agrees_with_sampling(name, s2):
 
 
 def test_two_power_ergodic_leakage_on_a_tall_block_at_high_snr():
-    # At 60 dB on a 64 x 5 block the two unit-power controls differ by
-    # nearly a constant: the normal equations of their fit are singular in
-    # double precision, the rank-revealing fit is not.
+    # At 60 dB on a 64 x 5 block, within 4 SE of plain sampling.
     cfg = SystemConfig(M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7, snr_e_db=60.0)
-    fitted = ExactFirst(trials=200, seed=0)._two_power_leakage(cfg)
+    law = ExactFirst(trials=200, seed=0).ergodic_leakage(cfg)
     sampled = MonteCarlo(trials=2000, seed=1).ergodic_leakage(cfg)
-    band = 4.0 * math.hypot(fitted.std_error, sampled.std_error)
-    assert abs(fitted.mean - sampled.mean) <= band, (fitted, sampled)
-    assert 0.0 < fitted.std_error < sampled.std_error
+    assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (law, sampled)
+    assert law.std_error == 0.0
 
 
-def test_two_power_ergodic_leakage_does_not_depend_on_the_worker_count():
-    # Caps that are no multiple of `_BATCH`: near-square blocks that draw
-    # the cap, and (tall-by-four at 1e-3) a pilot extended short of it.
-    short = 3 * montecarlo._BATCH + 5
-    cases = [
-        (WIDE_UNEQUAL, 1e-2, short),
-        (EXACT_CFGS["tall-unequal"], 1e-2, short),
-        (TWO_POWER_SHAPES["square"], 1e-2, short),
-        (TWO_POWER_SHAPES["tall-by-four"], 1e-3, 4000 + 5),
-    ]
-    for cfg, s2, trials in cases:
-        assert trials % montecarlo._BATCH
+def test_two_power_ergodic_leakage_does_not_depend_on_the_worker_count(draw_counts):
+    # Nothing is drawn, so no pool starts and every worker count gives the
+    # same bytes, at distinct and at near-equal powers.
+    cases = [WIDE_UNEQUAL, EXACT_CFGS["tall-unequal"], TWO_POWER_SHAPES["square"], NEAR_EQUAL]
+    for cfg in cases:
         one, three = (
-            ExactFirst(trials=trials, seed=2, workers=w)._two_power_leakage(_at(cfg, s2))
+            ExactFirst(trials=4005, seed=2, workers=w).ergodic_leakage(_at(cfg, 1e-2))
             for w in (1, 3)
         )
         assert one == three
-        assert montecarlo._PILOT < one.trials + one.excluded
-
-
-# A tall block at high SNR (20 dB), where 32 trials already meet the default target.
-TALL_AT_HIGH_SNR = SystemConfig(
-    M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7, snr_e_db=20.0
-)
-
-
-def test_a_precise_pilot_is_the_answer(draw_counts):
-    cfg = TALL_AT_HIGH_SNR
-    exact = ExactFirst(trials=20000, seed=0)
-    est = exact._two_power_leakage(cfg)
-    assert (est.trials, est.excluded) == (montecarlo._PILOT, 0) == (32, 0)
-    # The pilot answers only when its SE's upper bound meets the target.
-    upper = est.std_error * montecarlo._sd_upper_factor(32 - 2 - 1)
-    assert 0.0 < est.std_error < upper <= montecarlo._SE_TARGET == 1e-5
-    assert len(_unit_draw(exact, cfg)[0]) == 32
-    assert draw_counts == {"ergodic": 1}
-    assert est == ExactFirst(trials=32, seed=0)._two_power_leakage(cfg)
-
-
-@pytest.mark.parametrize(
-    ("cfg", "s2", "trials", "fitted"),
-    [
-        # The pilot misses by far: the fit reads every trial up to the cap.
-        (TWO_POWER_SHAPES["tall-by-four"], 1e-2, 3 * montecarlo._BATCH + 5, 53),
-        # The pilot misses by a little: 512 of 4000 trials meet the target.
-        (TWO_POWER_SHAPES["tall-by-four"], 1e-3, 4000, 512),
-    ],
-    ids=["to-the-cap", "below-the-cap"],
-)
-def test_a_missed_target_extends_the_same_stream(
-    cfg, s2, trials, fitted, draw_counts, monkeypatch
-):
-    # The extra trials continue the pilot's stream, and the answer is the
-    # fit over the first n of them: what a fixed count of n trials gives.
-    cfg = _at(cfg, s2)
-    exact = ExactFirst(trials=trials, seed=2)
-    est = exact._two_power_leakage(cfg)
-    assert est.trials + est.excluded == len(_unit_draw(exact, cfg)[0]) == fitted
-    assert draw_counts == {"ergodic": 1}  # the pilot's draw, extended once
-    monkeypatch.setattr(montecarlo, "_SE_TARGET", 0)
-    assert est == ExactFirst(trials=fitted, seed=2)._two_power_leakage(cfg)
-
-
-@pytest.mark.parametrize("name", ["square", "wide-by-one"])
-def test_a_near_square_block_draws_every_trial(name, draw_counts, monkeypatch):
-    # Within `_TRUSTED_GAP` rows of square the residual's heavy tail makes
-    # a 32-trial SE untrustworthy, so the fit reads the cap even at 40 dB,
-    # where the pilot of the block four rows taller is the answer.
-    cfg = _at(TWO_POWER_SHAPES[name], 1e-4)
-    assert abs(cfg.N_E - cfg.K - cfg.N_J) < montecarlo._TRUSTED_GAP
-    tall = _at(TWO_POWER_SHAPES["tall-by-four"], 1e-4)
-    assert ExactFirst(trials=500, seed=2)._two_power_leakage(tall).trials == 32
-    exact = ExactFirst(trials=500, seed=2)
-    est = exact._two_power_leakage(cfg)
-    assert est.trials + est.excluded == len(_unit_draw(exact, cfg)[0]) == 500
-    assert draw_counts == {"ergodic": 2}  # one draw per geometry
-    monkeypatch.setattr(montecarlo, "_SE_TARGET", 0)
-    assert est == ExactFirst(trials=500, seed=2)._two_power_leakage(cfg)
-
-
-def test_the_pilot_standard_error_bound():
-    # The Wilson-Hilferty factor against scipy's chi-square quantile: at
-    # most 1% high from 5 degrees of freedom on, never low below that.
-    from scipy.stats import chi2
-
-    for dof in (1, 2, 3, 4, 5, 10, 29, 100, 10_000):
-        exact = math.sqrt(dof / chi2.ppf(0.05, dof))
-        factor = montecarlo._sd_upper_factor(dof)
-        assert factor >= exact * (1 - 1e-6)
-        if dof >= 5:
-            assert factor <= 1.01 * exact
-
-
-def test_each_noise_floor_reads_its_own_prefix():
-    # Floors that stop at the pilot (40 dB), extend a little (35 dB) or far
-    # (30 dB), and draw to the cap (20 dB): one instance asked in either
-    # order, or a fresh instance per floor, gives equal numbers.
-    cfg, run = TWO_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
-    points = [dataclasses.replace(cfg, snr_e_db=snr) for snr in (40.0, 35.0, 30.0, 20.0)]
-    fresh = {at: ExactFirst(**run)._two_power_leakage(at) for at in points}
-    assert [fresh[at].trials for at in points] == [32, 64, 512, 4000]
-    for order in (points, points[::-1]):
-        exact = ExactFirst(**run)
-        assert {at: exact._two_power_leakage(at) for at in order} == fresh
+    assert draw_counts == {}
 
 
 def test_no_two_power_result_depends_on_the_batch_size(monkeypatch):
-    # The pilot and its extension are counted in trials, not batches: a
-    # batch that straddles the pilot's end changes no number.
-    cfg, run = TWO_POWER_SHAPES["tall-by-four"], dict(trials=4000, seed=2)
+    # The law reads no batch: every batch size gives the same numbers.
+    cfg = TWO_POWER_SHAPES["tall-by-four"]
     points = [dataclasses.replace(cfg, snr_e_db=snr) for snr in (40.0, 35.0, 30.0)]
     results = []
     for batch in (1, 5, 16, 40):
         monkeypatch.setattr(montecarlo, "_BATCH", batch)
-        exact = ExactFirst(**run)
-        results.append([exact._two_power_leakage(at) for at in points])
+        exact = ExactFirst(trials=4000, seed=2)
+        results.append([exact.ergodic_leakage(at) for at in points])
     assert all(result == results[0] for result in results[1:])
 
 
@@ -884,14 +707,15 @@ def test_one_power_ergodic_leakage_keeps_its_two_control_fit(cfg, s2, mean, std_
 
 
 def test_exact_first_snr_sweep_draws_the_ergodic_channel_once(draw_counts):
-    # Where the two-power law declines, the fit draws the ergodic channel
-    # once for every SNR; elsewhere nothing is drawn.
-    for cfg, drawn in ((DECLINED, {"ergodic": 1}), (CACHE_CFG, {})):
-        draw_counts.clear()
-        exact = ExactFirst(**CACHE_RUN)
-        for snr in (-20.0, 10.0, 40.0):
-            _through(exact, dataclasses.replace(cfg, snr_e_db=snr))
-        assert draw_counts == drawn
+    # A plain MonteCarlo draws the ergodic channel once for every SNR;
+    # ExactFirst draws nothing, at near-equal powers as elsewhere.
+    for cfg in (NEAR_EQUAL, CACHE_CFG):
+        runs = ((MonteCarlo(**CACHE_RUN), {"ergodic": 1}), (ExactFirst(**CACHE_RUN), {}))
+        for mc, drawn in runs:
+            draw_counts.clear()
+            for snr in (-20.0, 10.0, 40.0):
+                mc.ergodic_leakage(dataclasses.replace(cfg, snr_e_db=snr))
+            assert draw_counts == drawn
 
 
 UNIVERSAL_CFGS = {
