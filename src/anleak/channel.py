@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import CMatrix, _null_basis, sample_gaussian, scaled_pseudo_inverse
+from .linalg import CMatrix, sample_gaussian, zero_forcing
 from .montecarlo import _TAG_DISTRIBUTIONS, _TAG_TRANSMIT_POWER, _check_run_args
 from .montecarlo import _per_trial, _stacked, _summarize
 
@@ -271,14 +271,13 @@ class ChannelRealization:
 def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one channel realization (``h`` first, then ``g``).
 
-    Raises `DegenerateChannelError` if ``h`` is rank deficient; ``h`` is
-    checked once, by `scaled_pseudo_inverse`, and its null-space basis is
-    built from the checked matrix.
+    Raises `DegenerateChannelError` if ``h`` is rank deficient; the
+    precoder and the null-space basis come from one QR factorization of
+    ``h^H`` (`zero_forcing`), which checks ``h`` once.
     """
     h = sample_gaussian(cfg.K, cfg.M, 1.0, rng)
     g = sample_gaussian(cfg.N_E, cfg.M, 1.0, rng)
-    precoder = scaled_pseudo_inverse(h)  # checks h's shape and rank for both
-    an_basis = _null_basis(h, cfg.N_J)
+    precoder, an_basis = zero_forcing(h, cfg.N_J)
     g_data = math.sqrt(cfg.alpha2) * (g @ precoder)
     g_an = math.sqrt(cfg.beta2) * (g @ an_basis) if cfg.N_J else np.zeros(
         (cfg.N_E, 0), dtype=np.complex128

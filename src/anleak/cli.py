@@ -17,8 +17,9 @@ Subcommands
     Antenna planning from carrier frequency and user speed.
 ``validate``
     Run the built-in statistical self-checks; exit 1 if any fails.  The
-    sampled checks run concurrently, one thread per usable core, and print
-    the same bytes on any number of cores.
+    first line, ``# anleak validate stream=2 trials=N seed=N``, names the
+    sampled stream.  The sampled checks run concurrently, one thread per
+    usable core, and print the same bytes on any number of cores.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration/usage error.
 
@@ -75,6 +76,7 @@ from .montecarlo import (
     ExactFirst,
     MonteCarlo,
     SvKind,
+    _STREAM,
     _in_order,
     _usable_cores,
     expected_log_sv_sum,
@@ -455,31 +457,31 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
-def run_validation(seed: int = 0, trials: int | None = None) -> ValidationReport:
+def run_validation(seed: int = 0, trials: int = 4000) -> ValidationReport:
     """Statistical and identity self-checks of the numerical core.
 
-    ``trials`` scales the whole suite (default 4000 for the distribution
-    check); every statistical threshold scales as ``1/sqrt(n)`` or is an
+    ``trials`` scales the whole suite (it is the distribution check's
+    count); every statistical threshold scales as ``1/sqrt(n)`` or is an
     N-sigma band, so reduced-trial runs stay meaningful.  The two
     closed-form checks run first; the five sampled ones then run on a pool
     of one thread per usable core (at most five), the longest started
     first.  Each draws its own seeded stream, and the report keeps its
     fixed order, so no result depends on the core count.
     """
-    base = 4000 if trials is None else trials
-    _check_distribution_run(base, seed)  # before any sampled check
-    scale = base / 4000.0
+    _check_distribution_run(trials, seed)  # before any sampled check
+    scale = trials / 4000.0
     sampled = [  # in report order; each draws its own stream
         functools.partial(_check_wishart_identity, seed, max(1000, int(30000 * scale))),
         functools.partial(_check_power_identity, seed, max(200, int(1500 * scale))),
-        functools.partial(_check_effective_distributions, seed, base),
+        functools.partial(_check_effective_distributions, seed, trials),
         functools.partial(_check_ergodic_slope, seed, max(500, int(4000 * scale))),
         functools.partial(_check_sv_split, seed, max(10, int(40 * scale))),
     ]
     threads = min(len(sampled), _usable_cores())
     # Longest first, by their times on the pool at default trials (2 cores,
-    # one-thread BLAS): ergodic-slope 6.3 s, effective-distributions 3.5-4.4
-    # s, wishart-identity 1.5 s, transmit-power 0.4 s, sv-split 0.1 s.
+    # one-thread BLAS, stream 2): ergodic-slope 3.5-4.1 s,
+    # effective-distributions 1.8-3.0 s, wishart-identity 0.2-0.4 s,
+    # transmit-power 0.14-0.26 s, sv-split 0.08-0.10 s.
     longest_first = (3, 2, 0, 1, 4)
     checks = [_check_digamma_recurrence(), _check_volume_symmetry()]
     checks += _in_order(lambda check: check(), sampled, threads, start=longest_first)
@@ -681,6 +683,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_validate(args) -> int:
     report = run_validation(seed=args.seed, trials=args.trials)
+    print(f"# anleak validate stream={_STREAM} trials={args.trials} seed={args.seed}")
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"check {check.name}: {status} ({check.detail})")
@@ -727,7 +730,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run statistical self-checks")
     p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--trials", type=int, default=None)
+    p_val.add_argument("--trials", type=int, default=4000)
     p_val.set_defaults(func=_cmd_validate)
 
     return parser

@@ -2,10 +2,9 @@
 
 Thin, contract-enforcing wrappers around LAPACK (via numpy): complex
 Gaussian draws, squared singular values through the smaller-side Gram
-matrix and the scaled zero-forcing pseudo-inverse, which validates shape,
-finiteness and rank up front so the channel layer above can assume clean
-inputs; the artificial-noise null-space basis is built from a user channel
-that has passed those checks.
+matrix, and the scaled zero-forcing precoder with its artificial-noise
+null-space basis, which validates shape, finiteness and rank up front so
+the channel layer above can assume clean inputs.
 
 Rank tolerance: a matrix counts as rank deficient when its smallest
 singular value is at most ``1e-10`` times its largest.
@@ -25,7 +24,7 @@ __all__ = [
     "sample_gaussian",
     "squared_singular_values",
     "gram_spectrum",
-    "scaled_pseudo_inverse",
+    "zero_forcing",
 ]
 
 #: Complex matrix alias (2-D complex128 ndarray).
@@ -62,7 +61,8 @@ def sample_gaussian(
     variance : float
         Per-entry complex variance, ``>= 0``.  Zero gives an all-zero matrix.
     rng : numpy.random.Generator
-        Source of randomness.  Real parts are drawn before imaginary parts.
+        Source of randomness.  Entries are drawn row by row, each real
+        part just before its imaginary part.
     """
     if rows < 0 or cols < 0:
         raise ValueError(f"shape must be nonnegative, got ({rows}, {cols})")
@@ -70,21 +70,18 @@ def sample_gaussian(
         raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
     if variance == 0.0:
         return np.zeros((rows, cols), dtype=np.complex128)
-    return _sample_gaussians(rows, cols, variance, [rng])[0]
+    return _sample_gaussians(rows, cols, variance, rng, 1)[0]
 
 
-def _sample_gaussians(rows: int, cols: int, variance: float, rngs) -> NDArray[np.complex128]:
-    """`sample_gaussian` from each generator, stacked, for a ``variance``
-    that has passed its checks and is not 0: each generator fills its own
-    rows of one float buffer, and the batch is assembled at once."""
-    z = np.empty((len(rngs), 2, rows, cols))
-    for part, rng in zip(z, rngs):
-        rng.standard_normal(out=part)
-    out = np.empty((len(rngs), rows, cols), dtype=np.complex128)
-    scale = math.sqrt(variance / 2.0)
-    np.multiply(z[:, 0], scale, out=out.real)
-    np.multiply(z[:, 1], scale, out=out.imag)
-    return out
+def _sample_gaussians(
+    rows: int, cols: int, variance: float, rng: np.random.Generator, n: int
+) -> NDArray[np.complex128]:
+    """``n`` stacked `sample_gaussian` draws in one generator call, for a
+    ``variance`` that has passed its checks and is not 0: the normals of
+    shape ``(n, rows, 2 cols)``, scaled and read in place as complex."""
+    z = rng.standard_normal((n, rows, 2 * cols)).view(np.complex128)
+    z *= math.sqrt(variance / 2.0)
+    return z
 
 
 def squared_singular_values(a) -> NDArray[np.float64]:
@@ -111,21 +108,18 @@ def gram_spectrum(gram) -> NDArray[np.float64]:
     return np.flip(np.clip(w, 0.0, None), axis=-1)
 
 
-def _null_basis(h: CMatrix, n: int) -> CMatrix:
-    """Orthonormal basis ``V`` of ``n <= m - k`` directions in the null space
-    of a ``k x m`` ``h`` that has passed `scaled_pseudo_inverse`'s checks:
-    ``h @ V = 0`` and ``V^H V = I``.  It is the trailing block of a complete
-    QR factorization of ``h^H``, so a deterministic function of ``h``."""
-    k = h.shape[0]
-    q, _ = np.linalg.qr(h.conj().T, mode="complete")
-    return np.ascontiguousarray(q[:, k : k + n])
+def zero_forcing(h, n: int) -> tuple[CMatrix, CMatrix]:
+    """Scaled zero-forcing precoder and artificial-noise basis of ``h``.
 
+    For ``h`` of shape ``k x m`` with full row rank and ``0 <= n <= m -
+    k``, returns ``(precoder, an_basis)``, both from one complete QR
+    factorization ``h^H = Q R``, with ``R1`` the top ``k x k`` block of
+    ``R``:
 
-def scaled_pseudo_inverse(h) -> CMatrix:
-    """Zero-forcing pseudo-inverse scaled so that ``h @ result = sqrt(m) I``.
-
-    For ``h`` of shape ``k x m`` with full row rank, returns
-    ``sqrt(m) * h^H (h h^H)^{-1}`` of shape ``m x k``.
+    * ``precoder = sqrt(m) h^H (h h^H)^-1 = sqrt(m) Q[:, :k] R1^-H``
+      (``m x k``), so ``h @ precoder = sqrt(m) I``;
+    * ``an_basis = Q[:, k:k + n]`` (``m x n``), orthonormal directions in
+      the null space of ``h``: ``h @ an_basis = 0``.
 
     Raises
     ------
@@ -136,18 +130,18 @@ def scaled_pseudo_inverse(h) -> CMatrix:
     k, m = h.shape
     if k < 1 or m < k:
         raise ValueError(f"need 1 <= rows <= cols, got shape {h.shape}")
-    _require_full_row_rank(h)
-    gram = h @ h.conj().T
-    return math.sqrt(m) * np.linalg.solve(gram, h).conj().T
-
-
-def _require_full_row_rank(h: CMatrix) -> None:
-    # The Gram route of squared_singular_values() cannot resolve singular
-    # value ratios below ~sqrt(eps), so the 1e-10 gate needs a genuine SVD;
-    # the guard only ever sees small k x m matrices, where that costs nothing.
-    s = np.linalg.svd(h, compute_uv=False)
+    if not 0 <= n <= m - k:
+        raise ValueError(f"need 0 <= n <= {m - k} null directions, got {n}")
+    q, r = np.linalg.qr(h.conj().T, mode="complete")
+    r1 = r[:k]
+    # R1 has the singular values of h.  The Gram route of
+    # squared_singular_values() cannot resolve ratios below ~sqrt(eps), so
+    # the 1e-10 gate takes a genuine SVD, of this small k x k block.
+    s = np.linalg.svd(r1, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= _RANK_RTOL * s[0]:
         raise DegenerateChannelError(
             f"matrix of shape {h.shape} is rank deficient "
             f"(smallest/largest singular value = {s[-1]:.3e}/{s[0]:.3e})"
         )
+    precoder = np.linalg.solve(r1, q[:, :k].conj().T).conj().T  # Q1 R1^-H
+    return math.sqrt(m) * precoder, np.ascontiguousarray(q[:, k : k + n])

@@ -1,17 +1,16 @@
 """Deterministic Monte Carlo estimators for leakage quantities.
 
 Every sampled estimator here reduces to sample means of functionals of
-random matrix spectra.  Determinism contract: a result depends only on the
-arguments ``(..., trials, seed)`` — never on the worker count, the batch
-size or the order of earlier calls.  This module owns it for the package:
-`_check_run_args` judges ``trials``, ``seed`` and ``workers``, and every
-seeded draw of the package goes through `_run_trials`, which seeds trial
-``i`` from ``(seed, stream_tag, i)``.  Trials run in fixed-size batches
-and reduce in trial order; workers only partition batches, so 1 and 8
-workers produce bit-identical numbers.  A batch is one draw call on its
-trials' generators, and each trial draws from its own generator in the
-same order whatever batch it is in, so a batch of one trial is the
-per-trial loop and no result depends on ``_BATCH``.
+random matrix spectra.  Determinism contract, stream ``_STREAM`` (2): a
+result depends only on the arguments ``(..., trials, seed)`` — never on
+the worker count or the order of earlier calls.  This module owns it for
+the package: `_check_run_args` judges ``trials``, ``seed`` and
+``workers``, and every seeded draw of the package goes through
+`_run_trials`.  Trials run in batches of ``_BATCH``, which is part of the
+contract: batch ``b`` draws its trials in trial order from one generator
+seeded from ``(seed, stream_tag, b)``.  Batches reduce in trial order and
+workers only partition them, so 1 and 8 workers produce bit-identical
+numbers.
 This module also owns the package's threads: `_in_order` is its one pool,
 used by `_run_trials` when ``workers > 1`` and by ``validate`` for its
 sampled checks, and numpy's bundled OpenBLAS runs one thread while it does.
@@ -38,21 +37,22 @@ falls that low with probability about ``2e-8``).
 
 A draw is a stream tag plus a tuple of plain arguments, mostly those of
 the one product sampler `_product`, and is batch-shaped: it takes a
-batch's generators and returns the batch's parts stacked.  `_product`
-fills each trial's normals and Bartlett magnitudes from that trial's
-generator, then assembles, scales and multiplies the whole batch at once,
-so a batch drops the interpreter lock a few times, not a few times per
-trial.  The channel draws and the split check's draw stay per trial
-(`_per_trial`).  Every estimator reads its noise floor ``s2`` from the
-config, as ``cfg.sigma_z2``, and evaluates a functional such as
-``log1p(lambda / s2)`` on the spectra of each batch, which no noise floor
-enters.  `expected_log_sv_sum` and `universal_constant` reduce each batch
-to per-trial values as it is drawn.  The ergodic draw of ``Gbar``
-is one stream per geometry, whose spectra a `MonteCarlo` keeps: the
-ergodic leakage and its high-SNR constant both read them, and so do
-sweeps along ``snr_e_db`` or ``T_gamma`` (the draw reads neither) and
-``validate``'s ergodic-slope check.  The module functions
-`ergodic_leakage` and `ergodic_constant` are each one call of a
+batch's generator and trial count and returns the batch's parts stacked.
+`_product` draws the batch's normals in one call and its Bartlett
+magnitudes in another, then scales and multiplies the whole batch at
+once, so a batch drops the interpreter lock a few times, not a few times
+per trial.  The channel draws and the split check's draw run trial by
+trial on the batch's generator (`_per_trial`).  Every estimator reads its
+noise floor ``s2`` from the config, as ``cfg.sigma_z2``, and evaluates a
+functional such as ``log1p(lambda / s2)`` on the spectra of each batch,
+which no noise floor enters.  `expected_log_sv_sum` and
+`universal_constant` reduce each batch to per-trial values as it is
+drawn.  The ergodic draw of ``Gbar`` is one stream per geometry, whose
+spectra a `MonteCarlo` keeps: the ergodic leakage at any noise floor and
+its high-SNR constant both read them.  Of the commands, only
+``validate``'s ergodic-slope check re-reads them; ``sweep`` and
+``bounds`` evaluate with `ExactFirst`, which draws nothing.  The module
+functions `ergodic_leakage` and `ergodic_constant` are each one call of a
 `MonteCarlo`.
 
 The `MonteCarlo` subclass `ExactFirst`, which ``sweep`` and ``bounds``
@@ -109,9 +109,11 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_BATCH = 16  # trials per batch; no result depends on it, peak memory does
+_BATCH = 16  # trials per batch and generator: part of the stream contract
 _LAW_ROWS = 128  # noise nodes per chunk of `_universal_law`'s 2-D sum
 _SQ_FLAG_RTOL = 1e-12  # relative squared-singular-value floor of the Gram route
+
+_STREAM = 2  # version of the sampled stream: raised whenever a sampled value moves
 
 # Every stream tag of the package: part of the determinism contract, never
 # renumber.  1-5 are the `SvKind` values; 6 and 8 are retired.
@@ -366,10 +368,6 @@ class ExactFirst(MonteCarlo):
 # ---------------------------------------------------------------------------
 
 
-def _trial_rng(seed: int, tag: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, tag, index)))
-
-
 def _check_run_args(trials: int, seed: int, workers: int = 1) -> tuple[int, int, int]:
     """The package's one run rule: integer ``trials >= 2``, ``seed >= 0``,
     ``workers >= 1``, returned as ``int``.  Any integer type counts (numpy's
@@ -393,24 +391,24 @@ def _run_trials(tag: int, draw, args: tuple, reduce, trials: int, seed: int, wor
     """Draw ``trials`` seeded trials and reduce them batch by batch, in
     trial order.
 
-    Trial ``i`` draws only from its own generator ``_trial_rng(seed, tag,
-    i)``.  Each batch of up to ``_BATCH`` trials is one call
-    ``draw(*args, rngs)``, ``rngs`` the batch's generators in trial order,
-    which returns the batch's parts stacked along a leading trial axis: one
+    Batch ``b`` holds trials ``b _BATCH`` up to ``min((b + 1) _BATCH,
+    trials)`` and is one call ``draw(*args, rng, n)``: ``rng`` the batch's
+    generator, seeded from ``(seed, tag, b)``, and ``n`` its trial count.
+    It returns the batch's parts stacked along a leading trial axis: one
     array or a tuple of arrays.  The list of ``reduce(*parts)`` results,
     per-trial values or spectra, is returned; workers only partition it.
     """
     trials, seed, workers = _check_run_args(trials, seed, workers)
 
-    def batch(start: int):
-        rngs = [_trial_rng(seed, tag, i) for i in range(start, min(start + _BATCH, trials))]
-        parts = draw(*args, rngs)
+    def batch(b: int):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, tag, b)))
+        parts = draw(*args, rng, min(_BATCH, trials - b * _BATCH))
         return reduce(*parts) if isinstance(parts, tuple) else reduce(parts)
 
-    starts = range(0, trials, _BATCH)
+    batches = range(-(-trials // _BATCH))
     if workers == 1:
-        return [batch(s) for s in starts]
-    return _in_order(batch, starts, workers)
+        return [batch(b) for b in batches]
+    return _in_order(batch, batches, workers)
 
 
 def _usable_cores() -> int:
@@ -506,19 +504,20 @@ def _one_blas_thread():
 
 
 def _stacked(tag: int, draw, args: tuple, trials: int, seed: int) -> tuple:
-    """Each part of the batch draws ``draw(*args, rngs)``, joined in trial order."""
+    """Each part of the batch draw ``draw(*args, rng, n)``, joined in trial order."""
     batches = _run_trials(tag, draw, args, lambda *parts: parts, trials, seed, 1)
     return tuple(np.concatenate(part) for part in zip(*batches))
 
 
 def _per_trial(one):
     """The batch draw of a per-trial one: ``one(*args, rng)``'s tuple of
-    parts for each of the batch's generators, stacked in trial order."""
+    parts for each of the batch's ``n`` trials, in order on the batch's
+    generator, stacked."""
 
     @functools.wraps(one)
     def draw(*args) -> tuple:
-        *args, rngs = args
-        return tuple(np.stack(part) for part in zip(*(one(*args, rng) for rng in rngs)))
+        *args, rng, n = args
+        return tuple(np.stack(part) for part in zip(*(one(*args, rng) for _ in range(n))))
 
     return draw
 
@@ -542,19 +541,16 @@ def _summarize(batches: list[np.ndarray]) -> McEstimate:
     )
 
 
-def _bartlett_factor(m: int, dof: int, rngs: list) -> np.ndarray:
-    """Stacked lower-triangular ``A``, one per generator, with ``A A^H``
-    complex-Wishart(m, dof).
+def _bartlett_factor(m: int, dof: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` stacked lower-triangular ``A`` with ``A A^H`` complex-Wishart(m, dof).
 
-    Requires ``dof >= m``.  Each trial draws its diagonal magnitudes first
-    (one vectorized Gamma draw), then the strict lower triangle.
+    Requires ``dof >= m``.  The batch's diagonal magnitudes come first (one
+    Gamma draw), then the normals of its strict lower triangles (one draw).
     """
-    diag = np.sqrt([rng.gamma(shape=dof - np.arange(m)) for rng in rngs])
-    # Only the strict lower triangle is kept; with no such entries, no normals are drawn.
-    a = _sample_gaussians(m, m, 1.0, rngs) if m > 1 else np.empty((len(rngs), m, m), complex)
-    upper, right = np.triu_indices(m)
-    a[:, upper, right] = 0.0
-    a[:, range(m), range(m)] = diag
+    a = np.zeros((n, m, m), dtype=np.complex128)
+    a[:, range(m), range(m)] = np.sqrt(rng.gamma(dof - np.arange(m), size=(n, m)))
+    rows, cols = np.tril_indices(m, k=-1)
+    a[:, rows, cols] = _sample_gaussians(1, rows.size, 1.0, rng, n)[:, 0]
     return a
 
 
@@ -565,18 +561,19 @@ def _product(
     nj: int,
     beta2: float,
     dof: int | None,
-    rngs: list,
+    rng: np.random.Generator,
+    n: int,
 ) -> np.ndarray:
-    """Stacked, one per generator: a ``rows x (k + nj)`` CN(0, 1) block, its
-    first ``k`` columns scaled by ``sqrt(alpha2)`` and the other ``nj`` by
+    """``n`` stacked: a ``rows x (k + nj)`` CN(0, 1) block, its first ``k``
+    columns scaled by ``sqrt(alpha2)`` and the other ``nj`` by
     ``sqrt(beta2)``; unless ``dof`` is None, times the `_bartlett_factor`
-    of a unit block of ``dof`` symbols.  Each trial draws its block, then
-    its factor."""
-    left = _sample_gaussians(rows, k + nj, 1.0, rngs)
+    of a unit block of ``dof`` symbols.  The batch's blocks are drawn
+    first, then its factors."""
+    left = _sample_gaussians(rows, k + nj, 1.0, rng, n)
     scales = _column_scales(k, alpha2, nj, beta2)
     if (scales != 1.0).any():
         left *= scales
-    return left if dof is None else left @ _bartlett_factor(k + nj, dof, rngs)
+    return left if dof is None else left @ _bartlett_factor(k + nj, dof, rng, n)
 
 
 def _column_scales(k: int, alpha2: float, nj: int, beta2: float) -> np.ndarray:
@@ -722,10 +719,10 @@ def _universal(cfg: SystemConfig) -> tuple:
     return _TAG_UNIVERSAL, _universal_draw, args, partial(_universal_values, cfg)
 
 
-def _universal_draw(data: tuple, noise: tuple, rngs: list):
-    """The data-part channel, then the noise block's factor unless it is empty."""
-    g1 = _product(*data, rngs)
-    return (g1, _bartlett_factor(*noise, rngs)) if noise[0] else g1
+def _universal_draw(data: tuple, noise: tuple, rng: np.random.Generator, n: int):
+    """The data-part channels, then the noise blocks' factors unless they are empty."""
+    g1 = _product(*data, rng, n)
+    return (g1, _bartlett_factor(*noise, rng, n)) if noise[0] else g1
 
 
 def _universal_values(
@@ -840,7 +837,7 @@ def sv_split_check(
 def _split_draw(cfg: SystemConfig, xi: int, omega: int, rng: np.random.Generator):
     """One trial: the top-``xi`` deviations, then any trailing and reference values."""
     ne, t, s2 = cfg.N_E, cfg.T, cfg.sigma_z2
-    prod = _product(*_gbar_args(cfg), [rng])[0] @ sample_gaussian(cfg.mbar, t, 1.0, rng)
+    prod = _product(*_gbar_args(cfg), rng, 1)[0] @ sample_gaussian(cfg.mbar, t, 1.0, rng)
     z = sample_gaussian(ne, t, s2, rng)
     sp = np.sqrt(squared_singular_values(prod))
     sy = np.sqrt(squared_singular_values(prod + z))

@@ -81,19 +81,24 @@ Matrices*, 2010), on the rule of `laws.laguerre_rows`.  So
 
     E sum ln(1 + lambda / s2) = F1(pbar) - (K N_J Delta^2 / 2m) b + R3,
 
-``F1(p)`` the one-power Laguerre law.  The remainder is proven:
-``|D_i| <= |Delta| <= delta (pbar + t D_i)`` for ``0 <= t <= 1``, so
-``-delta M_t <= G D G^H <= delta M_t``; ``M_t^-1/2 G D G^H M_t^-1/2`` has
-rank at most ``n`` and eigenvalues in ``[-delta, delta]``, the third
-derivative is at most ``2 n delta^3`` and ``|R3| <= (n / 3) delta^3``
+``F1(p)`` the one-power Laguerre law.  The remainder is proven: ``D``
+is ``N_J Delta / m`` on the ``K`` columns and ``-K Delta / m`` on the
+others, so ``|D_i| <= max(K, N_J) |Delta| / m``, while ``pbar + t D_i``
+lies between ``pbar`` and a column power, at least ``min(alpha2,
+beta2)``, for ``0 <= t <= 1``.  With ``delta' = (max(K, N_J) / m)
+delta`` that gives ``|D_i| <= delta' (pbar + t D_i)``, so ``-delta' M_t
+<= G D G^H <= delta' M_t``; ``M_t^-1/2 G D G^H M_t^-1/2`` has rank at
+most ``n`` and eigenvalues in ``[-delta', delta']``, the third
+derivative is at most ``2 n delta'^3`` and ``|R3| <= (n / 3) delta'^3``
 nats, on every draw.  The expansion answers where that bound is at most
-``_TAU`` = 1e-10 nats, so up to ``delta* = (3 _TAU / n)^(1/3)``:
-``1.84e-4`` at ``n = 48`` and ``1.67e-4`` at ``n = 64``.  Above ``delta*``
-the law answers, at the digits its rule asks for, with no cap.  Just
-above ``delta*`` it builds, on a 2-vCPU Xeon host, at 247 digits on
-``K = 8, N_J = 40`` (20 ms with ``N_E >= m``, 55 ms at ``N_E = m - 16``),
-320 on ``K = 16, N_J = 48`` (77 ms, 0.24 s), 479 on ``K = 20, N_J = 80``
-(0.3 s, 1.7 s) and 609 on ``K = 32, N_J = 96`` (1.2 s, 6.7 s); at a
+``_TAU`` = 1e-10 nats, so up to ``delta* = (m / max(K, N_J)) (3 _TAU /
+n)^(1/3)``: ``2.21e-4`` on ``K = 8, N_J = 40`` (``n = 48``) and
+``2.23e-4`` on ``K = 16, N_J = 48`` (``n = 64``).  Above ``delta*`` the
+law answers, at the digits its rule asks for, with no cap.  Just
+above ``delta*`` it builds, on a 2-vCPU Xeon host, at 243 digits on
+``K = 8, N_J = 40`` (24 ms with ``N_E >= m``, 64 ms at ``N_E = m - 16``),
+312 on ``K = 16, N_J = 48`` (0.10 s, 0.36 s), 470 on ``K = 20, N_J = 80``
+(0.41 s, 2.3 s) and 594 on ``K = 32, N_J = 96`` (1.6 s, 8.1 s); at a
 ratio of 2 the same blocks need 100-201 digits.  Every pair of distinct
 powers gets an answer.
 
@@ -129,22 +134,23 @@ def two_power_log1p(
     ``Gbar^H Gbar`` for an ``n_e x (k + nj)`` effective channel with ``k``
     columns of power ``alpha2`` and ``nj`` of power ``beta2``; both counts
     at least 1 and the powers positive and distinct.  Where the
-    near-equal expansion's remainder bound ``(n/3) delta^3`` is at most
+    near-equal expansion's remainder bound ``(n/3) delta'^3`` is at most
     ``_TAU`` it answers (`_near_equal`); elsewhere the exact law does."""
     if min(k, nj) < 1 or min(alpha2, beta2) <= 0.0 or alpha2 == beta2:
         raise ValueError(
             f"two powers need k, nj >= 1 and distinct positive powers, got "
             f"{k}, {nj}, {alpha2}, {beta2}"
         )
-    delta = abs(alpha2 - beta2) / min(alpha2, beta2)
-    if min(n_e, k + nj) / 3.0 * delta**3 <= _TAU:
+    m = k + nj
+    delta = max(k, nj) / m * abs(alpha2 - beta2) / min(alpha2, beta2)  # delta'
+    if min(n_e, m) / 3.0 * delta**3 <= _TAU:
         return _near_equal(n_e, k, alpha2, nj, beta2, s2)
     return _law(n_e, k, alpha2, nj, beta2)(s2)
 
 
 def _near_equal(n_e: int, k: int, alpha2: float, nj: int, beta2: float, s2: float) -> float:
     """``F1(pbar) - (k nj Delta^2 / 2m) b``, the expansion of the module
-    docstring, within ``(n/3) delta^3`` nats of the exact value."""
+    docstring, within ``(n/3) delta'^3`` nats of the exact value."""
     m = k + nj
     pbar = (k * alpha2 + nj * beta2) / m
     x, phi = laguerre_rows(min(n_e, m), max(n_e, m))

@@ -185,22 +185,19 @@ def test_realization_determinism(cfg):
 
 
 def test_realization_checks_h_once_and_builds_what_the_public_builders_do(cfg, monkeypatch):
-    checks = []
-    require = linalg._require_full_row_rank
+    calls = []
 
-    def counted(h):
-        checks.append(h.shape)
-        return require(h)
+    def counted(h, n):
+        calls.append((h.shape, n))
+        return linalg.zero_forcing(h, n)
 
-    monkeypatch.setattr(linalg, "_require_full_row_rank", counted)
+    monkeypatch.setattr(channel, "zero_forcing", counted)
     real = sample_realization(cfg, np.random.default_rng(11))
-    assert checks == [(cfg.K, cfg.M)]
-    # Rebuilt through the public, fully checked pseudo-inverse and a complete
-    # QR factorization of h^H, whose trailing columns span h's null space:
-    # the same arrays.
-    assert np.array_equal(real.precoder, linalg.scaled_pseudo_inverse(real.h))
-    q, _ = np.linalg.qr(real.h.conj().T, mode="complete")
-    assert np.array_equal(real.an_basis, q[:, cfg.K : cfg.K + cfg.N_J])
+    assert calls == [((cfg.K, cfg.M), cfg.N_J)]
+    # Rebuilt through the public, fully checked builder: the same arrays.
+    precoder, an_basis = linalg.zero_forcing(real.h, cfg.N_J)
+    assert np.array_equal(real.precoder, precoder)
+    assert np.array_equal(real.an_basis, an_basis)
     assert np.array_equal(real.g_data, math.sqrt(cfg.alpha2) * (real.g @ real.precoder))
     assert np.array_equal(real.g_an, math.sqrt(cfg.beta2) * (real.g @ real.an_basis))
 
@@ -258,23 +255,30 @@ def test_transmit_power_approaches_antenna_budget():
     assert exact / cfg.M == pytest.approx(1.0, abs=0.005)
 
 
+def _batch_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
+    """The generator of the `_run_trials` batch that holds ``trial``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, tag, trial // montecarlo._BATCH)))
+
+
 def test_average_transmit_power_keeps_its_stream_across_batch_edges():
-    # Reference: a plain per-trial loop on the same generators.  The trials
-    # span two full batches of `_run_trials` and a partial one.
+    # Reference: a plain loop over the trials, which starts each batch's
+    # generator at its first trial.  The trials span two full batches of
+    # `_run_trials` and a partial one.
     cfg = balanced_config(M=12, K=3, N_E=2, N_J=4, T=8)
-    trials, seed = 2 * montecarlo._BATCH + 2, 2
+    trials, seed, tag = 2 * montecarlo._BATCH + 2, 2, montecarlo._TAG_TRANSMIT_POWER
     vals = np.empty(trials)
     for i in range(trials):
-        rng = montecarlo._trial_rng(seed, montecarlo._TAG_TRANSMIT_POWER, i)
+        if i % montecarlo._BATCH == 0:
+            rng = _batch_rng(seed, tag, i)
         real = sample_realization(cfg, rng)
         s = sample_gaussian(cfg.K, 16, 1.0, rng)
         n = sample_gaussian(cfg.N_J, 16, 1.0, rng)
         vals[i] = np.linalg.norm(transmit_signal(cfg, real, s, n)) ** 2 / 16
     expected = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
     assert average_transmit_power(cfg, trials=trials, seed=seed) == expected
-    # The batch draw is the same loop, one generator per trial.
-    rngs = [montecarlo._trial_rng(seed, montecarlo._TAG_TRANSMIT_POWER, i) for i in range(trials)]
-    assert np.array_equal(channel._power_draw(cfg, rngs)[0], vals)
+    # The batch draw is the same loop on the batch's generator.
+    first = channel._power_draw(cfg, _batch_rng(seed, tag, 0), montecarlo._BATCH)[0]
+    assert np.array_equal(first, vals[: montecarlo._BATCH])
 
 
 def test_average_transmit_power_rejects_tiny_runs():
@@ -337,7 +341,8 @@ def test_effective_distributions_add_variances_in_trial_order(cfg):
     data_sq_sum = an_sq_sum = 0.0
     sums = []
     for i in range(trials):
-        rng = montecarlo._trial_rng(seed, montecarlo._TAG_DISTRIBUTIONS, i)
+        if i % montecarlo._BATCH == 0:
+            rng = _batch_rng(seed, montecarlo._TAG_DISTRIBUTIONS, i)
         real = sample_realization(cfg, rng)
         sums.append([np.sum(np.abs(real.g_data) ** 2), np.sum(np.abs(real.g_an) ** 2)])
         data_sq_sum += float(sums[-1][0])
@@ -345,9 +350,9 @@ def test_effective_distributions_add_variances_in_trial_order(cfg):
     report = check_effective_distributions(cfg, trials=trials, seed=seed)
     assert report.g_data_var == data_sq_sum / (trials * cfg.N_E * cfg.K)
     assert report.g_an_var == an_sq_sum / (trials * cfg.N_E * cfg.N_J)
-    # The batch draw is the same loop, one generator per trial.
-    rngs = [montecarlo._trial_rng(seed, montecarlo._TAG_DISTRIBUTIONS, i) for i in range(trials)]
-    assert np.array_equal(channel._probe_draw(cfg, rngs)[0], sums)
+    # The batch draw is the same loop on the batch's generator.
+    batch, rng = montecarlo._BATCH, _batch_rng(seed, montecarlo._TAG_DISTRIBUTIONS, 0)
+    assert np.array_equal(channel._probe_draw(cfg, rng, batch)[0], sums[:batch])
 
 
 def test_effective_distributions_rejects_tiny_runs(cfg):

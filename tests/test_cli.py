@@ -506,8 +506,8 @@ def test_validation_states_the_distribution_trials_rule_once(monkeypatch):
     def no_draws(*args):
         raise AssertionError("a sampled check ran before the trials rule")
 
-    # Every seeded draw of the package seeds its trials here.
-    monkeypatch.setattr(anleak.montecarlo, "_trial_rng", no_draws)
+    # Every seeded draw of the package goes through the one trial loop.
+    monkeypatch.setattr(anleak.montecarlo, "_run_trials", no_draws)
     with pytest.raises(ValueError) as cli:
         run_validation(trials=50)
     assert str(cli.value) == str(lib.value) == "need trials >= 100, got 50"
@@ -546,6 +546,8 @@ def test_validation_catches_a_biased_ergodic_law(monkeypatch):
 def test_validate_command_reports_all_clear(capsys):
     assert main(["validate", "--trials", "300"]) == 0
     out = capsys.readouterr().out
+    # The first line names the sampled stream, the trial count and the seed.
+    assert out.splitlines()[0] == "# anleak validate stream=2 trials=300 seed=0"
     assert "all 7 checks passed" in out
     assert out.count("PASS") == 7
 

@@ -377,7 +377,7 @@ def test_two_power_log_means_match_mpmath():
 # Blocks of 26 columns at powers near each other, where the weights reach
 # 1e61 at a ratio of 1.011 (140 digits) and 1e162 at 1 + 1e-6 (212 digits);
 # `two_power_log1p` answers the last two, below its hand-over (n = 26:
-# delta* = 2.1e-4), with the near-equal expansion: (shape, oracle digits).
+# delta* = 2.9e-4), with the near-equal expansion: (shape, oracle digits).
 NEAR_EQUAL_ORACLE_SHAPES = {
     "tall-1.011": ((30, 6, 1.011, 20, 1.0), 160),
     "square-1.011": ((26, 6, 1.011, 20, 1.0), 160),
@@ -469,12 +469,15 @@ def _identity_errors(law, n_e, k, alpha2, nj, beta2):
 
 def _hand_over(n_e, k, nj, side=1.0) -> float:
     """The ratio ``1 + delta*`` of the hand-over, just above it (``side``
-    1, where the law answers) or just below (-1, the expansion)."""
-    return 1.0 + (3.0 * twopower._TAU / min(n_e, k + nj)) ** (1.0 / 3.0) * (1.0 + side * 1e-9)
+    1, where the law answers) or just below (-1, the expansion):
+    ``delta* = (m / max(K, N_J)) (3 tau / n)^(1/3)``."""
+    m = k + nj
+    delta = m / max(k, nj) * (3.0 * twopower._TAU / min(n_e, m)) ** (1.0 / 3.0)
+    return 1.0 + delta * (1.0 + side * 1e-9)
 
 
 # (N_E, K, N_J) and the digits the law confirms at just above the hand-over.
-HAND_OVER_DIGITS = {(48, 8, 40): 247, (64, 16, 48): 320}
+HAND_OVER_DIGITS = {(48, 8, 40): 243, (64, 16, 48): 312}
 
 
 def test_the_law_confirms_its_identities_at_the_hand_over():
@@ -505,11 +508,11 @@ EXPANSION_SHAPES = {"tall": 64, "square": 48, "wide": 32}
 @pytest.mark.parametrize("delta", [2e-4, 1e-3, 1e-2])
 @pytest.mark.parametrize("name", list(EXPANSION_SHAPES))
 def test_the_near_equal_expansion_lies_within_its_proven_remainder(name, delta):
-    # law - expansion is the third-order remainder, at most (n/3) delta^3
-    # nats, on either side of the hand-over and with the larger power on
-    # either group.
+    # law - expansion is the third-order remainder, at most (n/3) delta'^3
+    # nats with delta' = (max(K, N_J)/m) delta, on either side of the
+    # hand-over and with the larger power on either group.
     n_e = EXPANSION_SHAPES[name]
-    bound = min(n_e, 48) / 3.0 * delta**3
+    bound = min(n_e, 48) / 3.0 * (40 / 48 * delta) ** 3
     for shape in ((n_e, 8, 1.0 + delta, 40, 1.0), (n_e, 8, 1.0, 40, 1.0 + delta)):
         law = twopower._law(*shape)
         for snr_db in (0.0, 30.0, 60.0):

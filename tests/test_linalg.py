@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from anleak.errors import DegenerateChannelError
-from anleak.linalg import sample_gaussian, scaled_pseudo_inverse, squared_singular_values
+from anleak.linalg import sample_gaussian, squared_singular_values, zero_forcing
 
 
 def _complex(rng, rows, cols):
@@ -74,28 +74,39 @@ def test_spectra_of_empty_matrices():
 
 def test_nan_inputs_are_rejected(rng):
     with pytest.raises(ValueError):
-        scaled_pseudo_inverse(np.array([[1.0, math.inf, 0.0]]))
+        zero_forcing(np.array([[1.0, math.inf, 0.0]]), 0)
 
 
 # ---------------------------------------------------------------------------
-# Pseudo-inverse
+# Zero-forcing precoder and null basis
 # ---------------------------------------------------------------------------
 
 
-def test_scaled_pseudo_inverse_contract(rng):
-    h = _complex(rng, 3, 8)
-    p = scaled_pseudo_inverse(h)
-    assert p.shape == (8, 3)
-    assert h @ p == pytest.approx(math.sqrt(8) * np.eye(3), abs=1e-9)
-    square = _complex(rng, 3, 3)
-    assert square @ scaled_pseudo_inverse(square) == pytest.approx(
-        math.sqrt(3) * np.eye(3), abs=1e-9
-    )
+def test_zero_forcing_contract(rng):
+    # The flagship's user channel, and small blocks down to a square one.
+    for k, m, n in [(16, 64, 48), (3, 8, 5), (3, 8, 2), (3, 3, 0)]:
+        h = _complex(rng, k, m)
+        precoder, basis = zero_forcing(h, n)
+        assert precoder.shape == (m, k) and basis.shape == (m, n)
+        assert np.abs(h @ precoder - math.sqrt(m) * np.eye(k)).max() <= 1e-12
+        assert np.abs(basis.conj().T @ basis - np.eye(n)).max(initial=0.0) <= 1e-12
+        assert np.abs(h @ basis).max(initial=0.0) <= 1e-12
+        # The Gram route, sqrt(m) h^H (h h^H)^-1, agrees with the QR route.
+        gram = math.sqrt(m) * h.conj().T @ np.linalg.inv(h @ h.conj().T)
+        assert np.abs(precoder - gram).max() <= 1e-12 * np.abs(gram).max()
 
 
-def test_scaled_pseudo_inverse_rejects(rng):
+def test_zero_forcing_rejects(rng):
     with pytest.raises(ValueError):
-        scaled_pseudo_inverse(_complex(rng, 4, 3))
+        zero_forcing(_complex(rng, 4, 3), 0)
+    with pytest.raises(ValueError):
+        zero_forcing(_complex(rng, 2, 6), 5)
     h = _complex(rng, 2, 6)
     with pytest.raises(DegenerateChannelError):
-        scaled_pseudo_inverse(np.vstack([h, h[0] + h[1]]))
+        zero_forcing(np.vstack([h, h[0] + h[1]]), 3)
+    # A singular value ratio of 1e-11, below the 1e-10 tolerance, that the
+    # Gram route could not resolve.
+    u, _, vh = np.linalg.svd(_complex(rng, 3, 8), full_matrices=False)
+    with pytest.raises(DegenerateChannelError):
+        zero_forcing(u @ np.diag([1.0, 0.5, 1e-11]) @ vh, 5)
+    zero_forcing(u @ np.diag([1.0, 0.5, 1e-9]) @ vh, 5)

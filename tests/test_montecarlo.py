@@ -633,7 +633,7 @@ def test_no_two_power_result_depends_on_the_batch_size(monkeypatch):
 
 def _every_sampled_route() -> list:
     """One result of each sampled route of the package, at a trial count
-    that no batch size used below divides."""
+    that ``_BATCH`` does not divide, so a short batch ends each run."""
     run = dict(trials=43, seed=6)
     out = []
     for name in ("tall-unequal", "wide-equal"):
@@ -651,30 +651,43 @@ def _every_sampled_route() -> list:
     return out
 
 
-def test_no_sampled_result_depends_on_the_batch_size(monkeypatch):
-    # A batch draws each trial from that trial's own generator, so a batch
-    # of one trial is the per-trial loop and every size gives its bytes.
+def test_no_sampled_result_depends_on_the_worker_count(monkeypatch):
+    # Workers only partition batches, so 1, 2 and 3 workers give the same
+    # bytes on every sampled route, those that take no worker count too.
+    run_trials = montecarlo._run_trials
     results = []
-    for batch in (1, 5, 16, 40):
-        monkeypatch.setattr(montecarlo, "_BATCH", batch)
+    for workers in (1, 2, 3):
+
+        def on_workers(tag, draw, args, reduce, trials, seed, _, workers=workers):
+            return run_trials(tag, draw, args, reduce, trials, seed, workers)
+
+        monkeypatch.setattr(montecarlo, "_run_trials", on_workers)
         results.append(_every_sampled_route())
     assert all(result == results[0] for result in results[1:])
 
 
-def test_product_draws_each_trial_from_its_own_generator():
-    # Reference: the per-trial draw written out, on a fresh generator per
-    # trial: the scaled Gaussian block, then the Bartlett diagonal (Gamma
-    # magnitudes), then a Gaussian block whose strict lower triangle is kept.
-    args, seed, tag = (4, 2, 1.5, 3, 0.7, 9), 3, SvKind.JOINT.value
-    batch = montecarlo._product(*args, [montecarlo._trial_rng(seed, tag, i) for i in range(6)])
-    scales = np.sqrt([1.5, 1.5, 0.7, 0.7, 0.7])
-    for i in range(6):
-        rng = montecarlo._trial_rng(seed, tag, i)
-        left = sample_gaussian(4, 5, 1.0, rng) * scales
-        factor = np.diag(np.sqrt(rng.gamma(shape=9 - np.arange(5)))).astype(complex)
-        lower = np.tril_indices(5, k=-1)
-        factor[lower] = sample_gaussian(5, 5, 1.0, rng)[lower]
-        assert np.array_equal(batch[i], left @ factor)
+def test_product_draws_each_batch_from_one_generator():
+    # Reference: the batch draw written out on its one generator: every
+    # trial's Gaussian block (each entry's real part, then its imaginary
+    # part), then every trial's Bartlett diagonal (Gamma magnitudes), then
+    # every trial's strict lower triangle, row by row.
+    args, n = (4, 2, 1.5, 3, 0.7, 9), 6
+
+    def rng():
+        return np.random.default_rng(np.random.SeedSequence((3, SvKind.JOINT.value, 0)))
+
+    batch = montecarlo._product(*args, rng(), n)
+    ref = rng()
+    z = ref.standard_normal((n, 4, 10))
+    left = (z[:, :, 0::2] + 1j * z[:, :, 1::2]) * math.sqrt(0.5)
+    left *= np.sqrt([1.5, 1.5, 0.7, 0.7, 0.7])
+    diag = np.sqrt(ref.gamma(9 - np.arange(5), size=(n, 5)))
+    z = ref.standard_normal((n, 20))
+    lower = (z[:, 0::2] + 1j * z[:, 1::2]) * math.sqrt(0.5)
+    for i in range(n):
+        factor = np.diag(diag[i]).astype(complex)
+        factor[np.tril_indices(5, k=-1)] = lower[i]
+        assert np.array_equal(batch[i], left[i] @ factor)
 
 
 @pytest.mark.parametrize(
@@ -797,16 +810,19 @@ def test_sv_split_without_trailing_part():
 
 
 def test_sv_split_keeps_its_stream_across_batch_edges():
-    # Reference: a plain per-trial loop on the same generators.  The trials
-    # span a full batch of `_run_trials` and a partial one.
+    # Reference: a plain loop over the trials, which starts each batch's
+    # generator at its first trial.  The trials span a full batch of
+    # `_run_trials` and a partial one.
     cfg = balanced_config(M=8, K=2, N_E=6, N_J=2, T=12, snr_e_db=30.0)
     s2, trials, seed = 1e-3, montecarlo._BATCH + 6, 3
     assert cfg.sigma_z2 == s2
     xi, omega = 4, 6
     top_devs, trailing, reference = [], [], []
     for i in range(trials):
-        rng = montecarlo._trial_rng(seed, montecarlo._TAG_SPLIT, i)
-        gbar = montecarlo._product(*montecarlo._gbar_args(cfg), [rng])[0]
+        if i % montecarlo._BATCH == 0:
+            batch = (seed, montecarlo._TAG_SPLIT, i // montecarlo._BATCH)
+            rng = np.random.default_rng(np.random.SeedSequence(batch))
+        gbar = montecarlo._product(*montecarlo._gbar_args(cfg), rng, 1)[0]
         prod = gbar @ sample_gaussian(cfg.mbar, cfg.T, 1.0, rng)
         z = sample_gaussian(cfg.N_E, cfg.T, s2, rng)
         sp = np.sqrt(squared_singular_values(prod))

@@ -143,13 +143,9 @@ def _reads(names: set[str]) -> list[tuple[str, int, str, tuple[str, ...]]]:
 
 
 def test_every_seeded_trial_goes_through_the_one_trial_loop():
-    # `_run_trials` is the package's only trial loop, and `_trial_rng` its
-    # only way to build a generator, so a stream change is made in one place.
-    owners = {
-        "_trial_rng": "_run_trials",
-        "SeedSequence": "_trial_rng",
-        "default_rng": "_trial_rng",
-    }
+    # `_run_trials` is the package's only trial loop and builds its only
+    # generators, one per batch, so a stream change is made in one place.
+    owners = {"SeedSequence": "_run_trials", "default_rng": "_run_trials"}
     reads = _reads(set(owners))
     stray = [hit for hit in reads if owners[hit[2]] not in hit[3]]
     assert not stray, f"seeded draws outside their owner: {stray}"
