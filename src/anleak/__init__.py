@@ -5,10 +5,12 @@ can extract from a zero-forcing downlink that fills its spare spatial
 dimensions with artificial noise.  See the individual modules:
 
 * :mod:`anleak.channel` — system configuration and channel sampling;
-* :mod:`anleak.montecarlo` — deterministic sampled estimators (`MonteCarlo`)
-  and its subclass `ExactFirst`, which computes those with a known law exactly;
+* :mod:`anleak.laws` — exact eigenvalue laws and `ExactFirst`, which
+  answers every estimated quantity from them and draws nothing;
 * :mod:`anleak.twopower` — the exact ergodic leakage at two powers, loaded by
   `ExactFirst` only where it is needed;
+* :mod:`anleak.montecarlo` — deterministic sampled estimators (`MonteCarlo`),
+  the cross-check of every law;
 * :mod:`anleak.bounds` — closed-form high-SNR bounds and secrecy rates;
 * :mod:`anleak.special` — digamma / manifold-volume building blocks;
 * :mod:`anleak.planner` — antenna counts that saturate coherence blocks;
@@ -37,10 +39,7 @@ _EXPORTS = {
         "check_effective_distributions",
     ),
     "montecarlo": (
-        "McEstimate",
         "MonteCarlo",
-        "ExactFirst",
-        "SvKind",
         "expected_log_sv_sum",
         "ergodic_leakage",
         "ergodic_constant",
@@ -79,7 +78,7 @@ _EXPORTS = {
         "coherence_symbols",
         "required_antennas",
     ),
-    "laws": (),
+    "laws": ("McEstimate", "ExactFirst", "SvKind"),
     "linalg": (),
     "twopower": (),
 }

@@ -41,12 +41,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .channel import SystemConfig, single_stream_view
 from .errors import NotApplicable
-from .montecarlo import McEstimate, MonteCarlo, SvKind
+from .laws import McEstimate, SvKind
 from .special import EULER_GAMMA, expected_logdet_wishart, log_grassmann_volume
+
+if TYPE_CHECKING:  # the estimator a bound takes: a law, or the sampled cross-check
+    from .laws import ExactFirst
+    from .montecarlo import MonteCarlo
 
 __all__ = [
     "LeakageBounds",
@@ -110,8 +114,8 @@ class LeakageBounds:
     ``c_lower``/``c_upper`` bracket the constant term in bits; for the
     ergodic regime they coincide.  ``c_std_error`` is the Monte Carlo
     standard error of the sampled part, shared by both constants; 0 when
-    every term is exact, as with an `ExactFirst`, the `MonteCarlo` that
-    computes each expectation whose law is known in closed form.
+    every term is exact, as with `laws.ExactFirst`, which computes each
+    expectation from its law; a `montecarlo.MonteCarlo` samples them.
     """
 
     dof: float
@@ -196,7 +200,7 @@ def require_applicable(regime: str, cfg: SystemConfig) -> None:
             raise NotApplicable(code, f"{regime} needs {need.format(c=cfg)}")
 
 
-def ergodic_highsnr(cfg: SystemConfig, mc: MonteCarlo) -> LeakageBounds:
+def ergodic_highsnr(cfg: SystemConfig, mc: ExactFirst | MonteCarlo) -> LeakageBounds:
     """High-SNR expansion of the known-channel (ergodic) leakage."""
     c = mc.ergodic_constant(cfg)
     return LeakageBounds(
@@ -211,7 +215,7 @@ def ergodic_highsnr(cfg: SystemConfig, mc: MonteCarlo) -> LeakageBounds:
 
 def noncoherent_bounds(
     cfg: SystemConfig,
-    mc: MonteCarlo,
+    mc: ExactFirst | MonteCarlo,
     *,
     saturated_fallback: bool = False,
 ) -> LeakageBounds:
@@ -329,12 +333,12 @@ def saturated_upper(cfg: SystemConfig) -> SaturatedBound:
     return _saturated_pair(cfg.N_E, cfg.T)
 
 
-def universal_upper(cfg: SystemConfig, mc: MonteCarlo) -> McEstimate:
+def universal_upper(cfg: SystemConfig, mc: ExactFirst | MonteCarlo) -> McEstimate:
     """Coherence-free leakage upper bound at ``cfg.snr_e_db``, bits.
 
     ``min(N_E, K) (1 - N_J/t')^+ log2(SNR) + c(sigma^2)`` with the
     constant ``mc.universal_constant`` at ``sigma^2 = cfg.sigma_z2``:
-    exact for an `ExactFirst`, sampled for a plain `MonteCarlo`.  Covers an
+    exact for `laws.ExactFirst`, sampled for a `MonteCarlo`.  Covers an
     eavesdropper that knows ``G1`` and the artificial-noise symbols but not
     the artificial-noise channel (so also the blind and partial regimes);
     it does not bound the known-channel `ergodic_leakage`.  It never
@@ -351,7 +355,7 @@ def universal_upper(cfg: SystemConfig, mc: MonteCarlo) -> McEstimate:
     return McEstimate(value, c.std_error, c.trials, c.excluded)
 
 
-def coherent_data_leakage(cfg: SystemConfig, mc: MonteCarlo) -> McEstimate:
+def coherent_data_leakage(cfg: SystemConfig, mc: ExactFirst | MonteCarlo) -> McEstimate:
     """Known-channel leakage of the data part alone at ``cfg.snr_e_db``, bits.
 
     ``E[logdet(I + SNR * G1^H G1)]`` — the classical pilot-aided
@@ -362,7 +366,7 @@ def coherent_data_leakage(cfg: SystemConfig, mc: MonteCarlo) -> McEstimate:
     return mc.ergodic_leakage(replace(cfg, N_J=0, beta2=0.0))
 
 
-def partial_coherent_bounds(cfg: SystemConfig, mc: MonteCarlo) -> LeakageBounds:
+def partial_coherent_bounds(cfg: SystemConfig, mc: ExactFirst | MonteCarlo) -> LeakageBounds:
     """Expansion constants when only the noise-part channel is unknown.
 
     Models an eavesdropper that learned the data-part channel during
@@ -414,7 +418,7 @@ def partial_coherent_bounds(cfg: SystemConfig, mc: MonteCarlo) -> LeakageBounds:
 # ---------------------------------------------------------------------------
 
 
-def leakage_pair(cfg: SystemConfig, mc: MonteCarlo) -> LeakagePair:
+def leakage_pair(cfg: SystemConfig, mc: ExactFirst | MonteCarlo) -> LeakagePair:
     """Non-coherent and partial-coherent bounds for one configuration."""
     return LeakagePair(
         noncoherent=noncoherent_bounds(cfg, mc),
@@ -468,7 +472,7 @@ def secrecy_rates(
     )
 
 
-def secrecy_from_config(cfg: SystemConfig, mc: MonteCarlo) -> SecrecyRates:
+def secrecy_from_config(cfg: SystemConfig, mc: ExactFirst | MonteCarlo) -> SecrecyRates:
     """`secrecy_rates` at ``cfg`` from both leakage pairs, built with ``mc``."""
     return secrecy_rates(cfg, leakage_pair(cfg, mc), leakage_pair(single_stream_view(cfg), mc))
 

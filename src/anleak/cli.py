@@ -32,10 +32,11 @@ count comes from ``--trials``, else the config file, else the command's
 default (2000 for ``sweep``, 20000 for ``bounds``); the chosen value and
 its source are echoed in the leading comment line, so the output depends
 only on the arguments.  Both commands answer every quantity from a known
-law (`montecarlo.ExactFirst`) and draw nothing, so ``--trials``,
-``--seed`` and ``--workers`` move no data row; only the header echoes
-them.  Bad trials, seed or workers values are
-rejected before any output.  A closed stdout (``anleak bounds cfg | head
+law (`laws.ExactFirst`, which holds no run) and draw nothing, so
+``--trials``, ``--seed`` and ``--workers`` move no data row: they are
+checked by `montecarlo`'s run rule, and only the header echoes the trial
+count and seed.  Bad trials, seed or workers values are rejected before
+any output.  A closed stdout (``anleak bounds cfg | head
 -1``) ends the command with exit 1 and no traceback.
 """
 
@@ -72,11 +73,11 @@ from .channel import (
     single_stream_view,
 )
 from .errors import ConfigError, NotApplicable
+from .laws import ExactFirst, SvKind
 from .montecarlo import (
-    ExactFirst,
     MonteCarlo,
-    SvKind,
     _STREAM,
+    _check_run_args,
     _in_order,
     _usable_cores,
     expected_log_sv_sum,
@@ -138,14 +139,15 @@ _CONFIG_KEYS = frozenset(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A fully-resolved sweep request: ``mc`` holds its run (trials, seed,
-    workers) and ``trials_source`` where the trial count came from."""
+    """A fully-resolved sweep request.  Only the header reads ``trials``,
+    ``seed`` and ``trials_source`` (where the trial count came from)."""
 
     cfg: SystemConfig
     axis: str
     values: tuple[float, ...]
     metrics: tuple[str, ...]
-    mc: ExactFirst
+    trials: int
+    seed: int
     trials_source: str = "default"
 
 
@@ -276,8 +278,8 @@ def build_sweep_spec(
     if not metrics:
         raise ConfigError("key 'metrics': need at least one metric")
 
-    mc, source = _resolve_run_args(entries, trials, seed, workers, DEFAULT_SWEEP_TRIALS)
-    return SweepSpec(cfg, axis, values, metrics, mc, source)
+    run = _resolve_run_args(entries, trials, seed, workers, DEFAULT_SWEEP_TRIALS)
+    return SweepSpec(cfg, axis, values, metrics, *run)
 
 
 def _resolve_run_args(
@@ -286,14 +288,14 @@ def _resolve_run_args(
     seed: int | None,
     workers: int | None,
     default_trials: int,
-) -> tuple[ExactFirst, str]:
-    """The estimator a ``sweep`` or ``bounds`` run evaluates with, and the
+) -> tuple[int, int, str]:
+    """The trial count and seed of a ``sweep`` or ``bounds`` run, and the
     source of its trial count: ``flag``, ``config`` or ``default``.
 
     Each of ``trials``, ``seed`` and ``workers`` comes from its flag, else
-    the config file, else the command's default.  `ExactFirst` checks them
-    by `montecarlo`'s run rule, whose message a bad value raises as a
-    `ConfigError`.
+    the config file, else the command's default, and is checked by
+    `montecarlo`'s run rule, whose message a bad value raises as a
+    `ConfigError`.  Only the header reads the result.
     """
     source = "flag"
     if trials is None:
@@ -302,9 +304,10 @@ def _resolve_run_args(
     seed = _get_int(entries, "seed", 0) if seed is None else seed
     workers = _get_int(entries, "workers", 1) if workers is None else workers
     try:
-        return ExactFirst(trials=trials, seed=seed, workers=workers), source
+        trials, seed, _ = _check_run_args(trials, seed, workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return trials, seed, source
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +318,14 @@ def _resolve_run_args(
 class _Point:
     """One configuration's regime results, each built at most once.
 
-    Both ``sweep`` and ``bounds`` evaluate through this class and
+    ``sweep`` and ``bounds`` evaluate through it, with `ExactFirst`, and
     `evaluate_metric`; a regime that does not apply keeps the reason code
     of the `NotApplicable` its `anleak.bounds` function raised.
     """
 
-    def __init__(self, cfg: SystemConfig, mc: MonteCarlo):
+    def __init__(self, cfg: SystemConfig):
         self.cfg = cfg
-        self.mc = mc
+        self.mc = ExactFirst()
         self.regime = functools.cache(self._build)
 
     def _build(self, name: str) -> tuple:
@@ -403,7 +406,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 SweepRow(value, m, None, None, "invalid_config") for m in spec.metrics
             )
             continue
-        point = _Point(cfg, spec.mc)
+        point = _Point(cfg)
         for metric in spec.metrics:
             val, se, reason = evaluate_metric(point, metric)
             rows.append(SweepRow(value, metric, val, se, reason))
@@ -414,20 +417,20 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.9g}"
 
 
-def _run_header(command: str, mc: ExactFirst, source: str) -> str:
+def _run_header(command: str, trials: int, seed: int, source: str) -> str:
     """Leading comment line of ``sweep`` and ``bounds`` output, without its
     newline: the run's trial count, its source and seed."""
-    return f"# anleak {command} trials={mc.trials} trials_source={source} seed={mc.seed}"
+    return f"# anleak {command} trials={trials} trials_source={source} seed={seed}"
 
 
 def write_sweep_csv(spec: SweepSpec, rows: list[SweepRow], stream) -> None:
     """Write the sweep CSV (LF line endings, 9 significant digits).
 
     The header echoes the trial count, its source and the seed.  The
-    worker count (``spec.mc.workers``) is not echoed: output bytes never
-    depend on it.
+    worker count is checked but not echoed: output bytes never depend on
+    it.
     """
-    stream.write(_run_header("sweep", spec.mc, spec.trials_source) + "\n")
+    stream.write(_run_header("sweep", spec.trials, spec.seed, spec.trials_source) + "\n")
     stream.write("axis,metric,value,std_error,reason\n")
     for row in rows:
         stream.write(
@@ -515,13 +518,13 @@ def _check_volume_symmetry() -> CheckResult:
 def _check_wishart_identity(seed: int, trials: int) -> CheckResult:
     cfg = SystemConfig(M=16, K=8, N_E=4, N_J=0, T=16, alpha2=1.0, beta2=0.0)
     est = expected_log_sv_sum(SvKind.DATA, cfg, trials=trials, seed=seed)
-    target = ExactFirst(trials=trials, seed=seed).log_sv_sum(SvKind.DATA, cfg).mean
+    target = ExactFirst().log_sv_sum(SvKind.DATA, cfg).mean
     dev = abs(est.mean - target)
     band = 4.0 * est.std_error
     return CheckResult(
         "wishart-identity",
         dev <= band,
-        f"|mc - closed form| = {dev:.4f}, 4*SE = {band:.4f}",
+        f"trials={trials}, |mc - closed form| = {dev:.4f}, 4*SE = {band:.4f}",
     )
 
 
@@ -534,7 +537,7 @@ def _check_power_identity(seed: int, trials: int) -> CheckResult:
     return CheckResult(
         "transmit-power",
         dev <= band,
-        f"mc {mean:.4f} vs exact {target:.4f}, 4*SE = {band:.4f}",
+        f"trials={trials}, mc {mean:.4f} vs exact {target:.4f}, 4*SE = {band:.4f}",
     )
 
 
@@ -547,14 +550,14 @@ def _check_effective_distributions(seed: int, trials: int) -> CheckResult:
     )
     if report.failures:
         detail = "; ".join(report.failures)
-    return CheckResult("effective-distributions", report.passed, detail)
+    return CheckResult("effective-distributions", report.passed, f"trials={trials}, {detail}")
 
 
 def _check_ergodic_slope(seed: int, trials: int) -> CheckResult:
     # One power: both estimates must also lie within 4 SE of the exact law.
     cfg = balanced_config(M=64, K=16, N_E=64, N_J=48, T=320)
     mc = MonteCarlo(trials=trials, seed=seed)  # one draw for both noise floors
-    law = ExactFirst(trials=trials, seed=seed)  # draws nothing at one power
+    law = ExactFirst()
     points = [replace(cfg, snr_e_db=snr) for snr in (40.0, 43.0)]
     lo, hi = (mc.ergodic_leakage(at) for at in points)
     devs = [abs(est.mean - law.ergodic_leakage(at).mean) for est, at in zip((lo, hi), points)]
@@ -566,8 +569,8 @@ def _check_ergodic_slope(seed: int, trials: int) -> CheckResult:
     return CheckResult(
         "ergodic-slope",
         ok,
-        f"slope {slope:.3f} vs dof {expected:g}; |mc - law| = {devs[0]:.4f}, {devs[1]:.4f}, "
-        f"4*SE = {bands[0]:.4f}, {bands[1]:.4f}",
+        f"trials={trials}, slope {slope:.3f} vs dof {expected:g}; |mc - law| = {devs[0]:.4f}, "
+        f"{devs[1]:.4f}, 4*SE = {bands[0]:.4f}, {bands[1]:.4f}",
     )
 
 
@@ -577,7 +580,7 @@ def _check_sv_split(seed: int, trials: int) -> CheckResult:
     return CheckResult(
         "sv-split",
         report.top_rel_dev_median <= 1e-3,
-        f"median rel dev {report.top_rel_dev_median:.2e}",
+        f"trials={trials}, median rel dev {report.top_rel_dev_median:.2e}",
     )
 
 
@@ -613,10 +616,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_bounds(args) -> int:
     entries = _apply_overrides(parse_config_file(args.config), args.set)
     cfg = build_system_config(entries)
-    mc, source = _resolve_run_args(
-        entries, args.trials, args.seed, args.workers, DEFAULT_POINT_TRIALS
-    )
-    point = _Point(cfg, mc)
+    run = _resolve_run_args(entries, args.trials, args.seed, args.workers, DEFAULT_POINT_TRIALS)
+    point = _Point(cfg)
 
     def report(metric: str, key: str = "", with_se: bool = False) -> None:
         key = key or metric
@@ -628,13 +629,13 @@ def _cmd_bounds(args) -> int:
         if with_se:
             print(f"{key}_se={se:.9g}")
 
-    print(_run_header("bounds", mc, source))
+    print(_run_header("bounds", *run))
     print(f"# config M={cfg.M} K={cfg.K} N_E={cfg.N_E} N_J={cfg.N_J} T={cfg.T}")
     print(f"alpha2={cfg.alpha2:.9g}")
     print(f"beta2={cfg.beta2:.9g}")
     print(f"t_prime={cfg.t_prime}")
     print(f"exact_transmit_power={exact_transmit_power(cfg):.9g}")
-    erg = ergodic_highsnr(cfg, mc)
+    erg = ergodic_highsnr(cfg, point.mc)
     print(f"ergodic_dof={erg.dof:.9g}")
     print(f"ergodic_constant={erg.c_upper:.9g}")
     report("ergodic", "ergodic_leakage", with_se=True)

@@ -51,23 +51,10 @@ drawn.  The ergodic draw of ``Gbar`` is one stream per geometry, whose
 spectra a `MonteCarlo` keeps: the ergodic leakage at any noise floor and
 its high-SNR constant both read them.  Of the commands, only
 ``validate``'s ergodic-slope check re-reads them; ``sweep`` and
-``bounds`` evaluate with `ExactFirst`, which draws nothing.  The module
-functions `ergodic_leakage` and `ergodic_constant` are each one call of a
-`MonteCarlo`.
-
-The `MonteCarlo` subclass `ExactFirst`, which ``sweep`` and ``bounds``
-use, answers from known laws with standard error 0: every high-SNR
-log-determinant (digamma sums, plus a Jacobi-ensemble mean for two powers
-on a wide block; see `_log_sv_law`), the universal constant (a 2-D
-quadrature over two Laguerre densities, `_universal_law`) and the ergodic
-leakage: at one power two Laguerre one-point integrals
-(`_laguerre_log1p`), at two the polynomial-ensemble law of
-`anleak.twopower`, which only that path imports (its exact law, or near
-equal powers a second-order expansion with a proven remainder below
-1e-10 nats).  So it draws nothing, and its ``trials``, ``seed`` and
-``workers`` move no output.  A plain `MonteCarlo` and the module
-functions always sample, all ``trials``, so they stay the cross-check of
-every law.
+``bounds`` evaluate with `laws.ExactFirst`, which draws nothing.  The
+module functions `ergodic_leakage` and `ergodic_constant` are each one
+call of a `MonteCarlo`.  `SvKind` and each kind's `_product` arguments
+come from `anleak.laws`, which its laws share.
 
 Units: ``expected_log_sv_sum`` returns nats (it is compared against
 digamma identities); the leakage-level estimators return bits.
@@ -82,24 +69,19 @@ import operator
 import os
 import threading
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .laws import jacobi_nodes, laguerre_nodes
+from .laws import McEstimate, SvKind, _check_universal, _gbar_args, _sv_args, _sv_rank
 from .linalg import _sample_gaussians, sample_gaussian, squared_singular_values
-from .special import expected_logdet_wishart
 
 if TYPE_CHECKING:  # channel imports this module's run rule and trial loop
     from .channel import SystemConfig
 
 __all__ = [
-    "McEstimate",
-    "SvKind",
     "MonteCarlo",
-    "ExactFirst",
     "expected_log_sv_sum",
     "ergodic_leakage",
     "ergodic_constant",
@@ -110,7 +92,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _BATCH = 16  # trials per batch and generator: part of the stream contract
-_LAW_ROWS = 128  # noise nodes per chunk of `_universal_law`'s 2-D sum
 _SQ_FLAG_RTOL = 1e-12  # relative squared-singular-value floor of the Gram route
 
 _STREAM = 2  # version of the sampled stream: raised whenever a sampled value moves
@@ -122,150 +103,6 @@ _TAG_UNIVERSAL = 9
 _TAG_SPLIT = 10
 _TAG_DISTRIBUTIONS = 100  # channel.check_effective_distributions
 _TAG_TRANSMIT_POWER = 101  # channel.average_transmit_power
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """A Monte Carlo sample mean with its standard error.
-
-    Attributes
-    ----------
-    mean : float
-        Sample mean over the valid trials.
-    std_error : float
-        Sample standard deviation divided by ``sqrt(trials)``.
-    trials : int
-        Number of valid trials that entered the mean.
-    excluded : int
-        Trials dropped by the degenerate-spectrum guard.
-    """
-
-    mean: float
-    std_error: float
-    trials: int
-    excluded: int = 0
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"need trials >= 1, got {self.trials}")
-        if not (math.isfinite(self.std_error) and self.std_error >= 0.0):
-            raise ValueError(f"std_error must be finite and >= 0, got {self.std_error!r}")
-        if not math.isfinite(self.mean):
-            raise ValueError(f"mean must be finite, got {self.mean!r}")
-        if self.excluded < 0:
-            raise ValueError(f"excluded must be >= 0, got {self.excluded}")
-
-
-class SvKind(Enum):
-    """Which product spectrum ``expected_log_sv_sum`` averages.
-
-    Members name the matrices by role in the transmission model:
-
-    * ``JOINT`` — full effective channel (data and noise columns) times a
-      unit-Gaussian block of ``T`` symbols; ``N_E x (K + N_J)`` by
-      ``(K + N_J) x T``.
-    * ``AN_TAIL`` — noise-part channel times the post-training unit block
-      of ``T - K`` symbols.
-    * ``AN_POST`` — noise-part channel times a unit block of ``t_prime``
-      symbols.
-    * ``AN_EXCESS`` — the last ``N_E - K`` rows of the noise-part channel
-      times a unit block of ``t_prime`` symbols.
-    * ``DATA`` — the effective data channel alone (``N_E x K``, variance
-      ``alpha2``).
-
-    A member's value is its stream tag, part of the determinism contract:
-    never renumber.  Tag 6 is retired; it drew the unit noise block alone.
-    """
-
-    JOINT = 1
-    AN_TAIL = 2
-    AN_EXCESS = 3
-    AN_POST = 4
-    DATA = 5
-
-
-# Each kind's `_product` arguments ``(rows, k, alpha2, nj, beta2, dof)``.
-_SV_ARGS = {
-    SvKind.JOINT: lambda c: (c.N_E, c.K, c.alpha2, c.N_J, c.beta2, c.T),
-    SvKind.AN_TAIL: lambda c: (c.N_E, 0, 0.0, c.N_J, c.beta2, c.T - c.K),
-    SvKind.AN_EXCESS: lambda c: (c.N_E - c.K, 0, 0.0, c.N_J, c.beta2, c.t_prime),
-    SvKind.AN_POST: lambda c: (c.N_E, 0, 0.0, c.N_J, c.beta2, c.t_prime),
-    SvKind.DATA: lambda c: (c.N_E, c.K, c.alpha2, 0, 0.0, None),
-}
-
-
-def _sv_args(kind: SvKind, cfg: SystemConfig) -> tuple:
-    if not isinstance(kind, SvKind):
-        raise ValueError(f"kind must be an SvKind, got {kind!r}")
-    return _SV_ARGS[kind](cfg)
-
-
-def _sv_rank(kind: SvKind, args: tuple) -> int:
-    """Generic rank ``min(rows, cols)`` of a kind's `_product` draw; raises
-    `ValueError` when it has columns but no rows or too short a unit block."""
-    rows, k, _, nj, _, dof = args
-    cols = k + nj
-    if cols == 0:
-        return 0
-    if rows < 1 or (dof is not None and dof < cols):
-        raise ValueError(
-            f"{kind.name} needs rows >= 1 and a unit block of >= {cols} symbols, "
-            f"got {rows} rows and {dof} symbols"
-        )
-    return min(rows, cols)
-
-
-def _log_sv_law(
-    rows: int, k: int, alpha2: float, nj: int, beta2: float, dof: int | None
-) -> float:
-    """``E sum ln lambda^2`` of a `_product` draw in nats.
-
-    The draw is ``Z D A`` with ``Z`` a ``rows x m`` CN(0, 1) block,
-    ``m = k + nj``, ``D`` the diagonal of column scales and ``A A^H`` a
-    complex Wishart ``W_m(dof)``.  For ``rows >= m`` the determinant splits
-    into ``det D^2 det(Z^H Z) det(A A^H)``; for ``rows < m`` the LQ split
-    of ``Z D`` leaves a ``W_rows(dof)`` determinant (Goodman 1963) times
-    ``det(alpha2 W1 + beta2 W2)``, ``W1``/``W2`` the Gram matrices of the
-    two column groups.  With one power ``d^2`` that is ``d^(2 rows)`` times
-    a ``W_rows(m)``; with two it is ``det S det(beta2 + (alpha2 - beta2) B)``
-    for ``S = W1 + W2 ~ W_rows(m)`` and ``B = S^-1/2 W1 S^-1/2`` an
-    independent matrix-variate beta (Olkin & Rubin 1964).  ``B`` has
-    ``(rows - nj)^+`` eigenvalues 1, ``(rows - k)^+`` eigenvalues 0 and the
-    other ``q`` a Jacobi ensemble, integrated over `laws.jacobi_nodes`
-    from the end nearer the branch point of ``ln det``.
-    """
-    m = k + nj
-
-    def logdet(p: int, t: int | None) -> float:
-        return 0.0 if t is None else expected_logdet_wishart(p, t)
-
-    if m == 0:
-        return 0.0
-    if rows >= m:
-        scale = sum(n * math.log(d2) for n, d2 in ((k, alpha2), (nj, beta2)) if n)
-        return scale + logdet(m, rows) + logdet(m, dof)
-    if k == 0 or nj == 0 or alpha2 == beta2:
-        d2 = alpha2 if k else beta2
-        return rows * math.log(d2) + logdet(rows, m) + logdet(rows, dof)
-    q = min(rows, k) + min(rows, nj) - rows
-    ends = (rows - nj) * math.log(alpha2) if rows > nj else 0.0
-    ends += (rows - k) * math.log(beta2) if rows > k else 0.0
-    # ln(lo + (hi - lo) y) with y the eigenvalue weight on the larger power,
-    # whose branch point -lo / (hi - lo) lies below y = 0, where the nodes
-    # are graded.  Each power is paired with its weight's exponent at 0.
-    (lo, b_lo), (hi, b_hi) = sorted(((alpha2, abs(rows - k)), (beta2, abs(rows - nj))))
-    y, w = jacobi_nodes(q, b_lo, b_hi)
-    return ends + float(w @ np.log(lo + (hi - lo) * y)) + logdet(rows, m) + logdet(rows, dof)
-
-
-def _laguerre_log1p(rows: int, cols: int, p: float, s2: float) -> float:
-    """``E sum ln(1 + p lambda / s2)`` in nats over the squared singular
-    values ``lambda`` of a ``rows x cols`` CN(0, 1) block, by its Laguerre
-    law (`laws.laguerre_nodes`); 0 when the block has no columns."""
-    if cols == 0:
-        return 0.0
-    x, w = laguerre_nodes(min(rows, cols), max(rows, cols))
-    return float(w @ np.log1p(p * x / s2))
 
 
 @dataclass(frozen=True)
@@ -316,51 +153,6 @@ class MonteCarlo:
 
     def universal_constant(self, cfg: SystemConfig) -> McEstimate:
         return universal_constant(cfg, *self._run)
-
-
-class ExactFirst(MonteCarlo):
-    """A `MonteCarlo` that answers from a known law wherever there is one.
-
-    ``log_sv_sum`` and ``ergodic_constant`` come from `_log_sv_law`,
-    ``universal_constant`` from `_universal_law` and ``ergodic_leakage``
-    from the Laguerre law at one power and `twopower.two_power_log1p` at
-    two, each as ``McEstimate(mean, 0.0, trials, 0)``.  It draws nothing.
-    """
-
-    def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
-        args = _sv_args(kind, cfg)
-        _sv_rank(kind, args)
-        return McEstimate(_log_sv_law(*args), 0.0, self.trials, 0)
-
-    def ergodic_constant(self, cfg: SystemConfig) -> McEstimate:
-        full = _log_sv_law(*_gbar_args(cfg))
-        an = _log_sv_law(cfg.N_E, 0, 0.0, cfg.N_J, cfg.beta2, None)
-        return McEstimate((full - an) / _LN2, 0.0, self.trials, 0)
-
-    def universal_constant(self, cfg: SystemConfig) -> McEstimate:
-        _universal(cfg)  # the sampled path's checks
-        return McEstimate(_universal_law(cfg), 0.0, self.trials, 0)
-
-    def ergodic_leakage(self, cfg: SystemConfig) -> McEstimate:
-        """The ergodic leakage, ``E full - E an``, drawing nothing.
-
-        ``an = sum ln(1 + lambda(G2 G2^H) / s2)`` is a Laguerre one-point
-        integral (Telatar 1999) over the ``N_E x N_J`` noise block,
-        `_laguerre_log1p`.  So is ``full``, over ``Gbar Gbar^H``, with one
-        power (``alpha2 = beta2``, or ``N_J = 0``; ``K >= 1``, so it is
-        ``alpha2``); with two it is the polynomial-ensemble law of
-        `twopower.two_power_log1p`, imported here, since only two powers
-        need it.  Either way the standard error is 0.
-        """
-        s2 = cfg.sigma_z2
-        if cfg.N_J and cfg.alpha2 != cfg.beta2:
-            from .twopower import two_power_log1p
-
-            full = two_power_log1p(cfg.N_E, cfg.K, cfg.alpha2, cfg.N_J, cfg.beta2, s2)
-        else:
-            full = _laguerre_log1p(cfg.N_E, cfg.K + cfg.N_J, cfg.alpha2, s2)
-        an = _laguerre_log1p(cfg.N_E, cfg.N_J, cfg.beta2, s2)
-        return McEstimate((full - an) / _LN2, 0.0, self.trials, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -622,17 +414,12 @@ def expected_log_sv_sum(
     _check_run_args(trials, seed, workers)
     args = _sv_args(kind, cfg)
     if _sv_rank(kind, args) == 0:
-        return McEstimate(0.0, 0.0, trials, 0)
+        return McEstimate(0.0, 0.0, 0)
 
     def reduce(stack: np.ndarray) -> np.ndarray:
         return _log_sv_values(squared_singular_values(stack))
 
     return _summarize(_run_trials(kind.value, _product, args, reduce, trials, seed, workers))
-
-
-def _gbar_args(cfg: SystemConfig) -> tuple:
-    """`_product` arguments of the ``N_E x (K + N_J)`` effective channel alone."""
-    return cfg.N_E, cfg.K, cfg.alpha2, cfg.N_J, cfg.beta2, None
 
 
 def _gbar_spectra(k: int, gbar: np.ndarray) -> tuple:
@@ -712,9 +499,8 @@ def universal_constant(
 def _universal(cfg: SystemConfig) -> tuple:
     """``(tag, draw, args, reduce)`` of the universal constant; the noise
     factor's args are its size and degrees of freedom."""
+    _check_universal(cfg)
     nj, tp = cfg.N_J, cfg.t_prime
-    if tp < 1:
-        raise ValueError(f"universal constant needs t_prime >= 1, got {tp}")
     args = _sv_args(SvKind.DATA, cfg), (min(nj, tp), max(nj, tp))
     return _TAG_UNIVERSAL, _universal_draw, args, partial(_universal_values, cfg)
 
@@ -737,28 +523,6 @@ def _universal_values(
         denom = cfg.beta2 * squared_singular_values(noise)[:, :, None] + s2
         vals = vals + np.sum(np.log1p(sq_g[:, None, :] / denom), axis=(1, 2)) / tp
     return vals / _LN2
-
-
-def _universal_law(cfg: SystemConfig) -> float:
-    """The universal constant in bits, by quadrature.
-
-    ``G1`` and the noise block are independent, so the mean of the
-    per-trial double sum of `_universal_values` is a 2-D integral over the
-    product of their one-point densities (`laws.laguerre_nodes`), taken
-    ``_LAW_ROWS`` noise nodes at a time.
-    """
-    rows, k, s2 = cfg.N_E, cfg.K, cfg.sigma_z2
-    x, wx = laguerre_nodes(min(rows, k), max(rows, k))
-    g = cfg.alpha2 * x
-    nj, tp = cfg.N_J, cfg.t_prime
-    total = max(0.0, 1.0 - nj / tp) * float(wx @ np.log(g + s2))
-    if nj:
-        y, wy = laguerre_nodes(min(nj, tp), max(nj, tp))
-        denom = cfg.beta2 * y + s2
-        for start in range(0, y.size, _LAW_ROWS):
-            part = slice(start, start + _LAW_ROWS)
-            total += float(wy[part] @ (np.log1p(g / denom[part, None]) @ wx)) / tp
-    return total / _LN2
 
 
 # ---------------------------------------------------------------------------

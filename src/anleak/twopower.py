@@ -24,7 +24,7 @@ on the noise floor, with ``E sum g = sum w[sigma][n] I_n(sigma)``.
   power's monic Laguerre basis ``pi_k`` (weight ``x^c e^(-x/sigma_L)``)
   makes ``Psi`` block lower-triangular: the ``n_L`` rows of that power
   give the Laguerre law of an ``n_L x (N_E - n_S)`` block, evaluated in
-  double precision (`montecarlo._laguerre_log1p`), and the other
+  double precision (`laws._laguerre_log1p`), and the other
   ``n_S`` rows a rank-``n_S`` correction through an ``n_S x n_S`` Schur
   complement, whose entries ``int x^(c+a) e^(-x/sigma_S) pi_k`` have an
   ``a + 1``-term closed form (Rodrigues' formula, integrated by parts).
@@ -103,7 +103,8 @@ ratio of 2 the same blocks need 100-201 digits.  Every pair of distinct
 powers gets an answer.
 
 This module is imported only by the two-power path of
-`montecarlo.ExactFirst`, so no other command loads it or `decimal`.
+`laws.ExactFirst`, so no other command loads it or `decimal`; it imports
+nothing that samples.
 """
 
 from __future__ import annotations
@@ -115,8 +116,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .laws import laguerre_rows
-from .montecarlo import _laguerre_log1p
+from .laws import _laguerre_log1p, laguerre_rows
 
 __all__ = ["two_power_log1p"]
 

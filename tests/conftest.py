@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from anleak import montecarlo
+from anleak import SvKind, montecarlo
 
 settings.register_profile("anleak", deadline=None)
 settings.load_profile("anleak")
@@ -28,7 +28,7 @@ def draw_counts(monkeypatch):
     ``universal``, ``split``, ``distributions`` and ``transmit_power``.
     """
     counts = collections.Counter()
-    streams = {kind.value: "log_sv" for kind in montecarlo.SvKind}
+    streams = {kind.value: "log_sv" for kind in SvKind}
     streams.update({
         montecarlo._TAG_ERGODIC: "ergodic",
         montecarlo._TAG_UNIVERSAL: "universal",

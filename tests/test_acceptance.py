@@ -34,7 +34,7 @@ from anleak import (
     sv_split_check,
     universal_upper,
 )
-from anleak.montecarlo import SvKind
+from anleak.laws import SvKind
 
 FLAGSHIP = SystemConfig(M=64, K=16, N_E=64, N_J=48, T=320, alpha2=1.0, beta2=1.0)
 LOG2_10 = math.log2(10.0)
@@ -135,7 +135,7 @@ def test_criterion_04_wishart_identity():
 
 
 def test_criterion_05_bound_ordering_and_gap_shrinkage():
-    mc = ExactFirst(trials=20000, seed=0)
+    mc = ExactFirst()
     gaps = {}
     ordered = True
     for t_over_m in (1, 2, 3, 5, 7):
@@ -171,7 +171,7 @@ def test_criterion_06_low_snr_equivalence_at_minus_20db():
     # coherent side is plainly sampled, through one kept ergodic draw.  Its
     # exact law resolves the next-order term of the gap
     # (tests/test_bounds.py), which these bands would count as a miss.
-    exact = ExactFirst(trials=20000, seed=0)
+    exact = ExactFirst()
     mc = MonteCarlo(trials=20000, seed=0)
     cfg = dataclasses.replace(FLAGSHIP, T=64)
     tp = cfg.t_prime
@@ -242,7 +242,7 @@ def test_criterion_08_spectrum_split_at_tiny_noise():
 
 def test_criterion_09_single_user_beats_multi_user():
     cfg = dataclasses.replace(FLAGSHIP, T=448)
-    mc = ExactFirst(trials=20000, seed=0)
+    mc = ExactFirst()
     su = leakage_pair(cfg, mc)
     mu = leakage_pair(single_stream_view(cfg), mc)
     # Conservative widening: push the joint-codeword leakage up by 3 SE and

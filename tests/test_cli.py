@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import anleak.cli
-from anleak import ConfigError, ExactFirst, MonteCarlo, montecarlo
+from anleak import ConfigError, MonteCarlo
 from anleak.cli import (
     AXES,
     METRICS,
@@ -118,17 +118,16 @@ def test_build_system_config_errors():
 
 def test_trials_precedence():
     spec = build_sweep_spec(make_entries(trials=None))
-    assert (spec.mc.trials, spec.trials_source) == (2000, "default")
+    assert (spec.trials, spec.trials_source) == (2000, "default")
 
     spec = build_sweep_spec(make_entries())  # config has trials=200
-    assert (spec.mc.trials, spec.trials_source) == (200, "config")
+    assert (spec.trials, spec.trials_source) == (200, "config")
 
     spec = build_sweep_spec(make_entries(workers="3"), trials=50, seed=7)
-    assert (spec.mc.trials, spec.trials_source) == (50, "flag")
-    # The spec holds its run as the one estimator the sweep evaluates with
-    # (dataclass equality also requires the same class).
-    assert spec.mc == ExactFirst(trials=50, seed=7, workers=3)
-    assert not {f.name for f in dataclasses.fields(SweepSpec)} & {"trials", "seed", "workers"}
+    assert (spec.trials, spec.seed, spec.trials_source) == (50, 7, "flag")
+    # The spec keeps only what the header echoes; it holds no estimator.
+    fields = {f.name for f in dataclasses.fields(SweepSpec)}
+    assert fields & {"trials", "seed", "workers", "mc"} == {"trials", "seed"}
 
 
 @pytest.mark.parametrize(
@@ -157,7 +156,7 @@ def test_spec_validation_errors(overrides, match):
     with pytest.raises(ConfigError, match=match) as err:
         build_sweep_spec(make_entries(**overrides))
     run_args = {k: int(v) for k, v in overrides.items() if k in ("trials", "seed", "workers")}
-    if run_args:  # a bad run argument reads as the estimator's own rule says
+    if run_args:  # a bad run argument reads as the sampler's run rule says
         with pytest.raises(ValueError) as rule:
             MonteCarlo(**run_args)
         assert str(err.value) == str(rule.value)
@@ -305,7 +304,8 @@ def test_csv_format_is_stable():
         axis="snr_e_db",
         values=(0.0, 10.0),
         metrics=("ergodic", "noncoh_ub"),
-        mc=ExactFirst(trials=200, seed=1, workers=4),
+        trials=200,
+        seed=1,
         trials_source="config",
     )
     rows = [
@@ -324,32 +324,6 @@ def test_csv_format_is_stable():
     )
     assert "workers" not in buf.getvalue()
     assert "\r" not in buf.getvalue()
-
-
-def test_worker_count_never_changes_the_rows(draw_counts, monkeypatch):
-    # Even at near-equal powers every cell is a law: the 4-worker run
-    # starts no pool, nothing is drawn and the ergodic cells print SE 0.
-    spec = build_sweep_spec(
-        make_entries(
-            **NEAR_EQUAL, values="0,10", metrics="ergodic,noncoh_ub,universal", trials="120"
-        )
-    )
-    on_4 = dataclasses.replace(spec, mc=dataclasses.replace(spec.mc, workers=4))
-    rows_1 = run_sweep(spec)
-    pools = []
-    in_order = montecarlo._in_order
-    monkeypatch.setattr(
-        montecarlo, "_in_order", lambda *a, **kw: pools.append(a[2]) or in_order(*a, **kw)
-    )
-    rows_4 = run_sweep(on_4)
-    assert rows_1 == rows_4
-    assert draw_counts == {}
-    assert pools == []
-    assert all(row.std_error == 0.0 for row in rows_1 if row.metric == "ergodic")
-    one, four = io.StringIO(), io.StringIO()
-    write_sweep_csv(spec, rows_1, one)
-    write_sweep_csv(on_4, rows_4, four)
-    assert one.getvalue() == four.getvalue()
 
 
 FLAGSHIP = {"M": "64", "K": "16", "N_E": "64", "N_J": "48", "T": "320"}
@@ -533,12 +507,12 @@ def test_validation_catches_a_biased_ergodic_law(monkeypatch):
     # Shifting the law of the flagship's 64-column Gbar block (not of its
     # 48-column noise block) by one bit leaves the sampled slope alone but
     # not the sampled leakage against the law.
-    true_law = anleak.montecarlo._laguerre_log1p
+    true_law = anleak.laws._laguerre_log1p
 
     def biased(rows, cols, p, s2):
         return true_law(rows, cols, p, s2) + (math.log(2.0) if cols > 48 else 0.0)
 
-    monkeypatch.setattr(anleak.montecarlo, "_laguerre_log1p", biased)
+    monkeypatch.setattr(anleak.laws, "_laguerre_log1p", biased)
     report = run_validation(trials=300)
     assert [c.name for c in report.checks if not c.passed] == ["ergodic-slope"]
 
@@ -550,6 +524,10 @@ def test_validate_command_reports_all_clear(capsys):
     assert out.splitlines()[0] == "# anleak validate stream=2 trials=300 seed=0"
     assert "all 7 checks passed" in out
     assert out.count("PASS") == 7
+    # Each sampled check names its own trial count, scaled from --trials.
+    for name, trials in (("wishart-identity", 2250), ("transmit-power", 200), ("sv-split", 10),
+                         ("effective-distributions", 300), ("ergodic-slope", 500)):
+        assert f"check {name}: PASS (trials={trials}, " in out
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from anleak import (
     twopower,
 )
 from anleak.laws import jacobi_nodes, laguerre_nodes
-from anleak.montecarlo import _laguerre_log1p, _universal_law
+from anleak.laws import _laguerre_log1p, _universal_law
 
 STATED_ERROR = 1e-9 * math.log(2.0)  # 1e-9 bits, in nats
 
@@ -180,7 +180,7 @@ def test_two_power_law_agrees_with_sampling_at_extreme_ratios(ratio):
     # alpha2 : beta2 far from 1, so the branch point of ln det sits about
     # min(ratio, 1 / ratio) from an end of the Jacobi support.
     cfg = SystemConfig(M=8, K=2, N_E=3, N_J=4, T=12, alpha2=ratio, beta2=1.0)
-    exact = ExactFirst(trials=4000, seed=2)
+    exact = ExactFirst()
     pairs = [
         (exact.log_sv_sum(SvKind.JOINT, cfg), expected_log_sv_sum(SvKind.JOINT, cfg, 4000, 2)),
         (exact.ergodic_constant(cfg), ergodic_constant(cfg, 4000, 2)),
@@ -208,7 +208,7 @@ def test_one_power_ergodic_leakage_matches_scipy_quadrature(s2):
     oracle = block(cfg.N_E, cfg.K + cfg.N_J) - block(cfg.N_E, cfg.N_J)
     at = replace(cfg, snr_e_db=-10.0 * math.log10(s2))
     assert at.sigma_z2 == s2
-    est = ExactFirst(trials=2, seed=0).ergodic_leakage(at)
+    est = ExactFirst().ergodic_leakage(at)
     assert est.std_error == 0.0
     assert abs(est.mean * math.log(2.0) - oracle) <= STATED_ERROR, (est, oracle)
 
@@ -216,7 +216,7 @@ def test_one_power_ergodic_leakage_matches_scipy_quadrature(s2):
 def test_one_power_ergodic_leakage_single_stream_oracle():
     # Criterion 02: one CN(0, 1) entry at unit noise leaks e E1(1) / ln 2 bits.
     cfg = SystemConfig(M=2, K=1, N_E=1, N_J=0, T=2, alpha2=1.0, beta2=0.0, snr_e_db=0.0)
-    est = ExactFirst(trials=2, seed=0).ergodic_leakage(cfg)
+    est = ExactFirst().ergodic_leakage(cfg)
     oracle = math.e * float(exp1(1.0)) / math.log(2.0)
     assert abs(est.mean - oracle) <= 1e-9
     assert est.std_error == 0.0
@@ -346,7 +346,7 @@ SWEEP_NE_BITS = {
 def test_two_power_leakage_at_the_sweep_points(n_e):
     cfg = balanced_config(M=64, K=8, N_E=n_e, N_J=40, T=192, alpha2=2.0)
     assert (cfg.beta2, cfg.sigma_z2) == (1.2, 1e-3)
-    est = ExactFirst(trials=2, seed=0).ergodic_leakage(cfg)
+    est = ExactFirst().ergodic_leakage(cfg)
     assert est.std_error == 0.0
     assert abs(est.mean - SWEEP_NE_BITS[n_e]) <= 1e-9, est
 
@@ -582,7 +582,7 @@ def test_the_square_near_equal_point_matches_the_pinned_fit():
     # the ergodic leakage read 96.42598502496219 +- 5.857e-10 bits.  The
     # expansion lies within 4 of its standard errors and draws nothing.
     cfg = SystemConfig(M=64, K=8, N_E=48, N_J=40, T=192, alpha2=1.33334, beta2=1.333332)
-    est = ExactFirst(trials=2, seed=0).ergodic_leakage(cfg)
+    est = ExactFirst().ergodic_leakage(cfg)
     assert est.std_error == 0.0
     assert abs(est.mean - 96.42598502496219) <= 4.0 * 5.857280585817797e-10
 

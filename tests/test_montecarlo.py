@@ -58,6 +58,7 @@ def _direct_log_sv_sum(products, r):
     "kwargs",
     [
         dict(trials=0),
+        dict(trials=-1),
         dict(std_error=-1.0),
         dict(std_error=math.nan),
         dict(mean=math.inf),
@@ -69,6 +70,8 @@ def test_mcestimate_rejects_bad_fields(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         McEstimate(**base)
+    # 0 trials means an exact value, which has no standard error.
+    assert McEstimate(1.0, 0.0, 0).trials == 0
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +174,6 @@ def test_worker_count_is_invisible():
     for estimate in (universal_constant, ergodic_constant):
         serial = estimate(cfg, trials=600, seed=5, workers=1)
         assert estimate(cfg, trials=600, seed=5, workers=3) == serial
-    # The control-variate fit runs on the trials in trial order.
-    fits = [ExactFirst(trials=600, seed=5, workers=w).ergodic_leakage(cfg) for w in (1, 3)]
-    assert fits[0] == fits[1]
 
 
 @pytest.fixture
@@ -381,7 +381,7 @@ def test_rank_zero_spectra_short_circuit():
     cfg = balanced_config(M=8, K=2, N_E=3, N_J=0, T=16)
     for kind in (SvKind.AN_TAIL, SvKind.AN_POST, SvKind.AN_EXCESS):
         est = expected_log_sv_sum(kind, cfg, trials=250, seed=0)
-        assert est == McEstimate(0.0, 0.0, 250, 0)
+        assert est == McEstimate(0.0, 0.0, 0, 0)  # exact: no trial entered
 
 
 @pytest.mark.parametrize(
@@ -414,11 +414,11 @@ def test_run_argument_validation():
     # An estimator object rejects its run arguments when it is built.
     for bad in (
         partial(MonteCarlo, trials=1),
-        partial(ExactFirst, seed=-1),
+        partial(MonteCarlo, seed=-1),
         partial(MonteCarlo, workers=0),
-        partial(ExactFirst, trials=2.5),
+        partial(MonteCarlo, trials=2.5),
         partial(MonteCarlo, seed=True),
-        partial(ExactFirst, workers=np.True_),
+        partial(MonteCarlo, workers=np.True_),
         partial(MonteCarlo, trials="100"),
     ):
         with pytest.raises(ValueError):
@@ -511,40 +511,27 @@ NEAR_EQUAL = SystemConfig(M=64, K=8, N_E=32, N_J=40, T=192, alpha2=1.0001, beta2
 @pytest.mark.parametrize("name", list(EXACT_CFGS))
 def test_exact_values_agree_with_sampling(name):
     cfg = EXACT_CFGS[name]
-    exact = ExactFirst(**EXACT_RUN)
+    exact = ExactFirst()
     pairs = [
         (exact.log_sv_sum(kind, cfg), expected_log_sv_sum(kind, cfg, **EXACT_RUN))
         for kind in SvKind
     ]
     pairs.append((exact.ergodic_constant(cfg), ergodic_constant(cfg, **EXACT_RUN)))
     for law, sampled in pairs:
-        assert (law.std_error, law.trials, law.excluded) == (0.0, 4000, 0)
+        assert (law.std_error, law.trials, law.excluded) == (0.0, 0, 0)
         assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (law, sampled)
 
 
 def test_exact_first_samples_what_has_no_known_law(draw_counts):
     # Every quantity has a known law, so nothing is sampled: the ergodic
     # leakage at powers 1e-4 apart (the near-equal expansion) lies within 4
-    # SE of a plain MonteCarlo with SE 0, and so do the two-power wide
-    # JOINT, the ergodic constant and the universal constant.
+    # SE of a plain MonteCarlo with SE 0.  (The two-power wide JOINT, the
+    # ergodic constant and the universal constant are checked over `EXACT_CFGS`.)
     near = _at(NEAR_EQUAL, 0.1)
-    run = dict(trials=400, seed=2)
-    law = ExactFirst(**run).ergodic_leakage(near)
+    law = ExactFirst().ergodic_leakage(near)
     assert law.std_error == 0.0 and draw_counts == {}
-    plain = MonteCarlo(**run).ergodic_leakage(near)
+    plain = MonteCarlo(trials=400, seed=2).ergodic_leakage(near)
     assert abs(law.mean - plain.mean) <= 4.0 * plain.std_error, (law, plain)
-    mc = MonteCarlo(**EXACT_RUN)
-    exact = ExactFirst(**EXACT_RUN)
-    cfg = _at(WIDE_UNEQUAL, 0.1)
-    pairs = [
-        (exact.log_sv_sum(SvKind.JOINT, cfg), mc.log_sv_sum(SvKind.JOINT, cfg)),
-        (exact.ergodic_constant(cfg), mc.ergodic_constant(cfg)),
-        (exact.universal_constant(cfg), mc.universal_constant(cfg)),
-    ]
-    for law, sampled in pairs:
-        assert law.std_error == 0.0
-        assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (law, sampled)
-    assert exact.log_sv_sum(SvKind.AN_TAIL, cfg).std_error == 0.0
 
 
 @pytest.mark.parametrize("name", list(EXACT_CFGS))
@@ -554,25 +541,14 @@ def test_exact_first_ergodic_leakage_agrees_with_sampling(name):
     # view, and wide-equal) is the Laguerre law, two powers the
     # polynomial-ensemble law of `twopower`: SE 0 either way, within 4 SE
     # of plain sampling.
-    exact, plain = ExactFirst(**EXACT_RUN), MonteCarlo(**EXACT_RUN)
+    exact, plain = ExactFirst(), MonteCarlo(**EXACT_RUN)
     cfg = EXACT_CFGS[name]
     for view in (cfg, dataclasses.replace(cfg, N_J=0, beta2=0.0)):
         for at in (_at(view, s2) for s2 in (100.0, 1.0, 1e-2, 1e-5)):
             law, sampled = exact.ergodic_leakage(at), plain.ergodic_leakage(at)
             band = 4.0 * math.hypot(law.std_error, sampled.std_error)
             assert abs(law.mean - sampled.mean) <= band, (at, law, sampled)
-            assert (law.std_error, law.trials, law.excluded) == (0.0, 4000, 0)
-
-
-@pytest.mark.parametrize("trials", [2, 3, 4, 5])
-def test_exact_first_ergodic_leakage_at_tiny_trial_counts(trials, draw_counts):
-    # The two-power law reads no trial: any count gives its value, SE 0,
-    # and no draw.
-    cfg = _at(WIDE_UNEQUAL, 0.1)
-    est = ExactFirst(trials=trials, seed=0).ergodic_leakage(cfg)
-    assert est == dataclasses.replace(ExactFirst(**EXACT_RUN).ergodic_leakage(cfg), trials=trials)
-    assert est.std_error == 0.0
-    assert draw_counts == {}
+            assert (law.std_error, law.trials, law.excluded) == (0.0, 0, 0)
 
 
 TWO_POWER_SHAPES = {
@@ -590,7 +566,7 @@ TWO_POWER_SHAPES = {
 def test_two_power_ergodic_leakage_agrees_with_sampling(name, s2):
     # The law against plain sampling, in a 4 hypot(SE) band.
     cfg = _at(TWO_POWER_SHAPES[name], s2)
-    law = ExactFirst(**EXACT_RUN).ergodic_leakage(cfg)
+    law = ExactFirst().ergodic_leakage(cfg)
     sampled = MonteCarlo(trials=EXACT_RUN["trials"], seed=3).ergodic_leakage(cfg)
     band = 4.0 * math.hypot(law.std_error, sampled.std_error)
     assert abs(law.mean - sampled.mean) <= band, (law, sampled)
@@ -600,35 +576,10 @@ def test_two_power_ergodic_leakage_agrees_with_sampling(name, s2):
 def test_two_power_ergodic_leakage_on_a_tall_block_at_high_snr():
     # At 60 dB on a 64 x 5 block, within 4 SE of plain sampling.
     cfg = SystemConfig(M=8, K=2, N_E=64, N_J=3, T=12, alpha2=1.5, beta2=0.7, snr_e_db=60.0)
-    law = ExactFirst(trials=200, seed=0).ergodic_leakage(cfg)
+    law = ExactFirst().ergodic_leakage(cfg)
     sampled = MonteCarlo(trials=2000, seed=1).ergodic_leakage(cfg)
     assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (law, sampled)
     assert law.std_error == 0.0
-
-
-def test_two_power_ergodic_leakage_does_not_depend_on_the_worker_count(draw_counts):
-    # Nothing is drawn, so no pool starts and every worker count gives the
-    # same bytes, at distinct and at near-equal powers.
-    cases = [WIDE_UNEQUAL, EXACT_CFGS["tall-unequal"], TWO_POWER_SHAPES["square"], NEAR_EQUAL]
-    for cfg in cases:
-        one, three = (
-            ExactFirst(trials=4005, seed=2, workers=w).ergodic_leakage(_at(cfg, 1e-2))
-            for w in (1, 3)
-        )
-        assert one == three
-    assert draw_counts == {}
-
-
-def test_no_two_power_result_depends_on_the_batch_size(monkeypatch):
-    # The law reads no batch: every batch size gives the same numbers.
-    cfg = TWO_POWER_SHAPES["tall-by-four"]
-    points = [dataclasses.replace(cfg, snr_e_db=snr) for snr in (40.0, 35.0, 30.0)]
-    results = []
-    for batch in (1, 5, 16, 40):
-        monkeypatch.setattr(montecarlo, "_BATCH", batch)
-        exact = ExactFirst(trials=4000, seed=2)
-        results.append([exact.ergodic_leakage(at) for at in points])
-    assert all(result == results[0] for result in results[1:])
 
 
 def _every_sampled_route() -> list:
@@ -714,16 +665,16 @@ def test_one_power_ergodic_leakage_keeps_its_two_control_fit(cfg, s2, mean, std_
     # ergodic leakage at 200 trials, seed 5 (controls: the trial's high-SNR
     # log-determinant difference and |G1|_F^2, each less its exact mean).
     # The one-power law must lie within 4 of its standard errors.
-    est = ExactFirst(trials=200, seed=5).ergodic_leakage(_at(cfg, s2))
+    est = ExactFirst().ergodic_leakage(_at(cfg, s2))
     assert abs(est.mean - mean) <= 4.0 * std_error, (est, mean, std_error)
-    assert (est.std_error, est.trials, est.excluded) == (0.0, 200, 0)
+    assert (est.std_error, est.trials, est.excluded) == (0.0, 0, 0)
 
 
 def test_exact_first_snr_sweep_draws_the_ergodic_channel_once(draw_counts):
     # A plain MonteCarlo draws the ergodic channel once for every SNR;
     # ExactFirst draws nothing, at near-equal powers as elsewhere.
     for cfg in (NEAR_EQUAL, CACHE_CFG):
-        runs = ((MonteCarlo(**CACHE_RUN), {"ergodic": 1}), (ExactFirst(**CACHE_RUN), {}))
+        runs = ((MonteCarlo(**CACHE_RUN), {"ergodic": 1}), (ExactFirst(), {}))
         for mc, drawn in runs:
             draw_counts.clear()
             for snr in (-20.0, 10.0, 40.0):
@@ -741,11 +692,11 @@ UNIVERSAL_CFGS = {
 @pytest.mark.parametrize("name", list(UNIVERSAL_CFGS))
 def test_exact_universal_constant_agrees_with_sampling(name):
     cfg = UNIVERSAL_CFGS[name]
-    exact = ExactFirst(**EXACT_RUN)
+    exact = ExactFirst()
     for at in (_at(cfg, s2) for s2 in (10.0, 1.0, 1e-2, 1e-4)):
         law = exact.universal_constant(at)
         sampled = universal_constant(at, **EXACT_RUN)
-        assert (law.std_error, law.trials, law.excluded) == (0.0, 4000, 0)
+        assert (law.std_error, law.trials, law.excluded) == (0.0, 0, 0)
         assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (at, law, sampled)
 
 
@@ -756,7 +707,7 @@ def test_exact_universal_constant_rejects_what_sampling_rejects():
     with pytest.raises(ValueError) as sampled:
         universal_constant(short, trials=100)
     with pytest.raises(ValueError) as exact:
-        ExactFirst(trials=100).universal_constant(short)
+        ExactFirst().universal_constant(short)
     assert str(exact.value) == str(sampled.value)
 
 
@@ -771,7 +722,7 @@ def test_exact_first_rejects_what_sampling_rejects(kind, cfg):
     with pytest.raises(ValueError) as sampled:
         expected_log_sv_sum(kind, cfg, trials=100, seed=0)
     with pytest.raises(ValueError) as exact:
-        ExactFirst(trials=100).log_sv_sum(kind, cfg)
+        ExactFirst().log_sv_sum(kind, cfg)
     assert str(exact.value) == str(sampled.value)
 
 

@@ -1,10 +1,10 @@
 """Package hygiene: the modules export nothing the package never calls but
 a commented allowlist, only `anleak.bounds` spells a reason code, the
-bounds and estimators read their operating point from the config, every
-seeded trial is drawn by `montecarlo._run_trials`, every thread pool is
-`montecarlo._in_order`, no command reads the environment, the CLI
-imports no test-only library, and the package's exports load on first
-use."""
+bounds and estimators read their operating point from the config, the
+laws and bounds import nothing from the sampler, every seeded trial is
+drawn by `montecarlo._run_trials`, every thread pool is
+`montecarlo._in_order`, no command reads the environment, the CLI imports
+no test-only library, and the package's exports load on first use."""
 
 import ast
 import importlib
@@ -105,11 +105,11 @@ def test_reason_codes_are_spelled_only_in_bounds():
 def test_bounds_read_the_operating_point_from_the_config():
     # `SystemConfig` owns snr_e_db, snr_l_db and the noise floor sigma_z2
     # derived from it, for the bounds and for the estimators (`MonteCarlo`
-    # and `ExactFirst` among montecarlo's exports).  `LeakageBounds.rate_at`
-    # keeps its SNR: an envelope's constants do not depend on one.
+    # in montecarlo, `ExactFirst` in laws).  `LeakageBounds.rate_at` keeps
+    # its SNR: an envelope's constants do not depend on one.
     snr_params = {"snr_e_db", "snr_l_db", "sigma_z2", "snr_db"}
     takes = set()
-    for module in (bounds, montecarlo):
+    for module in (bounds, montecarlo, laws):
         for name in module.__all__:
             obj = getattr(module, name)
             members = vars(obj).items() if isinstance(obj, type) else [("", obj)]
@@ -119,8 +119,31 @@ def test_bounds_read_the_operating_point_from_the_config():
                     where = f"{name}.{attr}".rstrip(".")
                     takes |= {(where, p) for p in snr_params & set(params)}
     assert takes == {("LeakageBounds.rate_at", "snr_db")}
-    assert {"MonteCarlo", "ExactFirst"} <= set(montecarlo.__all__)
+    assert "MonteCarlo" in montecarlo.__all__ and "ExactFirst" in laws.__all__
     assert not hasattr(montecarlo, "_check_sigma")
+
+
+def _runtime_imports(tree: ast.AST):
+    """The modules that the import statements of ``tree`` read from, but
+    those in an ``if TYPE_CHECKING:`` block, which only annotations read."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            continue
+        if isinstance(node, ast.ImportFrom):
+            yield from [node.module] if node.module else (a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        yield from _runtime_imports(node)
+
+
+@pytest.mark.parametrize("name", ["laws", "twopower", "bounds"])
+def test_the_laws_and_the_bounds_import_nothing_that_samples(name):
+    # The laws and the bounds built on them draw nothing, so they import
+    # nothing from the sampler (`bounds` loads it through `channel`).
+    sources = set(_runtime_imports(ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))))
+    assert sources and not {s for s in sources if s.rpartition(".")[2] == "montecarlo"}, sources
+    if name != "bounds":
+        assert "anleak.montecarlo" not in _modules_loaded_by(f"import anleak.{name}")
 
 
 def _reads(names: set[str]) -> list[tuple[str, int, str, tuple[str, ...]]]:
