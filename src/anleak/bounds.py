@@ -30,9 +30,10 @@ estimators the bounds call; pass ``dataclasses.replace(cfg, snr_e_db=...)``
 for another.  Only `LeakageBounds.rate_at` takes an SNR, because an
 envelope's constants do not depend on it.
 
-The sampled expectation terms shared by an upper/lower constant pair are
-estimated from the *same* draws, so the pair's gap is deterministic and
-the ``c_lower <= c_upper`` invariant holds exactly, not just on average.
+The expectation terms shared by an upper/lower constant pair come from the
+*same* law or draws, so the pair's gap is deterministic.  It need not be a
+bracket: at two powers the noncoherent pair crosses at ordinary splits
+(flagship ``alpha2 = 2``), and `LeakageBounds` raises ``bracket_inverted``.
 
 All public outputs are in bits; assembly is in nats internally.
 """
@@ -89,7 +90,8 @@ _LOADED = (
         "unit powers alpha2 = beta2 = 1",
     ),
 )
-_NOISE = ("precondition:beta2=0", lambda c: not c.N_J or c.beta2 <= 0.0, "N_J >= 1, beta2 > 0")
+# `SystemConfig` pairs ``beta2 > 0`` with ``N_J >= 1``, so one test covers both.
+_NOISE = ("precondition:beta2=0", lambda c: not c.N_J, "N_J >= 1, beta2 > 0")
 _RULES = {
     "noncoherent": (
         _NOISE,
@@ -111,11 +113,13 @@ _RULES = {
 class LeakageBounds:
     """High-SNR leakage expansion ``dof * log2(SNR) + c`` for one regime.
 
-    ``c_lower``/``c_upper`` bracket the constant term in bits; for the
-    ergodic regime they coincide.  ``c_std_error`` is the Monte Carlo
-    standard error of the sampled part, shared by both constants; 0 when
-    every term is exact, as with `laws.ExactFirst`, which computes each
-    expectation from its law; a `montecarlo.MonteCarlo` samples them.
+    ``c_lower``/``c_upper`` are the lower and upper constants in bits, equal
+    in the ergodic regime.  A crossed pair raises ``bracket_inverted``; an
+    uncrossed one is not thereby a bracket of the constant term.
+    ``c_std_error`` is the Monte Carlo standard error of the sampled part,
+    shared by both constants; 0 when every term is exact, as with
+    `laws.ExactFirst`, which computes each expectation from its law; a
+    `montecarlo.MonteCarlo` samples them.
     """
 
     dof: float

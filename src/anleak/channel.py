@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .laws import McEstimate
 from .linalg import CMatrix, sample_gaussian, zero_forcing
 from .montecarlo import _TAG_DISTRIBUTIONS, _TAG_TRANSMIT_POWER, _check_run_args
 from .montecarlo import _per_trial, _stacked, _summarize
@@ -81,9 +82,9 @@ class SystemConfig:
     -----
     The constructor checks dimensions, signs and the SNR range only; the
     range keeps both noise variances and their reciprocals normal floats.
-    The power balance ``alpha2*K + beta2*N_J = M`` is a property of the
-    builder functions (`balanced_config`), not of this type: reduced
-    single-stream views and calibration scenarios legitimately break it.
+    The power balance ``alpha2*K + beta2*N_J = M`` (`is_balanced`) is required
+    by `balanced_config`, not by this type: reduced single-stream views and
+    calibration scenarios legitimately break it.
     """
 
     M: int
@@ -163,7 +164,7 @@ class SystemConfig:
 
     @property
     def is_balanced(self) -> bool:
-        """Whether the asymptotic power identity ``total_power = M`` holds."""
+        """Whether the power identity ``total_power = M`` holds, to rtol ``_BALANCE_RTOL``."""
         return abs(self.total_power - self.M) <= _BALANCE_RTOL * self.M
 
 
@@ -183,46 +184,28 @@ def balanced_config(
 
     Give at most one of ``alpha2``/``beta2``; the other is solved from the
     balance.  With neither given, ``alpha2 = 1`` (so ``beta2 = (M-K)/N_J``).
-    Giving both is accepted only if they already balance to relative
-    tolerance 1e-9.  With ``N_J = 0`` the convention is ``alpha2 = M/K``,
-    ``beta2 = 0``.
+    Giving both is accepted only if they balance (`SystemConfig.is_balanced`).
+    With ``N_J = 0`` the one balanced power is ``alpha2 = M/K``, returned
+    exactly, and ``beta2 = 0``.
 
     Raises
     ------
     ValueError
-        If the requested powers cannot balance (e.g. ``alpha2*K >= M``
-        with ``N_J > 0``, or an explicit pair that does not balance).
+        If `SystemConfig` rejects the solved powers (e.g. ``alpha2*K >= M``
+        with ``N_J > 0``) or they do not balance (an explicit pair).
     """
-    if N_J == 0:
-        solved_a = M / K
-        if beta2 not in (None, 0.0):
-            raise ValueError("beta2 must be 0 when N_J = 0")
-        if alpha2 is not None and not math.isclose(
-            alpha2, solved_a, rel_tol=_BALANCE_RTOL
-        ):
-            raise ValueError(
-                f"with N_J = 0 the balanced alpha2 is M/K = {solved_a!r}, "
-                f"got {alpha2!r}"
-            )
-        return SystemConfig(M, K, N_E, 0, T, solved_a, 0.0, snr_e_db, snr_l_db)
-    if alpha2 is not None and beta2 is not None:
-        total = alpha2 * K + beta2 * N_J
-        if not math.isclose(total, M, rel_tol=_BALANCE_RTOL):
-            raise ValueError(
-                f"alpha2*K + beta2*N_J = {total!r} does not balance to M = {M}"
-            )
-    elif alpha2 is None and beta2 is None:
-        alpha2 = 1.0
-        beta2 = (M - K) / N_J
-    elif beta2 is None:
-        beta2 = (M - alpha2 * K) / N_J
-    else:
+    if beta2 is None:
+        if alpha2 is None:
+            alpha2 = 1.0 if N_J else M / K
+        beta2 = (M - alpha2 * K) / N_J if N_J else 0.0
+    elif alpha2 is None:
         alpha2 = (M - beta2 * N_J) / K
-    if alpha2 <= 0.0 or beta2 <= 0.0:
+    cfg = SystemConfig(M, K, N_E, N_J, T, alpha2, beta2, snr_e_db, snr_l_db)
+    if not cfg.is_balanced:
         raise ValueError(
-            f"balance gives non-positive power: alpha2={alpha2!r}, beta2={beta2!r}"
+            f"alpha2*K + beta2*N_J = {cfg.total_power!r} does not balance to M = {M}"
         )
-    return SystemConfig(M, K, N_E, N_J, T, alpha2, beta2, snr_e_db, snr_l_db)
+    return cfg if N_J else replace(cfg, alpha2=M / K)
 
 
 def single_stream_view(cfg: SystemConfig) -> SystemConfig:
@@ -289,7 +272,7 @@ def transmit_signal(
     cfg: SystemConfig,
     real: ChannelRealization,
     symbols,
-    an_symbols=None,
+    an_symbols,
 ) -> CMatrix:
     """Form the transmitted block for given data and noise symbols.
 
@@ -297,9 +280,8 @@ def transmit_signal(
     ----------
     symbols : array_like
         ``K x n`` data symbols.
-    an_symbols : array_like or None
-        ``N_J x n`` artificial-noise symbols; may be omitted when
-        ``N_J = 0``.
+    an_symbols : array_like
+        ``N_J x n`` artificial-noise symbols (``0 x n`` when ``N_J = 0``).
 
     Returns
     -------
@@ -309,9 +291,7 @@ def transmit_signal(
     """
     s, n = _check_symbols(cfg, symbols, an_symbols)
     x = math.sqrt(cfg.alpha2) * (real.precoder @ s)
-    if cfg.N_J:
-        x = x + math.sqrt(cfg.beta2) * (real.an_basis @ n)
-    return x
+    return x + math.sqrt(cfg.beta2) * (real.an_basis @ n)
 
 
 def exact_transmit_power(cfg: SystemConfig) -> float:
@@ -328,12 +308,11 @@ def average_transmit_power(
     cfg: SystemConfig,
     trials: int = 1000,
     seed: int = 0,
-) -> tuple[float, float]:
+) -> McEstimate:
     """Monte Carlo mean transmit power per symbol over blocks of
-    ``_POWER_BLOCK_LEN`` symbols, with its std error: the sampled route to
+    ``_POWER_BLOCK_LEN`` symbols: the sampled route to
     `exact_transmit_power`, one `_power_draw` per trial of `_run_trials`."""
-    est = _summarize(_stacked(_TAG_TRANSMIT_POWER, _power_draw, (cfg,), trials, seed))
-    return est.mean, est.std_error
+    return _summarize(_stacked(_TAG_TRANSMIT_POWER, _power_draw, (cfg,), trials, seed))
 
 
 @_per_trial
@@ -488,10 +467,6 @@ def _check_symbols(cfg, symbols, an_symbols):
     s = np.asarray(symbols, dtype=np.complex128)
     if s.ndim != 2 or s.shape[0] != cfg.K:
         raise ValueError(f"symbols must be K x n with K={cfg.K}, got {s.shape}")
-    if an_symbols is None:
-        if cfg.N_J:
-            raise ValueError("an_symbols required when N_J > 0")
-        return s, np.zeros((0, s.shape[1]), dtype=np.complex128)
     n = np.asarray(an_symbols, dtype=np.complex128)
     if n.ndim != 2 or n.shape[0] != cfg.N_J:
         raise ValueError(

@@ -73,7 +73,7 @@ from .channel import (
     single_stream_view,
 )
 from .errors import ConfigError, NotApplicable
-from .laws import ExactFirst, SvKind
+from .laws import ExactFirst, McEstimate, SvKind
 from .montecarlo import (
     MonteCarlo,
     _STREAM,
@@ -515,30 +515,30 @@ def _check_volume_symmetry() -> CheckResult:
     )
 
 
+def _within_4se(label: str, pairs: list[tuple[McEstimate, float]]) -> tuple[bool, str]:
+    """The rule of every sampled check: each estimate's mean lies within 4 SE
+    of its exact value.  Returns whether all do, and the detail
+    ``|mc - LABEL| = dev, ..., 4*SE = band, ...``."""
+    devs = [abs(est.mean - exact) for est, exact in pairs]
+    bands = [4.0 * est.std_error for est, _ in pairs]
+    ok = all(dev <= band for dev, band in zip(devs, bands))
+    devs_text, bands_text = (", ".join(f"{x:.4f}" for x in xs) for xs in (devs, bands))
+    return ok, f"|mc - {label}| = {devs_text}, 4*SE = {bands_text}"
+
+
 def _check_wishart_identity(seed: int, trials: int) -> CheckResult:
     cfg = SystemConfig(M=16, K=8, N_E=4, N_J=0, T=16, alpha2=1.0, beta2=0.0)
     est = expected_log_sv_sum(SvKind.DATA, cfg, trials=trials, seed=seed)
     target = ExactFirst().log_sv_sum(SvKind.DATA, cfg).mean
-    dev = abs(est.mean - target)
-    band = 4.0 * est.std_error
-    return CheckResult(
-        "wishart-identity",
-        dev <= band,
-        f"trials={trials}, |mc - closed form| = {dev:.4f}, 4*SE = {band:.4f}",
-    )
+    ok, detail = _within_4se("closed form", [(est, target)])
+    return CheckResult("wishart-identity", ok, f"trials={trials}, {detail}")
 
 
 def _check_power_identity(seed: int, trials: int) -> CheckResult:
     cfg = balanced_config(M=12, K=3, N_E=2, N_J=4, T=8)
-    mean, se = average_transmit_power(cfg, trials=trials, seed=seed)
-    target = exact_transmit_power(cfg)
-    dev = abs(mean - target)
-    band = 4.0 * se
-    return CheckResult(
-        "transmit-power",
-        dev <= band,
-        f"trials={trials}, mc {mean:.4f} vs exact {target:.4f}, 4*SE = {band:.4f}",
-    )
+    est = average_transmit_power(cfg, trials=trials, seed=seed)
+    ok, detail = _within_4se("closed form", [(est, exact_transmit_power(cfg))])
+    return CheckResult("transmit-power", ok, f"trials={trials}, {detail}")
 
 
 def _check_effective_distributions(seed: int, trials: int) -> CheckResult:
@@ -560,17 +560,14 @@ def _check_ergodic_slope(seed: int, trials: int) -> CheckResult:
     law = ExactFirst()
     points = [replace(cfg, snr_e_db=snr) for snr in (40.0, 43.0)]
     lo, hi = (mc.ergodic_leakage(at) for at in points)
-    devs = [abs(est.mean - law.ergodic_leakage(at).mean) for est, at in zip((lo, hi), points)]
-    bands = [4.0 * est.std_error for est in (lo, hi)]
+    exact = [law.ergodic_leakage(at).mean for at in points]
+    on_law, detail = _within_4se("law", list(zip((lo, hi), exact)))
     slope = (hi.mean - lo.mean) / (0.3 * math.log2(10.0))
     expected = ergodic_highsnr(cfg, law).dof
-    dev = abs(slope - expected)
-    ok = dev <= 0.15 and all(d <= b for d, b in zip(devs, bands))
     return CheckResult(
         "ergodic-slope",
-        ok,
-        f"trials={trials}, slope {slope:.3f} vs dof {expected:g}; |mc - law| = {devs[0]:.4f}, "
-        f"{devs[1]:.4f}, 4*SE = {bands[0]:.4f}, {bands[1]:.4f}",
+        abs(slope - expected) <= 0.15 and on_law,
+        f"trials={trials}, slope {slope:.3f} vs dof {expected:g}; {detail}",
     )
 
 

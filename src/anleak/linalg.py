@@ -23,7 +23,6 @@ __all__ = [
     "CMatrix",
     "sample_gaussian",
     "squared_singular_values",
-    "gram_spectrum",
     "zero_forcing",
 ]
 
@@ -98,13 +97,7 @@ def squared_singular_values(a) -> NDArray[np.float64]:
     if min(r, c) == 0:
         return np.zeros(arr.shape[:-2] + (0,))
     swap = arr.conj().swapaxes(-1, -2)
-    return gram_spectrum(arr @ swap if r <= c else swap @ arr)
-
-
-def gram_spectrum(gram) -> NDArray[np.float64]:
-    """Eigenvalues of (stacked) Hermitian Gram matrices, descending, with
-    negative ones caused by roundoff clipped to zero."""
-    w = np.linalg.eigvalsh(gram)
+    w = np.linalg.eigvalsh(arr @ swap if r <= c else swap @ arr)
     return np.flip(np.clip(w, 0.0, None), axis=-1)
 
 

@@ -362,15 +362,10 @@ def _product(
     of a unit block of ``dof`` symbols.  The batch's blocks are drawn
     first, then its factors."""
     left = _sample_gaussians(rows, k + nj, 1.0, rng, n)
-    scales = _column_scales(k, alpha2, nj, beta2)
+    scales = np.repeat([math.sqrt(alpha2), math.sqrt(beta2)], [k, nj])
     if (scales != 1.0).any():
         left *= scales
     return left if dof is None else left @ _bartlett_factor(k + nj, dof, rng, n)
-
-
-def _column_scales(k: int, alpha2: float, nj: int, beta2: float) -> np.ndarray:
-    """`_product`'s column scales: ``sqrt(alpha2)`` on ``k``, ``sqrt(beta2)`` on ``nj``."""
-    return np.repeat([math.sqrt(alpha2), math.sqrt(beta2)], [k, nj])
 
 
 def _log_sv_values(sq: np.ndarray) -> np.ndarray:

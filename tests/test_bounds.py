@@ -174,8 +174,10 @@ def test_noncoherent_noise_power_rescaling_is_exact(mc):
 
 
 def test_noncoherent_refuses_crossed_constants(mc):
-    # At an extreme data-to-noise power ratio the two relaxations cross
-    # and no longer bracket anything; that must be an error, not a pair.
+    # At two powers the two relaxations cross and no longer bracket
+    # anything; that must be an error, not a pair.  No extreme ratio is
+    # needed: this block crosses from a data-to-noise ratio of 4, and the
+    # flagship from alpha2 = 2, beta2 = 2/3 (a ratio of 3).
     crossed = SystemConfig(6, 2, 3, 4, 12, 64.0, 1.0)
     assert _code(noncoherent_bounds, crossed, mc) == "bracket_inverted"
 

@@ -22,6 +22,7 @@ from anleak import (
     single_stream_view,
     transmit_signal,
 )
+from anleak.laws import McEstimate
 from anleak.linalg import sample_gaussian
 
 
@@ -128,6 +129,28 @@ def test_balanced_config_rejects_unsolvable(kwargs):
         balanced_config(**base)
 
 
+@pytest.mark.parametrize("rel", [5e-10, -5e-10, 2e-9, -2e-9])
+def test_balanced_config_accepts_exactly_what_is_balanced(rel):
+    # Powers `rel` off the budget M = 12: an explicit pair, and an alpha2
+    # with N_J = 0.  Within 1e-9 both are accepted, beyond it both raise,
+    # and `SystemConfig.is_balanced` agrees each time.
+    dims = dict(M=12, K=3, N_E=2, T=8)
+    for powers in (
+        dict(N_J=4, alpha2=2.0, beta2=1.5 * (1.0 + 2.0 * rel)),
+        dict(N_J=0, alpha2=4.0 * (1.0 + rel), beta2=0.0),
+    ):
+        plain = SystemConfig(**dims, **powers)
+        assert plain.total_power / 12.0 - 1.0 == pytest.approx(rel, rel=1e-6)
+        assert plain.is_balanced == (abs(rel) < 1e-9)
+        if plain.is_balanced:
+            cfg = balanced_config(**dims, **powers)
+            assert cfg.beta2 == powers["beta2"]
+            assert cfg.alpha2 == (2.0 if powers["N_J"] else 12 / 3)  # N_J = 0: exactly M/K
+        else:
+            with pytest.raises(ValueError, match="does not balance"):
+                balanced_config(**dims, **powers)
+
+
 def test_single_stream_view_keeps_parent_overhead():
     parent = balanced_config(M=64, K=16, N_E=64, N_J=48, T=320)
     view = single_stream_view(parent)
@@ -223,6 +246,11 @@ def test_transmit_signal_reaches_users_cleanly(cfg, rng):
     # The noise part lands in the user channel's null space, so each user
     # sees only its own stream, scaled by sqrt(alpha2 * M).
     assert real.h @ x == pytest.approx(math.sqrt(cfg.alpha2 * 16) * s, abs=1e-9)
+    # Without noise dimensions the noise block is 0 x n and adds nothing.
+    bare = balanced_config(M=16, K=4, N_E=8, N_J=0, T=48)
+    real = sample_realization(bare, rng)
+    x = transmit_signal(bare, real, s, sample_gaussian(0, 10, 1.0, rng))
+    assert real.h @ x == pytest.approx(math.sqrt(bare.alpha2 * 16) * s, abs=1e-9)
 
 
 def test_transmit_signal_validates_symbol_blocks(cfg, rng):
@@ -244,8 +272,9 @@ def test_transmit_signal_validates_symbol_blocks(cfg, rng):
 def test_exact_vs_average_transmit_power():
     cfg = balanced_config(M=12, K=3, N_E=2, N_J=4, T=8)
     assert exact_transmit_power(cfg) == pytest.approx(13.0)
-    mean, se = average_transmit_power(cfg, trials=1500, seed=0)
-    assert abs(mean - 13.0) <= 4.0 * se
+    est = average_transmit_power(cfg, trials=1500, seed=0)
+    assert (est.trials, est.excluded) == (1500, 0)
+    assert abs(est.mean - 13.0) <= 4.0 * est.std_error
 
 
 def test_transmit_power_approaches_antenna_budget():
@@ -274,7 +303,7 @@ def test_average_transmit_power_keeps_its_stream_across_batch_edges():
         s = sample_gaussian(cfg.K, 16, 1.0, rng)
         n = sample_gaussian(cfg.N_J, 16, 1.0, rng)
         vals[i] = np.linalg.norm(transmit_signal(cfg, real, s, n)) ** 2 / 16
-    expected = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
+    expected = McEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials)), trials)
     assert average_transmit_power(cfg, trials=trials, seed=seed) == expected
     # The batch draw is the same loop on the batch's generator.
     first = channel._power_draw(cfg, _batch_rng(seed, tag, 0), montecarlo._BATCH)[0]

@@ -329,7 +329,7 @@ def test_csv_format_is_stable():
 FLAGSHIP = {"M": "64", "K": "16", "N_E": "64", "N_J": "48", "T": "320"}
 
 
-def test_snr_sweep_draws_each_spectrum_once(draw_counts):
+def test_snr_sweep_draws_nothing(draw_counts):
     # The flagship has one power, so its log-spectrum expectations, its
     # universal constant and its ergodic leakage all have exact laws: the
     # sweep draws nothing, and its ergodic cells print SE 0.
@@ -340,7 +340,7 @@ def test_snr_sweep_draws_each_spectrum_once(draw_counts):
     assert {row.std_error for row in rows if row.metric == "ergodic"} == {0.0}
 
 
-def test_block_length_sweep_rereads_the_ergodic_draw(draw_counts):
+def test_block_length_sweep_draws_nothing_and_keeps_one_ergodic_cell(draw_counts):
     # The ergodic leakage does not read T, so its cells agree at every
     # block length.  At the flagship's one power, at two distinct powers and
     # at powers 1.00001 and 0.9999967 (the near-equal expansion) it is a
@@ -372,7 +372,7 @@ def test_block_length_sweep_rereads_the_ergodic_draw(draw_counts):
     ],
     ids=["flagship", "wide-unequal", "wide-near-equal"],
 )
-def test_bounds_draws_each_spectrum_once(entries, expected, tmp_path, capsys, draw_counts):
+def test_bounds_draws_nothing(entries, expected, tmp_path, capsys, draw_counts):
     path = write_config(tmp_path, entries)
     assert main(["bounds", path, "--trials", "4"]) == 0
     out = capsys.readouterr().out

@@ -522,7 +522,7 @@ def test_exact_values_agree_with_sampling(name):
         assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (law, sampled)
 
 
-def test_exact_first_samples_what_has_no_known_law(draw_counts):
+def test_exact_first_answers_near_equal_powers_without_sampling(draw_counts):
     # Every quantity has a known law, so nothing is sampled: the ergodic
     # leakage at powers 1e-4 apart (the near-equal expansion) lies within 4
     # SE of a plain MonteCarlo with SE 0.  (The two-power wide JOINT, the
