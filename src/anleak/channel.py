@@ -99,22 +99,7 @@ class SystemConfig:
     t_prime_override: int | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("M", "K", "N_E", "N_J", "T"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.K < 1:
-            raise ValueError(f"need K >= 1, got K={self.K}")
-        if self.M <= self.K:
-            raise ValueError(f"need M > K, got M={self.M}, K={self.K}")
-        if not 0 <= self.N_J <= self.M - self.K:
-            raise ValueError(
-                f"need 0 <= N_J <= M - K = {self.M - self.K}, got N_J={self.N_J}"
-            )
-        if self.N_E < 1:
-            raise ValueError(f"need N_E >= 1, got N_E={self.N_E}")
-        if self.T < 1:
-            raise ValueError(f"need T >= 1, got T={self.T}")
+        _check_counts(self.M, self.K, self.N_E, self.N_J, self.T)
         if not (math.isfinite(self.alpha2) and self.alpha2 > 0.0):
             raise ValueError(f"alpha2 must be finite and > 0, got {self.alpha2!r}")
         if not (math.isfinite(self.beta2) and self.beta2 >= 0.0):
@@ -168,6 +153,24 @@ class SystemConfig:
         return abs(self.total_power - self.M) <= _BALANCE_RTOL * self.M
 
 
+def _check_counts(M: int, K: int, N_E: int, N_J: int, T: int) -> None:
+    """`SystemConfig`'s rule for its five counts, which `balanced_config`
+    also applies before it divides by ``K`` or ``N_J``."""
+    for name, v in zip(("M", "K", "N_E", "N_J", "T"), (M, K, N_E, N_J, T)):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+    if K < 1:
+        raise ValueError(f"need K >= 1, got K={K}")
+    if M <= K:
+        raise ValueError(f"need M > K, got M={M}, K={K}")
+    if not 0 <= N_J <= M - K:
+        raise ValueError(f"need 0 <= N_J <= M - K = {M - K}, got N_J={N_J}")
+    if N_E < 1:
+        raise ValueError(f"need N_E >= 1, got N_E={N_E}")
+    if T < 1:
+        raise ValueError(f"need T >= 1, got T={T}")
+
+
 def balanced_config(
     M: int,
     K: int,
@@ -191,9 +194,12 @@ def balanced_config(
     Raises
     ------
     ValueError
-        If `SystemConfig` rejects the solved powers (e.g. ``alpha2*K >= M``
-        with ``N_J > 0``) or they do not balance (an explicit pair).
+        If the counts break `SystemConfig`'s rule (checked first, so that
+        ``K = 0`` is no division by zero), `SystemConfig` rejects the
+        solved powers (e.g. ``alpha2*K >= M`` with ``N_J > 0``) or they do
+        not balance (an explicit pair).
     """
+    _check_counts(M, K, N_E, N_J, T)
     if beta2 is None:
         if alpha2 is None:
             alpha2 = 1.0 if N_J else M / K

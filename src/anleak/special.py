@@ -5,6 +5,9 @@ log-volumes of complex Stiefel and Grassmann manifolds, and the expected
 log-determinant of a complex Wishart matrix.  These are the building blocks
 of the closed-form constant terms in the leakage bounds, so they are kept
 dependency-light (stdlib ``math`` only) and accurate to ~1e-12 or better.
+The exponential integral ``E1`` and the mean of ``ln(1 + a/X)`` over an
+``Exp(1)`` variable ``X`` are the means of ``validate``'s ergodic-slope
+control variates.
 
 Conventions
 -----------
@@ -57,6 +60,11 @@ _PSI_CUTOFF = 16.0
 # Integer arguments up to this bound use the exact harmonic-sum form.
 _HARMONIC_LIMIT = 1 << 20
 
+# Largest argument of `_exp1`'s power series: up to it no term exceeds 1 in
+# size, so the alternating sum loses no digits; 20 terms leave < 1e-19.
+_E1_SERIES_LIMIT = 1.0
+_E1_SERIES_TERMS = 20
+
 
 def digamma(x: float) -> float:
     """Digamma function ``psi(x)`` for real ``x > 0``.
@@ -104,6 +112,38 @@ def _digamma_int(n: int) -> float:
     """``psi(n)`` by its harmonic sum; cached, as the bounds ask for the
     same few hundred integers again at every point."""
     return -EULER_GAMMA + math.fsum(1.0 / p for p in range(1, n))
+
+
+def _exp1_sum(a: float) -> float:
+    """``S(a) = sum_{k>=1} (-a)^k / (k k!)`` for ``0 < a <= 1``, so that
+    ``E1(a) = -gamma - ln a - S(a)``."""
+    a = float(a)
+    if not 0.0 < a <= _E1_SERIES_LIMIT:
+        raise ValueError(f"the E1 series needs 0 < a <= {_E1_SERIES_LIMIT:g}, got {a!r}")
+    terms, power = [], 1.0
+    for k in range(1, _E1_SERIES_TERMS + 1):
+        power *= -a / k  # (-a)^k / k!
+        terms.append(power / k)
+    return math.fsum(terms)
+
+
+def _exp1(a: float) -> float:
+    """Exponential integral ``E1(a) = int_a^inf e^-t / t dt`` for
+    ``0 < a <= 1``, by its power series (Abramowitz & Stegun 5.1.11)."""
+    total = _exp1_sum(a)  # checks a
+    return -EULER_GAMMA - math.log(a) - total
+
+
+def _log1p_over_exp_mean(a: float) -> float:
+    """``E ln(1 + a / X)`` in nats for ``X ~ Exp(1)`` and ``0 < a <= 1``.
+
+    ``int_0^inf e^-x ln(1 + a/x) dx = e^a E1(a) + ln a + gamma``.  With
+    `_exp1`'s series that is ``-(e^a - 1)(gamma + ln a) - e^a S(a)``, in
+    which the two ``ln a`` terms have already cancelled, so it keeps its
+    digits as ``a -> 0``, where it tends to ``a (1 - gamma - ln a)``.
+    """
+    total = _exp1_sum(a)  # checks a
+    return -math.expm1(a) * (EULER_GAMMA + math.log(a)) - math.exp(a) * total
 
 
 def log_stiefel_volume(t: int, m: int) -> LogVolume:

@@ -120,6 +120,8 @@ def test_balanced_config_solves_each_power():
         dict(beta2=4.0),  # solved alpha2 would be negative
         dict(N_J=0, beta2=0.5),
         dict(N_J=0, alpha2=1.0),  # N_J=0 forces alpha2 = M/K
+        dict(K=0, N_J=0),  # no power divides by K = 0
+        dict(K=0, beta2=2.0),
     ],
 )
 def test_balanced_config_rejects_unsolvable(kwargs):

@@ -9,12 +9,13 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import anleak.cli
-from anleak import ConfigError, MonteCarlo
+from anleak import ConfigError, ExactFirst, MonteCarlo, balanced_config
 from anleak.cli import (
     AXES,
     METRICS,
@@ -408,15 +409,15 @@ def test_validation_passes_and_is_reproducible(draw_counts):
 
 
 def test_every_validation_verdict_is_a_bool(monkeypatch):
-    # A biased digamma fails one check and passes the others (see below), so
-    # the report holds passing and failing verdicts alike.
+    # A biased digamma fails two checks and passes the others (see below),
+    # so the report holds passing and failing verdicts alike.
     import anleak.special
 
     true_digamma = anleak.special.digamma
     monkeypatch.setattr(anleak.special, "digamma", lambda x: true_digamma(x) + 0.1)
     report = run_validation(trials=300)
     assert [type(c.passed) for c in report.checks] == [bool] * len(VALIDATION_CHECKS)
-    assert [c.passed for c in report.checks].count(False) == 1
+    assert [c.passed for c in report.checks].count(False) == 2
 
 
 def test_validation_does_not_depend_on_the_pool_size(monkeypatch, draw_counts):
@@ -498,23 +499,68 @@ def test_validation_catches_a_biased_digamma(monkeypatch):
     monkeypatch.setattr(anleak.special, "digamma", biased)
     report = run_validation(trials=300)
     failing = [c.name for c in report.checks if not c.passed]
-    # The shift cancels in the recurrence but not against sampled spectra.
-    assert failing == ["wishart-identity"]
+    # The shift cancels in the recurrence but not against sampled spectra,
+    # nor in the ergodic constant (16 more digamma terms in Gbar's sum than
+    # in G2's), the mean of a control variate of ergodic-slope.
+    assert failing == ["wishart-identity", "ergodic-slope"]
     assert main(["validate", "--trials", "300"]) == 1
 
 
-def test_validation_catches_a_biased_ergodic_law(monkeypatch):
-    # Shifting the law of the flagship's 64-column Gbar block (not of its
-    # 48-column noise block) by one bit leaves the sampled slope alone but
-    # not the sampled leakage against the law.
+def _bias_the_gbar_law(monkeypatch, bits: float) -> None:
+    """Shift the law of the flagship's 64-column Gbar block (not of its
+    48-column noise block) by ``bits``, which leaves the sampled slope alone
+    but not the sampled leakage against the law."""
     true_law = anleak.laws._laguerre_log1p
 
     def biased(rows, cols, p, s2):
-        return true_law(rows, cols, p, s2) + (math.log(2.0) if cols > 48 else 0.0)
+        return true_law(rows, cols, p, s2) + (bits * math.log(2.0) if cols > 48 else 0.0)
 
     monkeypatch.setattr(anleak.laws, "_laguerre_log1p", biased)
+
+
+def test_validation_catches_a_biased_ergodic_law(monkeypatch):
+    _bias_the_gbar_law(monkeypatch, 1.0)
     report = run_validation(trials=300)
     assert [c.name for c in report.checks if not c.passed] == ["ergodic-slope"]
+
+
+def test_validation_catches_a_hundredth_of_a_bit_in_the_ergodic_law(monkeypatch):
+    # The control variates' means are closed forms that do not read the
+    # Laguerre law, so the band is far below 0.01 bit.
+    _bias_the_gbar_law(monkeypatch, 0.01)
+    report = run_validation(trials=300)
+    assert [c.name for c in report.checks if not c.passed] == ["ergodic-slope"]
+
+
+SQUARE = balanced_config(M=8, K=2, N_E=8, N_J=6, T=16)  # unit powers
+
+
+def test_controlled_ergodic_leakage_lies_on_the_law():
+    law = ExactFirst()
+    spectra = MonteCarlo(trials=2000, seed=2)._ergodic_spectra(SQUARE)
+    c_mean = law.ergodic_constant(SQUARE).mean
+    for snr in (20.0, 40.0):
+        at = dataclasses.replace(SQUARE, snr_e_db=snr)
+        est = anleak.cli._ergodic_controlled(spectra, at.sigma_z2, c_mean)
+        assert est.trials == 2000 and est.std_error > 0.0
+        assert abs(est.mean - law.ergodic_leakage(at).mean) <= 4.0 * est.std_error
+
+
+def test_controlled_ergodic_leakage_excludes_each_flagged_trial_once():
+    # Trial 0 trips the degeneracy guard in both spectra, trial 19 in G2's
+    # only: each is NaN in the constant, so dropped once from every term.
+    spectra = MonteCarlo(trials=32, seed=1)._ergodic_spectra(SQUARE)
+    flagged = [(full.copy(), an.copy()) for full, an in spectra]
+    for sq, trial in ((flagged[0][0], 0), (flagged[0][1], 0), (flagged[1][1], 3)):
+        sq[trial, -1] = 1e-13 * sq[trial, 0]
+    kept = [(full[1:], an[1:]) for full, an in spectra[:1]]
+    kept += [(np.delete(full, 3, axis=0), np.delete(an, 3, axis=0)) for full, an in spectra[1:]]
+    c_mean, s2 = ExactFirst().ergodic_constant(SQUARE).mean, 1e-3
+    est = anleak.cli._ergodic_controlled(flagged, s2, c_mean)
+    ref = anleak.cli._ergodic_controlled(kept, s2, c_mean)
+    assert (est.trials, est.excluded, ref.excluded) == (30, 2, 0)
+    assert est.mean == pytest.approx(ref.mean, rel=1e-14)
+    assert est.std_error == pytest.approx(ref.std_error, rel=1e-12)
 
 
 def test_validate_command_reports_all_clear(capsys):
@@ -524,10 +570,15 @@ def test_validate_command_reports_all_clear(capsys):
     assert out.splitlines()[0] == "# anleak validate stream=2 trials=300 seed=0"
     assert "all 7 checks passed" in out
     assert out.count("PASS") == 7
-    # Each sampled check names its own trial count, scaled from --trials.
+    # Each sampled check names its own trial count, scaled from --trials
+    # but for ergodic-slope's fixed 256.
     for name, trials in (("wishart-identity", 2250), ("transmit-power", 200), ("sv-split", 10),
-                         ("effective-distributions", 300), ("ergodic-slope", 500)):
+                         ("effective-distributions", 300), ("ergodic-slope", 256)):
         assert f"check {name}: PASS (trials={trials}, " in out
+    # Its two 4*SE bands, one per SNR, are each below 0.002 bit.
+    slope_line = next(line for line in out.splitlines() if "ergodic-slope" in line)
+    bands = slope_line.partition("4*SE = ")[2].rstrip(")").split(", ")
+    assert len(bands) == 2 and all(0.0 < float(band) < 0.002 for band in bands)
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +715,16 @@ def test_bounds_rejects_an_unusable_snr_before_printing(tmp_path, capsys, settin
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {setting.partition('=')[0]} must lie in")
+
+
+@pytest.mark.parametrize("extra", [{"N_J": "0"}, {"N_J": "4", "beta2": "2"}], ids=["no-noise", "beta2"])
+def test_bounds_rejects_no_users_before_solving_a_power(tmp_path, capsys, extra):
+    # Each power is solved by dividing by K, so K = 0 must be rejected first.
+    entries = {"M": "64", "K": "0", "N_E": "64", "T": "320", **extra}
+    assert main(["bounds", write_config(tmp_path, entries)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need K >= 1, got K=0\n"
 
 
 def test_bounds_command_reports_gap_when_fully_loaded(tmp_path, capsys):

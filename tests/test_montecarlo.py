@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.special import exp1
+from scipy.stats import kstest
 
 from anleak import (
     EULER_GAMMA,
@@ -680,6 +681,17 @@ def test_exact_first_snr_sweep_draws_the_ergodic_channel_once(draw_counts):
             for snr in (-20.0, 10.0, 40.0):
                 mc.ergodic_leakage(dataclasses.replace(cfg, snr_e_db=snr))
             assert draw_counts == drawn
+
+
+@pytest.mark.parametrize("n_e", [8, 64])
+def test_smallest_eigenvalue_of_a_square_gbar_is_exponential(n_e):
+    # N_E lambda_min of a square CN(0, 1) block is exactly Exp(1) (Edelman
+    # 1988): the law behind the mean of validate's ergodic-slope control h.
+    cfg = balanced_config(M=n_e, K=n_e // 4, N_E=n_e, N_J=n_e - n_e // 4, T=2 * n_e)
+    assert (cfg.alpha2, cfg.beta2) == (1.0, 1.0)
+    spectra = MonteCarlo(trials=4096 if n_e == 8 else 512, seed=3)._ergodic_spectra(cfg)
+    scaled = n_e * np.concatenate([full[:, -1] for full, _ in spectra])
+    assert kstest(scaled, "expon").pvalue > 0.01
 
 
 UNIVERSAL_CFGS = {

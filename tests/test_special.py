@@ -6,7 +6,9 @@ import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import exp1
 
+from anleak import special
 from anleak import (
     EULER_GAMMA,
     digamma,
@@ -123,3 +125,31 @@ def test_wishart_empty_matrix_is_zero():
 def test_wishart_rejects_bad_dims(m, t):
     with pytest.raises(ValueError):
         expected_logdet_wishart(m, t)
+
+
+# The control-variate arguments a = N_E s2 of validate's ergodic-slope check
+# (64 e-4 and 64 e-4.3), then the series' range down to tiny and up to 1.
+E1_ARGS = [64e-4, 64 * 10**-4.3, 1e-12, 1e-6, 0.01, 0.1, 0.5, 0.999, 1.0]
+
+
+@pytest.mark.parametrize("a", E1_ARGS)
+def test_exp1_matches_scipy_and_mpmath(a):
+    assert special._exp1(a) == pytest.approx(float(exp1(a)), rel=1e-14)
+    assert special._exp1(a) == pytest.approx(float(mpmath.e1(a)), rel=1e-14)
+
+
+@pytest.mark.parametrize("a", E1_ARGS)
+def test_log1p_over_exp_mean_is_its_integral(a):
+    # E ln(1 + a/X) for X ~ Exp(1), split where ln(1 + a/x) bends and at
+    # the density's scale.
+    integral = mpmath.quad(
+        lambda x: mpmath.exp(-x) * mpmath.log1p(a / x), [0, a, 1, mpmath.inf]
+    )
+    assert special._log1p_over_exp_mean(a) == pytest.approx(float(integral), rel=1e-13)
+
+
+@pytest.mark.parametrize("a", [0.0, -1e-3, 1.0 + 1e-9, math.inf, math.nan])
+def test_exp1_series_rejects_arguments_out_of_its_range(a):
+    for fn in (special._exp1, special._log1p_over_exp_mean):
+        with pytest.raises(ValueError, match="E1 series"):
+            fn(a)
