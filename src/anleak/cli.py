@@ -8,9 +8,8 @@ Subcommands
     metric).
 ``bounds``
     Evaluate every regime at a single configuration and print
-    ``key=value`` lines after a ``# anleak bounds trials=N
-    trials_source=S seed=N`` header.  It reads the same
-    point evaluator as ``sweep``, so a regime whose rule fails prints
+    ``key=value`` lines after a ``# anleak bounds`` header.  It reads the
+    same point evaluator as ``sweep``, so a regime whose rule fails prints
     ``KEY_skipped=CODE`` with the code of the `NotApplicable` that
     `anleak.bounds` raised.
 ``plan``
@@ -24,20 +23,19 @@ Subcommands
 Exit codes: 0 success, 1 validation failure, 2 configuration/usage error.
 
 Config files are plain ``key=value`` lines (``#`` comments and blank
-lines ignored).  Recognized keys: the scenario fields ``M K N_E N_J T
-alpha2 beta2 snr_e_db snr_l_db``, the sweep fields ``axis values
-metrics``, and the run fields ``trials seed workers output``.  Command
-line flags override file values.  For ``sweep`` and ``bounds`` the trial
-count comes from ``--trials``, else the config file, else the command's
-default (2000 for ``sweep``, 20000 for ``bounds``); the chosen value and
-its source are echoed in the leading comment line, so the output depends
-only on the arguments.  Both commands answer every quantity from a known
-law (`laws.ExactFirst`, which holds no run) and draw nothing, so
-``--trials``, ``--seed`` and ``--workers`` move no data row: they are
-checked by `montecarlo`'s run rule, and only the header echoes the trial
-count and seed.  Bad trials, seed or workers values are rejected before
-any output.  A closed stdout (``anleak bounds cfg | head
--1``) ends the command with exit 1 and no traceback.
+lines ignored; a UTF-8 byte-order mark is skipped).  Recognized keys: the
+scenario fields ``M K N_E N_J T alpha2 beta2 snr_e_db snr_l_db``, the
+sweep fields ``axis values metrics``, and the run fields ``trials seed
+workers output``.  Command line flags override file values.  ``sweep``
+and ``bounds`` answer every quantity from a known law (`laws.ExactFirst`,
+which holds no run) and draw nothing, so their output depends only on the
+scenario.  They still accept ``--trials``, ``--seed`` and ``--workers``
+and the config keys ``trials``, ``seed`` and ``workers`` until the
+benchmark stops passing them: each value given (flag, else config key) is
+checked by `montecarlo`'s run rule, and a bad one is rejected before any
+output, but none selects anything and none is printed.  A closed stdout
+(``anleak bounds cfg | head -1``) ends the command with exit 1 and no
+traceback.
 """
 
 from __future__ import annotations
@@ -116,9 +114,6 @@ METRICS = (
 
 AXES = ("snr_e_db", "T_gamma", "N_E", "N_J")
 
-DEFAULT_SWEEP_TRIALS = 2000
-DEFAULT_POINT_TRIALS = 20000
-
 _CONFIG_KEYS = frozenset(
     {
         "M",
@@ -143,16 +138,13 @@ _CONFIG_KEYS = frozenset(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A fully-resolved sweep request.  Only the header reads ``trials``,
-    ``seed`` and ``trials_source`` (where the trial count came from)."""
+    """A fully-resolved sweep request: the scenario, the axis and its
+    values, and the metrics.  It holds no run, since a sweep draws nothing."""
 
     cfg: SystemConfig
     axis: str
     values: tuple[float, ...]
     metrics: tuple[str, ...]
-    trials: int
-    seed: int
-    trials_source: str = "default"
 
 
 @dataclass(frozen=True)
@@ -179,7 +171,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     """Read a key=value config file into a dict (strict keys, no dupes)."""
     entries: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
@@ -255,7 +247,8 @@ def build_sweep_spec(
     seed: int | None = None,
     workers: int | None = None,
 ) -> SweepSpec:
-    """Resolve a sweep spec from config entries plus flag overrides."""
+    """Resolve a sweep spec from config entries.  ``trials``, ``seed`` and
+    ``workers`` are only checked (`_check_run`)."""
     cfg = build_system_config(entries)
     axis = entries.get("axis")
     if axis is None:
@@ -282,36 +275,27 @@ def build_sweep_spec(
     if not metrics:
         raise ConfigError("key 'metrics': need at least one metric")
 
-    run = _resolve_run_args(entries, trials, seed, workers, DEFAULT_SWEEP_TRIALS)
-    return SweepSpec(cfg, axis, values, metrics, *run)
+    _check_run(entries, trials=trials, seed=seed, workers=workers)
+    return SweepSpec(cfg, axis, values, metrics)
 
 
-def _resolve_run_args(
-    entries: dict[str, str],
-    trials: int | None,
-    seed: int | None,
-    workers: int | None,
-    default_trials: int,
-) -> tuple[int, int, str]:
-    """The trial count and seed of a ``sweep`` or ``bounds`` run, and the
-    source of its trial count: ``flag``, ``config`` or ``default``.
+def _check_run(entries: dict[str, str], **flags: int | None) -> None:
+    """Check the run that ``sweep`` and ``bounds`` accept but never use.
 
-    Each of ``trials``, ``seed`` and ``workers`` comes from its flag, else
-    the config file, else the command's default, and is checked by
-    `montecarlo`'s run rule, whose message a bad value raises as a
-    `ConfigError`.  Only the header reads the result.
+    Each of ``trials``, ``seed`` and ``workers`` given (its flag, else its
+    config key) must pass `montecarlo`'s run rule, whose message a bad
+    value raises as a `ConfigError`; an absent one stands in as the rule's
+    least valid value.  Nothing is kept: neither command draws.
     """
-    source = "flag"
-    if trials is None:
-        source = "config" if "trials" in entries else "default"
-        trials = _get_int(entries, "trials", default_trials)
-    seed = _get_int(entries, "seed", 0) if seed is None else seed
-    workers = _get_int(entries, "workers", 1) if workers is None else workers
+    least = {"trials": 2, "seed": 0, "workers": 1}
+    run = {
+        key: _get_int(entries, key, low) if flags[key] is None else flags[key]
+        for key, low in least.items()
+    }
     try:
-        trials, seed, _ = _check_run_args(trials, seed, workers)
+        _check_run_args(**run)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return trials, seed, source
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +405,10 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.9g}"
 
 
-def _run_header(command: str, trials: int, seed: int, source: str) -> str:
-    """Leading comment line of ``sweep`` and ``bounds`` output, without its
-    newline: the run's trial count, its source and seed."""
-    return f"# anleak {command} trials={trials} trials_source={source} seed={seed}"
-
-
 def write_sweep_csv(spec: SweepSpec, rows: list[SweepRow], stream) -> None:
-    """Write the sweep CSV (LF line endings, 9 significant digits).
-
-    The header echoes the trial count, its source and the seed.  The
-    worker count is checked but not echoed: output bytes never depend on
-    it.
-    """
-    stream.write(_run_header("sweep", spec.trials, spec.seed, spec.trials_source) + "\n")
+    """Write the sweep CSV (LF line endings, 9 significant digits) after a
+    ``# anleak sweep`` line.  No run is echoed: a sweep draws nothing."""
+    stream.write("# anleak sweep\n")
     stream.write("axis,metric,value,std_error,reason\n")
     for row in rows:
         stream.write(
@@ -646,7 +620,7 @@ def _cmd_sweep(args) -> int:
     spec = build_sweep_spec(
         entries, trials=args.trials, seed=args.seed, workers=args.workers
     )
-    try:  # before sampling, so a bad path costs no sweep
+    try:  # before evaluating, so a bad path costs no sweep
         fh = open(args.output, "w", encoding="utf-8", newline="") if args.output else None
     except OSError as exc:
         raise ConfigError(f"cannot write {args.output!r}: {exc}") from exc
@@ -658,7 +632,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_bounds(args) -> int:
     entries = _apply_overrides(parse_config_file(args.config), args.set)
     cfg = build_system_config(entries)
-    run = _resolve_run_args(entries, args.trials, args.seed, args.workers, DEFAULT_POINT_TRIALS)
+    _check_run(entries, trials=args.trials, seed=args.seed, workers=args.workers)
     point = _Point(cfg)
 
     def report(metric: str, key: str = "", with_se: bool = False) -> None:
@@ -671,7 +645,7 @@ def _cmd_bounds(args) -> int:
         if with_se:
             print(f"{key}_se={se:.9g}")
 
-    print(_run_header("bounds", *run))
+    print("# anleak bounds")
     print(f"# config M={cfg.M} K={cfg.K} N_E={cfg.N_E} N_J={cfg.N_J} T={cfg.T}")
     print(f"alpha2={cfg.alpha2:.9g}")
     print(f"beta2={cfg.beta2:.9g}")

@@ -98,6 +98,15 @@ def test_parse_config_rejects_bare_line(tmp_path):
         parse_config_file(str(path))
 
 
+def test_parse_config_skips_a_byte_order_mark(tmp_path):
+    # A config saved as UTF-8 with a byte-order mark reads as one without:
+    # the mark is not part of the first key.
+    path = tmp_path / "bom.cfg"
+    path.write_text("M=8\nK=2\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfM=8\n")
+    assert parse_config_file(str(path)) == {"M": "8", "K": "2"}
+
+
 def test_parse_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config_file("/no/such/file.cfg")
@@ -113,22 +122,36 @@ def test_build_system_config_errors():
 
 
 # ---------------------------------------------------------------------------
-# Trials precedence and spec validation
+# Run flags and spec validation
 # ---------------------------------------------------------------------------
 
 
-def test_trials_precedence():
-    spec = build_sweep_spec(make_entries(trials=None))
-    assert (spec.trials, spec.trials_source) == (2000, "default")
+@pytest.mark.parametrize(
+    "flags, keys",
+    [
+        ([], {}),
+        (["--trials", "7", "--seed", "3", "--workers", "2"], {}),
+        ([], {"trials": "500", "seed": "7", "workers": "3"}),
+    ],
+    ids=["no-run", "flags", "config"],
+)
+def test_sweep_and_bounds_output_depends_only_on_the_scenario(tmp_path, capsys, flags, keys):
+    # Both commands answer from laws and draw nothing, so the run flags and
+    # keys are checked but select nothing: every byte, header included, is
+    # the output without them.
+    scenario = {**FLAGSHIP, "axis": "snr_e_db", "values": "10,30"}
 
-    spec = build_sweep_spec(make_entries())  # config has trials=200
-    assert (spec.trials, spec.trials_source) == (200, "config")
+    def outputs(entries, argv):
+        path = write_config(tmp_path, entries)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", path, *argv, "-o", str(out)]) == 0
+        assert main(["bounds", path, *argv]) == 0
+        return out.read_bytes(), capsys.readouterr().out
 
-    spec = build_sweep_spec(make_entries(workers="3"), trials=50, seed=7)
-    assert (spec.trials, spec.seed, spec.trials_source) == (50, 7, "flag")
-    # The spec keeps only what the header echoes; it holds no estimator.
-    fields = {f.name for f in dataclasses.fields(SweepSpec)}
-    assert fields & {"trials", "seed", "workers", "mc"} == {"trials", "seed"}
+    plain = outputs(scenario, [])
+    assert outputs({**scenario, **keys}, flags) == plain
+    assert plain[0].startswith(b"# anleak sweep\naxis,")
+    assert plain[1].startswith("# anleak bounds\n# config ")
 
 
 @pytest.mark.parametrize(
@@ -305,10 +328,9 @@ def test_csv_format_is_stable():
         axis="snr_e_db",
         values=(0.0, 10.0),
         metrics=("ergodic", "noncoh_ub"),
-        trials=200,
-        seed=1,
-        trials_source="config",
     )
+    # A sweep draws nothing, so the spec holds no run.
+    assert [f.name for f in dataclasses.fields(SweepSpec)] == ["cfg", "axis", "values", "metrics"]
     rows = [
         SweepRow(0.0, "ergodic", 1.234567891234, 0.05, ""),
         SweepRow(0.0, "noncoh_ub", None, None, "precondition:T<Mbar"),
@@ -317,7 +339,7 @@ def test_csv_format_is_stable():
     buf = io.StringIO()
     write_sweep_csv(spec, rows, buf)
     assert buf.getvalue() == (
-        "# anleak sweep trials=200 trials_source=config seed=1\n"
+        "# anleak sweep\n"
         "axis,metric,value,std_error,reason\n"
         "0,ergodic,1.23456789,0.05,\n"
         "0,noncoh_ub,,,precondition:T<Mbar\n"
@@ -622,7 +644,7 @@ def test_sweep_command_writes_csv(tmp_path):
     assert main(["sweep", path, "-o", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     lines = text.splitlines()
-    assert lines[0] == "# anleak sweep trials=120 trials_source=config seed=1"
+    assert lines[0] == "# anleak sweep"
     assert lines[1] == "axis,metric,value,std_error,reason"
     assert len(lines) == 4
     for line in lines[2:]:
@@ -634,10 +656,11 @@ def test_sweep_command_writes_csv(tmp_path):
 
 
 def test_sweep_set_overrides_config(tmp_path):
-    path = write_config(tmp_path, BASE)
+    path = write_config(tmp_path, BASE)  # values=0,10
     out = tmp_path / "out.csv"
-    assert main(["sweep", path, "--set", "trials=150", "-o", str(out)]) == 0
-    assert "trials=150 trials_source=config" in out.read_text(encoding="utf-8")
+    assert main(["sweep", path, "--set", "values=5,15", "-o", str(out)]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == ["5", "15"]
 
 
 def test_bounds_command_prints_the_point(tmp_path, capsys):
@@ -651,20 +674,22 @@ def test_bounds_command_prints_the_point(tmp_path, capsys):
     assert "entropy_gap" not in out  # not a fully-loaded unit-power point
 
 
-def test_bounds_header_names_the_trials_source_and_seed(tmp_path, capsys):
+def test_bounds_header_names_no_run(tmp_path, capsys):
+    # bounds draws nothing, so its header names no trial count or seed,
+    # whether they come from a flag or from the config.
     path = write_config(tmp_path, make_entries(trials=None))
     assert main(["bounds", path, "--trials", "150"]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first == "# anleak bounds trials=150 trials_source=flag seed=1"
+    assert first == "# anleak bounds"
     path = write_config(tmp_path, make_entries(trials="120"), name="config.cfg")
     assert main(["bounds", path, "--seed", "4"]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first == "# anleak bounds trials=120 trials_source=config seed=4"
+    assert first == "# anleak bounds"
 
 
 def test_the_environment_never_sets_the_trials(tmp_path, capsys, monkeypatch):
     # Output depends only on the arguments: an `ANLEAK_TRIALS` in the shell
-    # is not read, so a count of 7 never reaches the headers.
+    # is not read, and the headers name no trial count.
     sweep = write_config(tmp_path, make_entries(**NEAR_EQUAL, trials=None))
     bounds = write_config(tmp_path, FLAGSHIP, name="flagship.cfg")
     out = tmp_path / "out.csv"
@@ -679,8 +704,8 @@ def test_the_environment_never_sets_the_trials(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ANLEAK_TRIALS", "7")
     sweep_csv, printed = outputs()
     assert (sweep_csv, printed) == unset
-    assert sweep_csv.startswith(b"# anleak sweep trials=2000 trials_source=default seed=1\n")
-    assert printed.startswith("# anleak bounds trials=20000 trials_source=default seed=0\n")
+    assert sweep_csv.startswith(b"# anleak sweep\naxis,")
+    assert printed.startswith("# anleak bounds\n# config ")
 
 
 def test_bounds_reports_a_short_block_like_the_sweep(tmp_path, capsys):
@@ -697,14 +722,20 @@ def test_bounds_reports_a_short_block_like_the_sweep(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--trials", "1"], ["--seed", "-1"], ["--workers", "0"]]
+    "flags, message",
+    [
+        pytest.param(["--trials", "1"], "trials must be >= 2, got 1", id="flags0"),
+        pytest.param(["--seed", "-1"], "seed must be >= 0, got -1", id="flags1"),
+        pytest.param(["--workers", "0"], "workers must be >= 1, got 0", id="flags2"),
+        pytest.param(["--set", "trials=abc"], "key 'trials': not an integer: 'abc'", id="config"),
+    ],
 )
-def test_bounds_rejects_bad_run_args_before_printing(tmp_path, capsys, flags):
+def test_bounds_rejects_bad_run_args_before_printing(tmp_path, capsys, flags, message):
+    # sweep and bounds select nothing by their run, but still reject a bad one.
     path = write_config(tmp_path, BASE)
-    assert main(["bounds", path, *flags]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error:" in captured.err
+    for command in ("bounds", "sweep"):
+        assert main([command, path, *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("setting", ["snr_e_db=-4000", "snr_e_db=4000", "snr_l_db=4000"])
