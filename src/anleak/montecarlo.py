@@ -2,18 +2,17 @@
 
 Every sampled estimator here reduces to sample means of functionals of
 random matrix spectra.  Determinism contract, stream ``_STREAM`` (2): a
-result depends only on the arguments ``(..., trials, seed)`` — never on
-the worker count or the order of earlier calls.  This module owns it for
-the package: `_check_run_args` judges ``trials``, ``seed`` and
-``workers``, and every seeded draw of the package goes through
-`_run_trials`.  Trials run in batches of ``_BATCH``, which is part of the
-contract: batch ``b`` draws its trials in trial order from one generator
-seeded from ``(seed, stream_tag, b)``.  Batches reduce in trial order and
-workers only partition them, so 1 and 8 workers produce bit-identical
-numbers.
+sampled result depends only on its arguments, ``trials`` and ``seed`` —
+never on the order of earlier calls.  This module owns it for the
+package: `_check_run_args` judges ``trials`` and ``seed`` (and the
+``workers`` still accepted, which selects nothing), and every seeded draw
+of the package goes through `_run_trials`, on the caller's thread.
+Trials run in batches of ``_BATCH``, which is part of the contract: batch
+``b`` draws its trials in trial order from one generator seeded from
+``(seed, stream_tag, b)``, and batches reduce in trial order.
 This module also owns the package's threads: `_in_order` is its one pool,
-used by `_run_trials` when ``workers > 1`` and by ``validate`` for its
-sampled checks, and numpy's bundled OpenBLAS runs one thread while it does.
+used by ``validate`` to run its sampled checks side by side, and numpy's
+bundled OpenBLAS runs one thread while it does.
 
 Sampling notes
 --------------
@@ -105,33 +104,37 @@ _TAG_DISTRIBUTIONS = 100  # channel.check_effective_distributions
 _TAG_TRANSMIT_POWER = 101  # channel.average_transmit_power
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MonteCarlo:
     """Bundle of sampling parameters reused across estimator calls.
 
-    ``trials``, ``seed`` and ``workers`` are checked once, at construction.
+    ``trials`` and ``seed`` are checked once, at construction.
     ``log_sv_sum`` and ``universal_constant`` are their module functions
-    with these three.  ``ergodic_leakage`` and ``ergodic_constant`` read
-    one kept draw, the per-batch ``(sq_full, sq_an)``, drawn on first use
-    and kept for the instance's lifetime; ``ergodic_leakage`` evaluates it
-    at ``cfg.sigma_z2`` on each call, so configs that differ only in
+    with these two.  ``ergodic_leakage`` and ``ergodic_constant`` read one
+    kept draw, the per-batch ``(sq_full, sq_an)``, drawn on first use and
+    kept for the instance's lifetime; ``ergodic_leakage`` evaluates it at
+    ``cfg.sigma_z2`` on each call, so configs that differ only in
     ``snr_e_db`` or ``T`` share one draw.  The key is the draw's own
     argument tuple, so it holds every value the draw reads and never the
-    SNRs, ``T``, ``M`` or ``workers``.
+    SNRs, ``T`` or ``M``.
     """
 
-    trials: int = 20000
-    seed: int = 0
-    workers: int = 1
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    trials: int
+    seed: int
+    _cache: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        for name, value in zip(("trials", "seed", "workers"), _check_run_args(*self._run)):
-            object.__setattr__(self, name, value)
+    def __init__(self, trials: int = 20000, seed: int = 0, workers: int = 1) -> None:
+        # ``workers`` is checked and selects nothing, and no attribute keeps
+        # it: perfbench/make_reference.py still passes ``workers=1``, until
+        # the benchmark is next redefined (ROADMAP item 1).
+        trials, seed, _ = _check_run_args(trials, seed, workers)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "_cache", {})
 
     @property
     def _run(self) -> tuple:
-        return self.trials, self.seed, self.workers
+        return self.trials, self.seed
 
     def log_sv_sum(self, kind: SvKind, cfg: SystemConfig) -> McEstimate:
         return expected_log_sv_sum(kind, cfg, *self._run)
@@ -179,28 +182,24 @@ def _check_run_args(trials: int, seed: int, workers: int = 1) -> tuple[int, int,
     return tuple(out)
 
 
-def _run_trials(tag: int, draw, args: tuple, reduce, trials: int, seed: int, workers: int) -> list:
+def _run_trials(tag: int, draw, args: tuple, reduce, trials: int, seed: int) -> list:
     """Draw ``trials`` seeded trials and reduce them batch by batch, in
-    trial order.
+    trial order, on the caller's thread.
 
     Batch ``b`` holds trials ``b _BATCH`` up to ``min((b + 1) _BATCH,
     trials)`` and is one call ``draw(*args, rng, n)``: ``rng`` the batch's
     generator, seeded from ``(seed, tag, b)``, and ``n`` its trial count.
     It returns the batch's parts stacked along a leading trial axis: one
     array or a tuple of arrays.  The list of ``reduce(*parts)`` results,
-    per-trial values or spectra, is returned; workers only partition it.
+    per-trial values or spectra, is returned.
     """
-    trials, seed, workers = _check_run_args(trials, seed, workers)
-
-    def batch(b: int):
+    trials, seed, _ = _check_run_args(trials, seed)
+    out = []
+    for b in range(-(-trials // _BATCH)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, tag, b)))
         parts = draw(*args, rng, min(_BATCH, trials - b * _BATCH))
-        return reduce(*parts) if isinstance(parts, tuple) else reduce(parts)
-
-    batches = range(-(-trials // _BATCH))
-    if workers == 1:
-        return [batch(b) for b in batches]
-    return _in_order(batch, batches, workers)
+        out.append(reduce(*parts) if isinstance(parts, tuple) else reduce(parts))
+    return out
 
 
 def _usable_cores() -> int:
@@ -213,12 +212,13 @@ def _usable_cores() -> int:
 def _in_order(fn, items, workers: int, start=None) -> list:
     """``[fn(item) for item in items]`` on a pool of ``workers`` threads.
 
-    The package's one thread pool.  Items are submitted in ``start`` order
-    (indices into ``items``; default their own order), but results, and
-    the first exception raised, follow the order of ``items``.  While the
-    pool runs, numpy's bundled OpenBLAS is held to one thread
-    (`_one_blas_thread`), so the pool's threads do not each spawn a BLAS
-    team on the same cores.
+    The package's one thread pool, on which ``validate`` runs its sampled
+    checks; each check's draws stay on its own thread (`_run_trials`).
+    Items are submitted in ``start`` order (indices into ``items``; default
+    their own order), but results, and the first exception raised, follow
+    the order of ``items``.  While the pool runs, numpy's bundled OpenBLAS
+    is held to one thread (`_one_blas_thread`), so the pool's threads do
+    not each spawn a BLAS team on the same cores.
     """
     from concurrent.futures import ThreadPoolExecutor  # here: only a pool needs it
 
@@ -297,7 +297,7 @@ def _one_blas_thread():
 
 def _stacked(tag: int, draw, args: tuple, trials: int, seed: int) -> tuple:
     """Each part of the batch draw ``draw(*args, rng, n)``, joined in trial order."""
-    batches = _run_trials(tag, draw, args, lambda *parts: parts, trials, seed, 1)
+    batches = _run_trials(tag, draw, args, lambda *parts: parts, trials, seed)
     return tuple(np.concatenate(part) for part in zip(*batches))
 
 
@@ -392,7 +392,6 @@ def expected_log_sv_sum(
     cfg: SystemConfig,
     trials: int = 20000,
     seed: int = 0,
-    workers: int = 1,
 ) -> McEstimate:
     """Estimate ``E[sum_i ln lambda_i^2]`` for the chosen spectrum, in nats.
 
@@ -406,7 +405,7 @@ def expected_log_sv_sum(
         for ``JOINT``/``AN_TAIL``, ``t_prime >= N_J`` for
         ``AN_EXCESS``/``AN_POST``, ``N_E > K`` for ``AN_EXCESS``).
     """
-    _check_run_args(trials, seed, workers)
+    _check_run_args(trials, seed)
     args = _sv_args(kind, cfg)
     if _sv_rank(kind, args) == 0:
         return McEstimate(0.0, 0.0, 0)
@@ -414,7 +413,7 @@ def expected_log_sv_sum(
     def reduce(stack: np.ndarray) -> np.ndarray:
         return _log_sv_values(squared_singular_values(stack))
 
-    return _summarize(_run_trials(kind.value, _product, args, reduce, trials, seed, workers))
+    return _summarize(_run_trials(kind.value, _product, args, reduce, trials, seed))
 
 
 def _gbar_spectra(k: int, gbar: np.ndarray) -> tuple:
@@ -427,7 +426,6 @@ def ergodic_leakage(
     cfg: SystemConfig,
     trials: int = 20000,
     seed: int = 0,
-    workers: int = 1,
 ) -> McEstimate:
     """Per-block information rate to the eavesdropper who knows its channel.
 
@@ -436,7 +434,7 @@ def ergodic_leakage(
     ``Gbar`` the ``N_E x (K + N_J)`` effective channel and ``G2`` its
     noise-part columns.  ``T`` plays no role here.
     """
-    return MonteCarlo(trials, seed, workers).ergodic_leakage(cfg)
+    return MonteCarlo(trials, seed).ergodic_leakage(cfg)
 
 
 def _ergodic_values(s2: float, sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
@@ -450,7 +448,6 @@ def ergodic_constant(
     cfg: SystemConfig,
     trials: int = 20000,
     seed: int = 0,
-    workers: int = 1,
 ) -> McEstimate:
     """High-SNR offset of the ergodic leakage, in bits.
 
@@ -459,7 +456,7 @@ def ergodic_constant(
     from one realization, so the difference is estimated at its natural
     (low) variance.  It reads the same draw as `ergodic_leakage`.
     """
-    return MonteCarlo(trials, seed, workers).ergodic_constant(cfg)
+    return MonteCarlo(trials, seed).ergodic_constant(cfg)
 
 
 def _ergodic_constant_values(sq_full: np.ndarray, sq_an: np.ndarray) -> np.ndarray:
@@ -475,7 +472,6 @@ def universal_constant(
     cfg: SystemConfig,
     trials: int = 20000,
     seed: int = 0,
-    workers: int = 1,
 ) -> McEstimate:
     """Constant term of the coherence-free leakage upper bound, in bits.
 
@@ -488,7 +484,7 @@ def universal_constant(
 
     The data-part channel is drawn before the noise-block factor.
     """
-    return _summarize(_run_trials(*_universal(cfg), trials, seed, workers))
+    return _summarize(_run_trials(*_universal(cfg), trials, seed))
 
 
 def _universal(cfg: SystemConfig) -> tuple:

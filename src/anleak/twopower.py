@@ -143,7 +143,8 @@ def two_power_log1p(
         )
     m = k + nj
     delta = max(k, nj) / m * abs(alpha2 - beta2) / min(alpha2, beta2)  # delta'
-    if min(n_e, m) / 3.0 * delta**3 <= _TAU:
+    # No delta' >= 1 passes, so the cube is taken only where it cannot overflow.
+    if delta < 1.0 and min(n_e, m) / 3.0 * delta**3 <= _TAU:
         return _near_equal(n_e, k, alpha2, nj, beta2, s2)
     return _law(n_e, k, alpha2, nj, beta2)(s2)
 

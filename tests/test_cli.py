@@ -629,13 +629,17 @@ def test_bad_override_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("target", ["missing/dir/out.csv", "."], ids=["no-dir", "is-dir"])
-def test_sweep_rejects_an_unwritable_output_before_sampling(
-    target, tmp_path, capsys, draw_counts
+def test_sweep_rejects_an_unwritable_output_before_evaluating(
+    target, tmp_path, capsys, monkeypatch
 ):
+    evaluated, evaluate = [], anleak.cli.evaluate_metric
+    monkeypatch.setattr(
+        anleak.cli, "evaluate_metric", lambda *args: evaluated.append(args) or evaluate(*args)
+    )
     path = write_config(tmp_path, BASE)
     assert main(["sweep", path, "-o", str(tmp_path / target)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write")
-    assert not draw_counts
+    assert not evaluated
 
 
 def test_sweep_command_writes_csv(tmp_path):

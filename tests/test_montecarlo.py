@@ -19,9 +19,7 @@ from anleak import (
     MonteCarlo,
     SvKind,
     SystemConfig,
-    average_transmit_power,
     balanced_config,
-    check_effective_distributions,
     ergodic_constant,
     ergodic_leakage,
     expected_log_sv_sum,
@@ -164,19 +162,6 @@ def test_an_post_matches_direct_product_sampling(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_worker_count_is_invisible():
-    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16, snr_e_db=10.0)
-    serial = ergodic_leakage(cfg, trials=600, seed=5, workers=1)
-    threaded = ergodic_leakage(cfg, trials=600, seed=5, workers=3)
-    assert serial == threaded
-    a = expected_log_sv_sum(SvKind.JOINT, cfg, trials=600, seed=5, workers=1)
-    b = expected_log_sv_sum(SvKind.JOINT, cfg, trials=600, seed=5, workers=4)
-    assert a == b
-    for estimate in (universal_constant, ergodic_constant):
-        serial = estimate(cfg, trials=600, seed=5, workers=1)
-        assert estimate(cfg, trials=600, seed=5, workers=3) == serial
-
-
 @pytest.fixture
 def fresh_blas_lookup():
     """Forget the process's OpenBLAS lookup before and after the test."""
@@ -237,9 +222,6 @@ def test_concurrent_pools_restore_openblas_when_the_last_one_ends(openblas):
 def test_a_missing_openblas_is_a_silent_no_op(monkeypatch, fresh_blas_lookup):
     monkeypatch.setattr(montecarlo, "_find_openblas", lambda: None)
     assert _in_order(abs, [-1, 2, -3], 2) == [1, 2, 3]
-    cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16, snr_e_db=10.0)
-    serial = ergodic_leakage(cfg, trials=100, seed=5, workers=1)
-    assert ergodic_leakage(cfg, trials=100, seed=5, workers=2) == serial
 
 
 def test_openblas_is_looked_up_once_per_process(monkeypatch, fresh_blas_lookup):
@@ -247,10 +229,9 @@ def test_openblas_is_looked_up_once_per_process(monkeypatch, fresh_blas_lookup):
     find = montecarlo._find_openblas
     monkeypatch.setattr(montecarlo, "_find_openblas", lambda: calls.append(1) or find())
     cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16, snr_e_db=10.0)
-    ergodic_leakage(cfg, trials=100, seed=5, workers=1)
-    assert calls == []  # one worker runs no pool and never looks
+    ergodic_leakage(cfg, trials=100, seed=5)
+    assert calls == []  # a serial estimator never looks the library up
     for _ in range(3):
-        ergodic_leakage(cfg, trials=100, seed=5, workers=2)
         _in_order(abs, [-1, 2], 2)
     assert calls == [1]
 
@@ -303,28 +284,24 @@ def _through(mc, cfg):
     return out
 
 
-def _uncached(cfg, workers):
-    out = {
-        kind: expected_log_sv_sum(kind, cfg, workers=workers, **CACHE_RUN)
-        for kind in SvKind
-    }
-    out["ergodic"] = ergodic_leakage(cfg, workers=workers, **CACHE_RUN)
-    out["universal"] = universal_constant(cfg, workers=workers, **CACHE_RUN)
+def _uncached(cfg):
+    out = {kind: expected_log_sv_sum(kind, cfg, **CACHE_RUN) for kind in SvKind}
+    out["ergodic"] = ergodic_leakage(cfg, **CACHE_RUN)
+    out["universal"] = universal_constant(cfg, **CACHE_RUN)
     return out
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_cached_estimates_equal_the_module_functions(workers):
-    mc = MonteCarlo(workers=workers, **CACHE_RUN)
+def test_cached_estimates_equal_the_module_functions():
+    mc = MonteCarlo(**CACHE_RUN)
     first = _through(mc, CACHE_CFG)
-    assert first == _uncached(CACHE_CFG, workers)
+    assert first == _uncached(CACHE_CFG)
     assert _through(mc, CACHE_CFG) == first
     snrs = (-20.0, 10.0, 40.0)
     for order in (snrs, snrs[::-1]):
-        mc = MonteCarlo(workers=workers, **CACHE_RUN)
+        mc = MonteCarlo(**CACHE_RUN)
         for snr in order:
             cfg = dataclasses.replace(CACHE_CFG, snr_e_db=snr)
-            assert _through(mc, cfg) == _uncached(cfg, workers)
+            assert _through(mc, cfg) == _uncached(cfg)
 
 
 @pytest.mark.parametrize(
@@ -407,8 +384,6 @@ def test_run_argument_validation():
     with pytest.raises(ValueError):
         expected_log_sv_sum(SvKind.DATA, cfg, trials=100, seed=-1)
     with pytest.raises(ValueError):
-        expected_log_sv_sum(SvKind.DATA, cfg, trials=100, workers=0)
-    with pytest.raises(ValueError):
         expected_log_sv_sum("data", cfg, trials=100)
     with pytest.raises(ValueError):
         MonteCarlo(trials=100).log_sv_sum("data", cfg)
@@ -439,9 +414,9 @@ def test_run_arguments_may_be_numpy_integers():
     # is kept as a plain int.
     cfg = balanced_config(M=8, K=2, N_E=3, N_J=4, T=16, snr_e_db=10.0)
     mc = MonteCarlo(trials=np.int64(100), seed=np.uint8(3), workers=np.int32(2))
-    assert (mc.trials, mc.seed, mc.workers) == (100, 3, 2)
-    assert all(type(v) is int for v in (mc.trials, mc.seed, mc.workers))
-    assert mc == MonteCarlo(trials=100, seed=3, workers=2)
+    assert (mc.trials, mc.seed) == (100, 3)
+    assert all(type(v) is int for v in (mc.trials, mc.seed))
+    assert mc == MonteCarlo(trials=100, seed=3)
     assert mc.ergodic_leakage(cfg) == MonteCarlo(trials=100, seed=3).ergodic_leakage(cfg)
     numpy_run = expected_log_sv_sum(SvKind.DATA, cfg, trials=np.int16(50), seed=np.int64(1))
     assert numpy_run == expected_log_sv_sum(SvKind.DATA, cfg, trials=50, seed=1)
@@ -581,41 +556,6 @@ def test_two_power_ergodic_leakage_on_a_tall_block_at_high_snr():
     sampled = MonteCarlo(trials=2000, seed=1).ergodic_leakage(cfg)
     assert abs(law.mean - sampled.mean) <= 4.0 * sampled.std_error, (law, sampled)
     assert law.std_error == 0.0
-
-
-def _every_sampled_route() -> list:
-    """One result of each sampled route of the package, at a trial count
-    that ``_BATCH`` does not divide, so a short batch ends each run."""
-    run = dict(trials=43, seed=6)
-    out = []
-    for name in ("tall-unequal", "wide-equal"):
-        cfg = EXACT_CFGS[name]
-        # Every kind but DATA multiplies by a Bartlett factor.
-        out += [expected_log_sv_sum(kind, cfg, **run) for kind in SvKind]
-        mc = MonteCarlo(**run)
-        out += [mc.ergodic_leakage(_at(cfg, 0.1)), mc.ergodic_constant(cfg)]
-        out.append(universal_constant(_at(cfg, 0.1), **run))
-    # Six rows on five columns: the split has a trailing part, so no NaN.
-    out.append(sv_split_check(_at(EXACT_CFGS["tall-unequal"], 1e-3), **run))
-    probe = balanced_config(M=12, K=3, N_E=4, N_J=4, T=8)
-    out.append(check_effective_distributions(probe, trials=103, seed=6))
-    out.append(average_transmit_power(probe, **run))
-    return out
-
-
-def test_no_sampled_result_depends_on_the_worker_count(monkeypatch):
-    # Workers only partition batches, so 1, 2 and 3 workers give the same
-    # bytes on every sampled route, those that take no worker count too.
-    run_trials = montecarlo._run_trials
-    results = []
-    for workers in (1, 2, 3):
-
-        def on_workers(tag, draw, args, reduce, trials, seed, _, workers=workers):
-            return run_trials(tag, draw, args, reduce, trials, seed, workers)
-
-        monkeypatch.setattr(montecarlo, "_run_trials", on_workers)
-        results.append(_every_sampled_route())
-    assert all(result == results[0] for result in results[1:])
 
 
 def test_product_draws_each_batch_from_one_generator():

@@ -2,8 +2,8 @@
 a commented allowlist, only `anleak.bounds` spells a reason code, the
 bounds and estimators read their operating point from the config, the
 laws and bounds import nothing from the sampler, every seeded trial is
-drawn by `montecarlo._run_trials`, every thread pool is
-`montecarlo._in_order`, no command reads the environment, the CLI imports
+drawn by `montecarlo._run_trials` on the caller's thread, every thread
+pool is `montecarlo._in_order` and only `validate` runs it, no command reads the environment, the CLI imports
 no test-only library, and the package's exports load on first use."""
 
 import ast
@@ -182,6 +182,56 @@ def test_every_thread_pool_is_the_one_pool():
     stray = [hit for hit in reads if "_in_order" not in hit[3]]
     assert not stray, f"thread pools outside `_in_order`: {stray}"
     assert reads
+
+
+def _defs_taking(param: str) -> set[str]:
+    """``module.name`` (``module.Class.name`` for a method) of every def in
+    ``src/anleak`` that has a parameter ``param``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            if param in {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}:
+                found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_the_sampler_takes_no_worker_count():
+    # Every seeded draw runs on the caller's thread, so neither the trial
+    # loop nor a sampled estimator takes a worker count.  What still does:
+    # the pool's size, the run rule, and two arguments checked that select
+    # nothing, `MonteCarlo`'s and the CLI flag's, until ROADMAP item 1.
+    assert _defs_taking("workers") == {
+        "montecarlo._in_order",
+        "montecarlo._check_run_args",
+        "montecarlo.MonteCarlo.__init__",
+        "cli.build_sweep_spec",
+    }
+    sampled = [channel.check_effective_distributions, channel.average_transmit_power]
+    sampled += [montecarlo._run_trials, *(getattr(montecarlo, n) for n in montecarlo.__all__)]
+    sampled += vars(montecarlo.MonteCarlo).values()
+    takes = [
+        fn.__qualname__
+        for fn in sampled
+        if inspect.isfunction(fn) and "workers" in inspect.signature(fn).parameters
+    ]
+    assert takes == ["MonteCarlo.__init__"]
+
+
+def test_only_validate_runs_the_pool():
+    # `_run_trials` reduces its batches in one loop and never loads the
+    # pool; `validate` runs its sampled checks side by side on it.
+    callers = {hit[3] for hit in _reads({"_in_order"})}
+    assert not any("_run_trials" in scope for scope in callers)
+    assert callers == {("run_validation",)}
 
 
 def test_no_command_reads_the_environment():
