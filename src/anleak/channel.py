@@ -318,16 +318,24 @@ def average_transmit_power(
     """Monte Carlo mean transmit power per symbol over blocks of
     ``_POWER_BLOCK_LEN`` symbols: the sampled route to
     `exact_transmit_power`, one `_power_draw` per trial of `_run_trials`."""
-    return _summarize(_stacked(_TAG_TRANSMIT_POWER, _power_draw, (cfg,), trials, seed))
+    return _summarize([_transmit_power_parts(cfg, trials, seed)[0]])
+
+
+def _transmit_power_parts(cfg: SystemConfig, trials: int, seed: int) -> tuple:
+    """`average_transmit_power`'s trials, each a `_power_draw`, joined in
+    trial order."""
+    return _stacked(_TAG_TRANSMIT_POWER, _power_draw, (cfg,), trials, seed)
 
 
 @_per_trial
 def _power_draw(cfg: SystemConfig, rng: np.random.Generator) -> tuple:
-    """One trial's transmit power per symbol: a realization, then symbols."""
+    """One trial, a realization and then symbols: its transmit power, data
+    symbol energy and noise symbol energy, each per symbol."""
     real = sample_realization(cfg, rng)
     s = sample_gaussian(cfg.K, _POWER_BLOCK_LEN, 1.0, rng)
     n = sample_gaussian(cfg.N_J, _POWER_BLOCK_LEN, 1.0, rng)
-    return (np.linalg.norm(transmit_signal(cfg, real, s, n)) ** 2 / _POWER_BLOCK_LEN,)
+    energies = (transmit_signal(cfg, real, s, n), s, n)
+    return tuple(np.linalg.norm(x) ** 2 / _POWER_BLOCK_LEN for x in energies)
 
 
 # ---------------------------------------------------------------------------

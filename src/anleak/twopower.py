@@ -100,7 +100,11 @@ above ``delta*`` it builds, on a 2-vCPU Xeon host, at 243 digits on
 312 on ``K = 16, N_J = 48`` (0.10 s, 0.36 s), 470 on ``K = 20, N_J = 80``
 (0.41 s, 2.3 s) and 594 on ``K = 32, N_J = 96`` (1.6 s, 8.1 s); at a
 ratio of 2 the same blocks need 100-201 digits.  Every pair of distinct
-powers gets an answer.
+powers gets an answer, but far from equal powers the digits and the build
+time grow with the power ratio, with no cap: on the flagship (``N_E =
+64``, ``K = 16``, ``N_J = 48``, ``beta2`` balanced) ``alpha2 = 1e-10``
+takes 409 digits and a 0.6 s ``anleak bounds``, ``1e-30`` 1030 digits
+and 3.7 s, ``1e-100`` 89 s, and ``1e-300`` gave no answer in 6.4 min.
 
 This module is imported only by the two-power path of
 `laws.ExactFirst`, so no other command loads it or `decimal`; it imports
@@ -135,7 +139,12 @@ def two_power_log1p(
     columns of power ``alpha2`` and ``nj`` of power ``beta2``; both counts
     at least 1 and the powers positive and distinct.  Where the
     near-equal expansion's remainder bound ``(n/3) delta'^3`` is at most
-    ``_TAU`` it answers (`_near_equal`); elsewhere the exact law does."""
+    ``_TAU`` it answers (`_near_equal`); elsewhere the exact law does.
+
+    The law's digits, and so its build time, grow with the power ratio
+    and nothing caps them: on the flagship block a ratio of 1e10 builds
+    in under a second, 1e30 in seconds, 1e100 in minutes, and 1e300 gave
+    no answer in 6.4 min (figures in the module docstring)."""
     if min(k, nj) < 1 or min(alpha2, beta2) <= 0.0 or alpha2 == beta2:
         raise ValueError(
             f"two powers need k, nj >= 1 and distinct positive powers, got "

@@ -528,6 +528,43 @@ def test_validation_catches_a_biased_digamma(monkeypatch):
     assert main(["validate", "--trials", "300"]) == 1
 
 
+def test_validation_catches_a_tenth_of_that_digamma_bias(monkeypatch):
+    # 0.01 a term moves the 4-term digamma sum by 0.04 nats, inside the
+    # 0.07-nat band of raw log-determinants at 2250 trials, but not inside
+    # the band of the Bartlett-controlled ones, whose means read no digamma.
+    import anleak.special
+
+    true_digamma = anleak.special.digamma
+    monkeypatch.setattr(anleak.special, "digamma", lambda x: true_digamma(x) + 0.01)
+    report = run_validation(trials=300)
+    assert [c.name for c in report.checks if not c.passed] == ["wishart-identity", "ergodic-slope"]
+
+
+def test_bartlett_control_is_mean_zero_and_tracks_the_log_determinant():
+    # 4 x 8 blocks, as wishart-identity draws them.  The control's mean is
+    # 0, and it takes nearly all of the log-determinant's variance: 68x
+    # less here with the quadratic terms, 13x with the linear ones alone.
+    h = anleak.montecarlo._product(4, 8, 1.0, 0, 0.0, None, np.random.default_rng(5), 4000)
+    f = np.sum(np.log(anleak.linalg.squared_singular_values(h)), axis=1)
+    control = anleak.cli._bartlett_control(h)
+    assert abs(control.mean()) <= 4.0 * control.std(ddof=1) / math.sqrt(control.size)
+    assert np.var(f - control) < np.var(f) / 50.0
+
+
+def test_transmit_power_control_still_sees_a_basis_that_is_not_orthonormal(monkeypatch):
+    # The noise control cancels beta2 |V N|^2 only for |V N| = |N|: a
+    # noise basis 5% too long moves the mean by beta2 N_J 0.1025 = 0.92.
+    zero_forcing = anleak.channel.zero_forcing
+
+    def long_basis(h, n):
+        precoder, basis = zero_forcing(h, n)
+        return precoder, 1.05 * basis
+
+    assert anleak.cli._check_power_identity(0, 200).passed
+    monkeypatch.setattr(anleak.channel, "zero_forcing", long_basis)
+    assert not anleak.cli._check_power_identity(0, 200).passed
+
+
 def _bias_the_gbar_law(monkeypatch, bits: float) -> None:
     """Shift the law of the flagship's 64-column Gbar block (not of its
     48-column noise block) by ``bits``, which leaves the sampled slope alone
@@ -601,6 +638,11 @@ def test_validate_command_reports_all_clear(capsys):
     slope_line = next(line for line in out.splitlines() if "ergodic-slope" in line)
     bands = slope_line.partition("4*SE = ")[2].rstrip(")").split(", ")
     assert len(bands) == 2 and all(0.0 < float(band) < 0.002 for band in bands)
+    # wishart-identity's one band, of Bartlett-controlled log-determinants,
+    # is below 0.03 nats.
+    wishart_line = next(line for line in out.splitlines() if "wishart-identity" in line)
+    assert "(trials=2250, control=bartlett, " in wishart_line
+    assert 0.0 < float(wishart_line.partition("4*SE = ")[2].rstrip(")")) < 0.03
 
 
 # ---------------------------------------------------------------------------

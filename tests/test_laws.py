@@ -6,6 +6,7 @@ from `anleak.laws`, and the laws must match it to the stated error of
 """
 
 import decimal
+import functools
 import math
 from dataclasses import replace
 
@@ -237,55 +238,76 @@ def _two_power_oracle(n_e, k, alpha2, nj, beta2, s2, dps=80):
     Vandermonde ``d^p/dsigma^p [sigma^j, l! sigma^(d+1+l)]``,
     ``d = m - n_e - 1``, and ``Phi`` is 0 in its first ``d + 1`` columns
     and ``d^p/dsigma^p sigma^d I_l(sigma)``, by Leibniz, in the others.
+    Either way the ``I_n`` that row ``p`` reads are a prefix of those the
+    power's last row reads, so each power's ``I_n`` are formed once.
+    ``Psi`` does not read ``s2``: `_oracle_psi_lu` factors it once per
+    block, powers and digits.
     """
+    lu, perm = _oracle_psi_lu(n_e, k, alpha2, nj, beta2, dps)
     with mpmath.workdps(dps):
         m, c = k + nj, mpmath.mpf(s2)
         fac = mpmath.factorial
-
-        def moments(sigma, top):
+        phi = mpmath.matrix(m, m)
+        r = 0
+        for sigma, count in ((mpmath.mpf(alpha2), k), (mpmath.mpf(beta2), nj)):
+            if not count:
+                continue
             mu = 1 / sigma
             js = [mpmath.exp(mu * c) * mpmath.e1(mu * c)]
-            for i in range(1, top + 1):
+            for i in range(1, n_e + count):
                 js.append(fac(i - 1) / mu**i - c * js[-1])
-            return [
+            big_i = [
                 fac(n) / mu ** (n + 1) * mpmath.fsum(mu**i * js[i] / fac(i) for i in range(n + 1))
-                for n in range(top + 1)
+                for n in range(n_e + count)
             ]
-
-        rows = [(mpmath.mpf(alpha2), p) for p in range(k)] + [(mpmath.mpf(beta2), p) for p in range(nj)]
-        psi, phi = mpmath.matrix(m, m), mpmath.matrix(m, m)
-        if n_e >= m:
-            c0 = n_e - m
-            for r, (sigma, p) in enumerate(rows):
-                big_i = moments(sigma, c0 + p + m)
-                for j in range(m):
-                    psi[r, j] = fac(c0 + p + j) * sigma ** (c0 + p + j + 1)
-                    phi[r, j] = big_i[c0 + p + j]
-        else:
-            d = m - n_e - 1
-
-            def falling(a, p):
-                return mpmath.fprod(a - i for i in range(p))
-
-            for r, (sigma, p) in enumerate(rows):
-                big_i = moments(sigma, n_e + p)
-                for j in range(m):
-                    scale = 1 if j <= d else fac(j - d - 1)
-                    psi[r, j] = scale * falling(j, p) * sigma ** (j - p)
-                for l in range(n_e):
-                    # d^p/dsigma^p of sigma^d x^l e^(-x/sigma), term by term.
-                    phi[r, d + 1 + l] = mpmath.fsum(
-                        math.comb(p, i) * falling(d, p - i) * sigma ** (d - (p - i))
-                        * _derivative_of_moment(big_i, sigma, l, i)
-                        for i in range(p + 1)
-                    )
-        # One factorization of Psi for all m columns, at the 10 guard bits
-        # that `mpmath.lu_solve` adds.
+            for p in range(count):
+                if n_e >= m:
+                    for j in range(m):
+                        phi[r, j] = big_i[n_e - m + p + j]
+                else:
+                    d = m - n_e - 1
+                    for l in range(n_e):
+                        # d^p/dsigma^p of sigma^d x^l e^(-x/sigma), term by term.
+                        phi[r, d + 1 + l] = mpmath.fsum(
+                            math.comb(p, i) * _falling(d, p - i) * sigma ** (d - (p - i))
+                            * _derivative_of_moment(big_i, sigma, l, i)
+                            for i in range(p + 1)
+                        )
+                r += 1
+        # The 10 guard bits that `mpmath.lu_solve` adds, as the factors have.
         with mpmath.workprec(mpmath.mp.prec + 10):
-            lu, perm = mpmath.mp.LU_decomp(psi)
             diag = [mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, phi.column(j), perm))[j]
                     for j in range(m)]
         return mpmath.fsum(diag)
+
+
+@functools.cache
+def _oracle_psi_lu(n_e, k, alpha2, nj, beta2, dps):
+    """The LU factors of `_two_power_oracle`'s ``Psi`` for all ``m``
+    columns, at the 10 guard bits that `mpmath.lu_solve` adds; every call
+    shares them, so they are only read."""
+    with mpmath.workdps(dps):
+        m = k + nj
+        fac = mpmath.factorial
+        rows = [(mpmath.mpf(sigma), p) for sigma, count in ((alpha2, k), (beta2, nj))
+                for p in range(count)]
+        psi = mpmath.matrix(m, m)
+        for r, (sigma, p) in enumerate(rows):
+            for j in range(m):
+                if n_e >= m:
+                    c0 = n_e - m
+                    psi[r, j] = fac(c0 + p + j) * sigma ** (c0 + p + j + 1)
+                else:
+                    d = m - n_e - 1
+                    scale = 1 if j <= d else fac(j - d - 1)
+                    psi[r, j] = scale * _falling(j, p) * sigma ** (j - p)
+        with mpmath.workprec(mpmath.mp.prec + 10):
+            return mpmath.mp.LU_decomp(psi)
+
+
+def _falling(a, p):
+    """The falling factorial ``a (a - 1) ... (a - p + 1)``."""
+    return mpmath.fprod(a - i for i in range(p))
 
 
 def _derivative_of_moment(big_i, sigma, l, i):

@@ -61,6 +61,10 @@ NEVER_LOADED = {
     # of perfbench wraps them by name.
     "montecarlo.ergodic_leakage",
     "montecarlo.ergodic_constant",
+    # The plain sampled transmit power, offered to callers; `validate` reads
+    # the same trials through `channel._transmit_power_parts`, to subtract
+    # its symbol-energy controls.  The layer tracer wraps it by name too.
+    "channel.average_transmit_power",
     # Paper results offered to callers: the pilot-aided eavesdropper rate,
     # the low-SNR limit of `universal_upper` (criterion 06); the zero-dof
     # cap and its relaxation; the one-call secrecy rates of the README.
