@@ -10,11 +10,18 @@ dimensions with artificial noise.  See the individual modules:
 * :mod:`anleak.twopower` — the exact ergodic leakage at two powers, loaded by
   `ExactFirst` only where it is needed;
 * :mod:`anleak.montecarlo` — deterministic sampled estimators (`MonteCarlo`),
-  the cross-check of every law;
+  the cross-check of every law, loaded only where something is drawn;
 * :mod:`anleak.bounds` — closed-form high-SNR bounds and secrecy rates;
 * :mod:`anleak.special` — digamma / manifold-volume building blocks;
 * :mod:`anleak.planner` — antenna counts that saturate coherence blocks;
 * :mod:`anleak.cli` — sweeps, validation and planning from the shell.
+
+Each module loads on first use, so a command loads only what it runs.
+``sweep`` and ``bounds`` load `cli`, `bounds`, `channel`, `laws`,
+`special` and `errors`, plus `twopower` and `decimal` at two powers;
+``plan`` loads `planner` too.  Only ``validate`` draws, so only it loads
+the sampler (`montecarlo`, `linalg`, ``numpy.random``) and a thread pool.
+No command loads ``numpy.polynomial``.
 """
 
 import sys
@@ -23,7 +30,7 @@ __version__ = "0.1.0"
 
 # Each module and the names the package exports from it.  A name, or the
 # module itself as ``anleak.<module>``, is imported on first use (PEP 562),
-# so ``import anleak`` loads no module and a command loads only what it runs.
+# so ``import anleak`` loads no module of its own.
 _EXPORTS = {
     "errors": ("AnleakError", "ConfigError", "DegenerateChannelError", "NotApplicable"),
     "channel": (

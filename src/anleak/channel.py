@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .laws import McEstimate
-from .linalg import CMatrix, sample_gaussian, zero_forcing
-from .montecarlo import _TAG_DISTRIBUTIONS, _TAG_TRANSMIT_POWER, _check_run_args
-from .montecarlo import _per_trial, _stacked, _summarize
+from .laws import McEstimate, _check_run_args
+
+if TYPE_CHECKING:  # the sampler is imported only where something is drawn
+    from .linalg import CMatrix
 
 __all__ = [
     "SystemConfig",
@@ -264,6 +265,8 @@ def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRe
     precoder and the null-space basis come from one QR factorization of
     ``h^H`` (`zero_forcing`), which checks ``h`` once.
     """
+    from .linalg import sample_gaussian, zero_forcing  # here: only a draw needs them
+
     h = sample_gaussian(cfg.K, cfg.M, 1.0, rng)
     g = sample_gaussian(cfg.N_E, cfg.M, 1.0, rng)
     precoder, an_basis = zero_forcing(h, cfg.N_J)
@@ -318,19 +321,24 @@ def average_transmit_power(
     """Monte Carlo mean transmit power per symbol over blocks of
     ``_POWER_BLOCK_LEN`` symbols: the sampled route to
     `exact_transmit_power`, one `_power_draw` per trial of `_run_trials`."""
+    from .montecarlo import _summarize
+
     return _summarize([_transmit_power_parts(cfg, trials, seed)[0]])
 
 
 def _transmit_power_parts(cfg: SystemConfig, trials: int, seed: int) -> tuple:
     """`average_transmit_power`'s trials, each a `_power_draw`, joined in
     trial order."""
-    return _stacked(_TAG_TRANSMIT_POWER, _power_draw, (cfg,), trials, seed)
+    from .montecarlo import _TAG_TRANSMIT_POWER, _per_trial, _stacked
+
+    return _stacked(_TAG_TRANSMIT_POWER, _per_trial(_power_draw), (cfg,), trials, seed)
 
 
-@_per_trial
 def _power_draw(cfg: SystemConfig, rng: np.random.Generator) -> tuple:
     """One trial, a realization and then symbols: its transmit power, data
     symbol energy and noise symbol energy, each per symbol."""
+    from .linalg import sample_gaussian
+
     real = sample_realization(cfg, rng)
     s = sample_gaussian(cfg.K, _POWER_BLOCK_LEN, 1.0, rng)
     n = sample_gaussian(cfg.N_J, _POWER_BLOCK_LEN, 1.0, rng)
@@ -413,9 +421,12 @@ def check_effective_distributions(
       (one-sample Kolmogorov-Smirnov against the normal CDF, threshold
       ``1.63 / sqrt(trials)``, about the 1% level).
     """
+    from .montecarlo import _TAG_DISTRIBUTIONS, _per_trial, _stacked
+
     _check_distribution_run(trials, seed)
     ne, k, nj = cfg.N_E, cfg.K, cfg.N_J
-    sums, data_probe, an_probe = _stacked(_TAG_DISTRIBUTIONS, _probe_draw, (cfg,), trials, seed)
+    draw = _per_trial(_probe_draw)
+    sums, data_probe, an_probe = _stacked(_TAG_DISTRIBUTIONS, draw, (cfg,), trials, seed)
     # Add the per-trial sums in trial order, as a running total would.
     data_sq_sum, an_sq_sum = np.cumsum(sums, axis=0)[-1].tolist()
 
@@ -460,7 +471,6 @@ def _check_distribution_run(trials: int, seed: int) -> None:
         raise ValueError(f"need trials >= 100, got {trials}")
 
 
-@_per_trial
 def _probe_draw(cfg: SystemConfig, rng: np.random.Generator) -> tuple:
     """A realization's ``[sum |g_data|^2, sum |g_an|^2]``, then each part's top-left 2 x 2."""
     real = sample_realization(cfg, rng)

@@ -32,10 +32,12 @@ which holds no run) and draw nothing, so their output depends only on the
 scenario.  They still accept ``--trials``, ``--seed`` and ``--workers``
 and the config keys ``trials``, ``seed`` and ``workers`` until the
 benchmark stops passing them: each value given (flag, else config key) is
-checked by `montecarlo`'s run rule, and a bad one is rejected before any
-output, but none selects anything and none is printed.  A closed stdout
-(``anleak bounds cfg | head -1``) ends the command with exit 1 and no
-traceback.
+checked by the package's run rule, `laws._check_run_args`, and a bad one
+is rejected before any output, but none selects anything and none is
+printed.  Neither command, nor ``plan``, loads the sampler
+(`anleak.montecarlo`, `anleak.linalg`): only the validation suite imports
+it.  A closed stdout (``anleak bounds cfg | head -1``) ends the command
+with exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import montecarlo, special
+from . import special
 from .bounds import (
     entropy_gap,
     ergodic_highsnr,
@@ -71,22 +73,7 @@ from .channel import (
     single_stream_view,
 )
 from .errors import ConfigError, NotApplicable
-from .laws import ExactFirst, McEstimate, SvKind, _sv_args
-from .linalg import squared_singular_values
-from .montecarlo import (
-    MonteCarlo,
-    _LN2,
-    _STREAM,
-    _check_run_args,
-    _ergodic_constant_values,
-    _ergodic_values,
-    _in_order,
-    _log_sv_values,
-    _product,
-    _summarize,
-    _usable_cores,
-    sv_split_check,
-)
+from .laws import _LN2, ExactFirst, McEstimate, SvKind, _check_run_args, _sv_args
 
 __all__ = [
     "METRICS",
@@ -285,9 +272,10 @@ def _check_run(entries: dict[str, str], **flags: int | None) -> None:
     """Check the run that ``sweep`` and ``bounds`` accept but never use.
 
     Each of ``trials``, ``seed`` and ``workers`` given (its flag, else its
-    config key) must pass `montecarlo`'s run rule, whose message a bad
-    value raises as a `ConfigError`; an absent one stands in as the rule's
-    least valid value.  Nothing is kept: neither command draws.
+    config key) must pass the run rule, `laws._check_run_args`, whose
+    message a bad value raises as a `ConfigError`; an absent one stands in
+    as the rule's least valid value.  Nothing is kept: neither command
+    draws.
     """
     least = {"trials": 2, "seed": 0, "workers": 1}
     run = {
@@ -459,6 +447,10 @@ def run_validation(seed: int = 0, trials: int = 4000) -> ValidationReport:
     own seeded stream, and the report keeps its fixed order, so no result
     depends on the core count.
     """
+    # The sampler loads here, on the main thread before the pool starts, so
+    # no pool thread is the first to import it; no other command loads it.
+    from .montecarlo import _in_order, _usable_cores
+
     _check_distribution_run(trials, seed)  # before any sampled check
     scale = trials / 4000.0
     sampled = [  # in report order; each draws its own stream
@@ -528,13 +520,16 @@ def _check_wishart_identity(seed: int, trials: int) -> CheckResult:
     still fails this check.  Trials that the degeneracy guard flags are
     NaN in ``f``, so they are excluded once.
     """
+    from .linalg import squared_singular_values
+    from .montecarlo import _log_sv_values, _product, _run_trials, _summarize
+
     cfg = SystemConfig(M=16, K=8, N_E=4, N_J=0, T=16, alpha2=1.0, beta2=0.0)
     args = _sv_args(SvKind.DATA, cfg)
 
     def reduce(h: np.ndarray) -> np.ndarray:
         return _log_sv_values(squared_singular_values(h)) - _bartlett_control(h)
 
-    batches = montecarlo._run_trials(SvKind.DATA.value, _product, args, reduce, trials, seed)
+    batches = _run_trials(SvKind.DATA.value, _product, args, reduce, trials, seed)
     est = _summarize(batches)
     target = ExactFirst().log_sv_sum(SvKind.DATA, cfg).mean
     ok, detail = _within_4se("closed form", [(est, target)])
@@ -572,6 +567,8 @@ def _check_power_identity(seed: int, trials: int) -> CheckResult:
     orthonormal still moves the mean.  The coefficients are the powers,
     so no control reads `exact_transmit_power`.
     """
+    from .montecarlo import _summarize
+
     cfg = balanced_config(M=12, K=3, N_E=2, N_J=4, T=8)
     power, data, noise = _transmit_power_parts(cfg, trials, seed)
     controlled = power - cfg.alpha2 * (data - cfg.K) - cfg.beta2 * (noise - cfg.N_J)
@@ -609,6 +606,8 @@ def _check_ergodic_slope(seed: int, trials: int) -> CheckResult:
     a biased `special.digamma`, through ``E c``.  Trials that the
     degeneracy guard flags are NaN in ``c``, so ``y`` excludes them once.
     """
+    from .montecarlo import MonteCarlo
+
     cfg = balanced_config(M=64, K=16, N_E=64, N_J=48, T=320)
     assert cfg.N_E == cfg.mbar and cfg.alpha2 == cfg.beta2 == 1.0  # square, unit power
     law = ExactFirst()
@@ -630,6 +629,8 @@ def _check_ergodic_slope(seed: int, trials: int) -> CheckResult:
 def _ergodic_controlled(spectra: list, s2: float, c_mean: float) -> McEstimate:
     """`_check_ergodic_slope`'s estimate at noise floor ``s2``: the mean of
     ``y`` over the batches of square ``(sq_full, sq_an)`` spectra."""
+    from .montecarlo import _ergodic_constant_values, _ergodic_values, _summarize
+
     n_e = spectra[0][0].shape[1]
     h_mean = special._log1p_over_exp_mean(n_e * s2) / _LN2
     return _summarize([
@@ -641,6 +642,8 @@ def _ergodic_controlled(spectra: list, s2: float, c_mean: float) -> McEstimate:
 
 
 def _check_sv_split(seed: int, trials: int) -> CheckResult:
+    from .montecarlo import sv_split_check
+
     cfg = balanced_config(M=64, K=16, N_E=64, N_J=48, T=128, snr_e_db=80.0)
     report = sv_split_check(cfg, trials=trials, seed=seed)
     return CheckResult(
@@ -749,6 +752,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .montecarlo import _STREAM
+
     report = run_validation(seed=args.seed, trials=args.trials)
     print(f"# anleak validate stream={_STREAM} trials={args.trials} seed={args.seed}")
     for check in report.checks:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -56,7 +57,7 @@ import numpy as np
 
 from .special import expected_logdet_wishart
 
-if TYPE_CHECKING:  # channel imports montecarlo, which imports this module
+if TYPE_CHECKING:  # channel imports this module's `McEstimate` and run rule
     from .channel import SystemConfig
 
 __all__ = ["laguerre_nodes", "laguerre_rows", "jacobi_nodes", "McEstimate", "SvKind", "ExactFirst"]
@@ -64,7 +65,6 @@ __all__ = ["laguerre_nodes", "laguerre_rows", "jacobi_nodes", "McEstimate", "SvK
 _LN2 = math.log(2.0)
 _LAW_ROWS = 128  # noise nodes per chunk of `_universal_law`'s 2-D sum
 _SEGMENTS = 16  # Gauss-Legendre segments in v = sqrt(x) per 64 rows
-_NODES = 64  # nodes per segment
 _GRADED = 12  # geometric pieces, ratio 4, that replace a first segment at v = 0
 _NEGLIGIBLE = 1e-18  # nodes weighing less, relative to the heaviest, are dropped
 _EDGE_MARGIN = 8.0  # singular-value margin beyond the bulk: density below e^-64
@@ -167,8 +167,37 @@ def _rule(lo: float, hi: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 64-point Gauss-Legendre rule on [-1, 1], built once per process."""
-    return np.polynomial.legendre.leggauss(_NODES)
+    """The 64-point Gauss-Legendre rule on [-1, 1], nodes ascending, mirrored
+    once per process from its stored positive half.  It is numpy's
+    ``leggauss(64)`` bit for bit (numpy 2.4: its nodes are exactly
+    antisymmetric, its weights exactly symmetric), so no law depends on
+    numpy's build and no command loads `numpy.polynomial`."""
+    x, w = np.array(_LEGENDRE_NODES), np.array(_LEGENDRE_WEIGHTS)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
+# `_legendre`'s positive nodes, ascending, and their weights: numpy's
+# ``leggauss(64)[k][32:]`` written as float literals.
+_LEGENDRE_NODES = (
+    0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283,
+    0.21742364374000708, 0.2646871622087674, 0.31132287199021097, 0.3572201583376681,
+    0.4022701579639916, 0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+    0.571895646202634, 0.6111553551723933, 0.6489654712546573, 0.6852363130542333,
+    0.7198818501716109, 0.7528199072605319, 0.7839723589433414, 0.8132653151227975,
+    0.8406292962525803, 0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+    0.9295691721319396, 0.9464113748584028, 0.9610087996520538, 0.973326827789911,
+    0.983336253884626, 0.9910133714767443, 0.9963401167719552, 0.9993050417357722,
+)
+_LEGENDRE_WEIGHTS = (
+    0.048690957009139814, 0.04857546744150351, 0.048344762234802996, 0.04799938859645842,
+    0.04754016571483042, 0.046968182816210076, 0.04628479658131447, 0.045491627927418184,
+    0.044590558163756566, 0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+    0.039953741132720544, 0.03855015317861564, 0.03705512854024009, 0.0354722132568823,
+    0.033805161837141794, 0.032057928354851495, 0.030234657072402554, 0.028339672614259535,
+    0.02637746971505491, 0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+    0.017951715775697284, 0.01572603047602503, 0.01346304789671786, 0.011168139460131028,
+    0.008846759826363397, 0.006504457968978502, 0.004147033260564499, 0.00178328072169414,
+)
 
 
 def _density(
@@ -247,6 +276,25 @@ class McEstimate:
             raise ValueError(f"mean must be finite, got {self.mean!r}")
         if self.excluded < 0:
             raise ValueError(f"excluded must be >= 0, got {self.excluded}")
+
+
+def _check_run_args(trials: int, seed: int, workers: int = 1) -> tuple[int, int, int]:
+    """The package's one run rule: integer ``trials >= 2``, ``seed >= 0``,
+    ``workers >= 1``, returned as ``int``.  Any integer type counts (numpy's
+    too, through `operator.index`); a bool does not."""
+    rules = (("trials", trials, 2), ("seed", seed, 0), ("workers", workers, 1))
+    out = []
+    for name, value, low in rules:
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            number = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if number < low:
+            raise ValueError(f"{name} must be >= {low}, got {number}")
+        out.append(number)
+    return tuple(out)
 
 
 class SvKind(Enum):

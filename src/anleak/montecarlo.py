@@ -4,9 +4,12 @@ Every sampled estimator here reduces to sample means of functionals of
 random matrix spectra.  Determinism contract, stream ``_STREAM`` (2): a
 sampled result depends only on its arguments, ``trials`` and ``seed`` —
 never on the order of earlier calls.  This module owns it for the
-package: `_check_run_args` judges ``trials`` and ``seed`` (and the
-``workers`` still accepted, which selects nothing), and every seeded draw
-of the package goes through `_run_trials`, on the caller's thread.
+package: every seeded draw of the package goes through `_run_trials`, on
+the caller's thread, which checks ``trials`` and ``seed`` by the
+package's run rule.  That rule, `laws._check_run_args`, lives beside
+`McEstimate`, so ``sweep`` and ``bounds`` check the run flags they still
+accept without loading this module.  Only code that draws imports it:
+``validate`` and `anleak.channel`'s samplers, each on use.
 Trials run in batches of ``_BATCH``, which is part of the contract: batch
 ``b`` draws its trials in trial order from one generator seeded from
 ``(seed, stream_tag, b)``, and batches reduce in trial order.
@@ -64,7 +67,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -73,10 +75,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .laws import McEstimate, SvKind, _check_universal, _gbar_args, _sv_args, _sv_rank
+from .laws import McEstimate, SvKind, _check_run_args, _check_universal, _gbar_args, _sv_args
+from .laws import _sv_rank
 from .linalg import _sample_gaussians, sample_gaussian, squared_singular_values
 
-if TYPE_CHECKING:  # channel imports this module's run rule and trial loop
+if TYPE_CHECKING:  # annotations only: channel imports this module on use
     from .channel import SystemConfig
 
 __all__ = [
@@ -161,25 +164,6 @@ class MonteCarlo:
 # ---------------------------------------------------------------------------
 # Core engine
 # ---------------------------------------------------------------------------
-
-
-def _check_run_args(trials: int, seed: int, workers: int = 1) -> tuple[int, int, int]:
-    """The package's one run rule: integer ``trials >= 2``, ``seed >= 0``,
-    ``workers >= 1``, returned as ``int``.  Any integer type counts (numpy's
-    too, through `operator.index`); a bool does not."""
-    rules = (("trials", trials, 2), ("seed", seed, 0), ("workers", workers, 1))
-    out = []
-    for name, value, low in rules:
-        try:
-            if isinstance(value, (bool, np.bool_)):
-                raise TypeError
-            number = operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if number < low:
-            raise ValueError(f"{name} must be >= {low}, got {number}")
-        out.append(number)
-    return tuple(out)
 
 
 def _run_trials(tag: int, draw, args: tuple, reduce, trials: int, seed: int) -> list:

@@ -211,16 +211,17 @@ def test_realization_determinism(cfg):
 
 def test_realization_checks_h_once_and_builds_what_the_public_builders_do(cfg, monkeypatch):
     calls = []
+    zero_forcing = linalg.zero_forcing
 
     def counted(h, n):
         calls.append((h.shape, n))
-        return linalg.zero_forcing(h, n)
+        return zero_forcing(h, n)
 
-    monkeypatch.setattr(channel, "zero_forcing", counted)
+    monkeypatch.setattr(linalg, "zero_forcing", counted)
     real = sample_realization(cfg, np.random.default_rng(11))
     assert calls == [((cfg.K, cfg.M), cfg.N_J)]
     # Rebuilt through the public, fully checked builder: the same arrays.
-    precoder, an_basis = linalg.zero_forcing(real.h, cfg.N_J)
+    precoder, an_basis = zero_forcing(real.h, cfg.N_J)
     assert np.array_equal(real.precoder, precoder)
     assert np.array_equal(real.an_basis, an_basis)
     assert np.array_equal(real.g_data, math.sqrt(cfg.alpha2) * (real.g @ real.precoder))
@@ -234,7 +235,7 @@ def test_realization_rejects_a_rank_deficient_user_channel(cfg, monkeypatch):
             z[-1] = z[0]
         return z
 
-    monkeypatch.setattr(channel, "sample_gaussian", deficient_h)
+    monkeypatch.setattr(linalg, "sample_gaussian", deficient_h)
     with pytest.raises(DegenerateChannelError, match="rank deficient"):
         sample_realization(cfg, np.random.default_rng(11))
 
@@ -308,7 +309,8 @@ def test_average_transmit_power_keeps_its_stream_across_batch_edges():
     expected = McEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials)), trials)
     assert average_transmit_power(cfg, trials=trials, seed=seed) == expected
     # The batch draw is the same loop on the batch's generator.
-    first = channel._power_draw(cfg, _batch_rng(seed, tag, 0), montecarlo._BATCH)[0]
+    draw = montecarlo._per_trial(channel._power_draw)
+    first = draw(cfg, _batch_rng(seed, tag, 0), montecarlo._BATCH)[0]
     assert np.array_equal(first, vals[: montecarlo._BATCH])
 
 
@@ -383,7 +385,8 @@ def test_effective_distributions_add_variances_in_trial_order(cfg):
     assert report.g_an_var == an_sq_sum / (trials * cfg.N_E * cfg.N_J)
     # The batch draw is the same loop on the batch's generator.
     batch, rng = montecarlo._BATCH, _batch_rng(seed, montecarlo._TAG_DISTRIBUTIONS, 0)
-    assert np.array_equal(channel._probe_draw(cfg, rng, batch)[0], sums[:batch])
+    draw = montecarlo._per_trial(channel._probe_draw)
+    assert np.array_equal(draw(cfg, rng, batch)[0], sums[:batch])
 
 
 def test_effective_distributions_rejects_tiny_runs(cfg):

@@ -444,16 +444,16 @@ def test_every_validation_verdict_is_a_bool(monkeypatch):
 
 def test_validation_does_not_depend_on_the_pool_size(monkeypatch, draw_counts):
     pools = []
-    in_order = anleak.cli._in_order
+    in_order = anleak.montecarlo._in_order
 
     def spy(fn, items, workers, start=None):
         pools.append(workers)
         return in_order(fn, items, workers, start)
 
-    monkeypatch.setattr(anleak.cli, "_in_order", spy)
+    monkeypatch.setattr(anleak.montecarlo, "_in_order", spy)
     reports = []
     for cores in (1, 3):
-        monkeypatch.setattr(anleak.cli, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(anleak.montecarlo, "_usable_cores", lambda: cores)
         reports.append(run_validation(trials=300))
     assert pools == [1, 3]
     assert reports[0] == reports[1]
@@ -485,7 +485,7 @@ def test_validation_raises_the_first_failing_check_in_report_order(monkeypatch):
         monkeypatch.setattr(anleak.cli, f"_check_{name}", passing(name))
     for cores in (1, 2):
         slope_failed.clear()
-        monkeypatch.setattr(anleak.cli, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(anleak.montecarlo, "_usable_cores", lambda: cores)
         with pytest.raises(RuntimeError, match="transmit-power"):
             run_validation(trials=300)
 
@@ -554,14 +554,14 @@ def test_bartlett_control_is_mean_zero_and_tracks_the_log_determinant():
 def test_transmit_power_control_still_sees_a_basis_that_is_not_orthonormal(monkeypatch):
     # The noise control cancels beta2 |V N|^2 only for |V N| = |N|: a
     # noise basis 5% too long moves the mean by beta2 N_J 0.1025 = 0.92.
-    zero_forcing = anleak.channel.zero_forcing
+    zero_forcing = anleak.linalg.zero_forcing
 
     def long_basis(h, n):
         precoder, basis = zero_forcing(h, n)
         return precoder, 1.05 * basis
 
     assert anleak.cli._check_power_identity(0, 200).passed
-    monkeypatch.setattr(anleak.channel, "zero_forcing", long_basis)
+    monkeypatch.setattr(anleak.linalg, "zero_forcing", long_basis)
     assert not anleak.cli._check_power_identity(0, 200).passed
 
 

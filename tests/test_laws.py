@@ -26,7 +26,7 @@ from anleak import (
     twopower,
 )
 from anleak.laws import jacobi_nodes, laguerre_nodes
-from anleak.laws import _laguerre_log1p, _universal_law
+from anleak.laws import _laguerre_log1p, _legendre, _universal_law
 
 STATED_ERROR = 1e-9 * math.log(2.0)  # 1e-9 bits, in nats
 
@@ -53,6 +53,26 @@ def _quad(f, s2, top):
         integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
         for lo, hi in zip(edges[:-1], edges[1:])
     )
+
+
+def test_the_stored_legendre_rule_is_numpys_leggauss():
+    # `_legendre` mirrors a stored positive half.  It is numpy's rule to
+    # 2 ulp on any numpy (bit for bit on numpy 2.4.6), and its nodes ascend.
+    x, w = _legendre()
+    ref_x, ref_w = np.polynomial.legendre.leggauss(64)
+    assert np.all(np.abs(x - ref_x) <= 2 * np.spacing(np.abs(ref_x)))
+    assert np.all(np.abs(w - ref_w) <= 2 * np.spacing(ref_w))
+    assert np.all(np.diff(x) > 0)
+
+
+def test_the_stored_legendre_rule_integrates_every_monomial_it_should():
+    # A route that reads no numpy.polynomial: a 64-point Gauss-Legendre rule
+    # integrates x^k over [-1, 1] exactly for k <= 127, to 2/(k+1) for even
+    # k and 0 for odd k.
+    x, w = _legendre()
+    for k in range(128):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(w * x**k) - exact) <= 1e-14, k
 
 
 # (m, n): square blocks, a thin and a tall one, and the flagship data block.

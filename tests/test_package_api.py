@@ -143,11 +143,10 @@ def _runtime_imports(tree: ast.AST):
 @pytest.mark.parametrize("name", ["laws", "twopower", "bounds"])
 def test_the_laws_and_the_bounds_import_nothing_that_samples(name):
     # The laws and the bounds built on them draw nothing, so they import
-    # nothing from the sampler (`bounds` loads it through `channel`).
+    # nothing from the sampler, nor load it through another module.
     sources = set(_runtime_imports(ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))))
     assert sources and not {s for s in sources if s.rpartition(".")[2] == "montecarlo"}, sources
-    if name != "bounds":
-        assert "anleak.montecarlo" not in _modules_loaded_by(f"import anleak.{name}")
+    assert "anleak.montecarlo" not in _modules_loaded_by(f"import anleak.{name}")
 
 
 def _reads(names: set[str]) -> list[tuple[str, int, str, tuple[str, ...]]]:
@@ -211,11 +210,12 @@ def _defs_taking(param: str) -> set[str]:
 def test_the_sampler_takes_no_worker_count():
     # Every seeded draw runs on the caller's thread, so neither the trial
     # loop nor a sampled estimator takes a worker count.  What still does:
-    # the pool's size, the run rule, and two arguments checked that select
-    # nothing, `MonteCarlo`'s and the CLI flag's, until ROADMAP item 1.
+    # the pool's size, the run rule (in `laws`, which the commands that draw
+    # nothing load), and two arguments checked that select nothing,
+    # `MonteCarlo`'s and the CLI flag's, until ROADMAP item 1.
     assert _defs_taking("workers") == {
         "montecarlo._in_order",
-        "montecarlo._check_run_args",
+        "laws._check_run_args",
         "montecarlo.MonteCarlo.__init__",
         "cli.build_sweep_spec",
     }
@@ -258,30 +258,46 @@ def _modules_loaded_by(statement: str) -> set[str]:
 SUBMODULES = {f"anleak.{path.stem}" for path in SRC.glob("*.py")} - {"anleak.__init__"}
 
 
+def _cli_run(*argv: str) -> str:
+    """A statement that runs ``anleak ARGV...`` in-process, stdout discarded."""
+    return (
+        "import contextlib, io; from anleak import cli; "
+        "quiet = contextlib.redirect_stdout(io.StringIO()); quiet.__enter__(); "
+        f"cli.main({list(argv)!r}); quiet.__exit__(None, None, None)"
+    )
+
+
 def test_the_cli_imports_no_oracle_library(tmp_path):
     # scipy and mpmath are test extras that serve as oracles; the package
     # depends on numpy alone, and loading either would slow every start-up.
     # So would what only some commands run: a thread pool (`_in_order`), the
-    # planner (`plan`) and the two-power law with its `decimal` arithmetic.
+    # planner (`plan`), the two-power law with its `decimal` arithmetic and
+    # the sampler with numpy's generators, which only `validate` draws from.
     # A bare `import anleak` loads no module of its own, and a one-power
     # flagship `bounds` run never reaches the two-power law; a two-power
-    # one loads it and `decimal`, and no pool.
+    # one loads it and `decimal`, and no pool.  No command loads
+    # `numpy.polynomial`: `laws` stores its Gauss-Legendre rule.  `bounds`
+    # and `sweep` get the benchmark's run flags, which `laws`' run rule checks.
+    flagship = "M=64\nK=16\nN_E=64\nN_J=48\nT=320\n"
+    extras = {"one": "alpha2=1.0\n", "two": "alpha2=2.0\n", "sweep": "axis=snr_e_db\nvalues=0,30\n"}
     config = {}
-    for name, alpha2 in (("one", 1.0), ("two", 2.0)):
+    for name, extra in extras.items():
         config[name] = tmp_path / f"{name}.cfg"
-        config[name].write_text(f"M=64\nK=16\nN_E=64\nN_J=48\nT=320\nalpha2={alpha2}\n")
+        config[name].write_text(flagship + extra)
     law = {"decimal", "anleak.twopower"}
     pool = {"concurrent.futures"}
-    run = (
-        "import contextlib, io; from anleak import cli; "
-        "quiet = contextlib.redirect_stdout(io.StringIO()); quiet.__enter__(); "
-        "cli.main(['bounds', {!r}]); quiet.__exit__(None, None, None)"
-    )
+    sampler = {"anleak.montecarlo", "anleak.linalg", "numpy.random", "numpy.polynomial"}
+    bounds_run = ("--trials", "120", "--seed", "41", "--workers", "1")
+    sweep_run = ("--trials", "80", "--seed", "41", "--workers", "1")
+    plan = ("plan", "--carrier-hz", "2.6e9", "--speed-mps", "30")
     cases = {
-        "import anleak.cli": ({"scipy", "mpmath", "anleak.planner"} | pool | law, set()),
+        "import anleak.cli": ({"scipy", "mpmath", "anleak.planner"} | pool | law | sampler, set()),
         "import anleak": (SUBMODULES, set()),
-        run.format(str(config["one"])): (law | pool, set()),
-        run.format(str(config["two"])): (pool, law),
+        _cli_run("bounds", str(config["one"]), *bounds_run): (law | pool | sampler, set()),
+        _cli_run("bounds", str(config["two"]), *bounds_run): (pool | sampler, law),
+        _cli_run("sweep", str(config["sweep"]), *sweep_run): (pool | sampler, set()),
+        _cli_run(*plan): (pool | sampler, {"anleak.planner"}),
+        _cli_run("validate", "--trials", "300"): (set(), pool | {"anleak.montecarlo"}),
     }
     for statement, (unloaded, loaded) in cases.items():
         modules = _modules_loaded_by(statement)
